@@ -161,11 +161,7 @@ def cmd_run(args) -> int:
         v_load = result.voltage("load_m")
         x = electromech.displacement_response(v_load, electromech.ElectromechParams())
         disp_path = out / f"{name}_displacement.csv"
-        with open(disp_path, "w", newline="\n") as fh:
-            fh.write("t,v_load,x_norm\n")
-            times = v_load.times()
-            for k in range(len(v_load)):
-                fh.write(f"{times[k]!r},{v_load.samples[k]!r},{x.samples[k]!r}\n")
+        write_csv(disp_path, {"v_load": v_load, "x_norm": x})
         written.append(disp_path)
     if args.plot:
         svg = out / f"{name}.svg"

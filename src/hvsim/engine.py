@@ -4,7 +4,15 @@ Unknowns are the non-ground node voltages plus one branch current per voltage
 source.  Capacitors integrate with trapezoidal companion models; after every
 switching event a configurable number of backward-Euler steps damp the
 trapezoidal ringing that switch discontinuities excite.  The system matrix is
-dense (node counts here stay small) and is refactored only at events.
+dense (node counts here stay small).
+
+Between events the circuit is linear time-invariant, so each run factors the
+matrix once per distinct (switch states, damped) pair and reuses it at every
+later event with the same topology.  A trapezoidal stretch is a linear
+recurrence in the companion-history currents and the source EMFs; it is
+advanced a block of steps at a time from precomputed powers of its one-step
+map, so no per-step solve remains (the per-topology state-space form of
+piecewise-linear switched-circuit simulators).
 """
 
 from __future__ import annotations
@@ -205,6 +213,65 @@ def _factor(A: np.ndarray, low: _Lowered):
             culprit = f"source {low.sources[k - low.n_nodes].name!r}"
         raise SimulationError(f"singular system while factoring (check {culprit})")
     return lu
+
+
+#: Steps per block of a trapezoidal stretch; the power table holds F^0..F^_BLOCK.
+_BLOCK = 256
+
+
+def _powers(F: np.ndarray, count: int) -> np.ndarray:
+    """``F^0 .. F^count`` stacked, built by repeated doubling."""
+    P = np.empty((count + 1,) + F.shape)
+    P[0] = np.eye(F.shape[0])
+    P[1] = F
+    k = 1  # P[0..k] are filled
+    while k < count:
+        span = min(k, count - k)
+        P[k + 1 : k + 1 + span] = P[1 : 1 + span] @ P[k]
+        k += span
+    return P
+
+
+@dataclass
+class _Operators:
+    """One factored topology and the operators derived from it on first use.
+
+    ``N`` is the capacitor incidence (+1 at the + node row, -1 at the - node
+    row) and ``S`` selects the source rows, so a step solves
+    ``A x = N hist + S emf``.
+    """
+
+    lu: Tuple[np.ndarray, np.ndarray]
+    g: np.ndarray  # companion conductance of each capacitor
+    k: Optional[np.ndarray] = None  # A^-1 [N S]
+    powers: Optional[np.ndarray] = None
+
+    def response(self, inc: np.ndarray, m: int) -> np.ndarray:
+        """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
+        if self.k is None:
+            size = inc.shape[0]
+            cols = np.hstack([inc, np.eye(size)[:, size - m :]])
+            # one column per solve: OpenBLAS threads a multi-column getrs,
+            # and its idle workers then spin through the rest of the run
+            self.k = np.column_stack(
+                [lu_solve(self.lu, col, check_finite=False) for col in cols.T]
+            )
+        return self.k
+
+    def step_powers(self, inc: np.ndarray, m: int) -> np.ndarray:
+        """Powers of the trapezoidal one-step map ``F`` of ``z = [hist; emf; emf step]``.
+
+        ``hist' = 2G Nᵀx - hist`` with ``x = A^-1 [N S] [hist; emf]``, and the
+        EMF advances by its per-step increment.
+        """
+        if self.powers is None:
+            nc = inc.shape[1]
+            F = np.eye(nc + 2 * m)
+            F[:nc, : nc + m] = 2.0 * self.g[:, None] * (inc.T @ self.response(inc, m))
+            F[:nc, :nc] -= np.eye(nc)
+            F[nc : nc + m, nc + m :] = np.eye(m)
+            self.powers = _powers(F, _BLOCK)
+        return self.powers
 
 
 def dc_operating_point(
@@ -413,9 +480,27 @@ def run_transient(
     vc = np.array([cap.ic for cap in low.caps])
     ic = ic0.copy()
     src_rows = n + np.arange(m)
+    inc = np.zeros((n + m, nc))
+    for j, cap in enumerate(low.caps):
+        if cap.p >= 0:
+            inc[cap.p, j] = 1.0
+        if cap.n >= 0:
+            inc[cap.n, j] = -1.0
 
     g_tr = 2.0 * cap_c / h if nc else np.zeros(0)
     g_be = cap_c / h if nc else np.zeros(0)
+
+    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+
+    def operators(damped: bool) -> _Operators:
+        key = (tuple(sw_states), damped)
+        if key not in topologies:
+            g = g_be if damped else g_tr
+            A = _base_matrix(low, sw_states)
+            for j in range(nc):
+                _stamp_conductance(A, cap_p[j], cap_n[j], g[j])
+            topologies[key] = _Operators(_factor(A, low), g)
+        return topologies[key]
 
     idx0 = 0
     # damped start only when loop currents were indeterminate at t=0; a clean
@@ -453,50 +538,44 @@ def run_transient(
         nsteps_seg = seg_end - idx0
         has_ramp = bool(np.any(slope != 0.0))
 
-        A_base = _base_matrix(low, sw_states)
-        A_tr = A_base.copy()
-        for j in range(nc):
-            _stamp_conductance(A_tr, cap_p[j], cap_n[j], g_tr[j])
-        lu_tr = _factor(A_tr, low)
-        lu_be = None
-        damp_here = min(pending_damp, nsteps_seg)
-        if damp_here > 0 and nc:
-            A_be = A_base.copy()
-            for j in range(nc):
-                _stamp_conductance(A_be, cap_p[j], cap_n[j], g_be[j])
-            lu_be = _factor(A_be, low)
-
-        b_const = np.zeros(n + m)
-        b_const[src_rows] = emf - slope * seg_t0
-        b_slope = np.zeros(n + m)
-        b_slope[src_rows] = slope
+        trap = operators(False)
+        damp_here = min(pending_damp, nsteps_seg) if nc else 0
 
         if nc == 0 and not has_ramp:
             # purely resistive, constant drive: the segment is one solve
-            x = lu_solve(lu_tr, b_const, check_finite=False)
+            b_const = np.zeros(n + m)
+            b_const[src_rows] = emf
+            x = lu_solve(trap.lu, b_const, check_finite=False)
             x_hist[idx0 + 1 : seg_end + 1] = x
         else:
-            b_ext = np.zeros(n + m + 1)
-            for k in range(idx0 + 1, seg_end + 1):
-                t_k = k * h
-                if k - idx0 <= damp_here and lu_be is not None:
-                    g, lu, hist = g_be, lu_be, g_be * vc
-                else:
-                    g, lu, hist = g_tr, lu_tr, g_tr * vc + ic
-                b_ext[:-1] = b_const
-                b_ext[-1] = 0.0  # spill slot for grounded capacitor terminals
-                if has_ramp:
-                    b_ext[:-1] += b_slope * t_k
-                if nc:
-                    np.add.at(b_ext, cap_p, hist)
-                    np.subtract.at(b_ext, cap_n, hist)
-                x = lu_solve(lu, b_ext[:-1], check_finite=False)
-                x_hist[k] = x
-                if nc:
-                    x_pad = np.append(x[:n], 0.0)
-                    vc = x_pad[cap_p] - x_pad[cap_n]
-                    ic = g * vc - hist
+            # the EMF at step k is emf + (k - idx0) * d_emf
+            d_emf = slope * h
+            if damp_here:
+                be = operators(True)
+                k_be = be.response(inc, m)
+                for k in range(idx0 + 1, idx0 + 1 + damp_here):
+                    hist = be.g * vc
+                    x = k_be @ np.concatenate([hist, emf + (k - idx0) * d_emf])
+                    x_hist[k] = x
+                    vc = x @ inc
+                    ic = be.g * vc - hist
                     cap_i_hist[k] = ic
+            k = idx0 + 1 + damp_here
+            if k <= seg_end:
+                P = trap.step_powers(inc, m)
+                k_tr = trap.response(inc, m)
+                z = np.concatenate([trap.g * vc + ic, emf + (k - idx0) * d_emf, d_emf])
+                while k <= seg_end:
+                    # row i of Z is the state [hist; emf; emf step] before step k + i
+                    L = min(_BLOCK, seg_end + 1 - k)
+                    Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
+                    X = Z[:, : nc + m] @ k_tr.T
+                    x_hist[k : k + L] = X
+                    cap_i_hist[k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
+                    z = P[L] @ z
+                    k += L
+                vc = x_hist[seg_end] @ inc
+                ic = cap_i_hist[seg_end]
 
         if not np.all(np.isfinite(x_hist[seg_end])):
             raise SimulationError(f"solution diverged at t={seg_end * h!r}")

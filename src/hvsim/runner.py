@@ -46,10 +46,6 @@ class RunResult:
             )
         return delivered
 
-    def supply_port_voltage(self, name: str = "sup") -> Waveform:
-        label = "A" if "A" in self.raw.index else self.raw.labels[0]
-        return self.raw.voltage(label)
-
 
 def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, list]]:
     """Initial state and delayed event schedule for every switch.

@@ -92,6 +92,12 @@ class TestRun:
         lines = (tmp_path / "fig8_displacement.csv").read_text().splitlines()
         assert lines[0] == "t,v_load,x_norm"
         assert len(lines) > 1000
+        # every cell is a plain float literal (no numpy scalar reprs)
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 3
+            for cell in cells:
+                float(cell)
 
     def test_plot_is_svg(self, tmp_path):
         code = run_cli(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from hvsim import engine
 from hvsim.circuit import (
     Capacitor,
     Circuit,
@@ -19,6 +21,8 @@ from hvsim.engine import (
     dc_operating_point,
     run_transient,
 )
+from hvsim.presets import load_preset
+from hvsim.runner import run_scenario
 
 from conftest import par
 
@@ -318,3 +322,174 @@ class TestPassivity:
             assert np.all(increases <= 1e-12 * max(energy[0], 1e-30) + 1e-18), (
                 f"trial {trial}: energy grew"
             )
+
+
+def reference_transient(circuit, settings, timelines):
+    """Per-step reference: one ``lu_solve`` per step, both companion matrices
+    refactored at every segment.  Same grid snapping, slew knees and damping
+    schedule as :func:`run_transient`; returns ``(x, cap_i, segment lengths)``."""
+    low = engine._lower(circuit)
+    h, n_steps = settings.step, settings.n_steps
+    n, m, nc = low.n_nodes, len(low.sources), len(low.caps)
+    controls = circuit.control_map
+    states, sw_events = [], {}
+    for si, sw in enumerate(low.switches):
+        initial, events = timelines[sw.name]
+        state = bool(initial)
+        for t_e, new_state in events:
+            idx = engine._snap(t_e, h)
+            if idx <= 0:
+                state = bool(new_state)
+            elif idx <= n_steps:
+                sw_events.setdefault(idx, []).append((si, bool(new_state)))
+        states.append(state)
+    src_events = {
+        engine._snap(t_e, h)
+        for src in low.sources if src.control is not None
+        for t_e, _ in controls[src.control].edges(settings.stop)
+    }
+    src_events = {idx for idx in src_events if 0 < idx <= n_steps}
+    boundaries = sorted(set(sw_events) | src_events | {n_steps})
+
+    def target(src, t):
+        on = src.control is None or controls[src.control].state_at(t)
+        return src.voltage if on else 0.0
+
+    emf = np.array([0.0 if s.slew is not None else target(s, 0.5 * h) for s in low.sources])
+    x_hist = np.zeros((n_steps + 1, n + m))
+    ic_hist = np.zeros((n_steps + 1, nc))
+    x_hist[0], ic_hist[0], indeterminate = engine._initial_solve(low, states, emf)
+    inc = np.zeros((n + m, nc))
+    for j, cap in enumerate(low.caps):
+        if cap.p >= 0:
+            inc[cap.p, j] = 1.0
+        if cap.n >= 0:
+            inc[cap.n, j] = -1.0
+    cap_c = np.array([cap.c for cap in low.caps])
+    vc = np.array([cap.ic for cap in low.caps])
+    ic = ic_hist[0].copy()
+    pending = settings.damping_steps if indeterminate else 0
+    idx0 = 0
+    lengths = []
+    while idx0 < n_steps:
+        seg_end = next(b for b in boundaries if b > idx0)
+        tgt = np.array([target(s, idx0 * h + 0.5 * h) for s in low.sources])
+        knees = {}
+        for j, src in enumerate(low.sources):
+            if src.slew is None or emf[j] == tgt[j]:
+                emf[j] = tgt[j]
+            else:
+                duration = abs(tgt[j] - emf[j]) / src.slew
+                knees[j] = idx0 + max(1, int(np.ceil(duration / h - 1e-9)))
+        seg_end = min([seg_end, *knees.values()])
+        slope = np.zeros(m)
+        for j, k_end in knees.items():
+            if k_end <= seg_end:
+                slope[j] = (tgt[j] - emf[j]) / ((k_end - idx0) * h)
+            else:
+                slope[j] = np.copysign(low.sources[j].slew, tgt[j] - emf[j])
+        solvers = {}
+        for damped, g in ((False, 2.0 * cap_c / h), (True, cap_c / h)):
+            A = engine._base_matrix(low, states)
+            A[:, :] += inc @ np.diag(g) @ inc.T
+            solvers[damped] = (engine._factor(A, low), g)
+        damp = min(pending, seg_end - idx0) if nc else 0
+        for k in range(idx0 + 1, seg_end + 1):
+            lu, g = solvers[k - idx0 <= damp]
+            hist = g * vc if k - idx0 <= damp else g * vc + ic
+            b = inc @ hist
+            b[n:] += (emf - slope * idx0 * h) + slope * (k * h)
+            x_hist[k] = lu_solve(lu, b)
+            vc = x_hist[k] @ inc
+            ic = ic_hist[k] = g * vc - hist
+        lengths.append(seg_end - idx0)
+        pending = max(0, pending - (seg_end - idx0))
+        emf = emf + slope * ((seg_end - idx0) * h)
+        close = np.abs(emf - tgt) < 1e-9 * np.maximum(1.0, np.abs(tgt))
+        np.copyto(emf, tgt, where=(slope != 0.0) & close)
+        idx0 = seg_end
+        changed = False
+        for si, new_state in sw_events.get(idx0, []):
+            changed |= states[si] != new_state
+            states[si] = new_state
+        if changed or idx0 in src_events:
+            pending = settings.damping_steps
+    return x_hist, ic_hist, lengths
+
+
+def random_switched_circuit(rng):
+    """Random RC network with switches, a gated slewed source and a slewed
+    supply; returns the circuit, grid settings and switch timelines."""
+    h = 1e-6
+    stop = float(rng.integers(1500, 3000)) * h
+    n_nodes = int(rng.integers(2, 5))
+    labels = [f"n{i}" for i in range(n_nodes)]
+    all_nodes = ["0"] + labels
+    comps = [
+        VoltageSource("Vg", "S", "0", float(rng.uniform(50.0, 500.0)),
+                      slew=float(rng.choice([1e6, 1e7, 1e8])), control="g"),
+        Resistor("Rg", "S", labels[0], float(rng.uniform(1e2, 1e4))),
+        VoltageSource("Vs", "P", "0", float(rng.uniform(-200.0, 200.0)),
+                      slew=float(rng.uniform(1e6, 1e7))),
+        Resistor("Rp", "P", labels[-1], float(rng.uniform(1e3, 1e5))),
+    ]
+    prev = "0"
+    for i, lab in enumerate(labels):
+        comps.append(Resistor(f"Rs{i}", prev, lab, float(rng.uniform(1e3, 1e6))))
+        prev = lab
+    for i in range(int(rng.integers(1, 3))):
+        a, b = rng.choice(len(all_nodes), size=2, replace=False)
+        comps.append(Switch(f"S{i}", all_nodes[a], all_nodes[b], control="s",
+                            ron=float(rng.uniform(1.0, 100.0)),
+                            roff=float(rng.uniform(1e7, 1e9))))
+    # acyclic capacitor subgraph on the internal nodes (see random_rc_circuit)
+    for i, lab in enumerate(labels):
+        other = all_nodes[int(rng.integers(0, i + 1))]
+        comps.append(Capacitor(f"C{i}", lab, other, float(rng.uniform(1e-10, 1e-8)),
+                               initial_voltage=float(rng.uniform(-50.0, 50.0))))
+    circuit = Circuit.build(comps, {
+        "g": ControlSignal(frequency=float(rng.uniform(300.0, 600.0)),
+                           phase=float(rng.uniform(0.0, 6.0))),
+        "s": ControlSignal(frequency=1.0),
+    })
+    timelines = {}
+    for comp in circuit.components:
+        if isinstance(comp, Switch):
+            times = np.sort(rng.uniform(0.0, stop, size=int(rng.integers(1, 5))))
+            state = bool(rng.integers(0, 2))
+            events = [(float(t), bool(i % 2) ^ state) for i, t in enumerate(times)]
+            timelines[comp.name] = (not state, events)
+    settings = IntegrationSettings(step=h, stop=stop,
+                                   damping_steps=int(rng.integers(0, 4)))
+    return circuit, settings, timelines
+
+
+class TestBlockedPropagator:
+    def test_matches_per_step_reference(self):
+        rng = np.random.default_rng(2024)
+        longest = 0
+        for trial in range(12):
+            circuit, settings, timelines = random_switched_circuit(rng)
+            res = run_transient(circuit, settings, timelines)
+            x_ref, ic_ref, lengths = reference_transient(circuit, settings, timelines)
+            for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
+                scale = np.max(np.abs(ref), axis=0)
+                err = np.max(np.abs(got - ref), axis=0)
+                assert np.all(err <= 1e-9 * scale), f"trial {trial}: {err / scale}"
+            longest = max(longest, max(lengths))
+        # at least one stretch spans several propagator blocks
+        assert longest > engine._BLOCK
+
+    def test_one_factorization_per_topology(self, monkeypatch):
+        factored = []
+
+        def counting_lu_factor(a, *args, **kwargs):
+            factored.append(np.array(a).tobytes())
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "lu_factor", counting_lu_factor)
+        run = run_scenario(load_preset("fig4b"))
+        # the first call is the t=0 consistent-state solve
+        per_topology = factored[1:]
+        assert len(set(per_topology)) == len(per_topology)
+        assert len(per_topology) < len(run.raw.events)
