@@ -27,6 +27,7 @@ from .circuit import (
     Switch,
     VoltageSource,
 )
+from .devices import ScheduleError
 from .engine import SimulationError
 from .netlist import NetlistError, parse_value
 from .runner import run_scenario
@@ -83,6 +84,8 @@ def apply_override(scenario: Scenario, path: str, raw: str) -> Scenario:
         if parts[1] == "stop":
             return scenario.with_settings(stop=value)
         if parts[1] == "damp":
+            if not (value >= 0 and value.is_integer()):
+                raise CliError(f"--set {path}: must be a non-negative integer, got {raw!r}")
             return scenario.with_settings(damping_steps=int(value))
         raise CliError(f"--set: unknown tran key {parts[1]!r} (step, stop, damp)")
     if parts[0] == "ctrl" and len(parts) == 3:
@@ -293,7 +296,9 @@ def cmd_sweep(args) -> int:
     if args.plot:
         series = {}
         for load in loads:
-            amps = [table.cells[(float(f), load)].metrics.amplitude for f in freqs]
+            # a failed cell has no metrics and plots as a gap
+            cells = [table.cells[(float(f), load)] for f in freqs]
+            amps = [(c.metrics or analysis.Metrics()).amplitude for c in cells]
             series[load] = (np.array(freqs), np.array(amps, dtype=float))
         plotting.line_plot(
             out / f"{name}_sweep.svg", series, "frequency [Hz]",
@@ -381,8 +386,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NetlistError, CircuitError, presets.PresetError, analysis.MeasureError,
-            electromech.ElectromechError) as exc:
+    except (NetlistError, CircuitError, ScheduleError, presets.PresetError,
+            analysis.MeasureError, electromech.ElectromechError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, WaveformError) as exc:

@@ -168,6 +168,28 @@ class _Parser:
                 out[key] = (self.value(line_no, vtok), vtok)
         return out
 
+    def flag(
+        self, line_no: int, kv: Dict[str, Tuple[float, _Tok]], key: str, default: bool
+    ) -> bool:
+        if key not in kv:
+            return default
+        value, tok = kv[key]
+        if value not in (0.0, 1.0):
+            raise self.fail(line_no, tok.column, f"{key}= must be 0 or 1, got {tok.text!r}")
+        return value == 1.0
+
+    def count(
+        self, line_no: int, kv: Dict[str, Tuple[float, _Tok]], key: str, default: int
+    ) -> int:
+        if key not in kv:
+            return default
+        value, tok = kv[key]
+        if not (value >= 0 and value.is_integer()):
+            raise self.fail(
+                line_no, tok.column, f"{key}= must be a non-negative integer, got {tok.text!r}"
+            )
+        return int(value)
+
     def add_component(self, line_no: int, column: int, comp: Component) -> None:
         if comp.name in self.component_lines:
             first = self.component_lines[comp.name]
@@ -251,7 +273,7 @@ class _Parser:
                     control=ctrl_name,
                     ron=kv.get("ron", (5.0, None))[0],
                     roff=kv.get("roff", (1e9, None))[0],
-                    invert=bool(kv.get("inv", (0.0, None))[0]),
+                    invert=self.flag(line_no, kv, "inv", False),
                     turn_on_delay=kv.get("ton", (0.4e-3, None))[0],
                     turn_off_delay=kv.get("toff", (0.1e-3, None))[0],
                     delay_offset=kv.get("offset", (0.0, None))[0],
@@ -291,7 +313,7 @@ class _Parser:
                         open_circuit_voltage=kv.get("voc", (4500.0, None))[0],
                         internal_resistance=kv.get("rint", (3e6, None))[0],
                         parallel_capacitance=kv.get("cpar", (3e-9, None))[0],
-                        precharged=bool(kv.get("pre", (1.0, None))[0]),
+                        precharged=self.flag(line_no, kv, "pre", True),
                     ),
                 )
             elif xkind == "probe":
@@ -356,7 +378,7 @@ class _Parser:
             self.tran = IntegrationSettings(
                 step=self.value(line_no, toks[1]),
                 stop=self.value(line_no, toks[2]),
-                damping_steps=int(kv.get("damp", (2.0, None))[0]),
+                damping_steps=self.count(line_no, kv, "damp", 2),
             )
         elif head.text == ".probe":
             if len(toks) not in (2, 3):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Tuple
 
@@ -54,7 +55,8 @@ def line_plot(
             raise ValueError("log-x plot requires positive x values")
         xs = np.log10(xs)
     x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    ys = ys[np.isfinite(ys)]  # nan marks a missing point
+    y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -101,8 +103,17 @@ def line_plot(
         if log_x:
             x_arr = np.log10(x_arr)
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(x_arr, np.asarray(y_arr)))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        # a missing point leaves a gap: one polyline per run of finite points
+        pts = (
+            f"{px(x):.2f},{py(y):.2f}" if math.isfinite(y) else ""
+            for x, y in zip(x_arr, np.asarray(y_arr, dtype=float))
+        )
+        for finite, run in itertools.groupby(pts, key=bool):
+            if finite:
+                parts.append(
+                    f'<polyline points="{" ".join(run)}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5"/>'
+                )
         parts.append(
             f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
             f'fill="{color}">{name}</text>'

@@ -67,9 +67,8 @@ class Waveform:
         return Waveform(self.start, self.step, self.samples - other.samples)
 
 
-def _fmt(x: float) -> str:
-    # repr() is the shortest round-trip form, which keeps CSVs byte-stable
-    return repr(float(x))
+#: rows formatted per block, which bounds the temporary lists of long CSVs
+_CSV_BLOCK = 4096
 
 
 def write_csv(path, columns: Dict[str, Waveform]) -> None:
@@ -81,14 +80,13 @@ def write_csv(path, columns: Dict[str, Waveform]) -> None:
     for w in waves[1:]:
         if not first.same_grid(w):
             raise WaveformError("CSV columns must share one sampling grid")
-    names = list(columns.keys())
+    data = [first.times()] + [w.samples for w in waves]
     with open(path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        times = first.times()
-        data = [columns[n].samples for n in names]
-        for k in range(len(first)):
-            row = [_fmt(times[k])] + [_fmt(col[k]) for col in data]
-            fh.write(",".join(row) + "\n")
+        fh.write("t," + ",".join(columns) + "\n")
+        for i in range(0, len(first), _CSV_BLOCK):
+            # repr() is the shortest round-trip form, which keeps CSVs byte-stable
+            cells = [map(repr, col[i : i + _CSV_BLOCK].tolist()) for col in data]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path) -> Dict[str, Waveform]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hvsim import analysis
 from hvsim.cli import main
 from hvsim.waveform import read_csv
 
@@ -99,6 +100,31 @@ class TestRun:
             for cell in cells:
                 float(cell)
 
+    def test_driver_schedule_error_exits_2(self, tmp_path, capsys):
+        # a 10 kHz command is shorter than the 0.4 ms driver turn-on delay
+        code = run_cli(
+            "run", "--preset", "fig4a", "--out", str(tmp_path), "--set", "ctrl.g.f=10k"
+        )
+        assert code == 2
+        assert "error: driver delays reorder events" in capsys.readouterr().err
+
+    def test_fractional_damp_override_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--preset", "fig3", "--out", str(tmp_path), "--set", "tran.damp=2.5"
+        )
+        assert code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_netlist_flag_error_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "inv.ckt"
+        bad.write_text(
+            ".ctrl g square f=1k\nV1 A 0 10\nR1 A B 1k\n"
+            "S1 B 0 ctrl=g inv=0.5\n.tran 1u 1m\n.probe B\n.end\n"
+        )
+        code = run_cli("run", "--netlist", str(bad), "--out", str(tmp_path))
+        assert code == 2
+        assert "inv.ckt:4:19: inv= must be 0 or 1" in capsys.readouterr().err
+
     def test_plot_is_svg(self, tmp_path):
         code = run_cli(
             "run", "--preset", "fig3", "--out", str(tmp_path),
@@ -134,6 +160,37 @@ class TestSweep:
         )
         assert code == 2
         assert "33n" in capsys.readouterr().err
+
+    def test_driver_schedule_error_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--preset", "fig7", "--out", str(tmp_path),
+            "--freqs", "5000", "--loads", "10n",
+        )
+        assert code == 2
+        assert "error: driver delays reorder events" in capsys.readouterr().err
+
+    def test_plot_with_failed_cell(self, tmp_path, capsys, monkeypatch):
+        def fake_sweep(freqs, loads, workers=1):
+            cells = {
+                (float(f), load): analysis.SweepCell(
+                    float(f), load, metrics=analysis.Metrics(amplitude=1700.0 - f)
+                )
+                for f in freqs for load in loads
+            }
+            cells[(100.0, "10n")] = analysis.SweepCell(100.0, "10n", error="diverged")
+            return analysis.SweepTable(tuple(freqs), tuple(loads), cells)
+
+        monkeypatch.setattr(analysis, "frequency_sweep", fake_sweep)
+        code = run_cli(
+            "sweep", "--preset", "fig7", "--out", str(tmp_path),
+            "--freqs", "30,100,300", "--loads", "10n", "--plot",
+        )
+        assert code == 0
+        assert "cell (100 Hz, 10n) failed: diverged" in capsys.readouterr().err
+        svg = (tmp_path / "fig7_sweep.svg").read_text()
+        assert svg.startswith("<svg")
+        # the failed middle cell splits the curve in two
+        assert svg.count("<polyline") == 2
 
     def test_fig8_both_supplies(self, tmp_path):
         code = run_cli(

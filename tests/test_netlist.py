@@ -160,6 +160,34 @@ class TestDiagnostics:
         with pytest.raises(NetlistError, match="duplicate .tran"):
             parse("R1 1 0 1k\n.tran 1u 1m\n.tran 1u 2m\n.end\n")
 
+    def test_fractional_invert_flag_rejected(self):
+        text = ".ctrl g square f=1k\nR1 1 0 1k\nS1 1 0 ctrl=g inv=0.5" + MINIMAL_TAIL
+        with pytest.raises(NetlistError, match="inv= must be 0 or 1") as err:
+            parse(text, origin="f.ckt")
+        assert (err.value.line, err.value.column) == (3, 19)
+
+    def test_precharge_flag_above_one_rejected(self):
+        text = "X1 1 0 converter pre=2\nR1 1 0 1k" + MINIMAL_TAIL
+        with pytest.raises(NetlistError, match="pre= must be 0 or 1") as err:
+            parse(text, origin="f.ckt")
+        assert (err.value.line, err.value.column) == (1, 22)
+
+    def test_fractional_damping_rejected(self):
+        text = "R1 1 0 1k\n.tran 1u 1m damp=2.5\n.end\n"
+        with pytest.raises(NetlistError, match="damp= must be a non-negative integer") as err:
+            parse(text, origin="f.ckt")
+        assert (err.value.line, err.value.column) == (2, 18)
+
+    def test_integral_flags_accepted(self):
+        text = (
+            ".ctrl g square f=1k\nX1 1 0 converter pre=0\nR1 1 0 1k\n"
+            "S1 1 0 ctrl=g inv=1\n.tran 1u 1m damp=1k\n.end\n"
+        )
+        scenario = parse(text, origin="f.ckt")
+        assert scenario.circuit.component("S1").invert is True
+        assert scenario.circuit.component("X1").precharged is False
+        assert scenario.settings.damping_steps == 1000
+
     def test_floating_node_reported(self):
         with pytest.raises(NetlistError, match="no DC path"):
             parse("V1 A 0 10\nR1 A 0 1k\nC1 B 0 1n\n.tran 1u 1m\n.end\n")
