@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import ControlSignal
-from .devices import ConverterParams
+from .devices import ConverterParams, ScheduleError
 from .engine import SimulationError
 from .presets import load_fragment
 from .runner import RunResult, run_scenario
@@ -300,7 +300,7 @@ def frequency_sweep(
             scenario = _sweep_scenario(f, load, supply, balancing, set_voltage)
             run = run_scenario(scenario)
             return SweepCell(f, load, metrics=_cell_metrics(run, f))
-        except (SimulationError, MeasureError, WaveformError) as exc:
+        except (SimulationError, ScheduleError, MeasureError, WaveformError) as exc:
             return SweepCell(f, load, error=str(exc))
 
     keys = [(float(f), str(load)) for f in frequencies for load in loads]
@@ -405,8 +405,9 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Run ``model.trials`` scenarios with sampled off-resistances/offsets.
 
-    ``build(off_resistances, offsets)`` constructs the per-trial scenario.
-    The summary statistic is the maximum device drop over the full run.
+    ``build(off_resistances, offsets)`` constructs the per-trial scenario,
+    which must probe nodes A, B, O and C.  The summary statistic is the
+    maximum device drop over the full run.
     """
     root = np.random.SeedSequence(model.seed)
     children = root.spawn(model.trials)
@@ -420,12 +421,10 @@ def monte_carlo(
         trial_seed = int(children[i].generate_state(1)[0])
         try:
             scenario = build(list(offs), list(offsets))
-            run = run_scenario(scenario)
-            v_a, v_b = run.voltage("A"), run.voltage("B")
-            v_o, v_c = run.voltage("O"), run.voltage("C")
-            _, metrics = voltage_shares(v_a, v_b, v_o, v_c)
+            w = run_scenario(scenario).waveforms
+            _, metrics = voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"])
             return TrialRecord(i, trial_seed, metrics.max_device_drop, "ok")
-        except (SimulationError, WaveformError, MeasureError) as exc:
+        except (SimulationError, ScheduleError, WaveformError, MeasureError) as exc:
             return TrialRecord(i, trial_seed, None, f"failed: {exc}")
 
     if workers > 1:

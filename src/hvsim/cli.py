@@ -309,8 +309,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
     if args.sigma < 0:
         raise CliError("--sigma must be >= 0")
     name = args.preset
@@ -337,6 +335,13 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvsim",
@@ -346,21 +351,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--preset", help="preset name (e.g. fig3)")
-        p.add_argument("--netlist", help="netlist file path")
         p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="worker threads, >= 1 (never changes results)")
+
+    def scenario_flags(p):
+        # run and sweep draw no random numbers: --seed is accepted only at
+        # its default, so a seed passed here is never silently ignored
+        p.add_argument("--netlist", help="netlist file path")
         p.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override, e.g. tran.step=0.5us")
         p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads (never changes results)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=int, default=0, choices=[0],
+                       help="only montecarlo reads a seed; any value but 0 is an error")
 
     p_run = sub.add_parser("run", help="run one transient scenario, write waveform CSV")
     common(p_run)
+    scenario_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="frequency/load, phase, or displacement sweep")
     common(p_sweep)
+    scenario_flags(p_sweep)
     p_sweep.add_argument("--freqs", help="comma-separated frequencies in Hz")
     p_sweep.add_argument("--loads", help="comma-separated loads (10n,20n,50n,dea)")
     p_sweep.add_argument("--phases", help="comma-separated phases (0,pi/2,pi)")
@@ -369,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="component-tolerance Monte-Carlo study")
     common(p_mc)
-    p_mc.add_argument("--trials", type=int, default=100)
+    p_mc.add_argument("--seed", type=int, default=0, help="random seed")
+    p_mc.add_argument("--trials", type=_positive_int, default=100)
     p_mc.add_argument("--sigma", type=float, default=1.0)
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser

@@ -13,6 +13,12 @@ recurrence in the companion-history currents and the source EMFs; it is
 advanced a block of steps at a time from precomputed powers of its one-step
 map, so no per-step solve remains (the per-topology state-space form of
 piecewise-linear switched-circuit simulators).
+
+``TransientResult.x`` and ``TransientResult.cap_i`` are stored column-major:
+each unknown's trace is contiguous.  :func:`lu_factor` and :func:`lu_solve`
+call LAPACK ``dgetrf``/``dgetrs`` directly, the routines behind scipy's
+wrappers of the same names, so the bits match and the per-call wrapper cost
+is gone.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .circuit import (
     Capacitor,
@@ -202,8 +209,31 @@ def _base_matrix(low: _Lowered, sw_states: Sequence[bool]) -> np.ndarray:
     return A
 
 
+def lu_factor(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LU factors and 0-based pivots of ``A``: the LAPACK ``dgetrf`` call
+    behind ``scipy.linalg.lu_factor``, without its per-call wrapper checks."""
+    if A.size == 0:  # LAPACK rejects an empty matrix
+        return A.copy(), np.zeros(0, dtype=np.int32)
+    lu, piv, info = dgetrf(A)
+    if info > 0:
+        warnings.warn(
+            f"Diagonal number {info} is exactly zero. Singular matrix.",
+            LinAlgWarning,
+            stacklevel=2,
+        )
+    return lu, piv
+
+
+def lu_solve(lu_and_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from :func:`lu_factor` output (LAPACK ``dgetrs``)."""
+    if b.size == 0:
+        return b.copy()
+    x, _ = dgetrs(*lu_and_piv, b)
+    return x
+
+
 def _factor(A: np.ndarray, low: _Lowered):
-    lu = lu_factor(A, check_finite=False)
+    lu = lu_factor(A)
     diag = np.abs(np.diag(lu[0]))
     if diag.size and (not np.all(np.isfinite(diag)) or diag.min() == 0.0):
         k = int(np.argmin(np.where(np.isfinite(diag), diag, 0.0)))
@@ -254,7 +284,7 @@ class _Operators:
             # one column per solve: OpenBLAS threads a multi-column getrs,
             # and its idle workers then spin through the rest of the run
             self.k = np.column_stack(
-                [lu_solve(self.lu, col, check_finite=False) for col in cols.T]
+                [lu_solve(self.lu, col) for col in cols.T]
             )
         return self.k
 
@@ -297,7 +327,7 @@ def dc_operating_point(
             target = src.voltage if controls[src.control].state_at(0.0) else 0.0
         b[low.n_nodes + j] = target
     lu = _factor(A, low)
-    x = lu_solve(lu, b, check_finite=False)
+    x = lu_solve(lu, b)
     if not np.all(np.isfinite(x)):
         raise SimulationError("non-finite DC solution")
     out = {label: float(x[i]) for label, i in low.index.items()}
@@ -307,7 +337,12 @@ def dc_operating_point(
 
 @dataclass
 class TransientResult:
-    """Dense transient solution: every unknown at every grid point."""
+    """Dense transient solution: every unknown at every grid point.
+
+    ``x`` and ``cap_i`` are stored column-major, so each node, source or
+    capacitor trace is one contiguous block and :meth:`voltage` copies it
+    at memory speed.
+    """
 
     step: float
     labels: List[str]
@@ -378,11 +413,11 @@ def _initial_solve(
         b[n + m + j] = cap.ic
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(A, check_finite=False)
+        lu = lu_factor(A)
     diag = np.abs(np.diag(lu[0]))
     indeterminate = False
     if diag.size and np.all(np.isfinite(diag)) and diag.min() > 0.0:
-        x = lu_solve(lu, b, check_finite=False)
+        x = lu_solve(lu, b)
     else:
         # capacitor loops make the t=0 branch-current split indeterminate;
         # take the minimum-norm solution (the damped first steps erase any
@@ -466,8 +501,9 @@ def run_transient(
         target[j] = src_target(j, 0.5 * h)
         emf[j] = 0.0 if src.slew is not None else target[j]
 
-    x_hist = np.zeros((n_steps + 1, n + m))
-    cap_i_hist = np.zeros((n_steps + 1, nc))
+    # column-major, so each unknown's trace is contiguous
+    x_hist = np.zeros((n + m, n_steps + 1)).T
+    cap_i_hist = np.zeros((nc, n_steps + 1)).T
     events_log: List[Tuple[float, str]] = []
 
     x0, ic0, indeterminate = _initial_solve(low, sw_states, emf)
@@ -545,7 +581,7 @@ def run_transient(
             # purely resistive, constant drive: the segment is one solve
             b_const = np.zeros(n + m)
             b_const[src_rows] = emf
-            x = lu_solve(trap.lu, b_const, check_finite=False)
+            x = lu_solve(trap.lu, b_const)
             x_hist[idx0 + 1 : seg_end + 1] = x
         else:
             # the EMF at step k is emf + (k - idx0) * d_emf
@@ -574,7 +610,7 @@ def run_transient(
                     cap_i_hist[k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
                     z = P[L] @ z
                     k += L
-                vc = x_hist[seg_end] @ inc
+                vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
                 ic = cap_i_hist[seg_end]
 
         if not np.all(np.isfinite(x_hist[seg_end])):

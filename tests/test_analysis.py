@@ -1,6 +1,7 @@
 """Metric extraction and study orchestration tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hvsim.analysis import (
     voltage_shares,
 )
 from hvsim.presets import mc_template
+from hvsim.runner import run_scenario
 from hvsim.waveform import Waveform
 
 from conftest import par
@@ -158,6 +160,14 @@ class TestFrequencySweep:
         with pytest.raises(MeasureError, match="empty"):
             frequency_sweep([2.0], [])
 
+    def test_driver_schedule_error_fails_only_its_cell(self):
+        # a 5 kHz command is shorter than the converter-fed stack's driver delays
+        table = frequency_sweep([100.0, 5000.0], ["10n"])
+        assert table.cells[(100.0, "10n")].metrics.amplitude > 0
+        bad = table.cells[(5000.0, "10n")]
+        assert bad.metrics is None
+        assert "command period too short for driver (on=" in bad.error
+
     def test_worker_count_does_not_change_results(self):
         t1 = frequency_sweep([30.0, 100.0], ["10n"], workers=1)
         t4 = frequency_sweep([30.0, 100.0], ["10n"], workers=4)
@@ -211,3 +221,37 @@ class TestMonteCarlo:
         model = MismatchModel(sigma=1.0, trials=60, seed=11)
         result = monte_carlo(build, model)
         assert result.summary()["p99"] > 900.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_max_drop_matches_explicit_recomputation(self, workers):
+        # a trial reads the probe waveforms of its run; the value must be the
+        # one four fresh run.voltage() copies give, bit for bit
+        build = mc_template("fig3")
+        model = MismatchModel(sigma=1.0, trials=6, seed=5)
+        result = monte_carlo(build, model, workers=workers)
+        children = np.random.SeedSequence(model.seed).spawn(model.trials)
+        for record, child in zip(result.records, children):
+            rng = np.random.Generator(np.random.PCG64(child))
+            offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
+            offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
+            run = run_scenario(build(list(offs), list(offsets)))
+            _, metrics = voltage_shares(*(run.voltage(n) for n in ("A", "B", "O", "C")))
+            assert record.status == "ok"
+            assert np.float64(record.max_drop).tobytes() == np.float64(
+                metrics.max_device_drop
+            ).tobytes()
+
+    def test_driver_schedule_error_fails_the_trial(self):
+        fig3 = mc_template("fig3")
+
+        def fast_build(off_resistances, offsets):
+            # a 10 kHz command is shorter than the stack's driver delays
+            scenario = fig3(off_resistances, offsets)
+            controls = {k: replace(c, frequency=10e3) for k, c in scenario.circuit.controls}
+            circuit = replace(scenario.circuit, controls=tuple(controls.items()))
+            return replace(scenario, circuit=circuit)
+
+        result = monte_carlo(fast_build, MismatchModel(trials=2, seed=1))
+        assert [r.max_drop for r in result.records] == [None, None]
+        for r in result.records:
+            assert r.status.startswith("failed: driver delays reorder events")

@@ -161,13 +161,21 @@ class TestSweep:
         assert code == 2
         assert "33n" in capsys.readouterr().err
 
-    def test_driver_schedule_error_exits_2(self, tmp_path, capsys):
+    def test_driver_schedule_error_fails_one_cell(self, tmp_path, capsys):
+        # 5 kHz is too fast for the driver delays; the 100 Hz cell still runs
         code = run_cli(
             "sweep", "--preset", "fig7", "--out", str(tmp_path),
-            "--freqs", "5000", "--loads", "10n",
+            "--freqs", "100,5000", "--loads", "10n",
         )
-        assert code == 2
-        assert "error: driver delays reorder events" in capsys.readouterr().err
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "cell (5000 Hz, 10n) failed: driver delays reorder events" in err
+        assert "command period too short for driver (on=" in err
+        lines = (tmp_path / "fig7_sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        ok, failed = lines[1].split(","), lines[2].split(",")
+        assert ok[:2] == ["100.0", "10n"] and float(ok[2]) > 0
+        assert failed == ["5000.0", "10n"] + ["nan"] * 5
 
     def test_plot_with_failed_cell(self, tmp_path, capsys, monkeypatch):
         def fake_sweep(freqs, loads, workers=1):
@@ -232,6 +240,19 @@ class TestMonteCarlo:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--netlist", "/nonexistent.ckt"],
+        ["--set", "nosuch.x=1"],
+        ["--plot"],
+    ], ids=["netlist", "set", "plot"])
+    def test_unsupported_flag_exits_2(self, tmp_path, capsys, flag):
+        code = run_cli(
+            "montecarlo", "--preset", "fig3", "--out", str(tmp_path), "--trials", "1", *flag
+        )
+        assert code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "fig3_mc.csv").exists()
+
     def test_same_seed_identical_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -241,6 +262,41 @@ class TestMonteCarlo:
             )
             assert code == 0
         assert (a / "fig3_mc.csv").read_bytes() == (b / "fig3_mc.csv").read_bytes()
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command", [
+        ["run", "--preset", "fig3"],
+        ["sweep", "--preset", "fig7", "--freqs", "100", "--loads", "10n"],
+        ["montecarlo", "--preset", "fig3", "--trials", "1"],
+    ], ids=["run", "sweep", "montecarlo"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
+        code = run_cli(*command, "--out", str(tmp_path), "--workers", workers)
+        assert code == 2
+        assert f"error: argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--preset", "fig3"],
+        ["sweep", "--preset", "fig7", "--freqs", "100", "--loads", "10n"],
+    ], ids=["run", "sweep"])
+    def test_seed_other_than_default_exits_2(self, tmp_path, capsys, command):
+        code = run_cli(*command, "--out", str(tmp_path), "--seed", "7")
+        assert code == 2
+        assert "error: argument --seed: invalid choice: 7" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_default_seed_accepted_on_run(self, tmp_path):
+        code = run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--seed", "0")
+        assert code == 0
+        assert (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_help_says_only_montecarlo_reads_seed(self, capsys, command):
+        assert run_cli(command, "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # any wrap width
+        assert "only montecarlo reads a seed; any value but 0 is an error" in help_text
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from hvsim import engine
 from hvsim.circuit import (
@@ -493,3 +493,46 @@ class TestBlockedPropagator:
         per_topology = factored[1:]
         assert len(set(per_topology)) == len(per_topology)
         assert len(per_topology) < len(run.raw.events)
+
+
+class TestLapackWrappers:
+    def test_bits_match_scipy(self):
+        rng = np.random.default_rng(7)
+        for size in range(1, 13):
+            for _ in range(4):
+                A = rng.standard_normal((size, size)) * 10.0 ** rng.uniform(-6, 6, size)
+                b = rng.standard_normal((size, 2))[:, 0]  # strided, as a matrix column
+                lu, piv = engine.lu_factor(A)
+                ref_lu, ref_piv = lu_factor(A)
+                assert lu.tobytes() == ref_lu.tobytes()
+                assert np.array_equal(piv, ref_piv)
+                x = engine.lu_solve((lu, piv), b)
+                assert x.tobytes() == lu_solve((ref_lu, ref_piv), b).tobytes()
+
+    def test_singular_stamp_names_node(self):
+        low = engine._lower(simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Resistor("R1", "A", "B", 1e3),
+            Resistor("R2", "B", "0", 1e3),
+        ))
+        A = engine._base_matrix(low, [])
+        b = low.index["B"]
+        A[b, :] = A[:, b] = 0.0  # node B stamped with no conductance at all
+        with pytest.warns(LinAlgWarning), pytest.raises(
+            SimulationError, match="singular system while factoring \\(check node 'B'\\)"
+        ):
+            engine._factor(A, low)
+
+    def test_parallel_sources_name_source(self):
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            VoltageSource("V2", "A", "0", 10.0),
+            Resistor("R1", "A", "0", 1e3),
+        )
+        with pytest.warns(LinAlgWarning), pytest.raises(
+            SimulationError, match="source 'V2'"
+        ):
+            dc_operating_point(c, {})
+
+    def test_empty_system(self):
+        assert dc_operating_point(Circuit.build([]), {}) == {"0": 0.0}
