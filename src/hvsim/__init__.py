@@ -24,18 +24,13 @@ from .circuit import (
 )
 from .devices import (
     BenchSupplyParams,
-    ConverterParams,
     DeaLoadParams,
-    DriverSpec,
     Fragment,
     ScheduleError,
     ceramic_load,
-    derated_capacitance,
     driver_schedule,
     expand_bench_supply,
-    expand_converter,
     expand_dea_load,
-    probe_fragment,
     series_rc_load,
 )
 from .engine import (
@@ -61,10 +56,8 @@ __all__ = [
     "Circuit",
     "CircuitError",
     "ControlSignal",
-    "ConverterParams",
     "ConverterSource",
     "DeaLoadParams",
-    "DriverSpec",
     "Fragment",
     "IntegrationSettings",
     "NetlistError",
@@ -86,10 +79,8 @@ __all__ = [
     "build_half_bridge",
     "ceramic_load",
     "dc_operating_point",
-    "derated_capacitance",
     "driver_schedule",
     "expand_bench_supply",
-    "expand_converter",
     "expand_dea_load",
     "format_value",
     "load_fragment",
@@ -98,7 +89,6 @@ __all__ = [
     "parse_file",
     "parse_value",
     "print_scenario",
-    "probe_fragment",
     "read_csv",
     "run_scenario",
     "run_transient",

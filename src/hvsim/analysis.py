@@ -6,15 +6,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import ControlSignal
-from .devices import ConverterParams, ScheduleError
-from .engine import SimulationError
-from .presets import load_fragment
+from .devices import ScheduleError
+from .engine import IntegrationSettings, SimulationError
+from .presets import CONVERTER, FIG7C_PHASES, load_fragment
 from .runner import RunResult, run_scenario
 from .scenario import Scenario
 from .topology import StackParams, build_half_bridge
@@ -136,25 +136,6 @@ def voltage_shares(
     return drops, Metrics(shares=shares, max_device_drop=max_drop)
 
 
-def blocking_side_drops(run: RunResult, high_side: bool) -> Tuple[float, float]:
-    """Steady drops of one side's two devices while that side blocks.
-
-    Samples the last grid point of the final blocking plateau (side voltage
-    within 0.1% of its maximum over the run).
-    """
-    v_a, v_b = run.voltage("A").samples, run.voltage("B").samples
-    v_o, v_c = run.voltage("O").samples, run.voltage("C").samples
-    if high_side:
-        d1, d2 = v_a - v_b, v_b - v_o
-    else:
-        d1, d2 = v_o - v_c, v_c
-    side = d1 + d2
-    peak = side.max()
-    plateau = np.flatnonzero(side >= 0.999 * peak)
-    k = int(plateau[-1])
-    return float(d1[k]), float(d2[k])
-
-
 @dataclass
 class SweepCell:
     frequency: float
@@ -224,26 +205,19 @@ def sweep_step_for(frequency: float) -> float:
 
 
 def _sweep_scenario(
-    frequency: float,
-    load: str,
-    supply: ConverterParams,
-    balancing: float,
-    set_voltage: float,
+    frequency: float, load: str, balancing: float, set_voltage: float
 ) -> Scenario:
     circuit = build_half_bridge(
-        supply,
+        CONVERTER,
         StackParams(balancing_resistance=balancing),
         load=load_fragment(load, bias_voltage=set_voltage),
         control=ControlSignal(frequency=frequency),
     )
     settle = settle_periods_for(frequency)
     period = 1.0 / frequency
-    settings_step = sweep_step_for(frequency)
-    from .engine import IntegrationSettings
-
     return Scenario(
         circuit,
-        IntegrationSettings(step=settings_step, stop=(settle + 1) * period),
+        IntegrationSettings(step=sweep_step_for(frequency), stop=(settle + 1) * period),
         probes=("A", "B", "O", "C"),
         origin=f"sweep-{load}-{frequency:g}Hz",
     )
@@ -276,7 +250,6 @@ def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
 def frequency_sweep(
     frequencies: Sequence[float],
     loads: Sequence[str],
-    supply: Optional[ConverterParams] = None,
     balancing: float = 1.8e6,
     set_voltage: float = 1800.0,
     workers: int = 1,
@@ -292,12 +265,11 @@ def frequency_sweep(
         raise MeasureError("empty load list")
     if any(f <= 0 for f in frequencies):
         raise MeasureError("frequencies must be positive")
-    supply = supply or ConverterParams()
 
     def run_cell(key: Tuple[float, str]) -> SweepCell:
         f, load = key
         try:
-            scenario = _sweep_scenario(f, load, supply, balancing, set_voltage)
+            scenario = _sweep_scenario(f, load, balancing, set_voltage)
             run = run_scenario(scenario)
             return SweepCell(f, load, metrics=_cell_metrics(run, f))
         except (SimulationError, ScheduleError, MeasureError, WaveformError) as exc:
@@ -320,7 +292,7 @@ def frequency_sweep(
 
 def phase_sweep(
     make_dual: Callable[[float], Scenario],
-    phases: Sequence[float] = (0.0, math.pi / 2, math.pi),
+    phases: Sequence[float] = FIG7C_PHASES,
 ) -> Dict[float, Metrics]:
     """Peak converter current/power per channel-phase difference.
 

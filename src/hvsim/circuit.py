@@ -4,14 +4,21 @@ A :class:`Circuit` is an immutable bag of components plus named square-wave
 control signals.  Node references are string labels; ``"0"`` and ``"GND"``
 both denote the ground reference.  Composite components (converter supply,
 scope probe) are kept intact here and lowered to primitives by the engine.
+
+Every netlist/``--set`` parameter is a dataclass field declared with
+:func:`param`, which carries its key; the field default is the parameter
+default.  The netlist parser, the canonical printer and ``--set`` all read
+parameters through :func:`params`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 GROUND_LABELS = ("0", "GND")
 
@@ -24,6 +31,40 @@ def is_ground(label: str) -> bool:
     return label in GROUND_LABELS
 
 
+def param(key: str, default: Any = MISSING, positional: bool = False) -> Any:
+    """Dataclass field with its netlist/``--set`` key.
+
+    A ``positional`` parameter is written as a bare value (a component's
+    ``value``, the ``.tran`` step and stop); the rest as ``key=value``.  A
+    parameter without a default is required.
+    """
+    return field(default=default, metadata={"key": key, "positional": positional})
+
+
+class Param(NamedTuple):
+    """One keyed field of a parameter dataclass."""
+
+    key: str
+    name: str
+    type: type  # float, bool (a 0/1 flag), int (a count) or str (a control name)
+    default: Any  # dataclasses.MISSING when required
+    positional: bool
+
+
+@functools.lru_cache(maxsize=None)
+def params(cls: type) -> Tuple[Param, ...]:
+    """The keyed fields of ``cls`` in declaration order; ``Optional[T]`` has type ``T``."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        if "key" in f.metadata:
+            hint = hints[f.name]
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            out.append(Param(f.metadata["key"], f.name, args[0] if args else hint,
+                             f.default, f.metadata["positional"]))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ControlSignal:
     """Square-wave command: high for the first ``duty`` fraction of each period.
@@ -32,9 +73,9 @@ class ControlSignal:
     frequency yields a constant signal (the state at t=0 holds forever).
     """
 
-    frequency: float
-    duty: float = 0.5
-    phase: float = 0.0
+    frequency: float = param("f")
+    duty: float = param("duty", 0.5)
+    phase: float = param("phase", 0.0)
     shape: str = "square"
 
     def __post_init__(self) -> None:
@@ -81,7 +122,7 @@ class Resistor:
     name: str
     pos: str
     neg: str
-    resistance: float
+    resistance: float = param("value", positional=True)
 
     def validate(self) -> None:
         if not self.resistance > 0:
@@ -101,11 +142,11 @@ class Capacitor:
     name: str
     pos: str
     neg: str
-    capacitance: float
-    initial_voltage: float = 0.0
-    derating: float = 0.0
-    rated_voltage: float = math.inf
-    bias_voltage: float = 0.0
+    capacitance: float = param("value", positional=True)
+    initial_voltage: float = param("ic", 0.0)
+    derating: float = param("derate", 0.0)
+    rated_voltage: float = param("vrated", math.inf)
+    bias_voltage: float = param("vbias", 0.0)
 
     def validate(self) -> None:
         if not self.capacitance > 0:
@@ -128,23 +169,24 @@ class Capacitor:
 
 @dataclass(frozen=True)
 class Switch:
-    """Voltage-controlled switch with the gate-driver delays folded in.
+    """Voltage-controlled switch with its photovoltaic gate driver folded in.
 
     The switch follows the named control signal (inverted when ``invert``),
     with rising commands delayed by ``turn_on_delay + delay_offset`` and
-    falling commands by ``turn_off_delay + delay_offset``.
+    falling commands by ``turn_off_delay + delay_offset``; the offset models
+    part-to-part driver mismatch.
     """
 
     name: str
     pos: str
     neg: str
-    control: str
-    ron: float = 5.0
-    roff: float = 1e9
-    invert: bool = False
-    turn_on_delay: float = 0.4e-3
-    turn_off_delay: float = 0.1e-3
-    delay_offset: float = 0.0
+    control: str = param("ctrl")
+    ron: float = param("ron", 5.0)
+    roff: float = param("roff", 1e9)
+    invert: bool = param("inv", False)
+    turn_on_delay: float = param("ton", 0.4e-3)
+    turn_off_delay: float = param("toff", 0.1e-3)
+    delay_offset: float = param("offset", 0.0)
 
     def validate(self) -> None:
         if not self.ron > 0 or not self.roff > 0:
@@ -169,9 +211,9 @@ class VoltageSource:
     name: str
     pos: str
     neg: str
-    voltage: float
-    slew: Optional[float] = None
-    control: Optional[str] = None
+    voltage: float = param("value", positional=True)
+    slew: Optional[float] = param("slew", None)
+    control: Optional[str] = param("ctrl", None)
 
     def validate(self) -> None:
         if self.slew is not None and not self.slew > 0:
@@ -187,10 +229,10 @@ class ConverterSource:
     name: str
     pos: str
     neg: str
-    open_circuit_voltage: float = 4500.0
-    internal_resistance: float = 3e6
-    parallel_capacitance: float = 3e-9
-    precharged: bool = True
+    open_circuit_voltage: float = param("voc", 4500.0)
+    internal_resistance: float = param("rint", 3e6)
+    parallel_capacitance: float = param("cpar", 3e-9)
+    precharged: bool = param("pre", True)
 
     def validate(self) -> None:
         if not (
@@ -208,8 +250,8 @@ class Probe:
     name: str
     pos: str
     neg: str
-    input_resistance: float = 100e6
-    input_capacitance: float = 5.5e-12
+    input_resistance: float = param("rin", 100e6)
+    input_capacitance: float = param("cin", 5.5e-12)
 
     def validate(self) -> None:
         if not self.input_resistance > 0 or not self.input_capacitance > 0:

@@ -18,24 +18,23 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, electromech, netlist, plotting, presets
-from .circuit import (
-    Capacitor,
-    CircuitError,
-    ConverterSource,
-    Probe,
-    Resistor,
-    Switch,
-    VoltageSource,
-)
+from .circuit import CircuitError, ControlSignal, params
 from .devices import ScheduleError
-from .engine import SimulationError
-from .netlist import NetlistError, parse_value
+from .engine import IntegrationSettings, SimulationError
+from .netlist import NetlistError, parse_param, parse_value
 from .runner import run_scenario
 from .scenario import Scenario, probe_label
 from .waveform import WaveformError, write_csv
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+#: what each sweep kind reads besides --preset and --out
+SWEEP_FLAGS = {
+    "fig7": ("freqs", "loads", "plot", "workers"),
+    "fig7c": ("phases",),
+    "fig8": ("freqs", "supply", "plot"),
+}
 
 
 class CliError(Exception):
@@ -44,74 +43,48 @@ class CliError(Exception):
         self.code = code
 
 
-#: CLI-visible parameter names per component type, mapped to dataclass fields
-_FIELD_MAP = {
-    Resistor: {"value": "resistance"},
-    Capacitor: {
-        "value": "capacitance",
-        "ic": "initial_voltage",
-        "derate": "derating",
-        "vrated": "rated_voltage",
-        "vbias": "bias_voltage",
-    },
-    Switch: {
-        "ron": "ron",
-        "roff": "roff",
-        "ton": "turn_on_delay",
-        "toff": "turn_off_delay",
-        "offset": "delay_offset",
-    },
-    VoltageSource: {"value": "voltage", "slew": "slew"},
-    ConverterSource: {
-        "voc": "open_circuit_voltage",
-        "rint": "internal_resistance",
-        "cpar": "parallel_capacitance",
-    },
-    Probe: {"rin": "input_resistance", "cin": "input_capacitance"},
-}
+def _override(cls: type, what: str, path: str, raw: str) -> Tuple[str, object]:
+    """Field name and value that ``--set path=raw`` gives a ``cls`` parameter."""
+    key = path.rsplit(".", 1)[1]
+    schema = params(cls)
+    p = next((p for p in schema if p.key == key), None)
+    if p is None:
+        raise CliError(
+            f"--set: unknown {what} key {key!r} (allowed: {', '.join(p.key for p in schema)})"
+        )
+    try:
+        return p.name, parse_param(p, raw, allow_unit=True)
+    except ValueError as exc:
+        raise CliError(f"--set {path}: {exc}") from None
 
 
 def apply_override(scenario: Scenario, path: str, raw: str) -> Scenario:
-    """Apply a dotted-path ``--set`` override; unknown paths are hard errors."""
-    try:
-        value = parse_value(raw, allow_unit=True)
-    except ValueError as exc:
-        raise CliError(f"--set {path}: {exc}")
+    """Apply a dotted-path ``--set`` override; unknown paths are hard errors.
+
+    ``tran.<key>``, ``ctrl.<name>.<key>`` and ``comp.<name>.<key>`` take the
+    netlist keys of the settings, control or component.
+    """
     parts = path.split(".")
     if parts[0] == "tran" and len(parts) == 2:
-        if parts[1] == "step":
-            return scenario.with_settings(step=value)
-        if parts[1] == "stop":
-            return scenario.with_settings(stop=value)
-        if parts[1] == "damp":
-            if not (value >= 0 and value.is_integer()):
-                raise CliError(f"--set {path}: must be a non-negative integer, got {raw!r}")
-            return scenario.with_settings(damping_steps=int(value))
-        raise CliError(f"--set: unknown tran key {parts[1]!r} (step, stop, damp)")
+        name, value = _override(IntegrationSettings, "tran", path, raw)
+        return scenario.with_settings(**{name: value})
     if parts[0] == "ctrl" and len(parts) == 3:
-        name, key = parts[1], parts[2]
         controls = scenario.circuit.control_map
-        if name not in controls:
-            raise CliError(f"--set: unknown control {name!r}")
-        field = {"f": "frequency", "duty": "duty", "phase": "phase"}.get(key)
-        if field is None:
-            raise CliError(f"--set: unknown control key {key!r} (f, duty, phase)")
-        controls[name] = replace(controls[name], **{field: value})
+        if parts[1] not in controls:
+            raise CliError(f"--set: unknown control {parts[1]!r}")
+        name, value = _override(ControlSignal, f"control {parts[1]!r}", path, raw)
+        controls[parts[1]] = replace(controls[parts[1]], **{name: value})
         circuit = replace(scenario.circuit, controls=tuple(controls.items()))
         return replace(scenario, circuit=circuit)
     if parts[0] == "comp" and len(parts) == 3:
-        name, key = parts[1], parts[2]
         try:
-            comp = scenario.circuit.component(name)
+            comp = scenario.circuit.component(parts[1])
         except KeyError:
-            raise CliError(f"--set: unknown component {name!r}") from None
-        fields = _FIELD_MAP.get(type(comp), {})
-        if key not in fields:
-            raise CliError(
-                f"--set: component {name!r} has no parameter {key!r} "
-                f"(allowed: {', '.join(sorted(fields))})"
-            )
-        circuit = scenario.circuit.with_replaced(name, **{fields[key]: value})
+            raise CliError(f"--set: unknown component {parts[1]!r}") from None
+        name, value = _override(type(comp), f"component {parts[1]!r}", path, raw)
+        if isinstance(value, str) and value not in scenario.circuit.control_map:
+            raise CliError(f"--set {path}: unknown control {value!r}")
+        circuit = scenario.circuit.with_replaced(parts[1], **{name: value})
         return replace(scenario, circuit=circuit)
     raise CliError(f"--set: unknown path {path!r} (tran.*, ctrl.*, comp.*)")
 
@@ -219,10 +192,22 @@ def _parse_phase(tok: str) -> float:
 
 
 def cmd_sweep(args) -> int:
+    name = args.preset
+    if name not in SWEEP_FLAGS:
+        raise CliError(f"sweep --preset must be one of {', '.join(SWEEP_FLAGS)}, got {name!r}")
+    given = [
+        flag for flag in ("freqs", "loads", "phases", "supply", "plot")
+        if getattr(args, flag) not in (None, False)
+    ]
+    if args.workers != 1:
+        given.append("workers")
+    unread = [flag for flag in given if flag not in SWEEP_FLAGS[name]]
+    if unread:
+        raise CliError(
+            f"sweep --preset {name} does not read --{', --'.join(unread)} "
+            f"(it reads --{', --'.join(SWEEP_FLAGS[name])})"
+        )
     out = _out_dir(args)
-    name = args.preset or (Path(args.netlist).stem if args.netlist else None)
-    if name is None:
-        raise CliError("sweep needs --preset")
 
     if name == "fig8":
         freqs = (
@@ -257,7 +242,7 @@ def cmd_sweep(args) -> int:
         phases = (
             [_parse_phase(t) for t in args.phases.split(",")]
             if args.phases is not None
-            else [0.0, math.pi / 2, math.pi]
+            else list(presets.FIG7C_PHASES)
         )
         if not phases:
             raise CliError("empty phase list")
@@ -355,28 +340,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="worker threads, >= 1 (never changes results)")
 
-    def scenario_flags(p):
+    def plot_and_seed(p):
         # run and sweep draw no random numbers: --seed is accepted only at
         # its default, so a seed passed here is never silently ignored
-        p.add_argument("--netlist", help="netlist file path")
-        p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="override, e.g. tran.step=0.5us")
         p.add_argument("--plot", action="store_true", help="also write an SVG plot")
         p.add_argument("--seed", type=int, default=0, choices=[0],
                        help="only montecarlo reads a seed; any value but 0 is an error")
 
     p_run = sub.add_parser("run", help="run one transient scenario, write waveform CSV")
     common(p_run)
-    scenario_flags(p_run)
+    p_run.add_argument("--netlist", help="netlist file path")
+    p_run.add_argument("--set", action="append", metavar="PATH=VALUE",
+                       help="override, e.g. tran.step=0.5us")
+    plot_and_seed(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="frequency/load, phase, or displacement sweep")
+    p_sweep = sub.add_parser(
+        "sweep", help="frequency/load (fig7), phase (fig7c) or displacement (fig8) sweep"
+    )
     common(p_sweep)
-    scenario_flags(p_sweep)
-    p_sweep.add_argument("--freqs", help="comma-separated frequencies in Hz")
-    p_sweep.add_argument("--loads", help="comma-separated loads (10n,20n,50n,dea)")
-    p_sweep.add_argument("--phases", help="comma-separated phases (0,pi/2,pi)")
-    p_sweep.add_argument("--supply", help="fig8 only: bench, converter, or both")
+    plot_and_seed(p_sweep)
+    p_sweep.add_argument("--freqs", help="fig7/fig8: comma-separated frequencies in Hz")
+    p_sweep.add_argument("--loads", help="fig7: comma-separated loads (10n,20n,50n,dea)")
+    p_sweep.add_argument("--phases", help="fig7c: comma-separated phases (0,pi/2,pi)")
+    p_sweep.add_argument("--supply", help="fig8: bench, converter, or both")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mc = sub.add_parser("montecarlo", help="component-tolerance Monte-Carlo study")

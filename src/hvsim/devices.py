@@ -1,4 +1,4 @@
-"""Behavioral device models: gate drivers, supplies, loads, and the probe.
+"""Behavioral device models: gate-driver scheduling, the bench supply, and loads.
 
 Two-terminal building blocks are expressed as :class:`Fragment` objects whose
 components reference the symbolic terminals ``"+"`` and ``"-"``; instantiating
@@ -16,64 +16,27 @@ from .circuit import (
     CircuitError,
     Component,
     ControlSignal,
-    ConverterSource,
-    Probe,
     Resistor,
+    Switch,
     VoltageSource,
+    param,
 )
 
 __all__ = [
-    "ControlSignal",
-    "DriverSpec",
-    "ConverterParams",
     "BenchSupplyParams",
     "DeaLoadParams",
     "Fragment",
     "ScheduleError",
     "driver_schedule",
-    "expand_converter",
     "expand_bench_supply",
     "expand_dea_load",
     "series_rc_load",
     "ceramic_load",
-    "probe_fragment",
-    "derated_capacitance",
 ]
 
 
 class ScheduleError(ValueError):
     """Driver delays are incompatible with the commanded edge spacing."""
-
-
-@dataclass(frozen=True)
-class DriverSpec:
-    """Photovoltaic gate-driver timing: asymmetric turn-on/turn-off delays
-    plus a per-device offset modeling part-to-part mismatch."""
-
-    turn_on_delay: float = 0.4e-3
-    turn_off_delay: float = 0.1e-3
-    delay_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.turn_on_delay < 0 or self.turn_off_delay < 0:
-            raise CircuitError("driver delays must be >= 0")
-
-
-@dataclass(frozen=True)
-class ConverterParams:
-    """Miniature DC-HVDC converter equivalent (EMF, internal R, output C)."""
-
-    open_circuit_voltage: float = 4500.0
-    internal_resistance: float = 3e6
-    parallel_capacitance: float = 3e-9
-
-    def __post_init__(self) -> None:
-        if not (
-            self.open_circuit_voltage > 0
-            and self.internal_resistance > 0
-            and self.parallel_capacitance > 0
-        ):
-            raise CircuitError("converter parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,9 +48,9 @@ class BenchSupplyParams:
     matter only to startup ramps and fast transients.
     """
 
-    voltage: float
-    output_resistance: float = 1e3
-    slew_limit: float = 35e6  # V/s
+    voltage: float = param("v")
+    output_resistance: float = param("rout", 1e3)
+    slew_limit: float = param("slew", 35e6)  # V/s
 
     def __post_init__(self) -> None:
         if not (self.voltage > 0 and self.output_resistance > 0 and self.slew_limit > 0):
@@ -100,9 +63,9 @@ class DeaLoadParams:
     capacitance in parallel with its leakage resistance.  ``parallel_resistance``
     of ``None`` drops the leakage branch (pure series-RC mimic load)."""
 
-    capacitance: float = 49e-9
-    series_resistance: float = 60e3
-    parallel_resistance: Optional[float] = 6.6e6
+    capacitance: float = param("c", 49e-9)
+    series_resistance: float = param("rs", 60e3)
+    parallel_resistance: Optional[float] = param("rp", 6.6e6)
 
     def __post_init__(self) -> None:
         if not (self.capacitance > 0 and self.series_resistance > 0):
@@ -150,55 +113,32 @@ class Fragment:
 
 
 def driver_schedule(
-    control: ControlSignal,
-    driver: DriverSpec,
-    stop: float,
-    invert: bool = False,
+    control: ControlSignal, switch: Switch, stop: float
 ) -> List[Tuple[float, bool]]:
     """Switch-state events for one device following ``control``.
 
-    Each commanded rising edge becomes an ON event after
-    ``turn_on_delay + delay_offset``; falling edges become OFF events after
-    ``turn_off_delay + delay_offset``.  Raises :class:`ScheduleError` when a
-    delayed event would land at or past the event of the next commanded edge
-    (command period too short for the driver).
+    Each commanded rising edge (falling when ``switch.invert``) becomes an ON
+    event after ``turn_on_delay + delay_offset``; the other edges become OFF
+    events after ``turn_off_delay + delay_offset``.  Raises
+    :class:`ScheduleError` when a delayed event would land at or past the
+    event of the next commanded edge (command period too short for the
+    driver).
     """
     if not stop > 0:
         raise ScheduleError(f"stop time must be > 0, got {stop}")
     events: List[Tuple[float, bool]] = []
     for t_cmd, state in control.edges(stop):
-        if invert:
+        if switch.invert:
             state = not state
-        delay = driver.turn_on_delay if state else driver.turn_off_delay
-        events.append((t_cmd + delay + driver.delay_offset, state))
+        delay = switch.turn_on_delay if state else switch.turn_off_delay
+        events.append((t_cmd + delay + switch.delay_offset, state))
     for (t_a, _), (t_b, _) in zip(events, events[1:]):
         if not t_a < t_b:
             raise ScheduleError(
                 f"driver delays reorder events at t={t_a!r}: command period too "
-                f"short for driver (on={driver.turn_on_delay}, off={driver.turn_off_delay})"
+                f"short for driver (on={switch.turn_on_delay}, off={switch.turn_off_delay})"
             )
     return [(t, s) for t, s in events if t <= stop]
-
-
-def expand_converter(params: ConverterParams, precharged: bool = True) -> Fragment:
-    """Converter supply fragment (single composite component).
-
-    ``precharged`` starts the output capacitor at the open-circuit voltage,
-    i.e. the supply has settled before the drive begins.
-    """
-    return Fragment(
-        components=(
-            ConverterSource(
-                name="X",
-                pos="+",
-                neg="-",
-                open_circuit_voltage=params.open_circuit_voltage,
-                internal_resistance=params.internal_resistance,
-                parallel_capacitance=params.parallel_capacitance,
-                precharged=precharged,
-            ),
-        )
-    )
 
 
 def expand_bench_supply(params: BenchSupplyParams) -> Fragment:
@@ -210,23 +150,6 @@ def expand_bench_supply(params: BenchSupplyParams) -> Fragment:
             Resistor(name="R_rout", pos="e", neg="+", resistance=params.output_resistance),
         )
     )
-
-
-def derated_capacitance(c0: float, derating: float, rated_voltage: float, v: float) -> float:
-    """Ceramic-capacitor capacitance at bias ``v``: ``c0*(1 - derating*min(|v|, rated))``.
-
-    Linear and clamped at the rated voltage; raises when the model would go
-    nonphysical (``derating*|v| >= 1``).
-    """
-    if c0 <= 0:
-        raise CircuitError(f"capacitance must be > 0, got {c0}")
-    if derating < 0:
-        raise CircuitError(f"derating must be >= 0, got {derating}")
-    v_eff = min(abs(v), rated_voltage)
-    factor = 1.0 - derating * v_eff
-    if factor <= 0.0:
-        raise CircuitError(f"derating*|v| = {derating * v_eff} >= 1 (nonphysical)")
-    return c0 * factor
 
 
 def expand_dea_load(params: DeaLoadParams) -> Fragment:
@@ -277,11 +200,3 @@ def ceramic_load(
     )
     return Fragment(components=comps)
 
-
-def probe_fragment(input_resistance: float = 100e6, input_capacitance: float = 5.5e-12) -> Fragment:
-    return Fragment(
-        components=(
-            Probe(name="X", pos="+", neg="-", input_resistance=input_resistance,
-                  input_capacitance=input_capacitance),
-        )
-    )

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.signal import cont2discrete, lfilter
 
 from .circuit import ControlSignal
-from .devices import ConverterParams, DeaLoadParams, expand_dea_load
+from .devices import DeaLoadParams, Fragment, expand_dea_load
 from .engine import IntegrationSettings
-from .presets import FIG8_FREQUENCIES, bench_matched_to_converter
+from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter
 from .runner import run_scenario
 from .scenario import Scenario
 from .topology import StackParams, build_half_bridge
@@ -76,7 +76,7 @@ def displacement_amplitude(x: Waveform, period: float) -> float:
 
 
 def _fig8_scenario(
-    supply, frequency: float, balancing: float = 1.8e6
+    supply: Fragment, frequency: float, balancing: float = 1.8e6
 ) -> Scenario:
     period = 1.0 / frequency
     step = min(20e-6, period / 2000.0)
@@ -98,7 +98,6 @@ def displacement_sweep(
     supply: str,
     frequencies: Sequence[float] = FIG8_FREQUENCIES,
     params: Optional[ElectromechParams] = None,
-    converter: Optional[ConverterParams] = None,
 ) -> Dict[float, float]:
     """Displacement amplitude per frequency for ``supply`` of ``converter`` or
     ``bench``.
@@ -112,11 +111,10 @@ def displacement_sweep(
     if any(f <= 0 for f in frequencies):
         raise ElectromechError("frequencies must be positive")
     params = params or ElectromechParams()
-    converter = converter or ConverterParams()
     if supply == "converter":
-        sup = converter
+        sup = CONVERTER
     else:
-        sup = bench_matched_to_converter(converter, expand_dea_load(DeaLoadParams()))
+        sup = bench_matched_to_converter(CONVERTER, expand_dea_load(DeaLoadParams()))
     out: Dict[float, float] = {}
     for f in frequencies:
         run = run_scenario(_fig8_scenario(sup, float(f)))
@@ -124,23 +122,3 @@ def displacement_sweep(
         out[float(f)] = displacement_amplitude(x, 1.0 / float(f))
     return out
 
-
-def rise_time_10_90(v: Waveform) -> float:
-    """10-90% rise time of the first edge crossing both thresholds (seconds)."""
-    s = v.samples
-    lo, hi = float(s.min()), float(s.max())
-    swing = hi - lo
-    if swing <= 0:
-        raise ElectromechError("waveform has no swing")
-    th_lo, th_hi = lo + 0.1 * swing, lo + 0.9 * swing
-    i = 0
-    while i < len(s) - 1:
-        if s[i] < th_lo <= s[i + 1]:
-            j = i + 1
-            while j < len(s) and s[j] < th_hi:
-                j += 1
-            if j < len(s):
-                return v.time_at(j) - v.time_at(i)
-            break
-        i += 1
-    raise ElectromechError("no edge crosses both thresholds")

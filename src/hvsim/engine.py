@@ -42,6 +42,7 @@ from .circuit import (
     Switch,
     VoltageSource,
     is_ground,
+    param,
 )
 from .waveform import Waveform
 
@@ -54,9 +55,9 @@ class SimulationError(RuntimeError):
 class IntegrationSettings:
     """Fixed integration grid plus post-event damping depth."""
 
-    step: float
-    stop: float
-    damping_steps: int = 2
+    step: float = param("step", positional=True)
+    stop: float = param("stop", positional=True)
+    damping_steps: int = param("damp", 2)
 
     def __post_init__(self) -> None:
         if not self.step > 0:
@@ -191,21 +192,27 @@ def _stamp_conductance(A: np.ndarray, p: int, n: int, g: float) -> None:
         A[n, p] -= g
 
 
+def _incidence(rows: int, branches) -> np.ndarray:
+    """One column per branch: +1 at its + node row, -1 at its - node row."""
+    inc = np.zeros((rows, len(branches)))
+    for j, br in enumerate(branches):
+        if br.p >= 0:
+            inc[br.p, j] += 1.0
+        if br.n >= 0:
+            inc[br.n, j] -= 1.0
+    return inc
+
+
 def _base_matrix(low: _Lowered, sw_states: Sequence[bool]) -> np.ndarray:
-    size = low.size
-    A = np.zeros((size, size))
+    n = low.n_nodes
+    A = np.zeros((low.size, low.size))
     for r in low.resistors:
         _stamp_conductance(A, r.p, r.n, r.g)
     for sw, on in zip(low.switches, sw_states):
         _stamp_conductance(A, sw.p, sw.n, sw.g_on if on else sw.g_off)
-    for j, src in enumerate(low.sources):
-        k = low.n_nodes + j
-        if src.p >= 0:
-            A[src.p, k] += 1.0
-            A[k, src.p] += 1.0
-        if src.n >= 0:
-            A[src.n, k] -= 1.0
-            A[k, src.n] -= 1.0
+    # source branch rows/columns; the conductances fill only the node block
+    A[:n, n:] = _incidence(n, low.sources)
+    A[n:, :n] = A[:n, n:].T
     return A
 
 
@@ -398,14 +405,8 @@ def _initial_solve(
     size = n + m + c
     A = np.zeros((size, size))
     A[: n + m, : n + m] = _base_matrix(low, sw_states)
-    for j, cap in enumerate(low.caps):
-        k = n + m + j
-        if cap.p >= 0:
-            A[cap.p, k] += 1.0
-            A[k, cap.p] += 1.0
-        if cap.n >= 0:
-            A[cap.n, k] -= 1.0
-            A[k, cap.n] -= 1.0
+    A[:n, n + m :] = _incidence(n, low.caps)
+    A[n + m :, :n] = A[:n, n + m :].T
     b = np.zeros(size)
     for j in range(m):
         b[n + j] = emf0[j]
@@ -516,12 +517,7 @@ def run_transient(
     vc = np.array([cap.ic for cap in low.caps])
     ic = ic0.copy()
     src_rows = n + np.arange(m)
-    inc = np.zeros((n + m, nc))
-    for j, cap in enumerate(low.caps):
-        if cap.p >= 0:
-            inc[cap.p, j] = 1.0
-        if cap.n >= 0:
-            inc[cap.n, j] = -1.0
+    inc = _incidence(n + m, low.caps)
 
     g_tr = 2.0 * cap_c / h if nc else np.zeros(0)
     g_be = cap_c / h if nc else np.zeros(0)
@@ -550,7 +546,7 @@ def run_transient(
         # Targets are sampled half a step in, past any snapped command edge.
         seg_t0 = idx0 * h
         slope = np.zeros(m)
-        knee_idx = next_boundary
+        ramp_end: Dict[int, int] = {}  # slewing source -> grid index its ramp ends at
         for j, src in enumerate(low.sources):
             tgt = src_target(j, seg_t0 + 0.5 * h)
             target[j] = tgt
@@ -558,18 +554,14 @@ def run_transient(
                 emf[j] = tgt
                 continue
             duration = abs(tgt - emf[j]) / src.slew
-            k_end = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
-            knee_idx = min(knee_idx, k_end)
-        seg_end = min(next_boundary, knee_idx)
-        for j, src in enumerate(low.sources):
-            if src.slew is not None and emf[j] != target[j]:
-                duration = abs(target[j] - emf[j]) / src.slew
-                k_end = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
-                if k_end <= seg_end:
-                    # ramp ends inside this segment: hit the target exactly
-                    slope[j] = (target[j] - emf[j]) / ((k_end - idx0) * h)
-                else:
-                    slope[j] = math.copysign(src.slew, target[j] - emf[j])
+            ramp_end[j] = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
+        seg_end = min([next_boundary, *ramp_end.values()])
+        for j, k_end in ramp_end.items():
+            if k_end <= seg_end:
+                # ramp ends inside this segment: hit the target exactly
+                slope[j] = (target[j] - emf[j]) / ((k_end - idx0) * h)
+            else:
+                slope[j] = math.copysign(low.sources[j].slew, target[j] - emf[j])
 
         nsteps_seg = seg_end - idx0
         has_ramp = bool(np.any(slope != 0.0))

@@ -17,15 +17,19 @@ mega; there is no ``meg`` form).  Node labels are alphanumeric identifiers;
 ``0`` and ``GND`` both name the ground reference.  ``X`` statements for the
 bench supply and actuator load expand to primitives at parse time, so printed
 netlists show the expansion; converter and probe stay composite.
+
+Keys, positions and defaults come from the parameter dataclasses
+(:func:`hvsim.circuit.params`): an omitted key takes the field default, and
+the printer omits every key whose value equals it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from decimal import Decimal
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .circuit import (
     Capacitor,
@@ -34,15 +38,33 @@ from .circuit import (
     Component,
     ControlSignal,
     ConverterSource,
+    Param,
     Probe,
     Resistor,
     Switch,
     VoltageSource,
     is_ground,
+    params,
 )
 from .devices import BenchSupplyParams, DeaLoadParams, expand_bench_supply, expand_dea_load
 from .engine import IntegrationSettings
 from .scenario import ProbeSpec, Scenario
+
+#: component statement letter -> (class, message when its value or a required key is missing)
+_COMPONENTS = {
+    "R": (Resistor, "resistor takes exactly one value"),
+    "C": (Capacitor, "capacitor needs a value"),
+    "S": (Switch, "switch needs a ctrl= reference"),
+    "V": (VoltageSource, "source needs a value"),
+}
+#: ``X`` kind word -> (class, missing message, expansion into primitives or None)
+_FRAGMENTS = {
+    "converter": (ConverterSource, None, None),
+    "probe": (Probe, None, None),
+    "bench": (BenchSupplyParams, "bench supply needs v=", expand_bench_supply),
+    "dea": (DeaLoadParams, None, expand_dea_load),
+}
+_KIND_WORD = {cls: word for word, (cls, _, expand) in _FRAGMENTS.items() if expand is None}
 
 
 class NetlistError(ValueError):
@@ -109,6 +131,26 @@ def format_value(v: float) -> str:
     return repr(v)
 
 
+def parse_param(p: Param, text: str, allow_unit: bool = False) -> Any:
+    """Value of parameter ``p`` from its text, by the field's type: a float,
+    a 0/1 flag, a non-negative integer, or a control name kept as written.
+
+    Raises ``ValueError`` with the diagnostic.
+    """
+    if p.type is str:
+        return text
+    value = parse_value(text, allow_unit)
+    if p.type is bool:
+        if value not in (0.0, 1.0):
+            raise ValueError(f"{p.key}= must be 0 or 1, got {text!r}")
+        return value == 1.0
+    if p.type is int:
+        if not (value >= 0 and value.is_integer()):
+            raise ValueError(f"{p.key}= must be a non-negative integer, got {text!r}")
+        return int(value)
+    return value
+
+
 @dataclass
 class _Tok:
     text: str
@@ -136,59 +178,44 @@ class _Parser:
     def fail(self, line_no: int, column: int, message: str) -> "NetlistError":
         return NetlistError(self.origin, line_no, column, message)
 
-    def value(self, line_no: int, tok: _Tok) -> float:
-        try:
-            return parse_value(tok.text)
-        except ValueError:
-            raise self.fail(line_no, tok.column, f"malformed value {tok.text!r}") from None
-
     def node(self, line_no: int, tok: _Tok) -> str:
         if not _NODE_RE.match(tok.text):
             raise self.fail(line_no, tok.column, f"malformed node label {tok.text!r}")
         return "0" if is_ground(tok.text) else tok.text
 
-    def keyvals(
-        self, line_no: int, toks: Sequence[_Tok], allowed: Sequence[str]
-    ) -> Dict[str, Tuple[float, _Tok]]:
-        out: Dict[str, Tuple[float, _Tok]] = {}
-        for tok in toks:
+    def convert(self, line_no: int, p: Param, tok: _Tok) -> Any:
+        try:
+            return parse_param(p, tok.text)
+        except ValueError as exc:
+            raise self.fail(line_no, tok.column, str(exc)) from None
+
+    def fields(
+        self, line_no: int, head: _Tok, cls: type, toks: Sequence[_Tok], missing: Optional[str]
+    ) -> Dict[str, Any]:
+        """Field values of ``cls`` from its positional then key=value tokens."""
+        schema = params(cls)
+        positional = [p for p in schema if p.positional]
+        keyed = {p.key: p for p in schema if not p.positional}
+        if len(toks) < len(positional) or (not keyed and len(toks) > len(positional)):
+            raise self.fail(line_no, head.column, missing)
+        values = {p.name: self.convert(line_no, p, tok) for p, tok in zip(positional, toks)}
+        for tok in toks[len(positional):]:
             if "=" not in tok.text:
                 raise self.fail(line_no, tok.column, f"expected key=value, got {tok.text!r}")
             key, raw = tok.text.split("=", 1)
-            if key not in allowed:
+            p = keyed.get(key)
+            if p is None:
                 raise self.fail(
-                    line_no, tok.column, f"unknown parameter {key!r} (allowed: {', '.join(allowed)})"
+                    line_no, tok.column, f"unknown parameter {key!r} (allowed: {', '.join(keyed)})"
                 )
-            if key in out:
+            if p.name in values:
                 raise self.fail(line_no, tok.column, f"duplicate parameter {key!r}")
-            if key == "ctrl":
-                out[key] = (raw, tok)  # type: ignore[assignment]
-            else:
-                vtok = _Tok(raw, tok.column + len(key) + 1)
-                out[key] = (self.value(line_no, vtok), vtok)
-        return out
-
-    def flag(
-        self, line_no: int, kv: Dict[str, Tuple[float, _Tok]], key: str, default: bool
-    ) -> bool:
-        if key not in kv:
-            return default
-        value, tok = kv[key]
-        if value not in (0.0, 1.0):
-            raise self.fail(line_no, tok.column, f"{key}= must be 0 or 1, got {tok.text!r}")
-        return value == 1.0
-
-    def count(
-        self, line_no: int, kv: Dict[str, Tuple[float, _Tok]], key: str, default: int
-    ) -> int:
-        if key not in kv:
-            return default
-        value, tok = kv[key]
-        if not (value >= 0 and value.is_integer()):
-            raise self.fail(
-                line_no, tok.column, f"{key}= must be a non-negative integer, got {tok.text!r}"
-            )
-        return int(value)
+            values[p.name] = self.convert(line_no, p, _Tok(raw, tok.column + len(key) + 1))
+            if p.type is str:
+                self.deferred.append((line_no, tok.column, "control", raw))
+        if any(p.default is MISSING and p.name not in values for p in keyed.values()):
+            raise self.fail(line_no, head.column, missing)
+        return values
 
     def add_component(self, line_no: int, column: int, comp: Component) -> None:
         if comp.name in self.component_lines:
@@ -232,126 +259,26 @@ class _Parser:
         pos = self.node(line_no, toks[1])
         neg = self.node(line_no, toks[2])
         rest = toks[3:]
-        kind = head.text[0]
-
-        if kind == "R":
-            if len(rest) != 1:
-                raise self.fail(line_no, head.column, "resistor takes exactly one value")
-            self.add_component(line_no, head.column, Resistor(name, pos, neg, self.value(line_no, rest[0])))
-        elif kind == "C":
-            if not rest:
-                raise self.fail(line_no, head.column, "capacitor needs a value")
-            value = self.value(line_no, rest[0])
-            kv = self.keyvals(line_no, rest[1:], ["ic", "derate", "vrated", "vbias"])
-            self.add_component(
-                line_no,
-                head.column,
-                Capacitor(
-                    name,
-                    pos,
-                    neg,
-                    value,
-                    initial_voltage=kv.get("ic", (0.0, None))[0],
-                    derating=kv.get("derate", (0.0, None))[0],
-                    rated_voltage=kv.get("vrated", (math.inf, None))[0],
-                    bias_voltage=kv.get("vbias", (0.0, None))[0],
-                ),
-            )
-        elif kind == "S":
-            kv = self.keyvals(line_no, rest, ["ctrl", "ron", "roff", "ton", "toff", "offset", "inv"])
-            if "ctrl" not in kv:
-                raise self.fail(line_no, head.column, "switch needs a ctrl= reference")
-            ctrl_name, ctrl_tok = kv["ctrl"]
-            self.deferred.append((line_no, ctrl_tok.column, "control", ctrl_name))
-            self.add_component(
-                line_no,
-                head.column,
-                Switch(
-                    name,
-                    pos,
-                    neg,
-                    control=ctrl_name,
-                    ron=kv.get("ron", (5.0, None))[0],
-                    roff=kv.get("roff", (1e9, None))[0],
-                    invert=self.flag(line_no, kv, "inv", False),
-                    turn_on_delay=kv.get("ton", (0.4e-3, None))[0],
-                    turn_off_delay=kv.get("toff", (0.1e-3, None))[0],
-                    delay_offset=kv.get("offset", (0.0, None))[0],
-                ),
-            )
-        elif kind == "V":
-            if not rest:
-                raise self.fail(line_no, head.column, "source needs a value")
-            value = self.value(line_no, rest[0])
-            kv = self.keyvals(line_no, rest[1:], ["slew", "ctrl"])
-            control = None
-            if "ctrl" in kv:
-                control, ctrl_tok = kv["ctrl"]
-                self.deferred.append((line_no, ctrl_tok.column, "control", control))
-            self.add_component(
-                line_no,
-                head.column,
-                VoltageSource(
-                    name, pos, neg, value,
-                    slew=kv.get("slew", (None, None))[0],
-                    control=control,
-                ),
-            )
-        else:  # X
+        expand = None
+        if head.text[0] == "X":
             if not rest:
                 raise self.fail(line_no, head.column, "X statement needs a kind word")
-            xkind = rest[0].text
-            kv_toks = rest[1:]
-            prefix = name[1:]
-            if xkind == "converter":
-                kv = self.keyvals(line_no, kv_toks, ["voc", "rint", "cpar", "pre"])
-                self.add_component(
-                    line_no,
-                    head.column,
-                    ConverterSource(
-                        name, pos, neg,
-                        open_circuit_voltage=kv.get("voc", (4500.0, None))[0],
-                        internal_resistance=kv.get("rint", (3e6, None))[0],
-                        parallel_capacitance=kv.get("cpar", (3e-9, None))[0],
-                        precharged=self.flag(line_no, kv, "pre", True),
-                    ),
-                )
-            elif xkind == "probe":
-                kv = self.keyvals(line_no, kv_toks, ["rin", "cin"])
-                self.add_component(
-                    line_no,
-                    head.column,
-                    Probe(
-                        name, pos, neg,
-                        input_resistance=kv.get("rin", (100e6, None))[0],
-                        input_capacitance=kv.get("cin", (5.5e-12, None))[0],
-                    ),
-                )
-            elif xkind == "bench":
-                kv = self.keyvals(line_no, kv_toks, ["v", "rout", "slew"])
-                if "v" not in kv:
-                    raise self.fail(line_no, head.column, "bench supply needs v=")
-                params = BenchSupplyParams(
-                    voltage=kv["v"][0],
-                    output_resistance=kv.get("rout", (1e3, None))[0],
-                    slew_limit=kv.get("slew", (35e6, None))[0],
-                )
-                for comp in expand_bench_supply(params).instantiate(pos, neg, prefix):
-                    self.add_component(line_no, head.column, comp)
-            elif xkind == "dea":
-                kv = self.keyvals(line_no, kv_toks, ["c", "rs", "rp"])
-                params = DeaLoadParams(
-                    capacitance=kv.get("c", (49e-9, None))[0],
-                    series_resistance=kv.get("rs", (60e3, None))[0],
-                    parallel_resistance=kv.get("rp", (None, None))[0],
-                )
-                for comp in expand_dea_load(params).instantiate(pos, neg, prefix):
-                    self.add_component(line_no, head.column, comp)
-            else:
+            if rest[0].text not in _FRAGMENTS:
                 raise self.fail(
                     line_no, rest[0].column,
-                    f"unknown fragment kind {xkind!r} (converter, probe, bench, dea)",
+                    f"unknown fragment kind {rest[0].text!r} ({', '.join(_FRAGMENTS)})",
                 )
+            cls, missing, expand = _FRAGMENTS[rest[0].text]
+            rest = rest[1:]
+        else:
+            cls, missing = _COMPONENTS[head.text[0]]
+        values = self.fields(line_no, head, cls, rest, missing)
+        if expand is None:
+            comps = [cls(name, pos, neg, **values)]
+        else:
+            comps = expand(cls(**values)).instantiate(pos, neg, name[1:])
+        for comp in comps:
+            self.add_component(line_no, head.column, comp)
 
     def directive(self, line_no: int, toks: List[_Tok]) -> None:
         head = toks[0]
@@ -361,24 +288,16 @@ class _Parser:
             cname = toks[1].text
             if cname in self.controls:
                 raise self.fail(line_no, toks[1].column, f"duplicate control {cname!r}")
-            kv = self.keyvals(line_no, toks[3:], ["f", "duty", "phase"])
-            if "f" not in kv:
-                raise self.fail(line_no, head.column, ".ctrl needs f=<Hz>")
             self.controls[cname] = ControlSignal(
-                frequency=kv["f"][0],
-                duty=kv.get("duty", (0.5, None))[0],
-                phase=kv.get("phase", (0.0, None))[0],
+                **self.fields(line_no, head, ControlSignal, toks[3:], ".ctrl needs f=<Hz>")
             )
         elif head.text == ".tran":
             if self.tran is not None:
                 raise self.fail(line_no, head.column, "duplicate .tran directive")
-            if len(toks) < 3:
-                raise self.fail(line_no, head.column, ".tran needs <step> <stop>")
-            kv = self.keyvals(line_no, toks[3:], ["damp"])
             self.tran = IntegrationSettings(
-                step=self.value(line_no, toks[1]),
-                stop=self.value(line_no, toks[2]),
-                damping_steps=self.count(line_no, kv, "damp", 2),
+                **self.fields(
+                    line_no, head, IntegrationSettings, toks[1:], ".tran needs <step> <stop>"
+                )
             )
         elif head.text == ".probe":
             if len(toks) not in (2, 3):
@@ -431,71 +350,33 @@ def parse_file(path) -> Scenario:
         return parse(fh.read(), origin=str(path))
 
 
-def _kv(key: str, value: float, default: Optional[float]) -> str:
-    if default is not None and value == default:
-        return ""
-    return f" {key}={format_value(value)}"
+def _fields_text(obj: Any) -> str:
+    """Positional values, then ``key=value`` for every field off its default."""
+    positional, keyed = [], []
+    for p in params(type(obj)):
+        value = getattr(obj, p.name)
+        if p.positional:
+            positional.append(format_value(value))
+        elif value != p.default:
+            text = value if p.type is str else format_value(value)
+            keyed.append(f"{p.key}={text}")
+    return " ".join(positional + keyed)
 
 
 def _component_line(comp: Component) -> str:
-    base = f"{comp.name} {comp.pos} {comp.neg}"
-    if isinstance(comp, Resistor):
-        return f"{base} {format_value(comp.resistance)}"
-    if isinstance(comp, Capacitor):
-        line = f"{base} {format_value(comp.capacitance)}"
-        line += _kv("ic", comp.initial_voltage, 0.0)
-        line += _kv("derate", comp.derating, 0.0)
-        if math.isfinite(comp.rated_voltage):
-            line += _kv("vrated", comp.rated_voltage, None)
-        line += _kv("vbias", comp.bias_voltage, 0.0)
-        return line
-    if isinstance(comp, Switch):
-        line = f"{base} ctrl={comp.control}"
-        line += _kv("ron", comp.ron, 5.0)
-        line += _kv("roff", comp.roff, 1e9)
-        line += _kv("ton", comp.turn_on_delay, 0.4e-3)
-        line += _kv("toff", comp.turn_off_delay, 0.1e-3)
-        line += _kv("offset", comp.delay_offset, 0.0)
-        if comp.invert:
-            line += " inv=1"
-        return line
-    if isinstance(comp, VoltageSource):
-        line = f"{base} {format_value(comp.voltage)}"
-        if comp.slew is not None:
-            line += f" slew={format_value(comp.slew)}"
-        if comp.control is not None:
-            line += f" ctrl={comp.control}"
-        return line
-    if isinstance(comp, ConverterSource):
-        line = (
-            f"{base} converter voc={format_value(comp.open_circuit_voltage)}"
-            f" rint={format_value(comp.internal_resistance)}"
-            f" cpar={format_value(comp.parallel_capacitance)}"
-        )
-        if not comp.precharged:
-            line += " pre=0"
-        return line
-    if isinstance(comp, Probe):
-        return (
-            f"{base} probe rin={format_value(comp.input_resistance)}"
-            f" cin={format_value(comp.input_capacitance)}"
-        )
-    raise CircuitError(f"cannot print component {comp!r}")
+    words = [comp.name, comp.pos, comp.neg]
+    if type(comp) in _KIND_WORD:
+        words.append(_KIND_WORD[type(comp)])
+    text = _fields_text(comp)
+    return " ".join(words + [text] if text else words)
 
 
 def print_scenario(scenario: Scenario) -> str:
     """Canonical netlist text; ``parse(print_scenario(s))`` equals ``s``."""
     lines = [_component_line(comp) for comp in scenario.circuit.components]
     for name, ctrl in scenario.circuit.controls:
-        line = f".ctrl {name} square f={format_value(ctrl.frequency)}"
-        line += _kv("duty", ctrl.duty, 0.5)
-        line += _kv("phase", ctrl.phase, 0.0)
-        lines.append(line)
-    settings = scenario.settings
-    tran = f".tran {format_value(settings.step)} {format_value(settings.stop)}"
-    if settings.damping_steps != 2:
-        tran += f" damp={format_value(settings.damping_steps)}"
-    lines.append(tran)
+        lines.append(f".ctrl {name} square {_fields_text(ctrl)}")
+    lines.append(f".tran {_fields_text(scenario.settings)}")
     for probe in scenario.probes:
         if isinstance(probe, str):
             lines.append(f".probe {probe}")

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import ControlSignal, Switch
+from .circuit import ControlSignal, ConverterSource, Switch
 from .devices import (
     BenchSupplyParams,
-    ConverterParams,
     DeaLoadParams,
     Fragment,
     ceramic_load,
+    expand_bench_supply,
     expand_dea_load,
     series_rc_load,
 )
@@ -39,6 +39,10 @@ CERAMIC_RATED_VOLTAGE = 2000.0
 FIG7_FREQUENCIES = (2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 FIG7_LOADS = ("10n", "20n", "50n", "dea")
 FIG8_FREQUENCIES = (1.0, 2.0, 15.0, 30.0, 60.0, 120.0)
+FIG7C_PHASES = (0.0, math.pi / 2, math.pi)
+
+#: the miniature DC-HVDC converter supply at its ConverterSource defaults
+CONVERTER = Fragment((ConverterSource(name="X", pos="+", neg="-"),))
 
 
 def load_fragment(descriptor: str, bias_voltage: float = 1800.0) -> Fragment:
@@ -60,35 +64,34 @@ def load_fragment(descriptor: str, bias_voltage: float = 1800.0) -> Fragment:
     raise PresetError(f"unknown load descriptor {descriptor!r} (10n, 20n, 50n, dea)")
 
 
-def _bench(voltage: float) -> BenchSupplyParams:
-    return BenchSupplyParams(voltage=voltage)
+def _bench(voltage: float) -> Fragment:
+    return expand_bench_supply(BenchSupplyParams(voltage=voltage))
 
 
 def _stack(balancing: Optional[float], snubber: Optional[float] = None) -> StackParams:
     return StackParams(balancing_resistance=balancing, snubber_capacitance=snubber)
 
 
-def _fig2() -> Scenario:
+def _distribution(
+    balancing: Optional[float],
+    origin: str,
+    voltage: float = 800.0,
+    step: float = 100e-6,
+    **stack,
+) -> Scenario:
+    """Static-sharing bench (fig2/fig3 and their Monte-Carlo trials): the
+    unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
     circuit = build_half_bridge(
-        _bench(800.0), _stack(None), load=None, control=ControlSignal(frequency=1.0)
+        _bench(voltage),
+        StackParams(balancing_resistance=balancing, **stack),
+        load=None,
+        control=ControlSignal(frequency=1.0),
     )
     return Scenario(
         circuit,
-        IntegrationSettings(step=100e-6, stop=2.0),
+        IntegrationSettings(step=step, stop=2.0),
         probes=("A", "B", "O", "C"),
-        origin="fig2",
-    )
-
-
-def _fig3() -> Scenario:
-    circuit = build_half_bridge(
-        _bench(800.0), _stack(3.6e6), load=None, control=ControlSignal(frequency=1.0)
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=100e-6, stop=2.0),
-        probes=("A", "B", "O", "C"),
-        origin="fig3",
+        origin=origin,
     )
 
 
@@ -131,7 +134,7 @@ def _fig5() -> Scenario:
 
 def _fig6(balancing: float, origin: str) -> Scenario:
     circuit = build_half_bridge(
-        ConverterParams(),
+        CONVERTER,
         _stack(balancing),
         load=expand_dea_load(DeaLoadParams()),
         control=ControlSignal(frequency=100.0),
@@ -146,7 +149,7 @@ def _fig6(balancing: float, origin: str) -> Scenario:
 
 def _fig7() -> Scenario:
     circuit = build_half_bridge(
-        ConverterParams(),
+        CONVERTER,
         _stack(1.8e6),
         load=load_fragment("10n"),
         control=ControlSignal(frequency=100.0),
@@ -159,28 +162,9 @@ def _fig7() -> Scenario:
     )
 
 
-def _fig7c() -> Scenario:
-    circuit = build_dual_channel(
-        ConverterParams(),
-        channels=(
-            ChannelSpec(ControlSignal(frequency=100.0), series_rc_load(100e3, 10e-9)),
-            ChannelSpec(
-                ControlSignal(frequency=100.0, phase=math.pi),
-                series_rc_load(100e3, 10e-9),
-            ),
-        ),
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=1e-6, stop=0.02),
-        probes=("A", "O1", "O2"),
-        origin="fig7c",
-    )
-
-
 def _fig8() -> Scenario:
     circuit = build_half_bridge(
-        ConverterParams(),
+        CONVERTER,
         _stack(1.8e6),
         load=expand_dea_load(DeaLoadParams()),
         control=ControlSignal(frequency=6.0),
@@ -216,15 +200,15 @@ def _slew() -> Scenario:
 
 
 _BUILDERS: Dict[str, Callable[[], Scenario]] = {
-    "fig2": _fig2,
-    "fig3": _fig3,
+    "fig2": lambda: _distribution(None, "fig2"),
+    "fig3": lambda: _distribution(3.6e6, "fig3"),
     "fig4a": lambda: _fig4(None, "fig4a"),
     "fig4b": lambda: _fig4(220e-12, "fig4b"),
     "fig5": _fig5,
     "fig6b": lambda: _fig6(3.6e6, "fig6b"),
     "fig6c": lambda: _fig6(1.8e6, "fig6c"),
     "fig7": _fig7,
-    "fig7c": _fig7c,
+    "fig7c": lambda: dual_channel_with_phase(math.pi, "fig7c"),
     "fig8": _fig8,
     "slew": _slew,
 }
@@ -243,7 +227,7 @@ def load_preset(name: str) -> Scenario:
     return builder()
 
 
-def bench_matched_to_converter(converter: ConverterParams, load: Fragment) -> BenchSupplyParams:
+def bench_matched_to_converter(converter: Fragment, load: Fragment) -> Fragment:
     """Bench supply whose setting equals the converter's loaded DC output.
 
     Used by the displacement comparison so the two supplies agree in the
@@ -257,8 +241,7 @@ def bench_matched_to_converter(converter: ConverterParams, load: Fragment) -> Be
         for comp in probe_circuit.components
         if isinstance(comp, Switch)
     }
-    v = dc_operating_point(probe_circuit, states)["A"]
-    return BenchSupplyParams(voltage=v)
+    return _bench(dc_operating_point(probe_circuit, states)["A"])
 
 
 def mc_template(
@@ -283,49 +266,43 @@ def mc_template(
     balancing, voltage = table[name]
 
     def build(off_resistances: Sequence[float], offsets: Sequence[float]) -> Scenario:
-        stack = StackParams(
-            balancing_resistance=balancing,
+        return _distribution(
+            balancing,
+            f"mc-{name}",
+            voltage=voltage,
+            step=50e-6,
             off_resistances=tuple(off_resistances),
             driver_offsets=tuple(offsets),
-        )
-        circuit = build_half_bridge(
-            _bench(voltage), stack, load=None, control=ControlSignal(frequency=1.0)
-        )
-        return Scenario(
-            circuit,
-            IntegrationSettings(step=50e-6, stop=2.0),
-            probes=("A", "B", "O", "C"),
-            origin=f"mc-{name}",
         )
 
     return build
 
 
+def _channel(phase: float) -> ChannelSpec:
+    """One fig7c channel: 100 Hz drive into the 100 kOhm + 10 nF mimic load."""
+    return ChannelSpec(ControlSignal(frequency=100.0, phase=phase), series_rc_load(100e3, 10e-9))
+
+
 def single_channel_reference(dual: Scenario) -> Scenario:
     """Single-channel counterpart of a dual-channel scenario (same converter,
     stack, load, and control as channel 1), for peak-demand comparisons."""
+    channel = _channel(0.0)
     circuit = build_half_bridge(
-        ConverterParams(),
+        CONVERTER,
         StackParams(balancing_resistance=1.8e6),
-        load=series_rc_load(100e3, 10e-9),
-        control=ControlSignal(frequency=100.0),
+        load=channel.load,
+        control=channel.control,
     )
     return Scenario(circuit, dual.settings, probes=("A", "O"), origin="fig7c-single")
 
 
-def dual_channel_with_phase(phase: float) -> Scenario:
-    """fig7c variant with channel 2 shifted by ``phase`` radians."""
-    base = _fig7c()
-    circuit = build_dual_channel(
-        ConverterParams(),
-        channels=(
-            ChannelSpec(ControlSignal(frequency=100.0), series_rc_load(100e3, 10e-9)),
-            ChannelSpec(
-                ControlSignal(frequency=100.0, phase=phase),
-                series_rc_load(100e3, 10e-9),
-            ),
-        ),
-    )
+def dual_channel_with_phase(phase: float, origin: Optional[str] = None) -> Scenario:
+    """fig7c: one converter feeding two bridges, channel 2 shifted by ``phase``
+    radians."""
+    circuit = build_dual_channel(CONVERTER, channels=(_channel(0.0), _channel(phase)))
     return Scenario(
-        circuit, base.settings, probes=base.probes, origin=f"fig7c-phase{phase:g}"
+        circuit,
+        IntegrationSettings(step=1e-6, stop=0.02),
+        probes=("A", "O1", "O2"),
+        origin=origin or f"fig7c-phase{phase:g}",
     )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .circuit import Circuit, Switch
-from .devices import DriverSpec, driver_schedule
+from .devices import driver_schedule
 from .engine import TransientResult, run_transient
 from .scenario import Scenario, probe_label
 from .waveform import Waveform
@@ -60,14 +60,8 @@ def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, lis
         if not isinstance(comp, Switch):
             continue
         ctrl = controls[comp.control]
-        driver = DriverSpec(
-            turn_on_delay=comp.turn_on_delay,
-            turn_off_delay=comp.turn_off_delay,
-            delay_offset=comp.delay_offset,
-        )
         initial = ctrl.state_at(0.0) ^ comp.invert
-        events = driver_schedule(ctrl, driver, stop, invert=comp.invert)
-        out[comp.name] = (initial, events)
+        out[comp.name] = (initial, driver_schedule(ctrl, comp, stop))
     return out
 
 

@@ -10,8 +10,8 @@ break-before-make behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit import (
     Capacitor,
@@ -19,20 +19,11 @@ from .circuit import (
     CircuitError,
     Component,
     ControlSignal,
+    Probe,
     Resistor,
     Switch,
 )
-from .devices import (
-    BenchSupplyParams,
-    ConverterParams,
-    DriverSpec,
-    Fragment,
-    expand_bench_supply,
-    expand_converter,
-    probe_fragment,
-)
-
-SupplyParams = Union[BenchSupplyParams, ConverterParams]
+from .devices import Fragment
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,8 @@ class StackParams:
     side.  The 900 MOhm / 100 MOhm default off-resistances model the leakage
     mismatch that skews static sharing (a 9:1 modeling choice, not a measured
     value); the 50 us driver offset on the second device of each side models
-    driver mismatch during transitions.
+    driver mismatch during transitions.  On-resistance and driver delays are
+    the :class:`~hvsim.circuit.Switch` defaults.
     """
 
     devices_per_side: int = 2
@@ -51,8 +43,6 @@ class StackParams:
     snubber_capacitance: Optional[float] = None
     off_resistances: Sequence[float] = (900e6, 100e6, 900e6, 100e6)
     driver_offsets: Sequence[float] = (0.0, 50e-6, 0.0, 50e-6)
-    on_resistance: float = 5.0
-    driver: DriverSpec = field(default_factory=DriverSpec)
 
     def __post_init__(self) -> None:
         if self.devices_per_side < 1:
@@ -105,12 +95,9 @@ def _stack_side(
                 pos=pos,
                 neg=neg,
                 control=control_name,
-                ron=params.on_resistance,
                 roff=params.off_resistances[di],
                 invert=invert,
-                turn_on_delay=params.driver.turn_on_delay,
-                turn_off_delay=params.driver.turn_off_delay,
-                delay_offset=params.driver.delay_offset + params.driver_offsets[di],
+                delay_offset=params.driver_offsets[di],
             )
         )
         if params.balancing_resistance is not None:
@@ -125,19 +112,18 @@ def _stack_side(
 
 
 def build_half_bridge(
-    supply: SupplyParams,
+    supply: Fragment,
     stack: StackParams,
     load: Optional[Fragment],
     control: ControlSignal,
     probe_nodes: Sequence[str] = (),
     control_name: str = "g",
 ) -> Circuit:
-    """Single-channel bridge with labeled nodes A, B, O, C (D is ground)."""
-    comps: List[Component] = []
-    if isinstance(supply, BenchSupplyParams):
-        comps.extend(expand_bench_supply(supply).instantiate("A", "0", "sup"))
-    else:
-        comps.extend(expand_converter(supply).instantiate("A", "0", "sup"))
+    """Single-channel bridge with labeled nodes A, B, O, C (D is ground).
+
+    ``supply`` feeds A; ``probe_nodes`` each get a scope probe ``Xscope<node>``.
+    """
+    comps: List[Component] = supply.instantiate("A", "0", "sup")
 
     high = _side_nodes("A", "O", stack.devices_per_side, ["B"])
     low = _side_nodes("O", "0", stack.devices_per_side, ["C"])
@@ -146,22 +132,20 @@ def build_half_bridge(
 
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
-    for node in probe_nodes:
-        comps.extend(probe_fragment().instantiate(node, "0", f"scope{node}"))
+    comps.extend(Probe(f"Xscope{node}", node, "0") for node in probe_nodes)
 
     return Circuit.build(comps, {control_name: control})
 
 
 def build_dual_channel(
-    supply: ConverterParams,
+    supply: Fragment,
     channels: Tuple[ChannelSpec, ChannelSpec],
     stack: Optional[StackParams] = None,
 ) -> Circuit:
-    """Two bridges sharing one converter; per-channel nodes get 1/2 suffixes."""
+    """Two bridges sharing one supply; per-channel nodes get 1/2 suffixes."""
     if stack is None:
         stack = StackParams(balancing_resistance=1.8e6)
-    comps: List[Component] = []
-    comps.extend(expand_converter(supply).instantiate("A", "0", "sup"))
+    comps: List[Component] = supply.instantiate("A", "0", "sup")
     controls: Dict[str, ControlSignal] = {}
     for ch_i, channel in enumerate(channels, start=1):
         tag = str(ch_i)

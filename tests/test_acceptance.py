@@ -13,11 +13,12 @@ import pytest
 from hvsim.analysis import frequency_sweep, measure_amplitude, measure_slew, settle_periods_for
 from hvsim.circuit import Capacitor, ControlSignal
 from hvsim.cli import main as cli_main
-from hvsim.devices import ConverterParams, series_rc_load
+from hvsim.devices import series_rc_load
 from hvsim.electromech import displacement_sweep
 from hvsim.engine import IntegrationSettings, run_transient
 from hvsim.netlist import NetlistError, parse, print_scenario
 from hvsim.presets import (
+    CONVERTER,
     FIG7_FREQUENCIES,
     FIG7_LOADS,
     FIG8_FREQUENCIES,
@@ -217,7 +218,7 @@ class TestCriterion06DroopOrdering:
         )
         # ideal (underated) 10 nF reference cell at 100 Hz
         circuit = build_half_bridge(
-            ConverterParams(),
+            CONVERTER,
             StackParams(balancing_resistance=1.8e6),
             load=series_rc_load(100e3, 10e-9),
             control=ControlSignal(frequency=100.0),

@@ -80,6 +80,13 @@ class TestRun:
         assert code == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_override_to_undefined_control_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--preset", "fig3", "--out", str(tmp_path), "--set", "comp.Sq1.ctrl=nosuch"
+        )
+        assert code == 2
+        assert "--set comp.Sq1.ctrl: unknown control 'nosuch'" in capsys.readouterr().err
+
     def test_component_override(self, tmp_path):
         code = run_cli(
             "run", "--preset", "fig3", "--out", str(tmp_path),
@@ -219,6 +226,60 @@ class TestSweep:
         lines = (tmp_path / "fig7c_phases.csv").read_text().splitlines()
         assert lines[0] == "phase_rad,peak_i_a,peak_p_w"
         assert len(lines) == 4
+
+
+    @pytest.mark.parametrize("preset", [["--preset", "nosuch"], ["--preset", "fig3"], []],
+                             ids=["nosuch", "fig3", "none"])
+    def test_preset_without_sweep_exits_2(self, tmp_path, capsys, preset):
+        code = run_cli("sweep", *preset, "--out", str(tmp_path))
+        assert code == 2
+        assert "sweep --preset must be one of fig7, fig7c, fig8" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig3", "--set", "tran.step=zzz"],
+        ["--netlist", "/nonexistent/x.ckt"],
+    ], ids=["set", "netlist"])
+    def test_scenario_flags_rejected(self, tmp_path, capsys, argv):
+        code = run_cli("sweep", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("preset, flag", [
+        ("fig7", ["--phases", "0"]),
+        ("fig7", ["--supply", "bench"]),
+        ("fig8", ["--loads", "10n"]),
+        ("fig8", ["--phases", "0"]),
+        ("fig8", ["--workers", "2"]),
+        ("fig7c", ["--freqs", "100"]),
+        ("fig7c", ["--loads", "10n"]),
+        ("fig7c", ["--supply", "bench"]),
+        ("fig7c", ["--plot"]),
+        ("fig7c", ["--workers", "2"]),
+    ], ids=lambda x: x if isinstance(x, str) else x[0].lstrip("-"))
+    def test_flag_the_sweep_does_not_read_exits_2(self, tmp_path, capsys, preset, flag):
+        code = run_cli("sweep", "--preset", preset, "--out", str(tmp_path), *flag)
+        assert code == 2
+        assert f"sweep --preset {preset} does not read {flag[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_every_unread_flag_named(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--preset", "fig7c", "--out", str(tmp_path),
+            "--plot", "--loads", "zzz", "--supply", "nope",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not read --loads, --supply, --plot (it reads --phases)" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_serial_sweep_accepts_one_worker(self, tmp_path):
+        code = run_cli(
+            "sweep", "--preset", "fig7c", "--out", str(tmp_path), "--phases", "0", "--workers", "1",
+        )
+        assert code == 0
+        assert len((tmp_path / "fig7c_phases.csv").read_text().splitlines()) == 2
 
 
 class TestMonteCarlo:

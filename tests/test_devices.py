@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from hvsim.circuit import CircuitError, ControlSignal, Resistor
+from hvsim.circuit import Capacitor, CircuitError, ControlSignal, ConverterSource, Resistor, Switch
 from hvsim.devices import (
     BenchSupplyParams,
-    ConverterParams,
     DeaLoadParams,
-    DriverSpec,
+    Fragment,
     ScheduleError,
-    derated_capacitance,
     driver_schedule,
     expand_bench_supply,
-    expand_converter,
     expand_dea_load,
     series_rc_load,
 )
@@ -23,28 +20,44 @@ from hvsim.engine import IntegrationSettings, dc_operating_point, run_transient
 from conftest import par
 
 
+def driver(turn_on_delay=0.4e-3, turn_off_delay=0.1e-3, delay_offset=0.0, invert=False):
+    """A switch carrying the given driver timing."""
+    return Switch("S1", "A", "0", "g", invert=invert, turn_on_delay=turn_on_delay,
+                  turn_off_delay=turn_off_delay, delay_offset=delay_offset)
+
+
+def converter(**params):
+    """Converter supply fragment."""
+    return Fragment((ConverterSource("X", "+", "-", **params),))
+
+
+def derated_capacitance(c0, derating, rated_voltage, v):
+    return Capacitor("C1", "A", "0", c0, derating=derating, rated_voltage=rated_voltage,
+                     bias_voltage=v).effective_capacitance()
+
+
 class TestDriverSchedule:
     def test_rising_edge_default_delay(self):
         # rising command at t=0 -> ON event 0.4 ms later
         ctrl = ControlSignal(frequency=10.0)
-        events = driver_schedule(ctrl, DriverSpec(), stop=0.06)
+        events = driver_schedule(ctrl, driver(), stop=0.06)
         assert events[0] == (pytest.approx(0.4e-3), True)
 
     def test_zero_delay_matches_command(self):
         ctrl = ControlSignal(frequency=50.0)
-        events = driver_schedule(ctrl, DriverSpec(0.0, 0.0), stop=0.05)
+        events = driver_schedule(ctrl, driver(0.0, 0.0), stop=0.05)
         assert events == ctrl.edges(0.05)
 
     def test_one_khz_valid_ten_khz_rejected(self):
-        driver = DriverSpec()
-        ok = driver_schedule(ControlSignal(frequency=1000.0), driver, stop=5e-3)
+        switch = driver()
+        ok = driver_schedule(ControlSignal(frequency=1000.0), switch, stop=5e-3)
         assert len(ok) > 0
         with pytest.raises(ScheduleError, match="too short"):
-            driver_schedule(ControlSignal(frequency=10000.0), driver, stop=5e-3)
+            driver_schedule(ControlSignal(frequency=10000.0), switch, stop=5e-3)
 
     def test_events_strictly_increase_and_alternate(self):
         ctrl = ControlSignal(frequency=200.0, duty=0.3)
-        events = driver_schedule(ctrl, DriverSpec(0.2e-3, 0.05e-3, 10e-6), stop=0.05)
+        events = driver_schedule(ctrl, driver(0.2e-3, 0.05e-3, 10e-6), stop=0.05)
         times = [t for t, _ in events]
         states = [s for _, s in events]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -52,15 +65,15 @@ class TestDriverSchedule:
 
     def test_offset_shifts_events(self):
         ctrl = ControlSignal(frequency=10.0)
-        base = driver_schedule(ctrl, DriverSpec(), stop=0.2)
-        nudged = driver_schedule(ctrl, DriverSpec(delay_offset=50e-6), stop=0.2)
+        base = driver_schedule(ctrl, driver(), stop=0.2)
+        nudged = driver_schedule(ctrl, driver(delay_offset=50e-6), stop=0.2)
         for (t0, s0), (t1, s1) in zip(base, nudged):
             assert s0 == s1
             assert t1 - t0 == pytest.approx(50e-6)
 
     def test_invert_swaps_delays(self):
         ctrl = ControlSignal(frequency=10.0)
-        inv = driver_schedule(ctrl, DriverSpec(), stop=0.2, invert=True)
+        inv = driver_schedule(ctrl, driver(invert=True), stop=0.2)
         # command rises at 0 -> inverted device FALLS, so off-delay applies
         assert inv[0] == (pytest.approx(0.1e-3), False)
 
@@ -73,20 +86,20 @@ def supply_circuit(fragment):
 
 class TestConverter:
     def test_open_circuit_settles_to_4500(self):
-        c = supply_circuit(expand_converter(ConverterParams()))
+        c = supply_circuit(converter())
         v = dc_operating_point(c, {})
         loaded = 4500.0 * 1e12 / (1e12 + 3e6)  # 1 TOhm measurement divider
         assert v["P"] == pytest.approx(loaded, rel=1e-9)
         assert v["P"] == pytest.approx(4500.0, rel=1e-5)
 
     def test_matched_load_halves_voltage(self):
-        comps = expand_converter(ConverterParams()).instantiate("P", "0", "sup")
+        comps = converter().instantiate("P", "0", "sup")
         comps.append(Resistor("Rload", "P", "0", 3e6))
         v = dc_operating_point(Circuit.build(comps), {})
         assert v["P"] == pytest.approx(2250.0, rel=1e-9)
 
     def test_short_circuit_current(self):
-        comps = expand_converter(ConverterParams()).instantiate("P", "0", "sup")
+        comps = converter().instantiate("P", "0", "sup")
         comps.append(Resistor("Rshort", "P", "0", 1e-3))
         v = dc_operating_point(Circuit.build(comps), {})
         i_short = v["P"] / 1e-3
@@ -94,9 +107,9 @@ class TestConverter:
 
     def test_open_circuit_step_response(self):
         # un-precharged output rises with tau = R_int * C_par
-        params = ConverterParams()
+        params = ConverterSource("X", "+", "-", precharged=False)
         tau = params.internal_resistance * params.parallel_capacitance
-        c = supply_circuit(expand_converter(params, precharged=False))
+        c = supply_circuit(converter(precharged=False))
         res = run_transient(c, IntegrationSettings(step=tau / 1000, stop=3 * tau), {})
         w = res.voltage("P")
         t = w.times()
@@ -105,7 +118,7 @@ class TestConverter:
         assert np.max(np.abs(w.samples - exact)) / 4500.0 < 1e-4
 
     def test_precharged_output_starts_settled(self):
-        c = supply_circuit(expand_converter(ConverterParams()))
+        c = supply_circuit(converter())
         res = run_transient(c, IntegrationSettings(step=1e-5, stop=1e-3), {})
         assert res.voltage("P").samples[0] == pytest.approx(4500.0, rel=1e-9)
 

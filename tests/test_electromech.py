@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from hvsim.analysis import measure_slew
 from hvsim.electromech import (
     ElectromechError,
     ElectromechParams,
     displacement_response,
-    rise_time_10_90,
 )
 from hvsim.waveform import Waveform
 
 
 def wave(samples, step):
     return Waveform(0.0, step, np.asarray(samples, dtype=float))
+
+
+def rise_time_10_90(v):
+    """10-90% rise time of the first edge crossing both thresholds (seconds)."""
+    return 0.8 * float(v.samples.max() - v.samples.min()) / measure_slew(v)
 
 
 PARAMS = ElectromechParams()
@@ -95,12 +100,12 @@ class TestRiseTime:
     def test_converter_charges_slower_at_6hz(self):
         # the supply comparison at 6 Hz: the converter's internal resistance
         # stretches the load's 10-90% voltage rise well past the bench value
-        from hvsim.devices import ConverterParams, DeaLoadParams, expand_dea_load
+        from hvsim.devices import DeaLoadParams, expand_dea_load
         from hvsim.electromech import _fig8_scenario
-        from hvsim.presets import bench_matched_to_converter
+        from hvsim.presets import CONVERTER, bench_matched_to_converter
         from hvsim.runner import run_scenario
 
-        conv = ConverterParams()
+        conv = CONVERTER
         bench = bench_matched_to_converter(conv, expand_dea_load(DeaLoadParams()))
         rt = {}
         for name, supply in (("converter", conv), ("bench", bench)):

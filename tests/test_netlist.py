@@ -1,11 +1,25 @@
 """Netlist language tests: grammar, diagnostics, round trips, value notation."""
 
 import math
+from dataclasses import MISSING, replace
 
 import numpy as np
 import pytest
 
-from hvsim.circuit import Capacitor, Resistor, Switch
+from hvsim.circuit import (
+    Capacitor,
+    Circuit,
+    ControlSignal,
+    ConverterSource,
+    Probe,
+    Resistor,
+    Switch,
+    VoltageSource,
+    params,
+)
+from hvsim.cli import apply_override
+from hvsim.devices import BenchSupplyParams, DeaLoadParams, expand_bench_supply, expand_dea_load
+from hvsim.engine import IntegrationSettings
 from hvsim.netlist import (
     NetlistError,
     format_value,
@@ -13,7 +27,7 @@ from hvsim.netlist import (
     parse_value,
     print_scenario,
 )
-from hvsim.presets import PRESET_NAMES, load_preset
+from hvsim.presets import PRESET_NAMES, load_fragment, load_preset
 from hvsim.scenario import Scenario
 
 MINIMAL_TAIL = "\n.tran 1u 1m\n.end\n"
@@ -296,3 +310,124 @@ class TestRoundTrip:
             assert reparsed.probes == scenario.probes
             checked += 1
         assert checked >= 800  # the corpus must be mostly valid
+
+
+def off_default(cls):
+    """Every keyed field of ``cls`` at a value off its default, distinct per
+    field; control-name fields name control ``g2``."""
+    values = {}
+    for i, p in enumerate(params(cls)):
+        if p.type is bool:
+            values[p.name] = not p.default
+        elif p.type is int:
+            values[p.name] = p.default + 3
+        elif p.type is str:
+            values[p.name] = "g2"
+        elif p.default in (MISSING, None, 0.0, math.inf):
+            values[p.name] = (i + 3) * 1e-4
+        else:
+            values[p.name] = 0.75 * p.default
+    return values
+
+
+#: every printable component kind, named with its statement letter
+COMPONENT_KINDS = {
+    "R1": Resistor, "C1": Capacitor, "S1": Switch, "V1": VoltageSource,
+    "X1": ConverterSource, "X2": Probe,
+}
+
+
+def schema_scenario() -> Scenario:
+    """One statement of every printable kind, every keyed field off its default."""
+    comps = [cls(name, "A", "0", **off_default(cls)) for name, cls in COMPONENT_KINDS.items()]
+    controls = {"g": ControlSignal(frequency=1.0), "g2": ControlSignal(**off_default(ControlSignal))}
+    return Scenario(
+        Circuit.build(comps, controls),
+        IntegrationSettings(**off_default(IntegrationSettings)),
+        probes=("A",),
+    )
+
+
+def _set_paths():
+    scenario = schema_scenario()
+    paths = [f"comp.{c.name}.{p.key}" for c in scenario.circuit.components for p in params(type(c))]
+    paths += [f"ctrl.g2.{p.key}" for p in params(ControlSignal)]
+    paths += [f"tran.{p.key}" for p in params(IntegrationSettings)]
+    return paths
+
+
+def _other_value(p, value):
+    """A valid value for ``p`` that differs from ``value``, and its text."""
+    if p.type is bool:
+        return not value, "1" if not value else "0"
+    if p.type is int:
+        return value + 1, str(value + 1)
+    if p.type is str:
+        return "g", "g"
+    return 1.25 * value, format_value(1.25 * value)
+
+
+def _target(scenario, kind, name):
+    """The component, control or settings a ``--set`` path addresses."""
+    if kind == "comp":
+        return scenario.circuit.component(name)
+    if kind == "ctrl":
+        return scenario.circuit.control_map[name]
+    return scenario.settings
+
+
+class TestSchema:
+    def test_every_statement_kind_round_trips_off_default(self):
+        scenario = schema_scenario()
+        text = print_scenario(scenario)
+        for cls in (*COMPONENT_KINDS.values(), ControlSignal, IntegrationSettings):
+            for p in params(cls):
+                if not p.positional:
+                    assert f" {p.key}=" in text, (cls.__name__, p.key)
+        reparsed = parse(text, origin=scenario.origin)
+        assert reparsed == scenario
+        assert print_scenario(reparsed) == text
+        for comp in reparsed.circuit.components:
+            for p in params(type(comp)):
+                if p.type is bool:
+                    assert type(getattr(comp, p.name)) is bool
+
+    @pytest.mark.parametrize("cls, expand, word", [
+        (BenchSupplyParams, expand_bench_supply, "bench"),
+        (DeaLoadParams, expand_dea_load, "dea"),
+    ], ids=["bench", "dea"])
+    def test_fragment_statements_read_every_key(self, cls, expand, word):
+        values = off_default(cls)
+        keys = " ".join(f"{p.key}={format_value(values[p.name])}" for p in params(cls))
+        scenario = parse_ok(f"Xf A 0 {word} {keys}\nR1 A 0 1k")
+        expected = expand(cls(**values)).instantiate("A", "0", "f")
+        assert list(scenario.circuit.components[:-1]) == expected
+
+    def test_bare_dea_statement_is_the_dea_load(self):
+        scenario = parse_ok("Xload O 0 dea\nV1 O 0 1")
+        assert list(scenario.circuit.components[:-1]) == load_fragment("dea").instantiate(
+            "O", "0", "load"
+        )
+
+    @pytest.mark.parametrize("path", _set_paths())
+    def test_set_changes_exactly_that_field(self, path):
+        scenario = schema_scenario()
+        kind, *names, key = path.split(".")
+        name = names[0] if names else None
+        target = _target(scenario, kind, name)
+        (p,) = [p for p in params(type(target)) if p.key == key]
+        value, text = _other_value(p, getattr(target, p.name))
+        changed = apply_override(scenario, path, text)
+        if kind == "comp":
+            expected = replace(
+                scenario, circuit=scenario.circuit.with_replaced(name, **{p.name: value})
+            )
+        elif kind == "ctrl":
+            controls = dict(scenario.circuit.controls, g2=replace(target, **{p.name: value}))
+            expected = replace(
+                scenario, circuit=replace(scenario.circuit, controls=tuple(controls.items()))
+            )
+        else:
+            expected = scenario.with_settings(**{p.name: value})
+        assert changed == expected
+        assert type(getattr(_target(changed, kind, name), p.name)) is type(value)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch, stamp_checksum
-from hvsim.devices import BenchSupplyParams, ConverterParams, series_rc_load
+from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
 from hvsim.engine import IntegrationSettings
-from hvsim.presets import load_preset
+from hvsim.presets import CONVERTER, load_preset
 from hvsim.runner import run_scenario, switch_timelines
 from hvsim.scenario import Scenario
 from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
@@ -16,7 +16,7 @@ from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_h
 
 def bridge(**kw):
     args = dict(
-        supply=BenchSupplyParams(voltage=800.0),
+        supply=expand_bench_supply(BenchSupplyParams(voltage=800.0)),
         stack=StackParams(),
         load=None,
         control=ControlSignal(frequency=1.0),
@@ -97,7 +97,7 @@ class TestBuildHalfBridge:
 class TestBuildDualChannel:
     def make(self, phase2):
         return build_dual_channel(
-            ConverterParams(),
+            CONVERTER,
             channels=(
                 ChannelSpec(ControlSignal(frequency=100.0), series_rc_load(100e3, 10e-9)),
                 ChannelSpec(
