@@ -14,7 +14,6 @@ parameters through :func:`params`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -361,27 +360,3 @@ class Circuit:
                 raise CircuitError(
                     f"node {label!r} has no DC path to ground (floating subcircuit)"
                 )
-
-
-def _canonical_records(circuit: Circuit) -> List[str]:
-    lines = []
-    for comp in circuit.components:
-        fields_ = [type(comp).__name__]
-        for key, value in sorted(vars(comp).items()):
-            fields_.append(f"{key}={value!r}")
-        lines.append(" ".join(fields_))
-    for name, ctrl in circuit.controls:
-        lines.append(
-            f"ctrl {name} {ctrl.shape} f={ctrl.frequency!r} duty={ctrl.duty!r} phase={ctrl.phase!r}"
-        )
-    return lines
-
-
-def stamp_checksum(circuit: Circuit) -> str:
-    """Canonical digest of the circuit structure and values.
-
-    Identical circuits hash identically; any change of topology, a component
-    value, or a control parameter changes the digest.
-    """
-    payload = "\n".join(_canonical_records(circuit)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()

@@ -219,7 +219,13 @@ def cmd_sweep(args) -> int:
         if supply not in ("bench", "converter", "both"):
             raise CliError("--supply must be bench, converter, or both")
         supplies = ("bench", "converter") if supply == "both" else (supply,)
-        tables = {s: electromech.displacement_sweep(s, freqs) for s in supplies}
+        errors = {s: {} for s in supplies}
+        tables = {
+            s: electromech.displacement_sweep(s, freqs, errors=errors[s]) for s in supplies
+        }
+        for s in supplies:
+            for f, reason in errors[s].items():
+                print(f"cell ({f:g} Hz, {s}) failed: {reason}", file=sys.stderr)
         csv_path = out / f"{name}_sweep.csv"
         with open(csv_path, "w", newline="\n") as fh:
             fh.write("freq_hz," + ",".join(f"x_{s}" for s in supplies) + "\n")
@@ -227,6 +233,7 @@ def cmd_sweep(args) -> int:
                 row = [repr(float(f))] + [repr(tables[s][float(f)]) for s in supplies]
                 fh.write(",".join(row) + "\n")
         if args.plot:
+            # a failed frequency is nan and plots as a gap
             series = {
                 s: (np.array(freqs), np.array([tables[s][float(f)] for f in freqs]))
                 for s in supplies
@@ -337,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--preset", help="preset name (e.g. fig3)")
         p.add_argument("--out", default=".", help="output directory")
+
+    def workers(p):
+        # run has no parallel work, so only sweep and montecarlo take --workers
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="worker threads, >= 1 (never changes results)")
 
@@ -359,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="frequency/load (fig7), phase (fig7c) or displacement (fig8) sweep"
     )
     common(p_sweep)
+    workers(p_sweep)
     plot_and_seed(p_sweep)
     p_sweep.add_argument("--freqs", help="fig7/fig8: comma-separated frequencies in Hz")
     p_sweep.add_argument("--loads", help="fig7: comma-separated loads (10n,20n,50n,dea)")
@@ -368,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="component-tolerance Monte-Carlo study")
     common(p_mc)
+    workers(p_mc)
     p_mc.add_argument("--seed", type=int, default=0, help="random seed")
     p_mc.add_argument("--trials", type=_positive_int, default=100)
     p_mc.add_argument("--sigma", type=float, default=1.0)

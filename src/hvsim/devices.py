@@ -7,7 +7,6 @@ a fragment rebinds those to real node labels and prefixes internal names.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -72,12 +71,6 @@ class DeaLoadParams:
             raise CircuitError("DEA load parameters must be positive")
         if self.parallel_resistance is not None and not self.parallel_resistance > 0:
             raise CircuitError("DEA parallel resistance must be positive or None")
-
-    @property
-    def dc_resistance(self) -> float:
-        if self.parallel_resistance is None:
-            return math.inf
-        return self.series_resistance + self.parallel_resistance
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.signal import cont2discrete, lfilter
 
 from .circuit import ControlSignal
-from .devices import DeaLoadParams, Fragment, expand_dea_load
+from .devices import DeaLoadParams, Fragment, ScheduleError, expand_dea_load
 from .engine import IntegrationSettings
 from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter
 from .runner import run_scenario
@@ -54,6 +53,10 @@ def displacement_response(v: Waveform, params: ElectromechParams) -> Waveform:
     second-order low-pass, discretized zero-order-hold on the waveform grid
     (exact for stepwise inputs at the sample instants).
     """
+    # imported here, not at module level: scipy.signal costs about 1 s to
+    # import and only the fig8 paths filter a waveform
+    from scipy.signal import cont2discrete, lfilter
+
     max_step = 1.0 / (20.0 * params.natural_frequency)
     if v.step > max_step:
         raise ElectromechError(
@@ -98,13 +101,16 @@ def displacement_sweep(
     supply: str,
     frequencies: Sequence[float] = FIG8_FREQUENCIES,
     params: Optional[ElectromechParams] = None,
+    errors: Optional[Dict[float, str]] = None,
 ) -> Dict[float, float]:
     """Displacement amplitude per frequency for ``supply`` of ``converter`` or
     ``bench``.
 
     The bench setting is matched to the converter's loaded DC output, so the
     two supplies agree in the quasi-static limit and differ only through
-    their dynamics.
+    their dynamics.  A frequency too fast for the driver delays gets ``nan``
+    and the other frequencies still run; ``errors``, if given, receives the
+    reason for each such frequency.
     """
     if supply not in ("converter", "bench"):
         raise ElectromechError(f"supply must be 'converter' or 'bench', got {supply!r}")
@@ -116,9 +122,15 @@ def displacement_sweep(
     else:
         sup = bench_matched_to_converter(CONVERTER, expand_dea_load(DeaLoadParams()))
     out: Dict[float, float] = {}
-    for f in frequencies:
-        run = run_scenario(_fig8_scenario(sup, float(f)))
+    for f in map(float, frequencies):
+        try:
+            run = run_scenario(_fig8_scenario(sup, f))
+        except ScheduleError as exc:
+            out[f] = math.nan
+            if errors is not None:
+                errors[f] = str(exc)
+            continue
         x = displacement_response(run.voltage("load_m"), params)
-        out[float(f)] = displacement_amplitude(x, 1.0 / float(f))
+        out[f] = displacement_amplitude(x, 1.0 / f)
     return out
 

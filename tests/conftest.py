@@ -1,5 +1,7 @@
 """Shared fixtures: preset runs are expensive, so they are session-scoped."""
 
+import hashlib
+
 import pytest
 
 from hvsim.presets import load_preset
@@ -9,6 +11,21 @@ from hvsim.runner import run_scenario
 def par(*resistances):
     """Parallel resistance (test-side oracle helper)."""
     return 1.0 / sum(1.0 / r for r in resistances)
+
+
+def stamp_checksum(circuit):
+    """sha256 of every component's fields and every control signal: equal
+    circuits hash equally, and any change of topology or value shows."""
+    lines = [
+        " ".join([type(comp).__name__]
+                 + [f"{key}={value!r}" for key, value in sorted(vars(comp).items())])
+        for comp in circuit.components
+    ]
+    lines += [
+        f"ctrl {name} {ctrl.shape} f={ctrl.frequency!r} duty={ctrl.duty!r} phase={ctrl.phase!r}"
+        for name, ctrl in circuit.controls
+    ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="session")

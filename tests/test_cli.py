@@ -1,5 +1,11 @@
 """CLI contract tests: outputs, exit codes, overrides, and determinism."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hvsim import analysis
@@ -93,6 +99,14 @@ class TestRun:
             "--set", "comp.Rb1.value=1.8M", "--set", "tran.stop=0.1",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("workers", ["2", "1", "0", "-1"])
+    def test_workers_rejected_exits_2(self, tmp_path, capsys, workers):
+        # run has no parallel work: --workers is not one of its flags
+        code = run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--workers", workers)
+        assert code == 2
+        assert f"error: unrecognized arguments: --workers {workers}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_fig8_emits_displacement_csv(self, tmp_path):
         code = run_cli("run", "--preset", "fig8", "--out", str(tmp_path))
@@ -217,6 +231,24 @@ class TestSweep:
         assert lines[0] == "freq_hz,x_bench,x_converter"
         assert len(lines) == 3
 
+    def test_fig8_too_fast_frequency_is_a_nan_row(self, tmp_path, capsys):
+        # 5 kHz is shorter than the driver delays; the 2 Hz row must survive
+        code = run_cli(
+            "sweep", "--preset", "fig8", "--out", str(tmp_path),
+            "--freqs", "2,5000,15", "--supply", "converter", "--plot",
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "cell (5000 Hz, converter) failed: driver delays reorder events" in err
+        lines = (tmp_path / "fig8_sweep.csv").read_text().splitlines()
+        assert lines[0] == "freq_hz,x_converter"
+        rows = {float(f): float(x) for f, x in (line.split(",") for line in lines[1:])}
+        assert list(rows) == [2.0, 5000.0, 15.0]
+        assert math.isnan(rows[5000.0])
+        assert math.isfinite(rows[2.0]) and math.isfinite(rows[15.0])
+        # the failed middle frequency splits the curve in two
+        assert (tmp_path / "fig8_sweep.svg").read_text().count("<polyline") == 2
+
     def test_fig7c_phase_table(self, tmp_path):
         code = run_cli(
             "sweep", "--preset", "fig7c", "--out", str(tmp_path),
@@ -327,10 +359,9 @@ class TestMonteCarlo:
 
 class TestSharedFlags:
     @pytest.mark.parametrize("command", [
-        ["run", "--preset", "fig3"],
         ["sweep", "--preset", "fig7", "--freqs", "100", "--loads", "10n"],
         ["montecarlo", "--preset", "fig3", "--trials", "1"],
-    ], ids=["run", "sweep", "montecarlo"])
+    ], ids=["sweep", "montecarlo"])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
         code = run_cli(*command, "--out", str(tmp_path), "--workers", workers)
@@ -386,3 +417,16 @@ class TestDeterminism:
                 "--trials", "8", "--seed", "4", "--workers", workers,
             ) == 0
         assert (a / "fig3_mc.csv").read_bytes() == (b / "fig3_mc.csv").read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes about 1 s to import and only the fig8 filter uses it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, hvsim.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

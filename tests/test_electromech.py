@@ -10,6 +10,7 @@ from hvsim.electromech import (
     ElectromechError,
     ElectromechParams,
     displacement_response,
+    displacement_sweep,
 )
 from hvsim.waveform import Waveform
 
@@ -113,3 +114,14 @@ class TestRiseTime:
             v = run.voltage("load_m")
             rt[name] = rise_time_10_90(v.slice_time(v.stop - 1.0 / 6.0, v.stop))
         assert rt["converter"] > 2.0 * rt["bench"]
+
+
+class TestDisplacementSweep:
+    def test_too_fast_frequency_is_nan_and_reported(self):
+        errors = {}
+        amps = displacement_sweep("bench", [2.0, 5000.0], errors=errors)
+        assert list(amps) == [2.0, 5000.0]
+        assert math.isfinite(amps[2.0]) and amps[2.0] > 0
+        assert math.isnan(amps[5000.0])
+        assert list(errors) == [5000.0]
+        assert "driver delays reorder events" in errors[5000.0]

@@ -13,7 +13,6 @@ from hvsim.circuit import (
     Resistor,
     Switch,
     VoltageSource,
-    stamp_checksum,
 )
 from hvsim.engine import (
     IntegrationSettings,
@@ -24,7 +23,7 @@ from hvsim.engine import (
 from hvsim.presets import load_preset
 from hvsim.runner import run_scenario
 
-from conftest import par
+from conftest import par, stamp_checksum
 
 
 def simple_circuit(*components, controls=None):

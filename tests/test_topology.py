@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from hvsim.circuit import CircuitError, ControlSignal, Switch, stamp_checksum
+from hvsim.circuit import CircuitError, ControlSignal, Switch
 from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
 from hvsim.engine import IntegrationSettings
 from hvsim.presets import CONVERTER, load_preset
 from hvsim.runner import run_scenario, switch_timelines
 from hvsim.scenario import Scenario
 from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
+
+from conftest import stamp_checksum
 
 
 def bridge(**kw):
