@@ -1,20 +1,21 @@
 """Waveform metrics and study orchestration: amplitude, slew rate, per-device
 voltage shares, frequency/load sweeps, dual-channel phasing, and seeded
-Monte-Carlo mismatch studies."""
+Monte-Carlo mismatch studies.  Every study runs its keyed cells through
+:func:`run_study` and is written with :func:`write_table`."""
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import ControlSignal
 from .devices import ScheduleError
 from .engine import IntegrationSettings, SimulationError
-from .presets import CONVERTER, FIG7C_PHASES, load_fragment
+from .presets import CONVERTER, FIG7C_PHASES, dual_channel_with_phase, load_fragment
 from .runner import RunResult, run_scenario
 from .scenario import Scenario
 from .topology import StackParams, build_half_bridge
@@ -136,50 +137,60 @@ def voltage_shares(
     return drops, Metrics(shares=shares, max_device_drop=max_drop)
 
 
-@dataclass
-class SweepCell:
-    frequency: float
-    load: str
-    metrics: Optional[Metrics] = None
-    error: Optional[str] = None
+#: the failures that fail one study cell and leave the others running
+CELL_ERRORS = (SimulationError, ScheduleError, MeasureError, WaveformError)
 
 
-@dataclass
-class SweepTable:
-    frequencies: Tuple[float, ...]
-    loads: Tuple[str, ...]
-    cells: Dict[Tuple[float, str], SweepCell]
+@dataclass(frozen=True)
+class Study:
+    """Cells of one study in key order: cell ``keys[i]`` gave ``values[i]``,
+    or failed with reason ``errors[i]`` and has value None."""
 
-    def amplitude(self, frequency: float, load: str) -> float:
-        cell = self.cells[(frequency, load)]
-        if cell.metrics is None or cell.metrics.amplitude is None:
-            raise MeasureError(f"cell ({frequency}, {load}) failed: {cell.error}")
-        return cell.metrics.amplitude
+    keys: Tuple[Any, ...]
+    values: Tuple[Any, ...]
+    errors: Tuple[Optional[str], ...]
 
-    def to_csv(self, path) -> None:
-        def fmt(x: Optional[float]) -> str:
-            return "nan" if x is None else repr(float(x))
+    def failures(self) -> List[Tuple[Any, str]]:
+        return [(k, e) for k, e in zip(self.keys, self.errors) if e is not None]
 
-        with open(path, "w", newline="\n") as fh:
-            fh.write("freq_hz,load,amplitude_v,slew_v_per_s,max_drop_v,peak_i_a,peak_p_w\n")
-            for f in self.frequencies:
-                for load in self.loads:
-                    cell = self.cells[(f, load)]
-                    m = cell.metrics or Metrics()
-                    fh.write(
-                        ",".join(
-                            [
-                                repr(float(f)),
-                                load,
-                                fmt(m.amplitude),
-                                fmt(m.slew_rate),
-                                fmt(m.max_device_drop),
-                                fmt(m.peak_source_current),
-                                fmt(m.peak_source_power),
-                            ]
-                        )
-                        + "\n"
-                    )
+
+def run_study(cell: Callable[[Any], Any], keys: Sequence[Any], workers: int = 1) -> Study:
+    """Run ``cell(key)`` for every key, on ``workers`` threads.
+
+    Cells are independent and keyed, so results are identical for any worker
+    count.  A cell that raises one of :data:`CELL_ERRORS` fails alone.
+    """
+
+    def attempt(key):
+        try:
+            return cell(key), None
+        except CELL_ERRORS as exc:
+            return None, str(exc)
+
+    keys = tuple(keys)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, keys))
+    else:
+        outcomes = [attempt(k) for k in keys]
+    return Study(keys, tuple(v for v, _ in outcomes), tuple(e for _, e in outcomes))
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Comma-separated table: None is written as ``nan``, text and ints as
+    they are, and every other value as ``repr(float(v))``."""
+
+    def fmt(v: Any) -> str:
+        if v is None:
+            return "nan"
+        if isinstance(v, (str, int)):
+            return str(v)
+        return repr(float(v))
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def settle_periods_for(
@@ -253,12 +264,9 @@ def frequency_sweep(
     balancing: float = 1.8e6,
     set_voltage: float = 1800.0,
     workers: int = 1,
-) -> SweepTable:
-    """Amplitude/metric grid over frequency x load, converter-fed.
-
-    Every cell runs to its own steady state and is keyed by grid coordinates,
-    so results are identical for any worker count.
-    """
+) -> Study:
+    """:class:`Metrics` per (frequency, load) cell, converter-fed, frequency
+    major.  Every cell runs to its own steady state."""
     if not frequencies:
         raise MeasureError("empty frequency list")
     if not loads:
@@ -266,49 +274,32 @@ def frequency_sweep(
     if any(f <= 0 for f in frequencies):
         raise MeasureError("frequencies must be positive")
 
-    def run_cell(key: Tuple[float, str]) -> SweepCell:
+    def cell(key: Tuple[float, str]) -> Metrics:
         f, load = key
-        try:
-            scenario = _sweep_scenario(f, load, balancing, set_voltage)
-            run = run_scenario(scenario)
-            return SweepCell(f, load, metrics=_cell_metrics(run, f))
-        except (SimulationError, ScheduleError, MeasureError, WaveformError) as exc:
-            return SweepCell(f, load, error=str(exc))
+        run = run_scenario(_sweep_scenario(f, load, balancing, set_voltage))
+        return _cell_metrics(run, f)
 
     keys = [(float(f), str(load)) for f in frequencies for load in loads]
-    cells: Dict[Tuple[float, str], SweepCell]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, keys))
-    else:
-        results = [run_cell(k) for k in keys]
-    cells = {k: cell for k, cell in zip(keys, results)}
-    return SweepTable(
-        frequencies=tuple(float(f) for f in frequencies),
-        loads=tuple(str(l) for l in loads),
-        cells=cells,
-    )
+    return run_study(cell, keys, workers)
 
 
-def phase_sweep(
-    make_dual: Callable[[float], Scenario],
-    phases: Sequence[float] = FIG7C_PHASES,
-) -> Dict[float, Metrics]:
-    """Peak converter current/power per channel-phase difference.
+def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
+    """Peak converter current/power per fig7c channel-phase difference.
 
     Peaks are taken over the full run including the first switching event,
     where the pre-charged supply state is identical across phases.
     """
-    out: Dict[float, Metrics] = {}
-    for phase in phases:
-        run = run_scenario(make_dual(phase))
+
+    def cell(phase: float) -> Metrics:
+        run = run_scenario(dual_channel_with_phase(phase))
         i_p = run.supply_port_current("sup")
         v_p = run.voltage("A")
-        out[float(phase)] = Metrics(
+        return Metrics(
             peak_source_current=float(i_p.samples.max()),
             peak_source_power=float(np.max(i_p.samples * v_p.samples)),
         )
-    return out
+
+    return run_study(cell, [float(p) for p in phases])
 
 
 @dataclass(frozen=True)
@@ -335,73 +326,28 @@ class MismatchModel:
             raise MeasureError("trials must be >= 1")
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    seed: int
-    max_drop: Optional[float]
-    status: str
-
-
-@dataclass
-class MonteCarloResult:
-    records: List[TrialRecord]
-
-    def drops(self) -> np.ndarray:
-        return np.array([r.max_drop for r in self.records if r.max_drop is not None])
-
-    def summary(self) -> Dict[str, float]:
-        d = self.drops()
-        if d.size == 0:
-            raise MeasureError("no successful trials")
-        return {
-            "min": float(d.min()),
-            "median": float(np.median(d)),
-            "p99": float(np.percentile(d, 99)),
-            "max": float(d.max()),
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("trial,seed,max_drop_v,status\n")
-            for r in self.records:
-                drop = "nan" if r.max_drop is None else repr(float(r.max_drop))
-                fh.write(f"{r.trial},{r.seed},{drop},{r.status}\n")
-
-
 def monte_carlo(
     build: Callable[[Sequence[float], Sequence[float]], Scenario],
     model: MismatchModel,
     n_devices: int = 4,
     workers: int = 1,
-) -> MonteCarloResult:
-    """Run ``model.trials`` scenarios with sampled off-resistances/offsets.
+) -> Study:
+    """Maximum device drop over the full run per (trial, trial seed) cell.
 
-    ``build(off_resistances, offsets)`` constructs the per-trial scenario,
-    which must probe nodes A, B, O and C.  The summary statistic is the
-    maximum device drop over the full run.
+    ``build(off_resistances, offsets)`` constructs the per-trial scenario
+    with sampled off-resistances/offsets; it must probe nodes A, B, O and C.
     """
-    root = np.random.SeedSequence(model.seed)
-    children = root.spawn(model.trials)
+    children = np.random.SeedSequence(model.seed).spawn(model.trials)
 
-    def run_trial(i: int) -> TrialRecord:
-        rng = np.random.Generator(np.random.PCG64(children[i]))
+    def trial(key: Tuple[int, int]) -> float:
+        rng = np.random.Generator(np.random.PCG64(children[key[0]]))
         offs = model.median_off_resistance * np.exp(
             model.sigma * rng.standard_normal(n_devices)
         )
         offsets = rng.uniform(-model.offset_span, model.offset_span, n_devices)
-        trial_seed = int(children[i].generate_state(1)[0])
-        try:
-            scenario = build(list(offs), list(offsets))
-            w = run_scenario(scenario).waveforms
-            _, metrics = voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"])
-            return TrialRecord(i, trial_seed, metrics.max_device_drop, "ok")
-        except (SimulationError, ScheduleError, WaveformError, MeasureError) as exc:
-            return TrialRecord(i, trial_seed, None, f"failed: {exc}")
+        w = run_scenario(build(list(offs), list(offsets))).waveforms
+        _, metrics = voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"])
+        return metrics.max_device_drop
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, range(model.trials)))
-    else:
-        records = [run_trial(i) for i in range(model.trials)]
-    return MonteCarloResult(records=records)
+    keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
+    return run_study(trial, keys, workers)

@@ -75,15 +75,12 @@ class ControlSignal:
     frequency: float = param("f")
     duty: float = param("duty", 0.5)
     phase: float = param("phase", 0.0)
-    shape: str = "square"
 
     def __post_init__(self) -> None:
         if self.frequency < 0:
             raise CircuitError(f"control frequency must be >= 0, got {self.frequency}")
         if not 0.0 < self.duty < 1.0:
             raise CircuitError(f"control duty must be in (0, 1), got {self.duty}")
-        if self.shape != "square":
-            raise CircuitError(f"unsupported control shape {self.shape!r}")
 
     @property
     def phase_periods(self) -> float:

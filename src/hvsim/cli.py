@@ -191,6 +191,24 @@ def _parse_phase(tok: str) -> float:
         raise CliError(f"bad phase {tok!r}") from None
 
 
+def _report_failures(study: analysis.Study, label) -> int:
+    """Name every failed cell of ``study`` on stderr; return their number."""
+    failed = study.failures()
+    for key, reason in failed:
+        print(f"cell ({label(key)}) failed: {reason}", file=sys.stderr)
+    return len(failed)
+
+
+def _plot_sweep(path: Path, freqs: Sequence[float], curves, ylabel: str, title: str) -> None:
+    """Log-frequency plot, one curve per label; a failed cell (None) plots as
+    a gap."""
+    series = {
+        label: (np.array(freqs), np.array(values, dtype=float))
+        for label, values in curves.items()
+    }
+    plotting.line_plot(path, series, "frequency [Hz]", ylabel, log_x=True, title=title)
+
+
 def cmd_sweep(args) -> int:
     name = args.preset
     if name not in SWEEP_FLAGS:
@@ -219,29 +237,18 @@ def cmd_sweep(args) -> int:
         if supply not in ("bench", "converter", "both"):
             raise CliError("--supply must be bench, converter, or both")
         supplies = ("bench", "converter") if supply == "both" else (supply,)
-        errors = {s: {} for s in supplies}
-        tables = {
-            s: electromech.displacement_sweep(s, freqs, errors=errors[s]) for s in supplies
-        }
+        x = {}
         for s in supplies:
-            for f, reason in errors[s].items():
-                print(f"cell ({f:g} Hz, {s}) failed: {reason}", file=sys.stderr)
+            study = electromech.displacement_sweep(s, freqs)
+            _report_failures(study, lambda f: f"{f:g} Hz, {s}")
+            x[s] = study.values
         csv_path = out / f"{name}_sweep.csv"
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("freq_hz," + ",".join(f"x_{s}" for s in supplies) + "\n")
-            for f in freqs:
-                row = [repr(float(f))] + [repr(tables[s][float(f)]) for s in supplies]
-                fh.write(",".join(row) + "\n")
+        analysis.write_table(
+            csv_path, ["freq_hz"] + [f"x_{s}" for s in supplies], zip(freqs, *x.values())
+        )
         if args.plot:
-            # a failed frequency is nan and plots as a gap
-            series = {
-                s: (np.array(freqs), np.array([tables[s][float(f)] for f in freqs]))
-                for s in supplies
-            }
-            plotting.line_plot(
-                out / f"{name}_sweep.svg", series, "frequency [Hz]",
-                "displacement amplitude [norm]", log_x=True, title=name,
-            )
+            _plot_sweep(out / f"{name}_sweep.svg", freqs, x,
+                        "displacement amplitude [norm]", name)
         print(f"wrote {csv_path}")
         return 0
 
@@ -251,17 +258,14 @@ def cmd_sweep(args) -> int:
             if args.phases is not None
             else list(presets.FIG7C_PHASES)
         )
-        if not phases:
-            raise CliError("empty phase list")
-        table = analysis.phase_sweep(presets.dual_channel_with_phase, phases)
+        study = analysis.phase_sweep(phases)
+        _report_failures(study, lambda p: f"phase {p:g}")
         csv_path = out / f"{name}_phases.csv"
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("phase_rad,peak_i_a,peak_p_w\n")
-            for phase in phases:
-                m = table[float(phase)]
-                fh.write(
-                    f"{float(phase)!r},{m.peak_source_current!r},{m.peak_source_power!r}\n"
-                )
+        metrics = [m or analysis.Metrics() for m in study.values]
+        analysis.write_table(csv_path, ["phase_rad", "peak_i_a", "peak_p_w"], [
+            (phase, m.peak_source_current, m.peak_source_power)
+            for phase, m in zip(study.keys, metrics)
+        ])
         print(f"wrote {csv_path}")
         return 0
 
@@ -279,24 +283,25 @@ def cmd_sweep(args) -> int:
         raise CliError("empty entry in load list")
     for load in loads:
         presets.load_fragment(load)  # validate descriptors up front
-    table = analysis.frequency_sweep(freqs, loads, workers=args.workers)
+    study = analysis.frequency_sweep(freqs, loads, workers=args.workers)
+    metrics = [m or analysis.Metrics() for m in study.values]
     csv_path = out / f"{name}_sweep.csv"
-    table.to_csv(csv_path)
-    failed = [c for c in table.cells.values() if c.error]
-    for cell in failed:
-        print(f"cell ({cell.frequency:g} Hz, {cell.load}) failed: {cell.error}", file=sys.stderr)
+    analysis.write_table(
+        csv_path,
+        ["freq_hz", "load", "amplitude_v", "slew_v_per_s", "max_drop_v", "peak_i_a", "peak_p_w"],
+        [
+            (f, load, m.amplitude, m.slew_rate, m.max_device_drop,
+             m.peak_source_current, m.peak_source_power)
+            for (f, load), m in zip(study.keys, metrics)
+        ],
+    )
+    failed = _report_failures(study, lambda key: f"{key[0]:g} Hz, {key[1]}")
     if args.plot:
-        series = {}
-        for load in loads:
-            # a failed cell has no metrics and plots as a gap
-            cells = [table.cells[(float(f), load)] for f in freqs]
-            amps = [(c.metrics or analysis.Metrics()).amplitude for c in cells]
-            series[load] = (np.array(freqs), np.array(amps, dtype=float))
-        plotting.line_plot(
-            out / f"{name}_sweep.svg", series, "frequency [Hz]",
-            "amplitude [V]", log_x=True, title=name,
-        )
-    print(f"wrote {csv_path} ({len(freqs) * len(loads)} cells, {len(failed)} failed)")
+        # frequency-major cells: load j of frequency i is cell i*len(loads)+j
+        amps = [m.amplitude for m in metrics]
+        curves = {load: amps[j::len(loads)] for j, load in enumerate(loads)}
+        _plot_sweep(out / f"{name}_sweep.svg", freqs, curves, "amplitude [V]", name)
+    print(f"wrote {csv_path} ({len(study.keys)} cells, {failed} failed)")
     return 0
 
 
@@ -313,15 +318,20 @@ def cmd_montecarlo(args) -> int:
     model = analysis.MismatchModel(
         sigma=args.sigma, trials=args.trials, seed=args.seed
     )
-    result = analysis.monte_carlo(build, model, workers=args.workers)
+    study = analysis.monte_carlo(build, model, workers=args.workers)
     out = _out_dir(args)
     csv_path = out / f"{name}_mc.csv"
-    result.to_csv(csv_path)
-    summary = result.summary()
+    analysis.write_table(csv_path, ["trial", "seed", "max_drop_v", "status"], [
+        (trial, seed, drop, "ok" if error is None else f"failed: {error}")
+        for (trial, seed), drop, error in zip(study.keys, study.values, study.errors)
+    ])
+    drops = np.array([d for d in study.values if d is not None])
+    if drops.size == 0:
+        raise analysis.MeasureError("no successful trials")
     print(
         f"{name}: trials={args.trials} sigma={args.sigma:g} seed={args.seed} "
-        f"max_drop min={summary['min']:.3f} median={summary['median']:.3f} "
-        f"p99={summary['p99']:.3f} max={summary['max']:.3f}"
+        f"max_drop min={drops.min():.3f} median={np.median(drops):.3f} "
+        f"p99={np.percentile(drops, 99):.3f} max={drops.max():.3f}"
     )
     print(f"wrote {csv_path}")
     return 0

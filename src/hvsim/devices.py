@@ -169,15 +169,15 @@ def series_rc_load(resistance: float, capacitance: float) -> Fragment:
 
 def ceramic_load(
     c0: float,
-    series_resistance: float = 100e3,
-    derating: float = 2e-4,
-    rated_voltage: float = 2000.0,
-    bias_voltage: float = 0.0,
+    series_resistance: float,
+    derating: float,
+    rated_voltage: float,
+    bias_voltage: float,
 ) -> Fragment:
     """Series-RC load built from a ceramic capacitor with HV derating.
 
-    The derating coefficient (2e-4 per volt, clamped at the 2 kV rating) is a
-    calibration default; simulation uses the derated value at ``bias_voltage``.
+    The derating coefficient is per volt, clamped at ``rated_voltage``;
+    simulation uses the derated value at ``bias_voltage``.
     """
     comps = (
         Resistor(name="R_rs", pos="+", neg="m", resistance=series_resistance),

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .analysis import Study, measure_amplitude, run_study, sweep_step_for
 from .circuit import ControlSignal
-from .devices import DeaLoadParams, Fragment, ScheduleError, expand_dea_load
+from .devices import DeaLoadParams, Fragment, expand_dea_load
 from .engine import IntegrationSettings
 from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter
 from .runner import run_scenario
@@ -72,17 +73,10 @@ def displacement_response(v: Waveform, params: ElectromechParams) -> Waveform:
     return Waveform(v.start, v.step, x)
 
 
-def displacement_amplitude(x: Waveform, period: float) -> float:
-    """Half the peak-to-peak displacement over the final period."""
-    final = x.slice_time(x.stop - period, x.stop)
-    return float(final.samples.max() - final.samples.min()) / 2.0
-
-
 def _fig8_scenario(
     supply: Fragment, frequency: float, balancing: float = 1.8e6
 ) -> Scenario:
     period = 1.0 / frequency
-    step = min(20e-6, period / 2000.0)
     circuit = build_half_bridge(
         supply,
         StackParams(balancing_resistance=balancing),
@@ -91,46 +85,34 @@ def _fig8_scenario(
     )
     return Scenario(
         circuit,
-        IntegrationSettings(step=step, stop=2.0 * period),
+        IntegrationSettings(step=sweep_step_for(frequency), stop=2.0 * period),
         probes=("A", "O", "load_m"),
         origin=f"fig8-{frequency:g}Hz",
     )
 
 
 def displacement_sweep(
-    supply: str,
-    frequencies: Sequence[float] = FIG8_FREQUENCIES,
-    params: Optional[ElectromechParams] = None,
-    errors: Optional[Dict[float, str]] = None,
-) -> Dict[float, float]:
-    """Displacement amplitude per frequency for ``supply`` of ``converter`` or
-    ``bench``.
+    supply: str, frequencies: Sequence[float] = FIG8_FREQUENCIES
+) -> Study:
+    """Displacement amplitude (half the peak-to-peak swing over the final
+    period) per frequency for ``supply`` of ``converter`` or ``bench``.
 
     The bench setting is matched to the converter's loaded DC output, so the
     two supplies agree in the quasi-static limit and differ only through
-    their dynamics.  A frequency too fast for the driver delays gets ``nan``
-    and the other frequencies still run; ``errors``, if given, receives the
-    reason for each such frequency.
+    their dynamics.
     """
     if supply not in ("converter", "bench"):
         raise ElectromechError(f"supply must be 'converter' or 'bench', got {supply!r}")
     if any(f <= 0 for f in frequencies):
         raise ElectromechError("frequencies must be positive")
-    params = params or ElectromechParams()
     if supply == "converter":
         sup = CONVERTER
     else:
         sup = bench_matched_to_converter(CONVERTER, expand_dea_load(DeaLoadParams()))
-    out: Dict[float, float] = {}
-    for f in map(float, frequencies):
-        try:
-            run = run_scenario(_fig8_scenario(sup, f))
-        except ScheduleError as exc:
-            out[f] = math.nan
-            if errors is not None:
-                errors[f] = str(exc)
-            continue
-        x = displacement_response(run.voltage("load_m"), params)
-        out[f] = displacement_amplitude(x, 1.0 / f)
-    return out
 
+    def cell(f: float) -> float:
+        run = run_scenario(_fig8_scenario(sup, f))
+        x = displacement_response(run.voltage("load_m"), ElectromechParams())
+        return measure_amplitude(x, 1, 1.0 / f, mode="bipolar")
+
+    return run_study(cell, [float(f) for f in frequencies])

@@ -28,7 +28,7 @@ from .devices import Fragment
 
 @dataclass(frozen=True)
 class StackParams:
-    """Per-channel series-stack configuration.
+    """Per-channel series-stack configuration: two devices per side.
 
     The per-device sequences run top to bottom: high side first, then low
     side.  The 900 MOhm / 100 MOhm default off-resistances model the leakage
@@ -38,24 +38,16 @@ class StackParams:
     the :class:`~hvsim.circuit.Switch` defaults.
     """
 
-    devices_per_side: int = 2
     balancing_resistance: Optional[float] = 3.6e6
     snubber_capacitance: Optional[float] = None
     off_resistances: Sequence[float] = (900e6, 100e6, 900e6, 100e6)
     driver_offsets: Sequence[float] = (0.0, 50e-6, 0.0, 50e-6)
 
     def __post_init__(self) -> None:
-        if self.devices_per_side < 1:
-            raise CircuitError("devices per side must be >= 1")
-        n_total = 2 * self.devices_per_side
-        if len(self.off_resistances) != n_total:
-            raise CircuitError(
-                f"need {n_total} off-resistances, got {len(self.off_resistances)}"
-            )
-        if len(self.driver_offsets) != n_total:
-            raise CircuitError(
-                f"need {n_total} driver offsets, got {len(self.driver_offsets)}"
-            )
+        if len(self.off_resistances) != 4:
+            raise CircuitError(f"need 4 off-resistances, got {len(self.off_resistances)}")
+        if len(self.driver_offsets) != 4:
+            raise CircuitError(f"need 4 driver offsets, got {len(self.driver_offsets)}")
         if self.balancing_resistance is not None and not self.balancing_resistance > 0:
             raise CircuitError("balancing resistance must be positive or None")
         if self.snubber_capacitance is not None and not self.snubber_capacitance > 0:
@@ -70,13 +62,6 @@ class ChannelSpec:
     load: Optional[Fragment]
 
 
-def _side_nodes(top: str, bottom: str, count: int, mid_labels: Sequence[str]) -> List[str]:
-    if count - 1 > len(mid_labels):
-        extra = [f"{mid_labels[0]}{i}" for i in range(len(mid_labels), count - 1)]
-        mid_labels = list(mid_labels) + extra
-    return [top] + list(mid_labels[: count - 1]) + [bottom]
-
-
 def _stack_side(
     params: StackParams,
     control_name: str,
@@ -86,9 +71,8 @@ def _stack_side(
     prefix: str,
 ) -> List[Component]:
     comps: List[Component] = []
-    for i in range(params.devices_per_side):
+    for i, (pos, neg) in enumerate(zip(nodes, nodes[1:])):
         di = base_index + i
-        pos, neg = nodes[i], nodes[i + 1]
         comps.append(
             Switch(
                 name=f"S{prefix}q{di + 1}",
@@ -125,10 +109,8 @@ def build_half_bridge(
     """
     comps: List[Component] = supply.instantiate("A", "0", "sup")
 
-    high = _side_nodes("A", "O", stack.devices_per_side, ["B"])
-    low = _side_nodes("O", "0", stack.devices_per_side, ["C"])
-    comps.extend(_stack_side(stack, control_name, False, high, 0, ""))
-    comps.extend(_stack_side(stack, control_name, True, low, stack.devices_per_side, ""))
+    comps.extend(_stack_side(stack, control_name, False, ("A", "B", "O"), 0, ""))
+    comps.extend(_stack_side(stack, control_name, True, ("O", "C", "0"), 2, ""))
 
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
@@ -151,12 +133,10 @@ def build_dual_channel(
         tag = str(ch_i)
         ctrl_name = f"g{tag}"
         controls[ctrl_name] = channel.control
-        high = _side_nodes("A", f"O{tag}", stack.devices_per_side, [f"B{tag}"])
-        low = _side_nodes(f"O{tag}", "0", stack.devices_per_side, [f"C{tag}"])
+        high = ("A", f"B{tag}", f"O{tag}")
+        low = (f"O{tag}", f"C{tag}", "0")
         comps.extend(_stack_side(stack, ctrl_name, False, high, 0, f"ch{tag}"))
-        comps.extend(
-            _stack_side(stack, ctrl_name, True, low, stack.devices_per_side, f"ch{tag}")
-        )
+        comps.extend(_stack_side(stack, ctrl_name, True, low, 2, f"ch{tag}"))
         if channel.load is not None:
             comps.extend(channel.load.instantiate(f"O{tag}", "0", f"load{tag}"))
     return Circuit.build(comps, controls)

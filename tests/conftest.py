@@ -13,6 +13,12 @@ def par(*resistances):
     return 1.0 / sum(1.0 / r for r in resistances)
 
 
+def study_values(study):
+    """{key: value} of an ``analysis.Study`` whose every cell succeeded."""
+    assert not study.failures(), study.failures()
+    return dict(zip(study.keys, study.values))
+
+
 def stamp_checksum(circuit):
     """sha256 of every component's fields and every control signal: equal
     circuits hash equally, and any change of topology or value shows."""
@@ -22,7 +28,7 @@ def stamp_checksum(circuit):
         for comp in circuit.components
     ]
     lines += [
-        f"ctrl {name} {ctrl.shape} f={ctrl.frequency!r} duty={ctrl.duty!r} phase={ctrl.phase!r}"
+        f"ctrl {name} square f={ctrl.frequency!r} duty={ctrl.duty!r} phase={ctrl.phase!r}"
         for name, ctrl in circuit.controls
     ]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

@@ -31,7 +31,7 @@ from hvsim.runner import run_scenario
 from hvsim.scenario import Scenario
 from hvsim.topology import StackParams, build_half_bridge
 
-from conftest import par
+from conftest import par, study_values
 from test_engine import random_rc_circuit
 from test_netlist import random_netlist
 
@@ -189,7 +189,7 @@ class TestCriterion05ConverterOvervoltage:
 
 @pytest.fixture(scope="module")
 def fig7_table():
-    return frequency_sweep(FIG7_FREQUENCIES, FIG7_LOADS)
+    return study_values(frequency_sweep(FIG7_FREQUENCIES, FIG7_LOADS))
 
 
 class TestCriterion06DroopOrdering:
@@ -205,15 +205,17 @@ class TestCriterion06DroopOrdering:
         "driver-delay model; see decisions ledger",
     )
     def test_fig7(self, fig7_table):
-        table = fig7_table
+        def amplitude(f, load):
+            return fig7_table[(f, load)].amplitude
+
         freq_violations = [
-            (load, f_lo, f_hi, table.amplitude(f_lo, load), table.amplitude(f_hi, load))
+            (load, f_lo, f_hi, amplitude(f_lo, load), amplitude(f_hi, load))
             for load in FIG7_LOADS
             for f_lo, f_hi in zip(FIG7_FREQUENCIES, FIG7_FREQUENCIES[1:])
-            if table.amplitude(f_hi, load) > table.amplitude(f_lo, load)
+            if amplitude(f_hi, load) > amplitude(f_lo, load)
         ]
         cap_ok = all(
-            table.amplitude(f, "50n") <= table.amplitude(f, "20n") <= table.amplitude(f, "10n")
+            amplitude(f, "50n") <= amplitude(f, "20n") <= amplitude(f, "10n")
             for f in FIG7_FREQUENCIES
         )
         # ideal (underated) 10 nF reference cell at 100 Hz
@@ -231,10 +233,10 @@ class TestCriterion06DroopOrdering:
             origin="fig7-ideal10n",
         )
         ideal = measure_amplitude(run_scenario(scenario).voltage("O"), settle, 0.01)
-        dea_ok = table.amplitude(100.0, "dea") < ideal
+        dea_ok = amplitude(100.0, "dea") < ideal
         detail = (
             f"C-ordering {'ok' if cap_ok else 'VIOLATED'}; dea@100Hz "
-            f"{table.amplitude(100.0, 'dea'):.0f} V < ideal-10n {ideal:.0f} V "
+            f"{amplitude(100.0, 'dea'):.0f} V < ideal-10n {ideal:.0f} V "
             f"{'ok' if dea_ok else 'VIOLATED'}; "
         )
         if freq_violations:
@@ -288,8 +290,8 @@ class TestCriterion08SlewRate:
 
 class TestCriterion09DisplacementTrend:
     def test_fig8(self):
-        conv = displacement_sweep("converter")
-        bench = displacement_sweep("bench")
+        conv = study_values(displacement_sweep("converter"))
+        bench = study_values(displacement_sweep("bench"))
         low = [f for f in FIG8_FREQUENCIES if f <= 10.0]
         high = [f for f in FIG8_FREQUENCIES if f > 10.0]
         low_ok = all(abs(conv[f] / bench[f] - 1.0) <= 0.15 for f in low)

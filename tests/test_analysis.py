@@ -14,12 +14,13 @@ from hvsim.analysis import (
     measure_slew,
     monte_carlo,
     voltage_shares,
+    write_table,
 )
 from hvsim.presets import mc_template
 from hvsim.runner import run_scenario
 from hvsim.waveform import Waveform
 
-from conftest import par
+from conftest import par, study_values
 
 
 def wave(samples, step=1e-6):
@@ -135,7 +136,20 @@ class TestVoltageShares:
 
 @pytest.fixture(scope="module")
 def mini_table():
-    return frequency_sweep([2.0, 100.0], ["10n", "dea"])
+    return study_values(frequency_sweep([2.0, 100.0], ["10n", "dea"]))
+
+
+def test_write_table_pinned_text(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ["none", "nan", "int", "text", "f64"], [
+        (None, float("nan"), 7, "ok", np.float64(0.1)),
+        (2.5, -0.0, 0, "failed: diverged", np.float64(1e-300)),
+    ])
+    assert path.read_bytes() == (
+        b"none,nan,int,text,f64\n"
+        b"nan,nan,7,ok,0.1\n"
+        b"2.5,-0.0,0,failed: diverged,1e-300\n"
+    )
 
 
 class TestFrequencySweep:
@@ -143,18 +157,18 @@ class TestFrequencySweep:
     def test_two_hz_matches_divider_oracle(self, mini_table):
         # quasi-static value of the supply divider: EMF * Rb/(Rint+Rb)
         oracle = 4500.0 * 3.6e6 / (3e6 + 3.6e6)
-        amp = mini_table.amplitude(2.0, "10n")
+        amp = mini_table[(2.0, "10n")].amplitude
         assert abs(amp - oracle) / oracle < 0.02
 
     def test_amplitude_drops_with_frequency(self, mini_table):
         for load in ("10n", "dea"):
-            assert mini_table.amplitude(100.0, load) <= mini_table.amplitude(2.0, load)
+            assert mini_table[(100.0, load)].amplitude <= mini_table[(2.0, load)].amplitude
 
     def test_dea_below_ceramic_at_100hz(self, mini_table):
-        assert mini_table.amplitude(100.0, "dea") < mini_table.amplitude(100.0, "10n")
+        assert mini_table[(100.0, "dea")].amplitude < mini_table[(100.0, "10n")].amplitude
 
     def test_metrics_populated(self, mini_table):
-        m = mini_table.cells[(2.0, "10n")].metrics
+        m = mini_table[(2.0, "10n")]
         assert m.peak_source_current > 0
         assert m.peak_source_power > 0
         assert m.max_device_drop > 0
@@ -168,64 +182,65 @@ class TestFrequencySweep:
     def test_driver_schedule_error_fails_only_its_cell(self):
         # a 5 kHz command is shorter than the converter-fed stack's driver delays
         table = frequency_sweep([100.0, 5000.0], ["10n"])
-        assert table.cells[(100.0, "10n")].metrics.amplitude > 0
-        bad = table.cells[(5000.0, "10n")]
-        assert bad.metrics is None
-        assert "command period too short for driver (on=" in bad.error
+        assert table.keys == ((100.0, "10n"), (5000.0, "10n"))
+        assert table.values[0].amplitude > 0
+        assert table.values[1] is None
+        assert "command period too short for driver (on=" in table.errors[1]
 
     def test_worker_count_does_not_change_results(self):
         t1 = frequency_sweep([30.0, 100.0], ["10n"], workers=1)
         t4 = frequency_sweep([30.0, 100.0], ["10n"], workers=4)
-        for key in t1.cells:
-            assert t1.cells[key].metrics.amplitude == t4.cells[key].metrics.amplitude
-            assert (
-                t1.cells[key].metrics.peak_source_current
-                == t4.cells[key].metrics.peak_source_current
-            )
+        assert t1.keys == t4.keys
+        for m1, m4 in zip(t1.values, t4.values):
+            assert m1.amplitude == m4.amplitude
+            assert m1.peak_source_current == m4.peak_source_current
+
+
+def drops(study):
+    """Maximum device drops of the successful Monte-Carlo trials."""
+    return np.array([d for d in study.values if d is not None])
 
 
 class TestMonteCarlo:
     def test_degenerate_distribution(self):
         build = mc_template("fig3")
         model = MismatchModel(sigma=0.0, offset_span=0.0, trials=5, seed=3)
-        result = monte_carlo(build, model)
-        drops = result.drops()
-        assert len(drops) == 5
-        assert np.all(drops == drops[0])
-        s = result.summary()
-        assert s["min"] == s["median"] == s["max"]
+        d = drops(monte_carlo(build, model))
+        assert len(d) == 5
+        assert np.all(d == d[0])
+        assert d.min() == np.median(d) == d.max()
 
     def test_seed_reproducibility(self):
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=8, seed=42)
         a = monte_carlo(build, model)
         b = monte_carlo(build, model)
-        assert np.array_equal(a.drops(), b.drops())
-        assert [r.seed for r in a.records] == [r.seed for r in b.records]
+        assert np.array_equal(drops(a), drops(b))
+        assert [seed for _, seed in a.keys] == [seed for _, seed in b.keys]
 
     def test_workers_do_not_change_results(self):
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=8, seed=42)
         a = monte_carlo(build, model, workers=1)
         b = monte_carlo(build, model, workers=4)
-        assert np.array_equal(a.drops(), b.drops())
+        assert np.array_equal(drops(a), drops(b))
 
     def test_balanced_stack_keeps_margin(self):
         # at the fig3 operating point every drop is bounded by the input,
         # comfortably under the 900 V per-device rating
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=60, seed=11)
-        result = monte_carlo(build, model)
-        assert len(result.drops()) == 60
-        assert result.summary()["p99"] < 900.0
+        d = drops(monte_carlo(build, model))
+        assert len(d) == 60
+        assert np.percentile(d, 99) < 900.0
 
     def test_unbalanced_stack_exceeds_margin_at_design_voltage(self):
         # without balancers at the 1.8 kV design point, the leakage lottery
         # routinely puts a single device beyond its 900 V rating
         build = mc_template("fig2_hv")
         model = MismatchModel(sigma=1.0, trials=60, seed=11)
-        result = monte_carlo(build, model)
-        assert result.summary()["p99"] > 900.0
+        d = drops(monte_carlo(build, model))
+        assert np.percentile(d, 99) > 900.0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_max_drop_matches_explicit_recomputation(self, workers):
@@ -235,14 +250,14 @@ class TestMonteCarlo:
         model = MismatchModel(sigma=1.0, trials=6, seed=5)
         result = monte_carlo(build, model, workers=workers)
         children = np.random.SeedSequence(model.seed).spawn(model.trials)
-        for record, child in zip(result.records, children):
+        for max_drop, error, child in zip(result.values, result.errors, children):
             rng = np.random.Generator(np.random.PCG64(child))
             offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
             run = run_scenario(build(list(offs), list(offsets)))
             _, metrics = voltage_shares(*(run.voltage(n) for n in ("A", "B", "O", "C")))
-            assert record.status == "ok"
-            assert np.float64(record.max_drop).tobytes() == np.float64(
+            assert error is None
+            assert np.float64(max_drop).tobytes() == np.float64(
                 metrics.max_device_drop
             ).tobytes()
 
@@ -257,6 +272,6 @@ class TestMonteCarlo:
             return replace(scenario, circuit=circuit)
 
         result = monte_carlo(fast_build, MismatchModel(trials=2, seed=1))
-        assert [r.max_drop for r in result.records] == [None, None]
-        for r in result.records:
-            assert r.status.startswith("failed: driver delays reorder events")
+        assert result.values == (None, None)
+        for error in result.errors:
+            assert error.startswith("driver delays reorder events")

@@ -200,14 +200,14 @@ class TestSweep:
 
     def test_plot_with_failed_cell(self, tmp_path, capsys, monkeypatch):
         def fake_sweep(freqs, loads, workers=1):
-            cells = {
-                (float(f), load): analysis.SweepCell(
-                    float(f), load, metrics=analysis.Metrics(amplitude=1700.0 - f)
-                )
-                for f in freqs for load in loads
-            }
-            cells[(100.0, "10n")] = analysis.SweepCell(100.0, "10n", error="diverged")
-            return analysis.SweepTable(tuple(freqs), tuple(loads), cells)
+            keys = tuple((float(f), load) for f in freqs for load in loads)
+            failed = (100.0, "10n")
+            return analysis.Study(
+                keys,
+                tuple(None if k == failed else analysis.Metrics(amplitude=1700.0 - k[0])
+                      for k in keys),
+                tuple("diverged" if k == failed else None for k in keys),
+            )
 
         monkeypatch.setattr(analysis, "frequency_sweep", fake_sweep)
         code = run_cli(
@@ -248,6 +248,36 @@ class TestSweep:
         assert math.isfinite(rows[2.0]) and math.isfinite(rows[15.0])
         # the failed middle frequency splits the curve in two
         assert (tmp_path / "fig8_sweep.svg").read_text().count("<polyline") == 2
+
+    @pytest.mark.parametrize("argv, failing_origin, reported", [
+        (["--preset", "fig8", "--freqs", "2,15", "--supply", "converter"],
+         "fig8-15Hz", "cell (15 Hz, converter) failed: diverged"),
+        (["--preset", "fig7c", "--phases", "0,pi"],
+         f"fig7c-phase{math.pi:g}", f"cell (phase {math.pi:g}) failed: diverged"),
+    ], ids=["fig8", "fig7c"])
+    def test_simulation_error_fails_one_cell(self, tmp_path, capsys, monkeypatch,
+                                             argv, failing_origin, reported):
+        # every sweep kind shares fig7's policy: a numerical failure is a nan
+        # row named on stderr, and the other cells still run
+        from hvsim import electromech
+        from hvsim.engine import SimulationError
+
+        real = analysis.run_scenario
+
+        def flaky(scenario):
+            if scenario.origin == failing_origin:
+                raise SimulationError("diverged")
+            return real(scenario)
+
+        monkeypatch.setattr(analysis, "run_scenario", flaky)
+        monkeypatch.setattr(electromech, "run_scenario", flaky)
+        code = run_cli("sweep", *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert reported in capsys.readouterr().err
+        (csv_path,) = tmp_path.glob("*.csv")
+        first, failed = csv_path.read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for v in first.split(","))
+        assert all(math.isnan(float(v)) for v in failed.split(",")[1:])
 
     def test_fig7c_phase_table(self, tmp_path):
         code = run_cli(

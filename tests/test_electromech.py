@@ -118,10 +118,10 @@ class TestRiseTime:
 
 class TestDisplacementSweep:
     def test_too_fast_frequency_is_nan_and_reported(self):
-        errors = {}
-        amps = displacement_sweep("bench", [2.0, 5000.0], errors=errors)
-        assert list(amps) == [2.0, 5000.0]
-        assert math.isfinite(amps[2.0]) and amps[2.0] > 0
-        assert math.isnan(amps[5000.0])
-        assert list(errors) == [5000.0]
-        assert "driver delays reorder events" in errors[5000.0]
+        study = displacement_sweep("bench", [2.0, 5000.0])
+        assert study.keys == (2.0, 5000.0)
+        amp, failed = study.values
+        assert math.isfinite(amp) and amp > 0
+        assert failed is None
+        assert [key for key, _ in study.failures()] == [5000.0]
+        assert "driver delays reorder events" in study.errors[1]

@@ -1,0 +1,76 @@
+"""sha256 of every output file of a fixed corpus of ``hvsim`` CLI jobs.
+
+Usage::
+
+    python tools/sha_corpus.py OUT_DIR > corpus.txt
+
+Each job is one in-process ``hvsim.cli.main(argv)`` call writing into its own
+subdirectory of ``OUT_DIR``.  One line is printed per output file, as
+``job exit-code file sha256``; the job's stdout and stderr are listed as the
+files ``<stdout>`` and ``<stderr>``, with ``OUT_DIR`` replaced by ``OUT`` so
+that two runs into different directories compare equal.  Running the script
+on two checkouts and diffing the listings checks that a change keeps every
+output byte-identical.  ``hvsim`` is imported from the ``src`` directory next
+to this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hvsim.cli import main  # noqa: E402
+from hvsim.presets import PRESET_NAMES  # noqa: E402
+
+MC_SEEDS = range(192)
+
+
+def jobs():
+    """(job id, CLI argv without --out)."""
+    for name in PRESET_NAMES:
+        yield f"run:{name}", ["run", "--preset", name]
+    for workers in (1, 2):
+        yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7", "--workers", str(workers)]
+    yield "sweep:fig7:grid", ["sweep", "--preset", "fig7", "--freqs", "100,5000",
+                              "--loads", "10n,dea", "--plot"]
+    yield "sweep:fig7c", ["sweep", "--preset", "fig7c"]
+    yield "sweep:fig7c:phases", ["sweep", "--preset", "fig7c", "--phases", "0,pi/4,2*pi/3"]
+    yield "sweep:fig8", ["sweep", "--preset", "fig8"]
+    yield "sweep:fig8:converter", ["sweep", "--preset", "fig8", "--freqs", "2,5000,15",
+                                   "--supply", "converter", "--plot"]
+    for seed in MC_SEEDS:
+        yield f"mc:fig3:{seed}", ["montecarlo", "--preset", "fig3", "--trials", "50",
+                                  "--seed", str(seed)]
+    for name in ("fig2", "fig2_hv", "fig3_hv"):
+        yield f"mc:{name}:w2", ["montecarlo", "--preset", name, "--workers", "2"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(out_root: Path) -> None:
+    out_root = out_root.resolve()
+    for job, argv in jobs():
+        out = out_root / job.replace(":", "_")
+        out.mkdir(parents=True, exist_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        for label, stream in (("<stdout>", stdout), ("<stderr>", stderr)):
+            text = stream.getvalue().replace(str(out_root), "OUT")
+            print(job, code, label, _sha(text.encode("utf-8")))
+        for path in sorted(out.iterdir()):
+            print(job, code, path.name, _sha(path.read_bytes()))
+        sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/sha_corpus.py OUT_DIR")
+    run(Path(sys.argv[1]))
