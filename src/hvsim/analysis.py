@@ -8,18 +8,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import ControlSignal
+from .circuit import CircuitError, ControlSignal
 from .devices import ScheduleError
 from .engine import IntegrationSettings, SimulationError
 from .presets import CONVERTER, FIG7C_PHASES, dual_channel_with_phase, load_fragment
 from .runner import RunResult, run_scenario
 from .scenario import Scenario
 from .topology import StackParams, build_half_bridge
-from .waveform import Waveform, WaveformError
+from .waveform import Waveform, WaveformError, run_values
 
 
 class MeasureError(ValueError):
@@ -106,35 +106,32 @@ def voltage_shares(
     v_o: Waveform,
     v_c: Waveform,
     v_d: Optional[Waveform] = None,
-) -> Tuple[Dict[str, Waveform], Metrics]:
-    """Per-device drop waveforms and stack-share metrics.
+) -> Metrics:
+    """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
+    ``C-D`` (``D`` is ground when ``v_d`` is None).
 
     Drops are differences of the measured node traces; shares are evaluated
     at the last sample of the widest blocking plateau (where the stack
     end-to-end voltage is within 0.1% of its maximum) and so describe the
     steady blocking state.  Shares are reported as fractions of the stack
-    end-to-end voltage and are undefined (None) below 1 V.
+    end-to-end voltage and are undefined (None) below 1 V.  Run-length
+    traces are read one value per run, with the same result.
     """
-    if v_d is None:
-        v_d = Waveform(v_a.start, v_a.step, np.zeros(len(v_a)))
-    for other in (v_b, v_o, v_c, v_d):
-        if not v_a.same_grid(other):
-            raise MeasureError("share traces must share one sampling grid")
-    drops = {
-        "V_AB": v_a - v_b,
-        "V_BO": v_b - v_o,
-        "V_OC": v_o - v_c,
-        "V_CD": v_c - v_d,
-    }
-    total = v_a.samples - v_d.samples
-    max_drop = max(float(d.samples.max()) for d in drops.values())
+    traces = (v_a, v_b, v_o, v_c) + (() if v_d is None else (v_d,))
+    try:
+        a, b, o, c, *d = run_values(*traces)
+    except WaveformError:
+        raise MeasureError("share traces must share one sampling grid") from None
+    drops = (a - b, b - o, o - c, c - d[0] if d else c)
+    total = a - d[0] if d else a
+    max_drop = max(float(drop.max()) for drop in drops)
     peak = float(total.max())
     shares: Optional[Tuple[float, ...]] = None
     if peak > 1.0:
         plateau = np.flatnonzero(total >= 0.999 * peak)
         k = int(plateau[-1])
-        shares = tuple(float(d.samples[k] / total[k]) for d in drops.values())
-    return drops, Metrics(shares=shares, max_device_drop=max_drop)
+        shares = tuple(float(drop[k] / total[k]) for drop in drops)
+    return Metrics(shares=shares, max_device_drop=max_drop)
 
 
 #: the failures that fail one study cell and leave the others running
@@ -243,7 +240,7 @@ def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
         slew = measure_slew(v_o.slice_time(v_o.stop - period, v_o.stop))
     except MeasureError:
         slew = None
-    _, share_metrics = voltage_shares(
+    share_metrics = voltage_shares(
         run.voltage("A"), run.voltage("B"), v_o, run.voltage("C")
     )
     i_p = run.supply_port_current("sup")
@@ -336,18 +333,27 @@ def monte_carlo(
 
     ``build(off_resistances, offsets)`` constructs the per-trial scenario
     with sampled off-resistances/offsets; it must probe nodes A, B, O and C.
+    A draw that is not finite, or that ``build`` rejects (an off-resistance
+    at or below the on-resistance), fails its trial alone.
     """
     children = np.random.SeedSequence(model.seed).spawn(model.trials)
 
     def trial(key: Tuple[int, int]) -> float:
         rng = np.random.Generator(np.random.PCG64(children[key[0]]))
-        offs = model.median_off_resistance * np.exp(
-            model.sigma * rng.standard_normal(n_devices)
-        )
+        with np.errstate(over="ignore"):  # a wide sigma can overflow: checked below
+            offs = model.median_off_resistance * np.exp(
+                model.sigma * rng.standard_normal(n_devices)
+            )
         offsets = rng.uniform(-model.offset_span, model.offset_span, n_devices)
-        w = run_scenario(build(list(offs), list(offsets))).waveforms
-        _, metrics = voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"])
-        return metrics.max_device_drop
+        if not np.all(np.isfinite(offs)):
+            bad = float(offs[~np.isfinite(offs)][0])
+            raise MeasureError(f"sampled off-resistance {bad!r} is not finite")
+        try:
+            scenario = build(list(offs), list(offsets))
+        except CircuitError as exc:
+            raise MeasureError(f"sampled circuit rejected: {exc}") from None
+        w = run_scenario(scenario).waveforms
+        return voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"]).max_device_drop
 
     keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
     return run_study(trial, keys, workers)

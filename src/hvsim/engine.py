@@ -14,11 +14,17 @@ advanced a block of steps at a time from precomputed powers of its one-step
 map, so no per-step solve remains (the per-topology state-space form of
 piecewise-linear switched-circuit simulators).
 
-``TransientResult.x`` and ``TransientResult.cap_i`` are stored column-major:
-each unknown's trace is contiguous.  :func:`lu_factor` and :func:`lu_solve`
-call LAPACK ``dgetrf``/``dgetrs`` directly, the routines behind scipy's
-wrappers of the same names, so the bits match and the per-call wrapper cost
-is gone.
+A run with capacitors is stored dense and column-major: ``TransientResult.x``
+and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
+contiguous.  A capacitor-free run has no state, so between events its solution
+is one constant row (or, while a source ramps, one row per step); it is stored
+run-length, one row per constant stretch plus the grid index where the
+stretch starts, and its waveforms expand to samples only when a caller reads
+them (the output side of the piecewise-linear view).
+
+:func:`lu_factor` and :func:`lu_solve` call LAPACK ``dgetrf``/``dgetrs``
+directly, the routines behind scipy's wrappers of the same names, so the bits
+match and the per-call wrapper cost is gone.
 """
 
 from __future__ import annotations
@@ -344,11 +350,16 @@ def dc_operating_point(
 
 @dataclass
 class TransientResult:
-    """Dense transient solution: every unknown at every grid point.
+    """Transient solution: every unknown at the ``n_samples`` grid points.
 
-    ``x`` and ``cap_i`` are stored column-major, so each node, source or
-    capacitor trace is one contiguous block and :meth:`voltage` copies it
-    at memory speed.
+    With ``starts`` None the storage is dense: row ``k`` of ``x`` and
+    ``cap_i`` is grid point ``k``, stored column-major, so each node, source
+    or capacitor trace is one contiguous block and :meth:`voltage` copies it
+    at memory speed.  A capacitor-free run is stored run-length: row ``i``
+    holds from grid index ``starts[i]`` up to the next start (the last row up
+    to ``n_samples``), one row per constant stretch and one per step of a
+    source ramp.  The accessors return :class:`Waveform` in the same form, so
+    callers read ``samples`` either way.
     """
 
     step: float
@@ -356,37 +367,36 @@ class TransientResult:
     index: Dict[str, int]
     source_names: List[str]
     cap_names: List[str]
-    x: np.ndarray  # (n_samples, n_nodes + n_sources)
-    cap_i: np.ndarray  # (n_samples, n_caps), current into the + terminal
+    x: np.ndarray  # (rows, n_nodes + n_sources)
+    cap_i: np.ndarray  # (rows, n_caps), current into the + terminal
+    n_samples: int
+    starts: Optional[np.ndarray] = None  # grid index of each row; None: dense
     events: List[Tuple[float, str]] = field(default_factory=list)
 
-    @property
-    def n_samples(self) -> int:
-        return self.x.shape[0]
+    def _wave(self, values: np.ndarray) -> Waveform:
+        return Waveform(0.0, self.step, values, self.starts, self.n_samples)
 
     def _node_column(self, label: str) -> np.ndarray:
         if is_ground(label):
-            return np.zeros(self.n_samples)
+            return np.zeros(self.x.shape[0])
         if label not in self.index:
             raise KeyError(f"unknown node {label!r}")
         return self.x[:, self.index[label]]
 
     def voltage(self, label: str) -> Waveform:
-        return Waveform(0.0, self.step, self._node_column(label).copy())
+        return self._wave(self._node_column(label).copy())
 
     def pair_voltage(self, pos: str, neg: str) -> Waveform:
-        return Waveform(
-            0.0, self.step, self._node_column(pos) - self._node_column(neg)
-        )
+        return self._wave(self._node_column(pos) - self._node_column(neg))
 
     def source_current(self, name: str) -> Waveform:
         """Current delivered from the source's + terminal into the circuit."""
         j = self.source_names.index(name)
-        return Waveform(0.0, self.step, -self.x[:, len(self.labels) + j])
+        return self._wave(-self.x[:, len(self.labels) + j])
 
     def cap_current(self, name: str) -> Waveform:
         j = self.cap_names.index(name)
-        return Waveform(0.0, self.step, self.cap_i[:, j].copy())
+        return self._wave(self.cap_i[:, j].copy())
 
 
 def _snap(t: float, h: float) -> int:
@@ -447,7 +457,8 @@ def run_transient(
     ``switch_timelines`` gives each switch its initial state and scheduled
     state changes; change times are snapped to the grid.  Gated sources and
     slew-limit ramp knees introduce additional segment boundaries.  Every
-    sample of every unknown is retained in the result.
+    sample of every unknown is retained in the result: dense when the circuit
+    has capacitors, run-length when it has none (see :class:`TransientResult`).
     """
     circuit.validate()
     low = _lower(circuit)
@@ -502,14 +513,18 @@ def run_transient(
         target[j] = src_target(j, 0.5 * h)
         emf[j] = 0.0 if src.slew is not None else target[j]
 
-    # column-major, so each unknown's trace is contiguous
-    x_hist = np.zeros((n + m, n_steps + 1)).T
-    cap_i_hist = np.zeros((nc, n_steps + 1)).T
     events_log: List[Tuple[float, str]] = []
-
     x0, ic0, indeterminate = _initial_solve(low, sw_states, emf)
-    x_hist[0] = x0
-    cap_i_hist[0] = ic0
+    if nc:
+        # column-major, so each unknown's trace is contiguous
+        x_hist = np.zeros((n + m, n_steps + 1)).T
+        cap_i_hist = np.zeros((nc, n_steps + 1)).T
+        x_hist[0] = x0
+        cap_i_hist[0] = ic0
+    else:
+        # no state: each row holds from its start index up to the next one
+        rows: List[np.ndarray] = [x0]
+        row_starts: List[int] = [0]
 
     cap_p = np.array([cap.p for cap in low.caps], dtype=int)
     cap_n = np.array([cap.n for cap in low.caps], dtype=int)
@@ -569,12 +584,13 @@ def run_transient(
         trap = operators(False)
         damp_here = min(pending_damp, nsteps_seg) if nc else 0
 
+        first_row = 0 if nc else len(rows)
         if nc == 0 and not has_ramp:
-            # purely resistive, constant drive: the segment is one solve
+            # purely resistive, constant drive: the segment is one solve, one row
             b_const = np.zeros(n + m)
             b_const[src_rows] = emf
-            x = lu_solve(trap.lu, b_const)
-            x_hist[idx0 + 1 : seg_end + 1] = x
+            rows.append(lu_solve(trap.lu, b_const))
+            row_starts.append(idx0 + 1)
         else:
             # the EMF at step k is emf + (k - idx0) * d_emf
             d_emf = slope * h
@@ -598,14 +614,20 @@ def run_transient(
                     L = min(_BLOCK, seg_end + 1 - k)
                     Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
                     X = Z[:, : nc + m] @ k_tr.T
-                    x_hist[k : k + L] = X
-                    cap_i_hist[k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
+                    if nc:
+                        x_hist[k : k + L] = X
+                        cap_i_hist[k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
+                    else:  # a capacitor-free ramp: one row per step
+                        rows.extend(X)
+                        row_starts.extend(range(k, k + L))
                     z = P[L] @ z
                     k += L
-                vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
-                ic = cap_i_hist[seg_end]
+                if nc:
+                    vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
+                    ic = cap_i_hist[seg_end]
 
-        if not np.all(np.isfinite(x_hist[seg_end])):
+        stored = x_hist[seg_end] if nc else rows[first_row:]
+        if not np.all(np.isfinite(stored)):
             raise SimulationError(f"solution diverged at t={seg_end * h!r}")
 
         pending_damp = max(0, pending_damp - nsteps_seg)
@@ -626,13 +648,21 @@ def run_transient(
             events_log.append((idx0 * h, "source"))
             pending_damp = settings.damping_steps
 
+    if nc:
+        x, cap_i, starts = x_hist, cap_i_hist, None
+    else:
+        x = np.array(rows)
+        cap_i = np.zeros((len(rows), 0))
+        starts = np.array(row_starts)
     return TransientResult(
         step=h,
         labels=low.labels,
         index=dict(low.index),
         source_names=[s.name for s in low.sources],
         cap_names=[c.name for c in low.caps],
-        x=x_hist,
-        cap_i=cap_i_hist,
+        x=x,
+        cap_i=cap_i,
+        n_samples=n_steps + 1,
+        starts=starts,
         events=events_log,
     )

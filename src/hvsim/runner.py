@@ -4,6 +4,7 @@ probed waveforms together with supply-port current traces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .circuit import Circuit, Switch
@@ -19,8 +20,18 @@ class RunResult:
 
     scenario: Scenario
     raw: TransientResult
-    waveforms: Dict[str, Waveform]
     shoot_through: float = 0.0  # seconds with both bridge sides commanded on
+
+    @cached_property
+    def waveforms(self) -> Dict[str, Waveform]:
+        """Probe waveforms by probe label, built on first use."""
+        out: Dict[str, Waveform] = {}
+        for probe in self.scenario.probes:
+            if isinstance(probe, str):
+                out[probe_label(probe)] = self.raw.voltage(probe)
+            else:
+                out[probe_label(probe)] = self.raw.pair_voltage(*probe)
+        return out
 
     def voltage(self, node: str) -> Waveform:
         return self.raw.voltage(node)
@@ -112,11 +123,5 @@ def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
 def run_scenario(scenario: Scenario) -> RunResult:
     timelines = switch_timelines(scenario.circuit, scenario.settings.stop)
     raw = run_transient(scenario.circuit, scenario.settings, timelines)
-    waveforms: Dict[str, Waveform] = {}
-    for probe in scenario.probes:
-        if isinstance(probe, str):
-            waveforms[probe_label(probe)] = raw.voltage(probe)
-        else:
-            waveforms[probe_label(probe)] = raw.pair_voltage(*probe)
     st = _shoot_through_seconds(scenario.circuit, timelines, scenario.settings.stop)
-    return RunResult(scenario=scenario, raw=raw, waveforms=waveforms, shoot_through=st)
+    return RunResult(scenario=scenario, raw=raw, shoot_through=st)

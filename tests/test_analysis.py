@@ -1,6 +1,7 @@
 """Metric extraction and study orchestration tests."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ def wave(samples, step=1e-6):
 
 def blocking_side_drops(run):
     """High-side device shares at the end of the final blocking plateau."""
-    _, metrics = voltage_shares(*(run.voltage(node) for node in "ABOC"))
+    metrics = voltage_shares(*(run.voltage(node) for node in "ABOC"))
     return metrics.shares[:2]
 
 
@@ -104,7 +105,7 @@ class TestVoltageShares:
         n = 1000
         v_a = np.full(n, 1600.0)
         v_b, v_o, v_c = np.full(n, 1200.0), np.full(n, 800.0), np.full(n, 400.0)
-        drops, metrics = voltage_shares(*self.grid([v_a, v_b, v_o, v_c]))
+        metrics = voltage_shares(*self.grid([v_a, v_b, v_o, v_c]))
         assert metrics.shares == pytest.approx((0.25, 0.25, 0.25, 0.25))
         assert metrics.max_device_drop == pytest.approx(400.0)
         assert sum(metrics.shares) == pytest.approx(1.0, abs=1e-9)
@@ -130,7 +131,7 @@ class TestVoltageShares:
     def test_shares_undefined_below_one_volt(self):
         n = 100
         tiny = [np.full(n, x) for x in (0.5, 0.4, 0.3, 0.1)]
-        _, metrics = voltage_shares(*self.grid(tiny))
+        metrics = voltage_shares(*self.grid(tiny))
         assert metrics.shares is None
 
 
@@ -244,8 +245,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_max_drop_matches_explicit_recomputation(self, workers):
-        # a trial reads the probe waveforms of its run; the value must be the
-        # one four fresh run.voltage() copies give, bit for bit
+        # a trial reads the run-length probe rows of its run; the value must
+        # be the one the four dense sample traces give, bit for bit
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=6, seed=5)
         result = monte_carlo(build, model, workers=workers)
@@ -255,11 +256,28 @@ class TestMonteCarlo:
             offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
             run = run_scenario(build(list(offs), list(offsets)))
-            _, metrics = voltage_shares(*(run.voltage(n) for n in ("A", "B", "O", "C")))
+            dense = [Waveform(0.0, run.raw.step, run.voltage(n).samples) for n in "ABOC"]
+            assert len(dense[0]) == run.raw.n_samples
+            metrics = voltage_shares(*dense)
             assert error is None
             assert np.float64(max_drop).tobytes() == np.float64(
                 metrics.max_device_drop
             ).tobytes()
+
+    def test_trial_allocates_far_less_than_a_dense_solution(self):
+        # a dense fig3 trial solution is 40,001 samples x 6 unknowns x 8 B,
+        # about 1.9 MB; the run-length rows of a trial stay far below that
+        build = mc_template("fig3")
+        model = MismatchModel(sigma=1.0, trials=1, seed=17)
+        monte_carlo(build, model)  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            study = monte_carlo(build, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert study.errors == (None,)
+        assert peak < 0.25e6, f"one trial peaked at {peak / 1e6:.2f} MB"
 
     def test_driver_schedule_error_fails_the_trial(self):
         fig3 = mc_template("fig3")

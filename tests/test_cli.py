@@ -376,6 +376,40 @@ class TestMonteCarlo:
         assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "fig3_mc.csv").exists()
 
+    @staticmethod
+    def trial_rows(out):
+        """(max_drop_v, status) per trial row of the fig3 Monte-Carlo CSV."""
+        lines = (out / "fig3_mc.csv").read_text().splitlines()[1:]
+        return [tuple(line.split(",", 3)[2:]) for line in lines]
+
+    def test_off_resistance_below_on_resistance_fails_its_trial(self, tmp_path, recwarn):
+        code = run_cli(
+            "montecarlo", "--preset", "fig3", "--out", str(tmp_path),
+            "--trials", "20", "--sigma", "10",
+        )
+        assert code == 0
+        rows = self.trial_rows(tmp_path)
+        failed = [status for drop, status in rows if status != "ok"]
+        assert len(rows) == 20 and 0 < len(failed) < 20
+        assert all(drop == "nan" for drop, status in rows if status != "ok")
+        for status in failed:
+            assert status.startswith("failed: sampled circuit rejected: Sq")
+            assert "on-resistance 5.0 must be below off-resistance" in status
+        assert not recwarn.list
+
+    def test_non_finite_draw_fails_its_trial(self, tmp_path, capsys, recwarn):
+        code = run_cli(
+            "montecarlo", "--preset", "fig3", "--out", str(tmp_path),
+            "--trials", "20", "--sigma", "1000",
+        )
+        assert code == 2
+        assert "error: no successful trials" in capsys.readouterr().err
+        rows = self.trial_rows(tmp_path)
+        assert len(rows) == 20
+        assert all(drop == "nan" and status.startswith("failed: ") for drop, status in rows)
+        assert ("nan", "failed: sampled off-resistance inf is not finite") in rows
+        assert not recwarn.list
+
     def test_same_seed_identical_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -14,6 +14,7 @@ from hvsim.circuit import (
     Switch,
     VoltageSource,
 )
+from hvsim.analysis import voltage_shares
 from hvsim.engine import (
     IntegrationSettings,
     SimulationError,
@@ -22,6 +23,7 @@ from hvsim.engine import (
 )
 from hvsim.presets import load_preset
 from hvsim.runner import run_scenario
+from hvsim.waveform import Waveform
 
 from conftest import par, stamp_checksum
 
@@ -492,6 +494,88 @@ class TestBlockedPropagator:
         per_topology = factored[1:]
         assert len(set(per_topology)) == len(per_topology)
         assert len(per_topology) < len(run.raw.events)
+
+
+def random_resistive_circuit(rng):
+    """Random capacitor-free switched network fed by a constant source, a
+    gated (sometimes slewed) source and a slewed supply whose ramps span up
+    to thousands of steps; returns the circuit, grid settings and switch
+    timelines."""
+    h = 1e-6
+    stop = float(rng.integers(1500, 3000)) * h
+    n_nodes = int(rng.integers(2, 5))
+    labels = [f"n{i}" for i in range(n_nodes)]
+    all_nodes = ["0"] + labels
+    gate_slew = [None, 1e6, 1e8][int(rng.integers(0, 3))]
+    comps = [
+        VoltageSource("Vk", "K", "0", float(rng.uniform(-300.0, 300.0))),
+        Resistor("Rk", "K", labels[int(rng.integers(0, n_nodes))], float(rng.uniform(1e2, 1e5))),
+        VoltageSource("Vg", "S", "0", float(rng.uniform(50.0, 500.0)),
+                      slew=gate_slew, control="g"),
+        Resistor("Rg", "S", labels[0], float(rng.uniform(1e2, 1e4))),
+        VoltageSource("Vs", "P", "0", float(rng.uniform(-400.0, 400.0)),
+                      slew=float(rng.uniform(5e4, 5e6))),
+        Resistor("Rp", "P", labels[-1], float(rng.uniform(1e3, 1e5))),
+    ]
+    prev = "0"
+    for i, lab in enumerate(labels):
+        comps.append(Resistor(f"Rs{i}", prev, lab, float(rng.uniform(1e3, 1e6))))
+        prev = lab
+    for i in range(int(rng.integers(1, 4))):
+        a, b = rng.choice(len(all_nodes), size=2, replace=False)
+        comps.append(Switch(f"S{i}", all_nodes[a], all_nodes[b], control="s",
+                            ron=float(rng.uniform(1.0, 100.0)),
+                            roff=float(rng.uniform(1e7, 1e9))))
+    circuit = Circuit.build(comps, {
+        "g": ControlSignal(frequency=float(rng.uniform(300.0, 600.0)),
+                           phase=float(rng.uniform(0.0, 6.0))),
+        "s": ControlSignal(frequency=1.0),
+    })
+    timelines = {}
+    for comp in circuit.components:
+        if isinstance(comp, Switch):
+            times = np.sort(rng.uniform(0.0, stop, size=int(rng.integers(1, 6))))
+            state = bool(rng.integers(0, 2))
+            events = [(float(t), bool(i % 2) ^ state) for i, t in enumerate(times)]
+            timelines[comp.name] = (not state, events)
+    return circuit, IntegrationSettings(step=h, stop=stop), timelines
+
+
+class TestRunLength:
+    def test_matches_per_step_reference(self):
+        rng = np.random.default_rng(808)
+        ramp_rows = 0
+        for trial in range(16):
+            circuit, settings, timelines = random_resistive_circuit(rng)
+            res = run_transient(circuit, settings, timelines)
+            x_ref, _, _ = reference_transient(circuit, settings, timelines)
+            assert res.starts is not None and len(res.x) < res.n_samples
+            assert (res.n_samples, res.x.shape[1]) == x_ref.shape
+            # rows one step apart are source-ramp steps
+            ramp_rows = max(ramp_rows, int(np.sum(np.diff(res.starts) == 1)))
+            scale = np.max(np.abs(x_ref), axis=0)
+            n = len(res.labels)
+
+            def close(wave, ref, ref_scale):
+                assert len(wave) == res.n_samples
+                err = np.max(np.abs(wave.samples - ref))
+                assert err <= 1e-9 * ref_scale, f"trial {trial}: {err / ref_scale}"
+
+            for label, i in res.index.items():
+                close(res.voltage(label), x_ref[:, i], scale[i])
+            a, b = res.index[res.labels[0]], res.index[res.labels[-1]]
+            close(res.pair_voltage(res.labels[0], res.labels[-1]),
+                  x_ref[:, a] - x_ref[:, b], max(scale[a], scale[b]))
+            for j, name in enumerate(res.source_names):
+                close(res.source_current(name), -x_ref[:, n + j], scale[n + j])
+
+            # shares read one value per row: bit-identical to the dense samples
+            for nodes in (res.labels[:4], ["P", "S", "K", "n0", "0"]):
+                rows = [res.voltage(node) for node in nodes]
+                dense = [Waveform(0.0, w.step, w.samples) for w in rows]
+                assert voltage_shares(*rows) == voltage_shares(*dense)
+        # ramps stored a row per step, over more than one propagator block
+        assert ramp_rows > engine._BLOCK
 
 
 class TestLapackWrappers:

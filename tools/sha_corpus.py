@@ -34,6 +34,8 @@ def jobs():
     """(job id, CLI argv without --out)."""
     for name in PRESET_NAMES:
         yield f"run:{name}", ["run", "--preset", name]
+    # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
+    yield "run:fig3:slow-slew", ["run", "--preset", "fig3", "--set", "comp.Vsup_emf.slew=2e5"]
     for workers in (1, 2):
         yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7", "--workers", str(workers)]
     yield "sweep:fig7:grid", ["sweep", "--preset", "fig7", "--freqs", "100,5000",
