@@ -1,12 +1,11 @@
 """Waveform metrics and study orchestration: amplitude, slew rate, per-device
 voltage shares, frequency/load sweeps, dual-channel phasing, and seeded
-Monte-Carlo mismatch studies.  Every study runs its keyed cells through
-:func:`run_study` and is written with :func:`write_table`."""
+Monte-Carlo mismatch studies.  Every study runs its keyed cells one after
+another through :func:`run_study` and is written with :func:`write_table`."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,22 +60,20 @@ def measure_amplitude(
     return float(final.samples.max() - final.samples.min()) / 2.0
 
 
-def measure_slew(w: Waveform, low_fraction: float = 0.1, high_fraction: float = 0.9) -> float:
-    """Rise rate of the first edge crossing both thresholds (V/s).
+def measure_slew(w: Waveform) -> float:
+    """10-90 % rise rate of the first edge crossing both thresholds (V/s).
 
-    Thresholds sit at the given fractions of the full swing; crossing times
+    Thresholds sit at 10 % and 90 % of the full swing; crossing times
     interpolate linearly between samples, so a pure ramp reports its exact
     slope regardless of step size.
     """
-    if not 0.0 < low_fraction < high_fraction < 1.0:
-        raise MeasureError("thresholds must satisfy 0 < low < high < 1")
     s = w.samples
     lo, hi = float(s.min()), float(s.max())
     swing = hi - lo
     if swing <= 0.0:
         raise MeasureError("waveform has no swing; no qualifying rising edge")
-    th_lo = lo + low_fraction * swing
-    th_hi = lo + high_fraction * swing
+    th_lo = lo + 0.1 * swing
+    th_hi = lo + 0.9 * swing
 
     def cross_up(start: int, threshold: float) -> Optional[int]:
         below = s[start:-1] < threshold
@@ -95,7 +92,7 @@ def measure_slew(w: Waveform, low_fraction: float = 0.1, high_fraction: float = 
             t_hi = w.time_at(i_hi) + (th_hi - s[i_hi]) / (s[i_hi + 1] - s[i_hi]) * w.step
             if t_hi <= t_lo:
                 raise MeasureError("degenerate edge: thresholds crossed within one sample")
-            return (high_fraction - low_fraction) * swing / (t_hi - t_lo)
+            return 0.8 * swing / (t_hi - t_lo)
         i_lo = cross_up(i_lo + 1, th_lo)
     raise MeasureError("no rising edge crosses both thresholds")
 
@@ -140,8 +137,9 @@ CELL_ERRORS = (SimulationError, ScheduleError, MeasureError, WaveformError)
 
 @dataclass(frozen=True)
 class Study:
-    """Cells of one study in key order: cell ``keys[i]`` gave ``values[i]``,
-    or failed with reason ``errors[i]`` and has value None."""
+    """Cells of one study, run in key order on one thread: cell ``keys[i]``
+    gave ``values[i]``, or failed with reason ``errors[i]`` and has value
+    None."""
 
     keys: Tuple[Any, ...]
     values: Tuple[Any, ...]
@@ -151,11 +149,10 @@ class Study:
         return [(k, e) for k, e in zip(self.keys, self.errors) if e is not None]
 
 
-def run_study(cell: Callable[[Any], Any], keys: Sequence[Any], workers: int = 1) -> Study:
-    """Run ``cell(key)`` for every key, on ``workers`` threads.
+def run_study(cell: Callable[[Any], Any], keys: Sequence[Any]) -> Study:
+    """Run ``cell(key)`` for every key, in key order on the calling thread.
 
-    Cells are independent and keyed, so results are identical for any worker
-    count.  A cell that raises one of :data:`CELL_ERRORS` fails alone.
+    A cell that raises one of :data:`CELL_ERRORS` fails alone.
     """
 
     def attempt(key):
@@ -165,11 +162,7 @@ def run_study(cell: Callable[[Any], Any], keys: Sequence[Any], workers: int = 1)
             return None, str(exc)
 
     keys = tuple(keys)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, keys))
-    else:
-        outcomes = [attempt(k) for k in keys]
+    outcomes = [attempt(k) for k in keys]
     return Study(keys, tuple(v for v, _ in outcomes), tuple(e for _, e in outcomes))
 
 
@@ -190,20 +183,15 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> N
             fh.write(",".join(map(fmt, row)) + "\n")
 
 
-def settle_periods_for(
-    frequency: float,
-    cap_seconds: float = 0.5,
-    min_periods: int = 10,
-    min_seconds: float = 0.05,
-) -> int:
+def settle_periods_for(frequency: float) -> int:
     """Settling length before measurement, in whole periods.
 
     At least 10 periods and at least 50 ms (the supply's internal RC sets the
     settling scale at high drive frequencies), capped by a 0.5 s budget at low
     frequencies.  Fixed period counts keep runtimes deterministic.
     """
-    need = max(min_periods, math.ceil(min_seconds * frequency))
-    budget = max(1, int(cap_seconds * frequency))
+    need = max(10, math.ceil(0.05 * frequency))
+    budget = max(1, int(0.5 * frequency))
     return max(1, min(need, budget))
 
 
@@ -212,13 +200,11 @@ def sweep_step_for(frequency: float) -> float:
     return min(20e-6, period / 2000.0)
 
 
-def _sweep_scenario(
-    frequency: float, load: str, balancing: float, set_voltage: float
-) -> Scenario:
+def _sweep_scenario(frequency: float, load: str) -> Scenario:
     circuit = build_half_bridge(
         CONVERTER,
-        StackParams(balancing_resistance=balancing),
-        load=load_fragment(load, bias_voltage=set_voltage),
+        StackParams(balancing_resistance=1.8e6),
+        load=load_fragment(load),
         control=ControlSignal(frequency=frequency),
     )
     settle = settle_periods_for(frequency)
@@ -243,7 +229,7 @@ def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
     share_metrics = voltage_shares(
         run.voltage("A"), run.voltage("B"), v_o, run.voltage("C")
     )
-    i_p = run.supply_port_current("sup")
+    i_p = run.supply_port_current()
     v_p = run.voltage("A")
     return Metrics(
         amplitude=amplitude,
@@ -255,15 +241,10 @@ def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
     )
 
 
-def frequency_sweep(
-    frequencies: Sequence[float],
-    loads: Sequence[str],
-    balancing: float = 1.8e6,
-    set_voltage: float = 1800.0,
-    workers: int = 1,
-) -> Study:
-    """:class:`Metrics` per (frequency, load) cell, converter-fed, frequency
-    major.  Every cell runs to its own steady state."""
+def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study:
+    """:class:`Metrics` per (frequency, load) cell, converter-fed through the
+    1.8 MOhm-balanced stack, frequency major.  Every cell runs to its own
+    steady state."""
     if not frequencies:
         raise MeasureError("empty frequency list")
     if not loads:
@@ -273,11 +254,11 @@ def frequency_sweep(
 
     def cell(key: Tuple[float, str]) -> Metrics:
         f, load = key
-        run = run_scenario(_sweep_scenario(f, load, balancing, set_voltage))
+        run = run_scenario(_sweep_scenario(f, load))
         return _cell_metrics(run, f)
 
     keys = [(float(f), str(load)) for f in frequencies for load in loads]
-    return run_study(cell, keys, workers)
+    return run_study(cell, keys)
 
 
 def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
@@ -289,7 +270,7 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
 
     def cell(phase: float) -> Metrics:
         run = run_scenario(dual_channel_with_phase(phase))
-        i_p = run.supply_port_current("sup")
+        i_p = run.supply_port_current()
         v_p = run.voltage("A")
         return Metrics(
             peak_source_current=float(i_p.samples.max()),
@@ -326,13 +307,12 @@ class MismatchModel:
 def monte_carlo(
     build: Callable[[Sequence[float], Sequence[float]], Scenario],
     model: MismatchModel,
-    n_devices: int = 4,
-    workers: int = 1,
 ) -> Study:
     """Maximum device drop over the full run per (trial, trial seed) cell.
 
     ``build(off_resistances, offsets)`` constructs the per-trial scenario
-    with sampled off-resistances/offsets; it must probe nodes A, B, O and C.
+    with the four sampled off-resistances/offsets of the stack; it must
+    probe nodes A, B, O and C.
     A draw that is not finite, or that ``build`` rejects (an off-resistance
     at or below the on-resistance), fails its trial alone.
     """
@@ -342,9 +322,9 @@ def monte_carlo(
         rng = np.random.Generator(np.random.PCG64(children[key[0]]))
         with np.errstate(over="ignore"):  # a wide sigma can overflow: checked below
             offs = model.median_off_resistance * np.exp(
-                model.sigma * rng.standard_normal(n_devices)
+                model.sigma * rng.standard_normal(4)
             )
-        offsets = rng.uniform(-model.offset_span, model.offset_span, n_devices)
+        offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
         if not np.all(np.isfinite(offs)):
             bad = float(offs[~np.isfinite(offs)][0])
             raise MeasureError(f"sampled off-resistance {bad!r} is not finite")
@@ -356,4 +336,4 @@ def monte_carlo(
         return voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"]).max_device_drop
 
     keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
-    return run_study(trial, keys, workers)
+    return run_study(trial, keys)

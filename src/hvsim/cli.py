@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 for usage/parse problems (unknown preset, netlist
 syntax error, bad override), 3 for numerical failures.  Summaries go to
 stdout, diagnostics to stderr; outputs are byte-identical for identical
-inputs, seeds, and any worker count.
+inputs and seeds.  Every study runs its cells one after another on one
+thread; ``--workers`` is accepted as an upper bound on worker threads.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def cmd_sweep(args) -> int:
         raise CliError("empty entry in load list")
     for load in loads:
         presets.load_fragment(load)  # validate descriptors up front
-    study = analysis.frequency_sweep(freqs, loads, workers=args.workers)
+    study = analysis.frequency_sweep(freqs, loads)
     metrics = [m or analysis.Metrics() for m in study.values]
     csv_path = out / f"{name}_sweep.csv"
     analysis.write_table(
@@ -318,7 +319,7 @@ def cmd_montecarlo(args) -> int:
     model = analysis.MismatchModel(
         sigma=args.sigma, trials=args.trials, seed=args.seed
     )
-    study = analysis.monte_carlo(build, model, workers=args.workers)
+    study = analysis.monte_carlo(build, model)
     out = _out_dir(args)
     csv_path = out / f"{name}_mc.csv"
     analysis.write_table(csv_path, ["trial", "seed", "max_drop_v", "status"], [
@@ -356,9 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
 
     def workers(p):
-        # run has no parallel work, so only sweep and montecarlo take --workers
+        # studies run serially; sweep and montecarlo still accept the bound
         p.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads, >= 1 (never changes results)")
+                       help="upper bound on worker threads, >= 1; studies run "
+                            "on one thread (never changes results)")
 
     def plot_and_seed(p):
         # run and sweep draw no random numbers: --seed is accepted only at

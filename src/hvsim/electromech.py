@@ -73,13 +73,11 @@ def displacement_response(v: Waveform, params: ElectromechParams) -> Waveform:
     return Waveform(v.start, v.step, x)
 
 
-def _fig8_scenario(
-    supply: Fragment, frequency: float, balancing: float = 1.8e6
-) -> Scenario:
+def _fig8_scenario(supply: Fragment, frequency: float) -> Scenario:
     period = 1.0 / frequency
     circuit = build_half_bridge(
         supply,
-        StackParams(balancing_resistance=balancing),
+        StackParams(balancing_resistance=1.8e6),
         load=expand_dea_load(DeaLoadParams()),
         control=ControlSignal(frequency=frequency),
     )

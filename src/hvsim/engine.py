@@ -50,6 +50,7 @@ from .circuit import (
     is_ground,
     param,
 )
+from .devices import ScheduleError
 from .waveform import Waveform
 
 
@@ -455,7 +456,10 @@ def run_transient(
     """Integrate the circuit over [0, stop] on a fixed grid.
 
     ``switch_timelines`` gives each switch its initial state and scheduled
-    state changes; change times are snapped to the grid.  Gated sources and
+    state changes; change times are snapped to the grid, and two changes of
+    one switch that snap to one grid index after t=0 raise
+    :class:`~hvsim.devices.ScheduleError` (the pulse between them would be
+    lost).  Gated sources and
     slew-limit ramp knees introduce additional segment boundaries.  Every
     sample of every unknown is retained in the result: dense when the circuit
     has capacitors, run-length when it has none (see :class:`TransientResult`).
@@ -476,11 +480,19 @@ def run_transient(
             raise SimulationError(f"no timeline given for switch {sw.name!r}")
         initial, events = timeline_by_name[sw.name]
         state = bool(initial)
+        snapped: Dict[int, float] = {}  # grid index -> event time, this switch
         for t_e, new_state in events:
             idx = _snap(t_e, h)
             if idx <= 0:
                 state = bool(new_state)
             elif idx <= n_steps:
+                if idx in snapped:
+                    raise ScheduleError(
+                        f"switch {sw.name!r}: events at t={snapped[idx]!r} and t={t_e!r} "
+                        f"snap to one grid index (step {h!r}); the pulse between "
+                        "them would be lost"
+                    )
+                snapped[idx] = t_e
                 sw_events.setdefault(idx, []).append((si, bool(new_state)))
         sw_states.append(state)
 

@@ -45,10 +45,10 @@ FIG7C_PHASES = (0.0, math.pi / 2, math.pi)
 CONVERTER = Fragment((ConverterSource(name="X", pos="+", neg="-"),))
 
 
-def load_fragment(descriptor: str, bias_voltage: float = 1800.0) -> Fragment:
+def load_fragment(descriptor: str) -> Fragment:
     """Load fragments by CLI descriptor: ``10n``/``20n``/``50n`` are ceramic
-    capacitors (derated at ``bias_voltage``) in series with 100 kOhm; ``dea``
-    is the actuator equivalent."""
+    capacitors (derated at the 1.8 kV set voltage) in series with 100 kOhm;
+    ``dea`` is the actuator equivalent."""
     key = descriptor.strip()
     if key == "dea":
         return expand_dea_load(DeaLoadParams())
@@ -59,7 +59,7 @@ def load_fragment(descriptor: str, bias_voltage: float = 1800.0) -> Fragment:
             series_resistance=100e3,
             derating=CERAMIC_DERATING,
             rated_voltage=CERAMIC_RATED_VOLTAGE,
-            bias_voltage=bias_voltage,
+            bias_voltage=1800.0,
         )
     raise PresetError(f"unknown load descriptor {descriptor!r} (10n, 20n, 50n, dea)")
 

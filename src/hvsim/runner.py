@@ -36,24 +36,23 @@ class RunResult:
     def voltage(self, node: str) -> Waveform:
         return self.raw.voltage(node)
 
-    def supply_port_current(self, prefix: str = "sup") -> Waveform:
-        """Current delivered by the named supply fragment into the circuit.
+    def supply_port_current(self) -> Waveform:
+        """Current delivered by the supply fragment ``sup`` into the circuit.
 
         For the converter this is the current leaving the output node (EMF
         branch minus the output-capacitor charging current); for the bench
         supply it is simply the EMF branch current.
         """
-        candidates = (f"X{prefix}__emf", f"V{prefix}_emf")
+        candidates = ("Xsup__emf", "Vsup_emf")
         emf = next((n for n in candidates if n in self.raw.source_names), None)
         if emf is None:
-            raise KeyError(f"no supply fragment named {prefix!r} in this circuit")
+            raise KeyError("no supply fragment named 'sup' in this circuit")
         delivered = self.raw.source_current(emf)
-        cpar = f"X{prefix}__cpar"
-        if cpar in self.raw.cap_names:
+        if "Xsup__cpar" in self.raw.cap_names:
             delivered = Waveform(
                 delivered.start,
                 delivered.step,
-                delivered.samples - self.raw.cap_current(cpar).samples,
+                delivered.samples - self.raw.cap_current("Xsup__cpar").samples,
             )
         return delivered
 
@@ -78,24 +77,9 @@ def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, lis
 
 def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
     """Total time any non-inverted switch and any inverted switch sharing a
-    control are simultaneously on (commanded overlap across a bridge)."""
-
-    def state_fn(name: str):
-        initial, events = timelines[name]
-        times = [t for t, _ in events]
-        states = [s for _, s in events]
-
-        def at(t: float) -> bool:
-            s = initial
-            for te, se in zip(times, states):
-                if te <= t:
-                    s = se
-                else:
-                    break
-            return s
-
-        return at
-
+    control are simultaneously on (commanded overlap across a bridge): one
+    pass per control over its switches' time-ordered events, counting each
+    interval between adjacent boundaries whose midpoint has both sides on."""
     groups: Dict[str, Dict[bool, List[str]]] = {}
     for comp in circuit.components:
         if isinstance(comp, Switch):
@@ -104,18 +88,30 @@ def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
             )
 
     total = 0.0
-    for ctrl, sides in groups.items():
+    for sides in groups.values():
         if not sides[True] or not sides[False]:
             continue
+        on = {True: 0, False: 0}  # switches on, per side
+        changes: List[Tuple[float, bool, int]] = []
         boundaries = {0.0, stop}
-        for name in sides[True] + sides[False]:
-            boundaries.update(t for t, _ in timelines[name][1] if t < stop)
+        for side, names in sides.items():
+            for name in names:
+                initial, events = timelines[name]
+                state = int(initial)
+                on[side] += state
+                for t, new_state in events:
+                    changes.append((t, side, int(new_state) - state))
+                    state = int(new_state)
+                boundaries.update(t for t, _ in events if t < stop)
+        changes.sort()
         pts = sorted(boundaries)
-        fns_hi = [state_fn(n) for n in sides[False]]
-        fns_lo = [state_fn(n) for n in sides[True]]
+        k = 0
         for t0, t1 in zip(pts, pts[1:]):
             tm = 0.5 * (t0 + t1)
-            if any(f(tm) for f in fns_hi) and any(f(tm) for f in fns_lo):
+            while k < len(changes) and changes[k][0] <= tm:
+                on[changes[k][1]] += changes[k][2]
+                k += 1
+            if on[True] and on[False]:
                 total += t1 - t0
     return total
 

@@ -101,22 +101,22 @@ def build_half_bridge(
     load: Optional[Fragment],
     control: ControlSignal,
     probe_nodes: Sequence[str] = (),
-    control_name: str = "g",
 ) -> Circuit:
     """Single-channel bridge with labeled nodes A, B, O, C (D is ground).
 
-    ``supply`` feeds A; ``probe_nodes`` each get a scope probe ``Xscope<node>``.
+    ``supply`` feeds A; ``control`` drives every switch under the name ``g``;
+    ``probe_nodes`` each get a scope probe ``Xscope<node>``.
     """
     comps: List[Component] = supply.instantiate("A", "0", "sup")
 
-    comps.extend(_stack_side(stack, control_name, False, ("A", "B", "O"), 0, ""))
-    comps.extend(_stack_side(stack, control_name, True, ("O", "C", "0"), 2, ""))
+    comps.extend(_stack_side(stack, "g", False, ("A", "B", "O"), 0, ""))
+    comps.extend(_stack_side(stack, "g", True, ("O", "C", "0"), 2, ""))
 
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
     comps.extend(Probe(f"Xscope{node}", node, "0") for node in probe_nodes)
 
-    return Circuit.build(comps, {control_name: control})
+    return Circuit.build(comps, {"g": control})
 
 
 def build_dual_channel(

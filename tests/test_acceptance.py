@@ -261,9 +261,9 @@ class TestCriterion07DualChannelPhasing:
         peaks = {}
         for phase in (0.0, math.pi / 2, math.pi):
             run = run_scenario(dual_channel_with_phase(phase))
-            peaks[phase] = float(run.supply_port_current("sup").samples.max())
+            peaks[phase] = float(run.supply_port_current().samples.max())
         single = run_scenario(single_channel_reference(dual_channel_with_phase(0.0)))
-        single_peak = float(single.supply_port_current("sup").samples.max())
+        single_peak = float(single.supply_port_current().samples.max())
         ordering = peaks[math.pi] <= peaks[math.pi / 2] <= peaks[0.0]
         doubling = abs(peaks[0.0] - 2.0 * single_peak) / (2.0 * single_peak) < 0.01
         regression = abs(peaks[math.pi / 2] - self.PI_2_PEAK) / self.PI_2_PEAK < 1e-6

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,17 @@ class TestRun:
         assert code == 2
         assert "error: driver delays reorder events" in capsys.readouterr().err
 
+    def test_events_snapped_to_one_grid_index_exit_2(self, tmp_path, capsys):
+        # on a 0.7 s grid Sq1's turn-off (0.5 s) and turn-on (1.0 s) events
+        # snap to one index, which would drop the off pulse between them
+        code = run_cli(
+            "run", "--preset", "fig3", "--out", str(tmp_path), "--set", "tran.step=0.7"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: switch 'Sq1': events at t=0.5001 and t=1.0004 ")
+        assert not (tmp_path / "fig3.csv").exists()
+
     def test_fractional_damp_override_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "run", "--preset", "fig3", "--out", str(tmp_path), "--set", "tran.damp=2.5"
@@ -199,7 +211,7 @@ class TestSweep:
         assert failed == ["5000.0", "10n"] + ["nan"] * 5
 
     def test_plot_with_failed_cell(self, tmp_path, capsys, monkeypatch):
-        def fake_sweep(freqs, loads, workers=1):
+        def fake_sweep(freqs, loads):
             keys = tuple((float(f), load) for f in freqs for load in loads)
             failed = (100.0, "10n")
             return analysis.Study(
@@ -494,3 +506,22 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestSerialStudies:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig7", "--freqs", "100,300", "--loads", "10n,dea"],
+        ["montecarlo", "--preset", "fig3", "--trials", "6"],
+    ], ids=["sweep-fig7", "montecarlo"])
+    def test_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch, argv):
+        threads = []
+        real = analysis.run_scenario
+
+        def recording_run_scenario(scenario):
+            threads.append(threading.get_ident())
+            return real(scenario)
+
+        monkeypatch.setattr(analysis, "run_scenario", recording_run_scenario)
+        assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path)) == 0
+        assert len(threads) == (4 if argv[0] == "sweep" else 6)
+        assert set(threads) == {threading.get_ident()}

@@ -15,6 +15,7 @@ from hvsim.circuit import (
     VoltageSource,
 )
 from hvsim.analysis import voltage_shares
+from hvsim.devices import ScheduleError
 from hvsim.engine import (
     IntegrationSettings,
     SimulationError,
@@ -257,6 +258,26 @@ class TestTransient:
         )
         with pytest.raises(SimulationError, match="S1"):
             run_transient(c, IntegrationSettings(step=1e-6, stop=1e-5), {})
+
+    def test_events_snapped_to_one_grid_index_raise(self):
+        # an on/off pulse of 4 us on a 10 us grid would vanish without trace
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Resistor("R1", "A", "B", 1e3),
+            Switch("S1", "B", "0", control="g"),
+            controls={"g": ControlSignal(frequency=1.0)},
+        )
+        timelines = {"S1": (False, [(3.0e-5, True), (3.4e-5, False)])}
+        with pytest.raises(ScheduleError, match=r"'S1'.*t=3e-05 and t=3.4e-05"):
+            run_transient(c, IntegrationSettings(step=1e-5, stop=1e-4), timelines)
+        # on a 1 us grid the pulse keeps its own samples
+        res = run_transient(c, IntegrationSettings(step=1e-6, stop=1e-4), timelines)
+        v = res.voltage("B").samples
+        assert v[32] < 0.1 and v[29] > 9.9 and v[36] > 9.9
+        # events at or before t=0 still fold into the initial state
+        folded = {"S1": (False, [(-2e-6, True), (1e-6, False), (2e-4, True)])}
+        res = run_transient(c, IntegrationSettings(step=1e-5, stop=1e-4), folded)
+        assert res.voltage("B").samples[0] > 9.9
 
 
 def random_rc_circuit(rng):

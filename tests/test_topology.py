@@ -9,7 +9,7 @@ from hvsim.circuit import CircuitError, ControlSignal, Switch
 from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
 from hvsim.engine import IntegrationSettings
 from hvsim.presets import CONVERTER, load_preset
-from hvsim.runner import run_scenario, switch_timelines
+from hvsim.runner import _shoot_through_seconds, run_scenario, switch_timelines
 from hvsim.scenario import Scenario
 from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
 
@@ -136,3 +136,84 @@ class TestBuildDualChannel:
         c = self.make(0.0)
         converters = [comp for comp in c.components if comp.name == "Xsup"]
         assert len(converters) == 1
+
+
+def midpoint_scan_shoot_through(circuit, timelines, stop):
+    """Reference: for every interval between adjacent boundary points,
+    rescan each switch's events from the start to find its state at the
+    interval midpoint."""
+
+    def state_fn(name):
+        initial, events = timelines[name]
+
+        def at(t):
+            s = initial
+            for te, se in events:
+                if te <= t:
+                    s = se
+                else:
+                    break
+            return s
+
+        return at
+
+    groups = {}
+    for comp in circuit.components:
+        if isinstance(comp, Switch):
+            groups.setdefault(comp.control, {True: [], False: []})[comp.invert].append(comp.name)
+    total = 0.0
+    for sides in groups.values():
+        if not sides[True] or not sides[False]:
+            continue
+        boundaries = {0.0, stop}
+        for name in sides[True] + sides[False]:
+            boundaries.update(t for t, _ in timelines[name][1] if t < stop)
+        pts = sorted(boundaries)
+        fns_hi = [state_fn(n) for n in sides[False]]
+        fns_lo = [state_fn(n) for n in sides[True]]
+        for t0, t1 in zip(pts, pts[1:]):
+            tm = 0.5 * (t0 + t1)
+            if any(f(tm) for f in fns_hi) and any(f(tm) for f in fns_lo):
+                total += t1 - t0
+    return total
+
+
+class TestShootThrough:
+    def random_timelines(self, rng, circuit, stop):
+        """Sorted random event times in [-0.05, 1.05] * stop, some of them
+        shared between switches, with random states."""
+        shared = np.sort(rng.uniform(-0.05 * stop, 1.05 * stop, 6))
+        out = {}
+        for comp in circuit.components:
+            if not isinstance(comp, Switch):
+                continue
+            n = int(rng.integers(0, 30))
+            times = np.unique(np.concatenate(
+                [rng.uniform(-0.05 * stop, 1.05 * stop, n), rng.choice(shared, 2)]
+            ))
+            states = rng.integers(0, 2, times.size).astype(bool)
+            out[comp.name] = (bool(rng.integers(0, 2)),
+                              [(float(t), bool(s)) for t, s in zip(times, states)])
+        return out
+
+    def test_matches_midpoint_scan(self):
+        rng = np.random.default_rng(20261018)
+        circuits = (bridge(), TestBuildDualChannel().make(math.pi / 2))
+        nonzero = 0
+        for trial in range(200):
+            circuit = circuits[trial % 2]
+            stop = float(rng.uniform(0.01, 2.0))
+            timelines = self.random_timelines(rng, circuit, stop)
+            got = _shoot_through_seconds(circuit, timelines, stop)
+            assert got == midpoint_scan_shoot_through(circuit, timelines, stop)
+            nonzero += got > 0
+        assert nonzero > 100
+
+    def test_preset_overlap_matches_midpoint_scan(self):
+        # a low-side turn-off slower than the high-side turn-on overlaps
+        scenario = load_preset("fig3")
+        circuit = scenario.circuit.with_replaced("Sq4", turn_off_delay=0.6e-3)
+        timelines = switch_timelines(circuit, scenario.settings.stop)
+        got = _shoot_through_seconds(circuit, timelines, scenario.settings.stop)
+        assert got > 0
+        assert got == midpoint_scan_shoot_through(circuit, timelines, scenario.settings.stop)

@@ -36,6 +36,8 @@ def jobs():
         yield f"run:{name}", ["run", "--preset", name]
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
     yield "run:fig3:slow-slew", ["run", "--preset", "fig3", "--set", "comp.Vsup_emf.slew=2e5"]
+    # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
+    yield "run:fig3:shoot-through", ["run", "--preset", "fig3", "--set", "comp.Sq4.toff=0.6m"]
     for workers in (1, 2):
         yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7", "--workers", str(workers)]
     yield "sweep:fig7:grid", ["sweep", "--preset", "fig7", "--freqs", "100,5000",
