@@ -11,13 +11,12 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CircuitError, ControlSignal
+from .circuit import CircuitError
 from .devices import ScheduleError
-from .engine import IntegrationSettings, SimulationError
-from .presets import CONVERTER, FIG7C_PHASES, dual_channel_with_phase, load_fragment
-from .runner import RunResult, run_scenario
+from .engine import IntegrationSettings, SimulationError, TransientResult
+from .presets import FIG7C_PHASES, converter_bridge, dual_channel_with_phase, load_fragment
+from .runner import run_scenario
 from .scenario import Scenario
-from .topology import StackParams, build_half_bridge
 from .waveform import Waveform, WaveformError, run_values
 
 
@@ -97,15 +96,9 @@ def measure_slew(w: Waveform) -> float:
     raise MeasureError("no rising edge crosses both thresholds")
 
 
-def voltage_shares(
-    v_a: Waveform,
-    v_b: Waveform,
-    v_o: Waveform,
-    v_c: Waveform,
-    v_d: Optional[Waveform] = None,
-) -> Metrics:
+def voltage_shares(v_a: Waveform, v_b: Waveform, v_o: Waveform, v_c: Waveform) -> Metrics:
     """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
-    ``C-D`` (``D`` is ground when ``v_d`` is None).
+    ``C-D`` (``D`` is ground).
 
     Drops are differences of the measured node traces; shares are evaluated
     at the last sample of the widest blocking plateau (where the stack
@@ -114,13 +107,12 @@ def voltage_shares(
     end-to-end voltage and are undefined (None) below 1 V.  Run-length
     traces are read one value per run, with the same result.
     """
-    traces = (v_a, v_b, v_o, v_c) + (() if v_d is None else (v_d,))
     try:
-        a, b, o, c, *d = run_values(*traces)
+        a, b, o, c = run_values(v_a, v_b, v_o, v_c)
     except WaveformError:
         raise MeasureError("share traces must share one sampling grid") from None
-    drops = (a - b, b - o, o - c, c - d[0] if d else c)
-    total = a - d[0] if d else a
+    drops = (a - b, b - o, o - c, c)
+    total = a
     max_drop = max(float(drop.max()) for drop in drops)
     peak = float(total.max())
     shares: Optional[Tuple[float, ...]] = None
@@ -201,23 +193,38 @@ def sweep_step_for(frequency: float) -> float:
 
 
 def _sweep_scenario(frequency: float, load: str) -> Scenario:
-    circuit = build_half_bridge(
-        CONVERTER,
-        StackParams(balancing_resistance=1.8e6),
-        load=load_fragment(load),
-        control=ControlSignal(frequency=frequency),
-    )
     settle = settle_periods_for(frequency)
     period = 1.0 / frequency
     return Scenario(
-        circuit,
+        converter_bridge(frequency, load_fragment(load)),
         IntegrationSettings(step=sweep_step_for(frequency), stop=(settle + 1) * period),
         probes=("A", "B", "O", "C"),
         origin=f"sweep-{load}-{frequency:g}Hz",
     )
 
 
-def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
+def supply_port_current(run: TransientResult) -> Waveform:
+    """Current delivered by the supply fragment ``sup`` into the circuit.
+
+    For the converter this is the current leaving the output node (EMF
+    branch minus the output-capacitor charging current); for the bench
+    supply it is simply the EMF branch current.
+    """
+    candidates = ("Xsup__emf", "Vsup_emf")
+    emf = next((n for n in candidates if n in run.source_names), None)
+    if emf is None:
+        raise KeyError("no supply fragment named 'sup' in this circuit")
+    delivered = run.source_current(emf)
+    if "Xsup__cpar" in run.cap_names:
+        delivered = Waveform(
+            delivered.start,
+            delivered.step,
+            delivered.samples - run.cap_current("Xsup__cpar").samples,
+        )
+    return delivered
+
+
+def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
     period = 1.0 / frequency
     settle = settle_periods_for(frequency)
     v_o = run.voltage("O")
@@ -229,7 +236,7 @@ def _cell_metrics(run: RunResult, frequency: float) -> Metrics:
     share_metrics = voltage_shares(
         run.voltage("A"), run.voltage("B"), v_o, run.voltage("C")
     )
-    i_p = run.supply_port_current()
+    i_p = supply_port_current(run)
     v_p = run.voltage("A")
     return Metrics(
         amplitude=amplitude,
@@ -270,7 +277,7 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
 
     def cell(phase: float) -> Metrics:
         run = run_scenario(dual_channel_with_phase(phase))
-        i_p = run.supply_port_current()
+        i_p = supply_port_current(run)
         v_p = run.voltage("A")
         return Metrics(
             peak_source_current=float(i_p.samples.max()),
@@ -311,8 +318,7 @@ def monte_carlo(
     """Maximum device drop over the full run per (trial, trial seed) cell.
 
     ``build(off_resistances, offsets)`` constructs the per-trial scenario
-    with the four sampled off-resistances/offsets of the stack; it must
-    probe nodes A, B, O and C.
+    with the four sampled off-resistances/offsets of the stack.
     A draw that is not finite, or that ``build`` rejects (an off-resistance
     at or below the on-resistance), fails its trial alone.
     """
@@ -332,8 +338,8 @@ def monte_carlo(
             scenario = build(list(offs), list(offsets))
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
-        w = run_scenario(scenario).waveforms
-        return voltage_shares(w["V_A"], w["V_B"], w["V_O"], w["V_C"]).max_device_drop
+        run = run_scenario(scenario)
+        return voltage_shares(*(run.voltage(node) for node in "ABOC")).max_device_drop
 
     keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
     return run_study(trial, keys)

@@ -77,6 +77,11 @@ class ControlSignal:
     phase: float = param("phase", 0.0)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.frequency) and math.isfinite(self.phase)):
+            raise CircuitError(
+                f"control frequency and phase must be finite, got f={self.frequency} "
+                f"phase={self.phase}"
+            )
         if self.frequency < 0:
             raise CircuitError(f"control frequency must be >= 0, got {self.frequency}")
         if not 0.0 < self.duty < 1.0:

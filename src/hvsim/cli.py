@@ -130,13 +130,16 @@ def cmd_run(args) -> int:
         raise CliError(f"{name}: no probes requested (add .probe directives)")
     result = run_scenario(scenario)
     out = _out_dir(args)
-    columns = {probe_label(p): result.waveforms[probe_label(p)] for p in scenario.probes}
+    columns = {
+        probe_label(p): result.voltage(p) if isinstance(p, str) else result.pair_voltage(*p)
+        for p in scenario.probes
+    }
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, columns)
     written = [csv_path]
     if "load_m" in scenario.circuit.node_labels() and name.startswith("fig8"):
         v_load = result.voltage("load_m")
-        x = electromech.displacement_response(v_load, electromech.ElectromechParams())
+        x = electromech.displacement_response(v_load)
         disp_path = out / f"{name}_displacement.csv"
         write_csv(disp_path, {"v_load": v_load, "x_norm": x})
         written.append(disp_path)
@@ -183,9 +186,11 @@ def _parse_phase(tok: str) -> float:
             value = scale * math.pi
             if den:
                 value /= float(den)
-            return value
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CliError(f"bad phase {tok!r}") from None
+        if not math.isfinite(value):
+            raise CliError(f"bad phase {tok!r}")
+        return value
     try:
         return parse_value(tok, allow_unit=True)
     except ValueError:
@@ -307,6 +312,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if not math.isfinite(args.sigma):
+        raise CliError("--sigma must be finite")
     if args.sigma < 0:
         raise CliError("--sigma must be >= 0")
     name = args.preset

@@ -10,79 +10,65 @@ actuator, and its output is dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import Study, measure_amplitude, run_study, sweep_step_for
-from .circuit import ControlSignal
-from .devices import DeaLoadParams, Fragment, expand_dea_load
+from .devices import Fragment
 from .engine import IntegrationSettings
-from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter
+from .presets import (
+    CONVERTER,
+    FIG8_FREQUENCIES,
+    bench_matched_to_converter,
+    converter_bridge,
+    load_fragment,
+)
 from .runner import run_scenario
 from .scenario import Scenario
-from .topology import StackParams, build_half_bridge
 from .waveform import Waveform
+
+#: drive voltage at which the static displacement is 1.0
+REFERENCE_VOLTAGE = 1800.0
+#: natural frequency (Hz) and damping ratio of the mechanical low-pass
+NATURAL_FREQUENCY = 80.0
+DAMPING_RATIO = 0.7
 
 
 class ElectromechError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ElectromechParams:
-    reference_voltage: float = 1800.0
-    static_gain: float = 1.0
-    natural_frequency: float = 80.0
-    damping_ratio: float = 0.7
-
-    def __post_init__(self) -> None:
-        if not (
-            self.reference_voltage > 0
-            and self.static_gain > 0
-            and self.natural_frequency > 0
-            and self.damping_ratio > 0
-        ):
-            raise ElectromechError("electromech parameters must be positive")
-
-
-def displacement_response(v: Waveform, params: ElectromechParams) -> Waveform:
+def displacement_response(v: Waveform) -> Waveform:
     """Normalized displacement for a drive-voltage waveform.
 
-    ``x = H2(s) * gain * (v / v_ref)^2`` with ``H2`` the unit-DC-gain
-    second-order low-pass, discretized zero-order-hold on the waveform grid
-    (exact for stepwise inputs at the sample instants).
+    ``x = H2(s) * (v / v_ref)^2`` with ``H2`` the unit-DC-gain second-order
+    low-pass, discretized zero-order-hold on the waveform grid (exact for
+    stepwise inputs at the sample instants).
     """
     # imported here, not at module level: scipy.signal costs about 1 s to
     # import and only the fig8 paths filter a waveform
     from scipy.signal import cont2discrete, lfilter
 
-    max_step = 1.0 / (20.0 * params.natural_frequency)
+    max_step = 1.0 / (20.0 * NATURAL_FREQUENCY)
     if v.step > max_step:
         raise ElectromechError(
-            f"step {v.step:.3g} s too coarse for a {params.natural_frequency:g} Hz "
+            f"step {v.step:.3g} s too coarse for a {NATURAL_FREQUENCY:g} Hz "
             f"filter (need <= {max_step:.3g} s)"
         )
-    wn = 2.0 * math.pi * params.natural_frequency
+    wn = 2.0 * math.pi * NATURAL_FREQUENCY
     num = [wn * wn]
-    den = [1.0, 2.0 * params.damping_ratio * wn, wn * wn]
+    den = [1.0, 2.0 * DAMPING_RATIO * wn, wn * wn]
     bz, az, _ = cont2discrete((num, den), dt=v.step, method="zoh")
-    u = params.static_gain * (v.samples / params.reference_voltage) ** 2
+    u = (v.samples / REFERENCE_VOLTAGE) ** 2
     x = lfilter(np.atleast_1d(np.squeeze(bz)), np.atleast_1d(np.squeeze(az)), u)
     return Waveform(v.start, v.step, x)
 
 
 def _fig8_scenario(supply: Fragment, frequency: float) -> Scenario:
     period = 1.0 / frequency
-    circuit = build_half_bridge(
-        supply,
-        StackParams(balancing_resistance=1.8e6),
-        load=expand_dea_load(DeaLoadParams()),
-        control=ControlSignal(frequency=frequency),
-    )
     return Scenario(
-        circuit,
+        converter_bridge(frequency, load_fragment("dea"), supply=supply),
         IntegrationSettings(step=sweep_step_for(frequency), stop=2.0 * period),
         probes=("A", "O", "load_m"),
         origin=f"fig8-{frequency:g}Hz",
@@ -103,14 +89,11 @@ def displacement_sweep(
         raise ElectromechError(f"supply must be 'converter' or 'bench', got {supply!r}")
     if any(f <= 0 for f in frequencies):
         raise ElectromechError("frequencies must be positive")
-    if supply == "converter":
-        sup = CONVERTER
-    else:
-        sup = bench_matched_to_converter(CONVERTER, expand_dea_load(DeaLoadParams()))
+    sup = CONVERTER if supply == "converter" else bench_matched_to_converter()
 
     def cell(f: float) -> float:
         run = run_scenario(_fig8_scenario(sup, f))
-        x = displacement_response(run.voltage("load_m"), ElectromechParams())
+        x = displacement_response(run.voltage("load_m"))
         return measure_amplitude(x, 1, 1.0 / f, mode="bipolar")
 
     return run_study(cell, [float(f) for f in frequencies])

@@ -69,6 +69,8 @@ class IntegrationSettings:
     def __post_init__(self) -> None:
         if not self.step > 0:
             raise CircuitError(f"integration step must be > 0, got {self.step}")
+        if not math.isfinite(self.stop):
+            raise CircuitError(f"stop time must be finite, got {self.stop}")
         if not self.stop >= self.step:
             raise CircuitError(f"stop time must be >= step, got {self.stop}")
         if self.damping_steps < 0:
@@ -360,7 +362,8 @@ class TransientResult:
     holds from grid index ``starts[i]`` up to the next start (the last row up
     to ``n_samples``), one row per constant stretch and one per step of a
     source ramp.  The accessors return :class:`Waveform` in the same form, so
-    callers read ``samples`` either way.
+    callers read ``samples`` either way.  ``shoot_through`` is the commanded
+    time with both sides of a bridge on (see :func:`_shoot_through_seconds`).
     """
 
     step: float
@@ -373,6 +376,7 @@ class TransientResult:
     n_samples: int
     starts: Optional[np.ndarray] = None  # grid index of each row; None: dense
     events: List[Tuple[float, str]] = field(default_factory=list)
+    shoot_through: float = 0.0  # seconds with both bridge sides commanded on
 
     def _wave(self, values: np.ndarray) -> Waveform:
         return Waveform(0.0, self.step, values, self.starts, self.n_samples)
@@ -446,6 +450,47 @@ def _initial_solve(
     if not np.all(np.isfinite(x)):
         raise SimulationError("non-finite initial solution at t=0.0")
     return x[: n + m], x[n + m :], indeterminate
+
+
+def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
+    """Total time any non-inverted switch and any inverted switch sharing a
+    control are simultaneously on (commanded overlap across a bridge): one
+    pass per control over its switches' time-ordered events, counting each
+    interval between adjacent boundaries whose midpoint has both sides on."""
+    groups: Dict[str, Dict[bool, List[str]]] = {}
+    for comp in circuit.components:
+        if isinstance(comp, Switch):
+            groups.setdefault(comp.control, {True: [], False: []})[comp.invert].append(
+                comp.name
+            )
+
+    total = 0.0
+    for sides in groups.values():
+        if not sides[True] or not sides[False]:
+            continue
+        on = {True: 0, False: 0}  # switches on, per side
+        changes: List[Tuple[float, bool, int]] = []
+        boundaries = {0.0, stop}
+        for side, names in sides.items():
+            for name in names:
+                initial, events = timelines[name]
+                state = int(initial)
+                on[side] += state
+                for t, new_state in events:
+                    changes.append((t, side, int(new_state) - state))
+                    state = int(new_state)
+                boundaries.update(t for t, _ in events if t < stop)
+        changes.sort()
+        pts = sorted(boundaries)
+        k = 0
+        for t0, t1 in zip(pts, pts[1:]):
+            tm = 0.5 * (t0 + t1)
+            while k < len(changes) and changes[k][0] <= tm:
+                on[changes[k][1]] += changes[k][2]
+                k += 1
+            if on[True] and on[False]:
+                total += t1 - t0
+    return total
 
 
 def run_transient(
@@ -677,4 +722,5 @@ def run_transient(
         n_samples=n_steps + 1,
         starts=starts,
         events=events_log,
+        shoot_through=_shoot_through_seconds(circuit, timeline_by_name, settings.stop),
     )

@@ -87,7 +87,8 @@ _NODE_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 def parse_value(token: str, allow_unit: bool = False) -> float:
-    """Engineering-notation value: plain float or ``<number><suffix>``.
+    """Engineering-notation value: plain float or ``<number><suffix>``; a
+    literal beyond the float range is rejected.
 
     With ``allow_unit`` a trailing unit word (s, V, F, Hz...) after the
     suffix is stripped first; netlists themselves stay strict.
@@ -100,12 +101,16 @@ def parse_value(token: str, allow_unit: bool = False) -> float:
         ):
             text = stripped
     if _PLAIN_RE.match(text):
-        return float(text)
-    m = _SUFFIX_RE.match(text)
-    if m:
+        value = float(text)
+    else:
+        m = _SUFFIX_RE.match(text)
+        if not m:
+            raise ValueError(f"malformed value {token!r}")
         # textual exponent splice keeps the decimal literal exact
-        return float(f"{m.group(1)}e{_SUFFIX_EXP[m.group(2)]}")
-    raise ValueError(f"malformed value {token!r}")
+        value = float(f"{m.group(1)}e{_SUFFIX_EXP[m.group(2)]}")
+    if not math.isfinite(value):
+        raise ValueError(f"value {token!r} is not finite")
+    return value
 
 
 def format_value(v: float) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import ControlSignal, ConverterSource, Switch
+from .circuit import Circuit, ControlSignal, ConverterSource, Switch
 from .devices import (
     BenchSupplyParams,
     DeaLoadParams,
@@ -132,15 +132,27 @@ def _fig5() -> Scenario:
     )
 
 
-def _fig6(balancing: float, origin: str) -> Scenario:
-    circuit = build_half_bridge(
-        CONVERTER,
-        _stack(balancing),
-        load=expand_dea_load(DeaLoadParams()),
-        control=ControlSignal(frequency=100.0),
+def converter_bridge(
+    frequency: float,
+    load: Fragment,
+    balancing: float = 1.8e6,
+    supply: Fragment = CONVERTER,
+) -> Circuit:
+    """The untethered configuration behind figs 6-8 and their studies: the
+    miniature converter feeding the balanced series stack, driven at
+    ``frequency`` into ``load``.
+
+    fig6b balances with 3.6 MOhm; the fig8 bench cells swap the converter for
+    the matched bench ``supply``.
+    """
+    return build_half_bridge(
+        supply, _stack(balancing), load=load, control=ControlSignal(frequency=frequency)
     )
+
+
+def _fig6(balancing: float, origin: str) -> Scenario:
     return Scenario(
-        circuit,
+        converter_bridge(100.0, load_fragment("dea"), balancing),
         IntegrationSettings(step=1e-6, stop=0.11),
         probes=("A", "O"),
         origin=origin,
@@ -148,14 +160,8 @@ def _fig6(balancing: float, origin: str) -> Scenario:
 
 
 def _fig7() -> Scenario:
-    circuit = build_half_bridge(
-        CONVERTER,
-        _stack(1.8e6),
-        load=load_fragment("10n"),
-        control=ControlSignal(frequency=100.0),
-    )
     return Scenario(
-        circuit,
+        converter_bridge(100.0, load_fragment("10n")),
         IntegrationSettings(step=5e-6, stop=0.11),
         probes=("A", "O"),
         origin="fig7",
@@ -163,14 +169,8 @@ def _fig7() -> Scenario:
 
 
 def _fig8() -> Scenario:
-    circuit = build_half_bridge(
-        CONVERTER,
-        _stack(1.8e6),
-        load=expand_dea_load(DeaLoadParams()),
-        control=ControlSignal(frequency=6.0),
-    )
     return Scenario(
-        circuit,
+        converter_bridge(6.0, load_fragment("dea")),
         IntegrationSettings(step=20e-6, stop=0.5),
         probes=("A", "O"),
         origin="fig8",
@@ -227,15 +227,14 @@ def load_preset(name: str) -> Scenario:
     return builder()
 
 
-def bench_matched_to_converter(converter: Fragment, load: Fragment) -> Fragment:
-    """Bench supply whose setting equals the converter's loaded DC output.
+def bench_matched_to_converter() -> Fragment:
+    """Bench supply whose setting equals the converter's DC output into the
+    DEA load.
 
     Used by the displacement comparison so the two supplies agree in the
     quasi-static limit and differ only in dynamics.
     """
-    probe_circuit = build_half_bridge(
-        converter, _stack(1.8e6), load=load, control=ControlSignal(frequency=0.0)
-    )
+    probe_circuit = converter_bridge(0.0, load_fragment("dea"))
     states = {
         comp.name: not comp.invert
         for comp in probe_circuit.components
@@ -281,19 +280,6 @@ def mc_template(
 def _channel(phase: float) -> ChannelSpec:
     """One fig7c channel: 100 Hz drive into the 100 kOhm + 10 nF mimic load."""
     return ChannelSpec(ControlSignal(frequency=100.0, phase=phase), series_rc_load(100e3, 10e-9))
-
-
-def single_channel_reference(dual: Scenario) -> Scenario:
-    """Single-channel counterpart of a dual-channel scenario (same converter,
-    stack, load, and control as channel 1), for peak-demand comparisons."""
-    channel = _channel(0.0)
-    circuit = build_half_bridge(
-        CONVERTER,
-        StackParams(balancing_resistance=1.8e6),
-        load=channel.load,
-        control=channel.control,
-    )
-    return Scenario(circuit, dual.settings, probes=("A", "O"), origin="fig7c-single")
 
 
 def dual_channel_with_phase(phase: float, origin: Optional[str] = None) -> Scenario:

@@ -120,13 +120,11 @@ def build_half_bridge(
 
 
 def build_dual_channel(
-    supply: Fragment,
-    channels: Tuple[ChannelSpec, ChannelSpec],
-    stack: Optional[StackParams] = None,
+    supply: Fragment, channels: Tuple[ChannelSpec, ChannelSpec]
 ) -> Circuit:
-    """Two bridges sharing one supply; per-channel nodes get 1/2 suffixes."""
-    if stack is None:
-        stack = StackParams(balancing_resistance=1.8e6)
+    """Two bridges sharing one supply, each through a 1.8 MOhm-balanced
+    stack; per-channel nodes get 1/2 suffixes."""
+    stack = StackParams(balancing_resistance=1.8e6)
     comps: List[Component] = supply.instantiate("A", "0", "sup")
     controls: Dict[str, ControlSignal] = {}
     for ch_i, channel in enumerate(channels, start=1):

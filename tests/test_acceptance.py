@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from hvsim.analysis import frequency_sweep, measure_amplitude, measure_slew, settle_periods_for
+from hvsim.analysis import (
+    frequency_sweep,
+    measure_amplitude,
+    measure_slew,
+    settle_periods_for,
+    supply_port_current,
+)
 from hvsim.circuit import Capacitor, ControlSignal
 from hvsim.cli import main as cli_main
 from hvsim.devices import series_rc_load
@@ -23,9 +29,9 @@ from hvsim.presets import (
     FIG7_LOADS,
     FIG8_FREQUENCIES,
     PRESET_NAMES,
+    converter_bridge,
     dual_channel_with_phase,
     load_preset,
-    single_channel_reference,
 )
 from hvsim.runner import run_scenario
 from hvsim.scenario import Scenario
@@ -261,9 +267,11 @@ class TestCriterion07DualChannelPhasing:
         peaks = {}
         for phase in (0.0, math.pi / 2, math.pi):
             run = run_scenario(dual_channel_with_phase(phase))
-            peaks[phase] = float(run.supply_port_current().samples.max())
-        single = run_scenario(single_channel_reference(dual_channel_with_phase(0.0)))
-        single_peak = float(single.supply_port_current().samples.max())
+            peaks[phase] = float(supply_port_current(run).samples.max())
+        single_channel = converter_bridge(100.0, series_rc_load(100e3, 10e-9))
+        settings = dual_channel_with_phase(0.0).settings
+        single = run_scenario(Scenario(single_channel, settings, probes=("A", "O")))
+        single_peak = float(supply_port_current(single).samples.max())
         ordering = peaks[math.pi] <= peaks[math.pi / 2] <= peaks[0.0]
         doubling = abs(peaks[0.0] - 2.0 * single_peak) / (2.0 * single_peak) < 0.01
         regression = abs(peaks[math.pi / 2] - self.PI_2_PEAK) / self.PI_2_PEAK < 1e-6

@@ -240,8 +240,8 @@ class TestMonteCarlo:
             offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
             run = run_scenario(build(list(offs), list(offsets)))
-            dense = [Waveform(0.0, run.raw.step, run.voltage(n).samples) for n in "ABOC"]
-            assert len(dense[0]) == run.raw.n_samples
+            dense = [Waveform(0.0, run.step, run.voltage(n).samples) for n in "ABOC"]
+            assert len(dense[0]) == run.n_samples
             metrics = voltage_shares(*dense)
             assert error is None
             assert np.float64(max_drop).tobytes() == np.float64(

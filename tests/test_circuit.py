@@ -41,6 +41,15 @@ class TestControlSignal:
         assert s.edges(10.0) == []
         assert s.state_at(0.0) is s.state_at(123.0)
 
+    @pytest.mark.parametrize("kw", [dict(frequency=1.0, phase=math.inf),
+                                    dict(frequency=1.0, phase=math.nan),
+                                    dict(frequency=math.inf),
+                                    dict(frequency=math.nan)])
+    def test_non_finite_frequency_or_phase_rejected(self, kw):
+        # edges() of such a signal never reaches its stop time
+        with pytest.raises(CircuitError, match="must be finite"):
+            ControlSignal(**kw)
+
     def test_duty_bounds(self):
         with pytest.raises(CircuitError):
             ControlSignal(frequency=1.0, duty=0.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hvsim import analysis
+from hvsim import analysis, cli, electromech
 from hvsim.cli import main
 from hvsim.waveform import read_csv
 
@@ -525,3 +525,37 @@ class TestSerialStudies:
         assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path)) == 0
         assert len(threads) == (4 if argv[0] == "sweep" else 6)
         assert set(threads) == {threading.get_ident()}
+
+
+class TestNonFiniteInput:
+    """A value beyond the float range exits 2 before any simulation starts;
+    reaching the engine, each of these hung, crashed or ran an open circuit."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        for module, name in ((cli, "run_scenario"), (analysis, "frequency_sweep"),
+                             (analysis, "phase_sweep"), (analysis, "monte_carlo"),
+                             (electromech, "displacement_sweep")):
+            monkeypatch.setattr(module, name, started)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--preset", "fig3", "--set", "ctrl.g.phase=1e309"], "not finite"),
+        (["run", "--preset", "fig3", "--set", "ctrl.g.f=1e309"], "not finite"),
+        (["run", "--preset", "fig3", "--set", "tran.stop=1e309"], "not finite"),
+        (["run", "--preset", "fig3", "--set", "comp.Rb1.value=1e309"], "not finite"),
+        (["sweep", "--preset", "fig7", "--freqs", "1e309", "--loads", "10n"],
+         "bad frequency entry"),
+        (["sweep", "--preset", "fig8", "--freqs", "2,1e309"], "bad frequency entry"),
+        (["sweep", "--preset", "fig7c", "--phases", "pi/0"], "bad phase"),
+        (["sweep", "--preset", "fig7c", "--phases", "1e309*pi"], "bad phase"),
+        (["sweep", "--preset", "fig7c", "--phases", "0,1e309"], "bad phase"),
+        (["montecarlo", "--preset", "fig3", "--sigma", "nan"], "--sigma must be finite"),
+        (["montecarlo", "--preset", "fig3", "--sigma", "inf"], "--sigma must be finite"),
+    ], ids=["phase", "frequency", "stop", "resistance", "fig7-freqs", "fig8-freqs",
+            "phase-over-zero", "phase-times-pi", "plain-phase", "sigma-nan", "sigma-inf"])
+    def test_exits_2_before_simulating(self, tmp_path, capsys, argv, message):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err

@@ -7,8 +7,9 @@ import pytest
 
 from hvsim.analysis import measure_slew
 from hvsim.electromech import (
+    DAMPING_RATIO,
+    NATURAL_FREQUENCY,
     ElectromechError,
-    ElectromechParams,
     displacement_response,
     displacement_sweep,
 )
@@ -24,24 +25,21 @@ def rise_time_10_90(v):
     return 0.8 * float(v.samples.max() - v.samples.min()) / measure_slew(v)
 
 
-PARAMS = ElectromechParams()
-
-
 class TestDisplacementResponse:
     def test_zero_in_zero_out(self):
-        x = displacement_response(wave(np.zeros(5000), 1e-4), PARAMS)
+        x = displacement_response(wave(np.zeros(5000), 1e-4))
         assert np.all(x.samples == 0.0)
 
     def test_static_gain_at_reference(self):
         t = np.arange(0, 0.3, 1e-4)
-        x = displacement_response(wave(np.full(t.size, 1800.0), 1e-4), PARAMS)
+        x = displacement_response(wave(np.full(t.size, 1800.0), 1e-4))
         assert x.samples[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(5)
         v = rng.uniform(-2000, 2000, 4000)
-        pos = displacement_response(wave(v, 1e-4), PARAMS)
-        neg = displacement_response(wave(-v, 1e-4), PARAMS)
+        pos = displacement_response(wave(v, 1e-4))
+        neg = displacement_response(wave(-v, 1e-4))
         assert np.array_equal(pos.samples, neg.samples)
 
     def test_static_response_monotone_in_magnitude(self):
@@ -49,17 +47,17 @@ class TestDisplacementResponse:
         finals = []
         for level in levels:
             t = np.arange(0, 0.3, 1e-4)
-            x = displacement_response(wave(np.full(t.size, level), 1e-4), PARAMS)
+            x = displacement_response(wave(np.full(t.size, level), 1e-4))
             finals.append(x.samples[-1])
         assert all(a < b for a, b in zip(finals, finals[1:]))
 
     def test_fast_drive_attenuated_40db(self):
         # sine at 10x the natural frequency; the squared drive lands at 20x
-        f = 10 * PARAMS.natural_frequency
+        f = 10 * NATURAL_FREQUENCY
         step = 1e-5
         t = np.arange(0, 0.5, step)
         v = 1800.0 * np.sin(2 * np.pi * f * t)
-        x = displacement_response(wave(v, step), PARAMS)
+        x = displacement_response(wave(v, step))
         tail = x.samples[t.size // 2 :]
         ac = (tail.max() - tail.min()) / 2.0
         quasi_static_ac = 0.5  # AC amplitude of (v/vref)^2 for a full-scale sine
@@ -68,11 +66,11 @@ class TestDisplacementResponse:
     def test_step_response_matches_continuous(self):
         # discrete filter vs the exact underdamped second-order step response
         # at step = 1/(100 fn): within 1%
-        fn, zeta = PARAMS.natural_frequency, PARAMS.damping_ratio
+        fn, zeta = NATURAL_FREQUENCY, DAMPING_RATIO
         step = 1.0 / (100.0 * fn)
         t = np.arange(0, 0.25, step)
         v = np.full(t.size, 1800.0)
-        x = displacement_response(wave(v, step), PARAMS).samples
+        x = displacement_response(wave(v, step)).samples
         wn = 2 * math.pi * fn
         wd = wn * math.sqrt(1 - zeta**2)
         exact = 1.0 - np.exp(-zeta * wn * t) * (
@@ -81,13 +79,9 @@ class TestDisplacementResponse:
         assert np.max(np.abs(x - exact)) < 0.01
 
     def test_coarse_step_rejected(self):
-        too_coarse = 1.0 / (10.0 * PARAMS.natural_frequency)
+        too_coarse = 1.0 / (10.0 * NATURAL_FREQUENCY)
         with pytest.raises(ElectromechError, match="too coarse"):
-            displacement_response(wave(np.zeros(100), too_coarse), PARAMS)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ElectromechError):
-            ElectromechParams(damping_ratio=0.0)
+            displacement_response(wave(np.zeros(100), too_coarse))
 
 
 class TestRiseTime:
@@ -101,13 +95,12 @@ class TestRiseTime:
     def test_converter_charges_slower_at_6hz(self):
         # the supply comparison at 6 Hz: the converter's internal resistance
         # stretches the load's 10-90% voltage rise well past the bench value
-        from hvsim.devices import DeaLoadParams, expand_dea_load
         from hvsim.electromech import _fig8_scenario
         from hvsim.presets import CONVERTER, bench_matched_to_converter
         from hvsim.runner import run_scenario
 
         conv = CONVERTER
-        bench = bench_matched_to_converter(conv, expand_dea_load(DeaLoadParams()))
+        bench = bench_matched_to_converter()
         rt = {}
         for name, supply in (("converter", conv), ("bench", bench)):
             run = run_scenario(_fig8_scenario(supply, 6.0))

@@ -1,5 +1,7 @@
 """Engine tests: DC solutions, transient oracles, and conservation laws."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -259,6 +261,11 @@ class TestTransient:
         with pytest.raises(SimulationError, match="S1"):
             run_transient(c, IntegrationSettings(step=1e-6, stop=1e-5), {})
 
+    def test_non_finite_stop_rejected(self):
+        # an infinite stop would schedule control edges forever
+        with pytest.raises(CircuitError, match="stop time must be finite"):
+            IntegrationSettings(1e-3, math.inf)
+
     def test_events_snapped_to_one_grid_index_raise(self):
         # an on/off pulse of 4 us on a 10 us grid would vanish without trace
         c = simple_circuit(
@@ -514,7 +521,7 @@ class TestBlockedPropagator:
         # the first call is the t=0 consistent-state solve
         per_topology = factored[1:]
         assert len(set(per_topology)) == len(per_topology)
-        assert len(per_topology) < len(run.raw.events)
+        assert len(per_topology) < len(run.events)
 
 
 def random_resistive_circuit(rng):
@@ -591,7 +598,7 @@ class TestRunLength:
                 close(res.source_current(name), -x_ref[:, n + j], scale[n + j])
 
             # shares read one value per row: bit-identical to the dense samples
-            for nodes in (res.labels[:4], ["P", "S", "K", "n0", "0"]):
+            for nodes in (res.labels[:4], ["P", "S", "K", "n0"]):
                 rows = [res.voltage(node) for node in nodes]
                 dense = [Waveform(0.0, w.step, w.samples) for w in rows]
                 assert voltage_shares(*rows) == voltage_shares(*dense)

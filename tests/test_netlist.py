@@ -146,6 +146,13 @@ class TestDiagnostics:
         assert err.value.column == 8
         assert "file.ckt:3:8" in str(err.value)
 
+    def test_non_finite_control_frequency_names_value(self):
+        text = "V1 A 0 10\nS1 A 0 ctrl=g\n.ctrl g square f=1e309\n.tran 1u 1m\n.end\n"
+        with pytest.raises(NetlistError) as err:
+            parse(text, origin="inf.ckt")
+        assert (err.value.line, err.value.column) == (3, 18)  # the value after "f="
+        assert "not finite" in str(err.value)
+
     def test_duplicate_component(self):
         with pytest.raises(NetlistError, match="duplicate component"):
             parse("R1 1 0 1k\nR1 2 0 1k" + MINIMAL_TAIL)
@@ -216,6 +223,14 @@ class TestValueNotation:
         assert parse_value("1k") == 1e3
         assert parse_value("1M") == 1e6
         assert parse_value("1G") == 1e9
+
+    @pytest.mark.parametrize("text", ["1e309", "-1e309", "1" + "0" * 400 + "G"],
+                             ids=["exponent", "negative", "suffix"])
+    def test_literal_beyond_float_range_rejected(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_value(text)
+        with pytest.raises(ValueError, match="not finite"):
+            parse_value(text + "Hz", allow_unit=True)
 
     def test_no_meg_form(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,17 @@ from hvsim.circuit import (
     Switch,
     VoltageSource,
 )
-from hvsim.presets import PRESET_NAMES, PresetError, load_preset
+from hvsim.analysis import _sweep_scenario
+from hvsim.electromech import _fig8_scenario
+from hvsim.presets import (
+    CONVERTER,
+    PRESET_NAMES,
+    PresetError,
+    bench_matched_to_converter,
+    converter_bridge,
+    load_fragment,
+    load_preset,
+)
 
 
 def components_of(name, cls):
@@ -106,3 +116,25 @@ class TestPresetParameters:
     def test_unknown_preset_lists_names(self):
         with pytest.raises(PresetError, match="fig3"):
             load_preset("nope")
+
+
+class TestConverterBridge:
+    """figs 6-8 and the fig7/fig8 studies run one circuit: converter_bridge."""
+
+    def test_fig7_preset_is_the_100hz_10n_sweep_cell(self):
+        assert load_preset("fig7").circuit == _sweep_scenario(100.0, "10n").circuit
+
+    def test_fig8_preset_is_the_6hz_converter_cell(self):
+        assert load_preset("fig8").circuit == _fig8_scenario(CONVERTER, 6.0).circuit
+
+    def test_fig6_presets(self):
+        dea = load_fragment("dea")
+        assert load_preset("fig6c").circuit == converter_bridge(100.0, dea)
+        assert load_preset("fig6b").circuit == converter_bridge(100.0, dea, balancing=3.6e6)
+
+    def test_matched_bench_setting(self):
+        # the converter's DC output into the DEA load, recorded from the
+        # hand-built circuit this builder replaced
+        (emf,) = [c for c in bench_matched_to_converter().components
+                  if isinstance(c, VoltageSource)]
+        assert repr(emf.voltage) == "1963.300463194647"

@@ -7,9 +7,9 @@ import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch
 from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
-from hvsim.engine import IntegrationSettings
+from hvsim.engine import IntegrationSettings, _shoot_through_seconds
 from hvsim.presets import CONVERTER, load_preset
-from hvsim.runner import _shoot_through_seconds, run_scenario, switch_timelines
+from hvsim.runner import run_scenario, switch_timelines
 from hvsim.scenario import Scenario
 from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
 

@@ -5,7 +5,9 @@ Usage::
     python tools/sha_corpus.py OUT_DIR > corpus.txt
 
 Each job is one in-process ``hvsim.cli.main(argv)`` call writing into its own
-subdirectory of ``OUT_DIR``.  One line is printed per output file, as
+subdirectory of ``OUT_DIR``.  A netlist job first writes its netlist into that
+subdirectory and runs it with ``run --netlist``, so the netlist is listed as
+an output file too.  One line is printed per output file, as
 ``job exit-code file sha256``; the job's stdout and stderr are listed as the
 files ``<stdout>`` and ``<stderr>``, with ``OUT_DIR`` replaced by ``OUT`` so
 that two runs into different directories compare equal.  Running the script
@@ -25,33 +27,42 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hvsim.cli import main  # noqa: E402
-from hvsim.presets import PRESET_NAMES  # noqa: E402
+from hvsim.netlist import print_scenario  # noqa: E402
+from hvsim.presets import PRESET_NAMES, load_preset  # noqa: E402
 
 MC_SEEDS = range(192)
 
 
 def jobs():
-    """(job id, CLI argv without --out)."""
+    """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
     for name in PRESET_NAMES:
-        yield f"run:{name}", ["run", "--preset", name]
+        yield f"run:{name}", ["run", "--preset", name], None
+    for name in PRESET_NAMES:
+        yield f"run:netlist:{name}", ["run"], (name, print_scenario(load_preset(name)))
+    # a differential (pos, neg) probe next to the four node probes
+    fig3 = print_scenario(load_preset("fig3")).replace(".end\n", ".probe A B\n.end\n")
+    yield "run:netlist:fig3-pair", ["run"], ("fig3_pair", fig3)
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
-    yield "run:fig3:slow-slew", ["run", "--preset", "fig3", "--set", "comp.Vsup_emf.slew=2e5"]
+    yield "run:fig3:slow-slew", ["run", "--preset", "fig3",
+                                 "--set", "comp.Vsup_emf.slew=2e5"], None
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
-    yield "run:fig3:shoot-through", ["run", "--preset", "fig3", "--set", "comp.Sq4.toff=0.6m"]
+    yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
+                                     "--set", "comp.Sq4.toff=0.6m"], None
     for workers in (1, 2):
-        yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7", "--workers", str(workers)]
+        yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7",
+                                         "--workers", str(workers)], None
     yield "sweep:fig7:grid", ["sweep", "--preset", "fig7", "--freqs", "100,5000",
-                              "--loads", "10n,dea", "--plot"]
-    yield "sweep:fig7c", ["sweep", "--preset", "fig7c"]
-    yield "sweep:fig7c:phases", ["sweep", "--preset", "fig7c", "--phases", "0,pi/4,2*pi/3"]
-    yield "sweep:fig8", ["sweep", "--preset", "fig8"]
+                              "--loads", "10n,dea", "--plot"], None
+    yield "sweep:fig7c", ["sweep", "--preset", "fig7c"], None
+    yield "sweep:fig7c:phases", ["sweep", "--preset", "fig7c", "--phases", "0,pi/4,2*pi/3"], None
+    yield "sweep:fig8", ["sweep", "--preset", "fig8"], None
     yield "sweep:fig8:converter", ["sweep", "--preset", "fig8", "--freqs", "2,5000,15",
-                                   "--supply", "converter", "--plot"]
+                                   "--supply", "converter", "--plot"], None
     for seed in MC_SEEDS:
         yield f"mc:fig3:{seed}", ["montecarlo", "--preset", "fig3", "--trials", "50",
-                                  "--seed", str(seed)]
+                                  "--seed", str(seed)], None
     for name in ("fig2", "fig2_hv", "fig3_hv"):
-        yield f"mc:{name}:w2", ["montecarlo", "--preset", name, "--workers", "2"]
+        yield f"mc:{name}:w2", ["montecarlo", "--preset", name, "--workers", "2"], None
 
 
 def _sha(data: bytes) -> str:
@@ -60,9 +71,14 @@ def _sha(data: bytes) -> str:
 
 def run(out_root: Path) -> None:
     out_root = out_root.resolve()
-    for job, argv in jobs():
+    for job, argv, netlist in jobs():
         out = out_root / job.replace(":", "_")
         out.mkdir(parents=True, exist_ok=True)
+        if netlist is not None:
+            stem, body = netlist
+            path = out / f"{stem}.ckt"
+            path.write_text(body, encoding="utf-8")
+            argv = argv + ["--netlist", str(path)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--out", str(out)])
