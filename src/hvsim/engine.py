@@ -24,19 +24,27 @@ them (the output side of the piecewise-linear view).
 
 :func:`lu_factor` and :func:`lu_solve` call LAPACK ``dgetrf``/``dgetrs``
 directly, the routines behind scipy's wrappers of the same names, so the bits
-match and the per-call wrapper cost is gone.
+match and the per-call wrapper cost is gone.  The two routines are bound from
+scipy's compiled ``scipy/linalg/_flapack`` extension, loaded by file path:
+importing ``scipy.linalg`` to reach them would run the whole package (and,
+through ``scipy._lib``, ``numpy.f2py``, ``numpy.ma`` and ``numpy.testing``),
+which took more than half of the start-up of every CLI call.  Where that file
+is not found they come from ``scipy.linalg.lapack``.  A later ``import
+scipy.linalg`` gets the same extension module and the same routine objects.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .circuit import (
     Capacitor,
@@ -58,6 +66,50 @@ class SimulationError(RuntimeError):
     """Numerical failure: singular system or diverging solution."""
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_file() -> Optional[str]:
+    """Path of scipy's compiled LAPACK wrappers, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _bind_lapack():
+    """``(dgetrf, dgetrs)`` from scipy's ``_flapack`` extension module."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        path = _flapack_file()
+        if path is None:
+            from scipy.linalg.lapack import dgetrf, dgetrs
+
+            return dgetrf, dgetrs
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # loading registered the module; without the entry, a later ``import
+        # scipy.linalg`` loads it again (the same module, from the extension
+        # cache) and also sets it as the package attribute ``_flapack``
+        sys.modules.pop(_FLAPACK, None)
+    return module.dgetrf, module.dgetrs
+
+
+dgetrf, dgetrs = _bind_lapack()
+
+
+#: Most grid points (``stop / step + 1``) a run may have: 40 times the largest
+#: preset (slew, 250,001) and 20 times a 5 kHz fig7 sweep cell (502,001).  A
+#: capacitive run stores every point of every unknown, so a larger grid would
+#: take gigabytes before it finished.
+MAX_GRID_POINTS = 10_000_000
+
+
 @dataclass(frozen=True)
 class IntegrationSettings:
     """Fixed integration grid plus post-event damping depth."""
@@ -73,6 +125,11 @@ class IntegrationSettings:
             raise CircuitError(f"stop time must be finite, got {self.stop}")
         if not self.stop >= self.step:
             raise CircuitError(f"stop time must be >= step, got {self.stop}")
+        if not self.stop / self.step + 1 <= MAX_GRID_POINTS:  # inf fails too
+            raise CircuitError(
+                f"grid of stop/step = {self.stop / self.step:.3g} steps exceeds "
+                f"{MAX_GRID_POINTS} points"
+            )
         if self.damping_steps < 0:
             raise CircuitError("damping steps must be >= 0")
 
@@ -232,6 +289,8 @@ def lu_factor(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return A.copy(), np.zeros(0, dtype=np.int32)
     lu, piv, info = dgetrf(A)
     if info > 0:
+        from scipy.linalg import LinAlgWarning  # imports scipy.linalg: the rare path
+
         warnings.warn(
             f"Diagonal number {info} is exactly zero. Singular matrix.",
             LinAlgWarning,
@@ -427,13 +486,11 @@ def _initial_solve(
         b[n + j] = emf0[j]
     for j, cap in enumerate(low.caps):
         b[n + m + j] = cap.ic
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(A)
-    diag = np.abs(np.diag(lu[0]))
+    # the raw dgetrf, not lu_factor: a zero pivot is expected here, no warning
+    lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
     indeterminate = False
-    if diag.size and np.all(np.isfinite(diag)) and diag.min() > 0.0:
-        x = lu_solve(lu, b)
+    if info == 0 and np.all(np.isfinite(np.diag(lu))):
+        x = lu_solve((lu, piv), b)
     else:
         # capacitor loops make the t=0 branch-current split indeterminate;
         # take the minimum-norm solution (the damped first steps erase any

@@ -136,17 +136,3 @@ def write_csv(path, columns: Dict[str, Waveform]) -> None:
             cells = [map(repr, col[i : i + _CSV_BLOCK].tolist()) for col in data]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
-
-def read_csv(path) -> Dict[str, Waveform]:
-    """Inverse of :func:`write_csv` (used by tests and round-trip checks)."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[0] != "t" or len(header) < 2:
-        raise WaveformError(f"{path}: not a waveform CSV")
-    data = np.array([[float(v) for v in row] for row in rows])
-    t = data[:, 0]
-    step = t[1] - t[0] if len(t) > 1 else 1.0
-    return {
-        name: Waveform(t[0], step, data[:, j + 1]) for j, name in enumerate(header[1:])
-    }

@@ -2,10 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hvsim.presets import load_preset
 from hvsim.runner import run_scenario
+from hvsim.waveform import Waveform, WaveformError
 
 
 def par(*resistances):
@@ -32,6 +34,21 @@ def stamp_checksum(circuit):
         for name, ctrl in circuit.controls
     ]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def read_csv(path):
+    """``{name: Waveform}`` of a CSV that ``waveform.write_csv`` wrote."""
+    with open(path, "r") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if header[0] != "t" or len(header) < 2:
+        raise WaveformError(f"{path}: not a waveform CSV")
+    data = np.array([[float(v) for v in row] for row in rows])
+    t = data[:, 0]
+    step = t[1] - t[0] if len(t) > 1 else 1.0
+    return {
+        name: Waveform(t[0], step, data[:, j + 1]) for j, name in enumerate(header[1:])
+    }
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ import pytest
 
 from hvsim import analysis, cli, electromech
 from hvsim.cli import main
-from hvsim.waveform import read_csv
+
+from conftest import read_csv
 
 BAD_NETLIST = """# deliberately broken on line 7
 V1 A 0 800
@@ -495,17 +496,49 @@ class TestDeterminism:
         assert (a / "fig3_mc.csv").read_bytes() == (b / "fig3_mc.csv").read_bytes()
 
 
+def run_fresh(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh process importing this ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal takes about 1 s to import and only the fig8 filter uses it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, hvsim.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # the engine binds LAPACK from scipy's _flapack file, not through scipy.linalg
+        code = ("import sys, hvsim.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.linalg', 'scipy._lib'))))")
+        assert run_fresh(code) == "[]"
+
+    def test_later_scipy_linalg_import_shares_the_routines(self):
+        code = ("import hvsim.cli, scipy.linalg, scipy.linalg.lapack as lapack; "
+                "from hvsim import engine; "
+                "print(engine.dgetrf is lapack.dgetrf, engine.dgetrs is lapack.dgetrs, "
+                "scipy.linalg._flapack.dgetrf is lapack.dgetrf)")
+        assert run_fresh(code) == "True True True"
+
+
+class TestGridLimit:
+    """A grid beyond ``engine.MAX_GRID_POINTS`` exits 2 before any storage is
+    allocated: the run used to grow memory without bound, the sweep ended in
+    numpy's ``ValueError`` (exit 1)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig3", "--set", "tran.step=1e-300"],
+        ["sweep", "--preset", "fig7", "--freqs", "1e-300"],
+    ], ids=["run-step", "sweep-freq"])
+    def test_huge_grid_exits_2(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert "points" in capsys.readouterr().err
 
 
 class TestSerialStudies:

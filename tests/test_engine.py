@@ -1,6 +1,7 @@
 """Engine tests: DC solutions, transient oracles, and conservation laws."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +266,13 @@ class TestTransient:
         # an infinite stop would schedule control edges forever
         with pytest.raises(CircuitError, match="stop time must be finite"):
             IntegrationSettings(1e-3, math.inf)
+
+    def test_grid_beyond_limit_rejected(self):
+        limit = engine.MAX_GRID_POINTS
+        assert IntegrationSettings(1.0, limit - 1.0).n_steps + 1 == limit
+        for step, stop in ((1.0, float(limit)), (1e-300, 1e-3), (1e-300, 1e300)):
+            with pytest.raises(CircuitError, match="points"):
+                IntegrationSettings(step, stop)
 
     def test_events_snapped_to_one_grid_index_raise(self):
         # an on/off pulse of 4 us on a 10 us grid would vanish without trace
@@ -620,6 +628,17 @@ class TestLapackWrappers:
                 x = engine.lu_solve((lu, piv), b)
                 assert x.tobytes() == lu_solve((ref_lu, ref_piv), b).tobytes()
 
+    def test_fallback_without_flapack_file(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        monkeypatch.setattr(engine, "_flapack_file", lambda: None)
+        monkeypatch.delitem(sys.modules, engine._FLAPACK, raising=False)
+        getrf, getrs = engine._bind_lapack()
+        assert (getrf, getrs) == (lapack.dgetrf, lapack.dgetrs)
+        monkeypatch.setattr(engine, "dgetrf", getrf)
+        monkeypatch.setattr(engine, "dgetrs", getrs)
+        self.test_bits_match_scipy()
+
     def test_singular_stamp_names_node(self):
         low = engine._lower(simple_circuit(
             VoltageSource("V1", "A", "0", 10.0),
@@ -647,3 +666,8 @@ class TestLapackWrappers:
 
     def test_empty_system(self):
         assert dc_operating_point(Circuit.build([]), {}) == {"0": 0.0}
+
+    def test_empty_transient(self):
+        # LAPACK rejects a 0 x 0 matrix, so the t=0 solve must not factor one
+        res = run_transient(Circuit.build([]), IntegrationSettings(1e-3, 1e-2), {})
+        assert res.n_samples == 11 and res.x.shape[1] == 0

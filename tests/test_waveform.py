@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hvsim.waveform import Waveform, WaveformError, read_csv, run_values, write_csv
+from hvsim.waveform import Waveform, WaveformError, run_values, write_csv
+
+from conftest import read_csv
 
 #: rows per formatted block in write_csv; the lengths below cross its edges
 B = 4096
