@@ -258,13 +258,14 @@ def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study
         raise MeasureError("empty load list")
     if any(f <= 0 for f in frequencies):
         raise MeasureError("frequencies must be positive")
+    keys = [(float(f), str(load)) for f in frequencies for load in loads]
+    # every cell's scenario, grid included, is built before the first cell
+    # runs, so a grid the engine rejects stops the sweep before any cell runs
+    scenarios = {key: _sweep_scenario(*key) for key in keys}
 
     def cell(key: Tuple[float, str]) -> Metrics:
-        f, load = key
-        run = run_scenario(_sweep_scenario(f, load))
-        return _cell_metrics(run, f)
+        return _cell_metrics(run_scenario(scenarios[key]), key[0])
 
-    keys = [(float(f), str(load)) for f in frequencies for load in loads]
     return run_study(cell, keys)
 
 

@@ -90,10 +90,11 @@ def displacement_sweep(
     if any(f <= 0 for f in frequencies):
         raise ElectromechError("frequencies must be positive")
     sup = CONVERTER if supply == "converter" else bench_matched_to_converter()
+    # built before the first cell runs, as in analysis.frequency_sweep
+    scenarios = {f: _fig8_scenario(sup, f) for f in map(float, frequencies)}
 
     def cell(f: float) -> float:
-        run = run_scenario(_fig8_scenario(sup, f))
-        x = displacement_response(run.voltage("load_m"))
+        x = displacement_response(run_scenario(scenarios[f]).voltage("load_m"))
         return measure_amplitude(x, 1, 1.0 / f, mode="bipolar")
 
     return run_study(cell, [float(f) for f in frequencies])

@@ -14,6 +14,12 @@ advanced a block of steps at a time from precomputed powers of its one-step
 map, so no per-step solve remains (the per-topology state-space form of
 piecewise-linear switched-circuit simulators).
 
+:func:`run_transient` has four phases: schedule (snap the switch events and
+gated-source edges to the grid), segment plan (targets, ramp knees and slopes),
+propagate (the damped and blocked trapezoidal steps, or a resistive row) and
+package (the :class:`TransientResult`).  One forward walk over the sorted
+event boundaries runs the segments before each boundary, then its events.
+
 A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
 contiguous.  A capacitor-free run has no state, so between events its solution
@@ -379,6 +385,12 @@ class _Operators:
         return self.powers
 
 
+def _targets(low: _Lowered, controls, t: float) -> np.ndarray:
+    """Each source's commanded EMF at time ``t`` (gated sources by their control)."""
+    on = [src.control is None or controls[src.control].state_at(t) for src in low.sources]
+    return np.array([src.voltage if o else 0.0 for src, o in zip(low.sources, on)], dtype=float)
+
+
 def dc_operating_point(
     circuit: Circuit, switch_states: Mapping[str, bool]
 ) -> Dict[str, float]:
@@ -395,12 +407,7 @@ def dc_operating_point(
     states = [bool(switch_states[sw.name]) for sw in low.switches]
     A = _base_matrix(low, states)
     b = np.zeros(low.size)
-    controls = circuit.control_map
-    for j, src in enumerate(low.sources):
-        target = src.voltage
-        if src.control is not None:
-            target = src.voltage if controls[src.control].state_at(0.0) else 0.0
-        b[low.n_nodes + j] = target
+    b[low.n_nodes :] = _targets(low, circuit.control_map, 0.0)
     lu = _factor(A, low)
     x = lu_solve(lu, b)
     if not np.all(np.isfinite(x)):
@@ -550,37 +557,18 @@ def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
     return total
 
 
-def run_transient(
-    circuit: Circuit,
-    settings: IntegrationSettings,
-    switch_timelines: Mapping[str, SwitchTimeline],
-) -> TransientResult:
-    """Integrate the circuit over [0, stop] on a fixed grid.
-
-    ``switch_timelines`` gives each switch its initial state and scheduled
-    state changes; change times are snapped to the grid, and two changes of
-    one switch that snap to one grid index after t=0 raise
-    :class:`~hvsim.devices.ScheduleError` (the pulse between them would be
-    lost).  Gated sources and
-    slew-limit ramp knees introduce additional segment boundaries.  Every
-    sample of every unknown is retained in the result: dense when the circuit
-    has capacitors, run-length when it has none (see :class:`TransientResult`).
-    """
-    circuit.validate()
-    low = _lower(circuit)
-    h = settings.step
-    n_steps = settings.n_steps
-    n, m, nc = low.n_nodes, len(low.sources), len(low.caps)
-    controls = circuit.control_map
-
-    # per-switch state arrays keyed by grid index
-    timeline_by_name = dict(switch_timelines)
+def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines):
+    """Schedule phase: snap the switch events and gated-source command edges
+    to the grid.  Returns the switch states at t=0, the ``(switch, new
+    state)`` events per grid index, the set of source-edge indices, and the
+    sorted segment boundaries (every event index and the last grid index)."""
+    h, n_steps = settings.step, settings.n_steps
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
-        if sw.name not in timeline_by_name:
+        if sw.name not in timelines:
             raise SimulationError(f"no timeline given for switch {sw.name!r}")
-        initial, events = timeline_by_name[sw.name]
+        initial, events = timelines[sw.name]
         state = bool(initial)
         snapped: Dict[int, float] = {}  # grid index -> event time, this switch
         for t_e, new_state in events:
@@ -599,185 +587,193 @@ def run_transient(
         sw_states.append(state)
 
     # gated-source command edges are events too (value steps excite caps)
-    src_events: Dict[int, bool] = {}
-    for src in low.sources:
-        if src.control is None:
-            continue
-        for t_e, _state in controls[src.control].edges(settings.stop):
-            idx = _snap(t_e, h)
-            if 0 < idx <= n_steps:
-                src_events[idx] = True
+    src_events = {
+        idx
+        for src in low.sources if src.control is not None
+        for idx in (_snap(t_e, h) for t_e, _ in controls[src.control].edges(settings.stop))
+        if 0 < idx <= n_steps
+    }
+    boundaries = sorted(set(sw_events) | src_events | {n_steps})
+    return sw_states, sw_events, src_events, boundaries
 
-    boundaries = sorted(set(sw_events) | set(src_events) | {n_steps})
 
-    # source EMF values at the current segment start
-    emf = np.zeros(m)
-    target = np.zeros(m)
-
-    def src_target(j: int, t: float) -> float:
-        src = low.sources[j]
-        if src.control is None:
-            return src.voltage
-        return src.voltage if controls[src.control].state_at(t) else 0.0
-
+def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary: int, h: float):
+    """Segment plan phase: the EMF trajectory from grid index ``idx0``,
+    constant or a slew-limited ramp.  Returns the segment end (``boundary``,
+    or the first ramp knee before it), the source targets and the per-source
+    slope; a source that does not ramp is set to its target in ``emf``."""
+    # targets are sampled half a step in, past any snapped command edge
+    target = _targets(low, controls, idx0 * h + 0.5 * h)
+    ramp_end: Dict[int, int] = {}  # slewing source -> grid index its ramp ends at
     for j, src in enumerate(low.sources):
-        # sample half a step in so a command edge snapped to index 0 (i.e.
-        # landing within the first half-step) folds into the initial value,
-        # matching the switch-event convention
-        target[j] = src_target(j, 0.5 * h)
-        emf[j] = 0.0 if src.slew is not None else target[j]
-
-    events_log: List[Tuple[float, str]] = []
-    x0, ic0, indeterminate = _initial_solve(low, sw_states, emf)
-    if nc:
-        # column-major, so each unknown's trace is contiguous
-        x_hist = np.zeros((n + m, n_steps + 1)).T
-        cap_i_hist = np.zeros((nc, n_steps + 1)).T
-        x_hist[0] = x0
-        cap_i_hist[0] = ic0
-    else:
-        # no state: each row holds from its start index up to the next one
-        rows: List[np.ndarray] = [x0]
-        row_starts: List[int] = [0]
-
-    cap_p = np.array([cap.p for cap in low.caps], dtype=int)
-    cap_n = np.array([cap.n for cap in low.caps], dtype=int)
-    cap_c = np.array([cap.c for cap in low.caps])
-    vc = np.array([cap.ic for cap in low.caps])
-    ic = ic0.copy()
-    src_rows = n + np.arange(m)
-    inc = _incidence(n + m, low.caps)
-
-    g_tr = 2.0 * cap_c / h if nc else np.zeros(0)
-    g_be = cap_c / h if nc else np.zeros(0)
-
-    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
-
-    def operators(damped: bool) -> _Operators:
-        key = (tuple(sw_states), damped)
-        if key not in topologies:
-            g = g_be if damped else g_tr
-            A = _base_matrix(low, sw_states)
-            for j in range(nc):
-                _stamp_conductance(A, cap_p[j], cap_n[j], g[j])
-            topologies[key] = _Operators(_factor(A, low), g)
-        return topologies[key]
-
-    idx0 = 0
-    # damped start only when loop currents were indeterminate at t=0; a clean
-    # start keeps the trapezoidal charge identity exact from the first step
-    pending_damp = settings.damping_steps if indeterminate else 0
-    while idx0 < n_steps:
-        # next boundary from switch/source events
-        next_boundary = next(bb for bb in boundaries if bb > idx0)
-
-        # EMF trajectory for this segment: constant or a slew-limited ramp.
-        # Targets are sampled half a step in, past any snapped command edge.
-        seg_t0 = idx0 * h
-        slope = np.zeros(m)
-        ramp_end: Dict[int, int] = {}  # slewing source -> grid index its ramp ends at
-        for j, src in enumerate(low.sources):
-            tgt = src_target(j, seg_t0 + 0.5 * h)
-            target[j] = tgt
-            if src.slew is None or emf[j] == tgt:
-                emf[j] = tgt
-                continue
-            duration = abs(tgt - emf[j]) / src.slew
-            ramp_end[j] = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
-        seg_end = min([next_boundary, *ramp_end.values()])
-        for j, k_end in ramp_end.items():
-            if k_end <= seg_end:
-                # ramp ends inside this segment: hit the target exactly
-                slope[j] = (target[j] - emf[j]) / ((k_end - idx0) * h)
-            else:
-                slope[j] = math.copysign(low.sources[j].slew, target[j] - emf[j])
-
-        nsteps_seg = seg_end - idx0
-        has_ramp = bool(np.any(slope != 0.0))
-
-        trap = operators(False)
-        damp_here = min(pending_damp, nsteps_seg) if nc else 0
-
-        first_row = 0 if nc else len(rows)
-        if nc == 0 and not has_ramp:
-            # purely resistive, constant drive: the segment is one solve, one row
-            b_const = np.zeros(n + m)
-            b_const[src_rows] = emf
-            rows.append(lu_solve(trap.lu, b_const))
-            row_starts.append(idx0 + 1)
+        if src.slew is None or emf[j] == target[j]:
+            emf[j] = target[j]
         else:
-            # the EMF at step k is emf + (k - idx0) * d_emf
-            d_emf = slope * h
-            if damp_here:
-                be = operators(True)
-                k_be = be.response(inc, m)
-                for k in range(idx0 + 1, idx0 + 1 + damp_here):
-                    hist = be.g * vc
-                    x = k_be @ np.concatenate([hist, emf + (k - idx0) * d_emf])
-                    x_hist[k] = x
-                    vc = x @ inc
-                    ic = be.g * vc - hist
-                    cap_i_hist[k] = ic
-            k = idx0 + 1 + damp_here
-            if k <= seg_end:
-                P = trap.step_powers(inc, m)
-                k_tr = trap.response(inc, m)
-                z = np.concatenate([trap.g * vc + ic, emf + (k - idx0) * d_emf, d_emf])
-                while k <= seg_end:
-                    # row i of Z is the state [hist; emf; emf step] before step k + i
-                    L = min(_BLOCK, seg_end + 1 - k)
-                    Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
-                    X = Z[:, : nc + m] @ k_tr.T
-                    if nc:
-                        x_hist[k : k + L] = X
-                        cap_i_hist[k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
-                    else:  # a capacitor-free ramp: one row per step
-                        rows.extend(X)
-                        row_starts.extend(range(k, k + L))
-                    z = P[L] @ z
-                    k += L
-                if nc:
-                    vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
-                    ic = cap_i_hist[seg_end]
+            duration = abs(target[j] - emf[j]) / src.slew
+            ramp_end[j] = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
+    seg_end = min([boundary, *ramp_end.values()])
+    slope = np.zeros(len(low.sources))
+    for j, k_end in ramp_end.items():
+        if k_end <= seg_end:
+            # ramp ends inside this segment: hit the target exactly
+            slope[j] = (target[j] - emf[j]) / ((k_end - idx0) * h)
+        else:
+            slope[j] = math.copysign(low.sources[j].slew, target[j] - emf[j])
+    return seg_end, target, slope
 
-        stored = x_hist[seg_end] if nc else rows[first_row:]
-        if not np.all(np.isfinite(stored)):
-            raise SimulationError(f"solution diverged at t={seg_end * h!r}")
 
-        pending_damp = max(0, pending_damp - nsteps_seg)
-        emf = emf + slope * (nsteps_seg * h)
-        np.copyto(emf, target, where=(slope != 0.0) & (np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))))
-        idx0 = seg_end
-
-        if idx0 in sw_events:
-            changed = False
-            for si, new_state in sw_events[idx0]:
-                if sw_states[si] != new_state:
-                    sw_states[si] = new_state
-                    changed = True
-                    events_log.append((idx0 * h, low.switches[si].name))
-            if changed:
-                pending_damp = settings.damping_steps
-        if idx0 in src_events:
-            events_log.append((idx0 * h, "source"))
-            pending_damp = settings.damping_steps
-
-    if nc:
-        x, cap_i, starts = x_hist, cap_i_hist, None
+def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
+    """Propagate phase: advance from grid index ``idx0`` to ``seg_end``, the
+    first ``damp`` steps backward Euler, the EMF at step ``k`` being ``emf +
+    (k - idx0) * slope * h``; ``operators(damped)`` gives the topology's
+    :class:`_Operators`.  The solution goes into ``out``: the dense ``(x,
+    cap_i)`` arrays of a run with capacitors, else the run-length ``(rows,
+    starts)`` lists.  Returns the capacitor voltages and currents at ``seg_end``."""
+    nc, m = inc.shape[1], len(emf)
+    trap = operators(False)
+    first_row = 0 if nc else len(out[0])
+    if nc == 0 and not np.any(slope != 0.0):
+        # purely resistive, constant drive: the segment is one solve, one row
+        out[0].append(lu_solve(trap.lu, np.concatenate([np.zeros(inc.shape[0] - m), emf])))
+        out[1].append(idx0 + 1)
     else:
-        x = np.array(rows)
-        cap_i = np.zeros((len(rows), 0))
-        starts = np.array(row_starts)
+        d_emf = slope * h
+        if damp:
+            be = operators(True)
+            k_be = be.response(inc, m)
+            for k in range(idx0 + 1, idx0 + 1 + damp):
+                hist = be.g * vc
+                out[0][k] = x = k_be @ np.concatenate([hist, emf + (k - idx0) * d_emf])
+                vc = x @ inc
+                out[1][k] = ic = be.g * vc - hist
+        k = idx0 + 1 + damp
+        if k <= seg_end:
+            P = trap.step_powers(inc, m)
+            k_tr = trap.response(inc, m)
+            z = np.concatenate([trap.g * vc + ic, emf + (k - idx0) * d_emf, d_emf])
+            while k <= seg_end:
+                # row i of Z is the state [hist; emf; emf step] before step k + i
+                L = min(_BLOCK, seg_end + 1 - k)
+                Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
+                X = Z[:, : nc + m] @ k_tr.T
+                if nc:
+                    out[0][k : k + L] = X
+                    out[1][k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
+                else:  # a capacitor-free ramp: one row per step
+                    out[0].extend(X)
+                    out[1].extend(range(k, k + L))
+                z = P[L] @ z
+                k += L
+            if nc:
+                vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
+                ic = out[1][seg_end]
+    if not np.all(np.isfinite(out[0][seg_end] if nc else out[0][first_row:])):
+        raise SimulationError(f"solution diverged at t={seg_end * h!r}")
+    return vc, ic
+
+
+def _package(circuit, low, settings, timelines, out, events) -> TransientResult:
+    """Package phase: the result of a run and its commanded shoot-through time."""
+    if low.caps:
+        (x, cap_i), starts = out, None
+    else:
+        x, starts = np.array(out[0]), np.array(out[1])
+        cap_i = np.zeros((len(x), 0))
     return TransientResult(
-        step=h,
+        step=settings.step,
         labels=low.labels,
         index=dict(low.index),
         source_names=[s.name for s in low.sources],
         cap_names=[c.name for c in low.caps],
         x=x,
         cap_i=cap_i,
-        n_samples=n_steps + 1,
+        n_samples=settings.n_steps + 1,
         starts=starts,
-        events=events_log,
-        shoot_through=_shoot_through_seconds(circuit, timeline_by_name, settings.stop),
+        events=events,
+        shoot_through=_shoot_through_seconds(circuit, timelines, settings.stop),
     )
+
+
+def run_transient(
+    circuit: Circuit,
+    settings: IntegrationSettings,
+    switch_timelines: Mapping[str, SwitchTimeline],
+) -> TransientResult:
+    """Integrate the circuit over [0, stop] on a fixed grid.
+
+    ``switch_timelines`` gives each switch its initial state and scheduled
+    state changes; change times are snapped to the grid, and two changes of
+    one switch that snap to one grid index after t=0 raise
+    :class:`~hvsim.devices.ScheduleError` (the pulse between them would be
+    lost).  Gated sources and slew-limit ramp knees introduce additional
+    segment boundaries.  Every sample of every unknown is retained in the
+    result: dense when the circuit has capacitors, run-length when it has
+    none (see :class:`TransientResult`).
+
+    The four phases are :func:`_schedule`, :func:`_plan_segment`,
+    :func:`_propagate` and :func:`_package` (see the module docstring).
+    """
+    circuit.validate()
+    low = _lower(circuit)
+    h, nc = settings.step, len(low.caps)
+    controls = circuit.control_map
+    timelines = dict(switch_timelines)
+    sw_states, sw_events, src_events, boundaries = _schedule(low, controls, settings, timelines)
+
+    # sample half a step in so a command edge snapped to index 0 (i.e.
+    # landing within the first half-step) folds into the initial value,
+    # matching the switch-event convention
+    slewed = [src.slew is not None for src in low.sources]
+    emf = np.where(slewed, 0.0, _targets(low, controls, 0.5 * h))
+    x0, ic, indeterminate = _initial_solve(low, sw_states, emf)
+    if nc:
+        # column-major, so each unknown's trace is contiguous
+        out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
+        out[0][0], out[1][0] = x0, ic
+    else:
+        # no state: each row holds from its start index up to the next one
+        out = ([x0], [0])
+
+    vc = np.array([cap.ic for cap in low.caps])
+    inc = _incidence(low.size, low.caps)
+    cap_c = np.array([cap.c for cap in low.caps])
+    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+
+    def operators(damped: bool) -> _Operators:
+        key = (tuple(sw_states), damped)
+        if key not in topologies:
+            g = cap_c / h if damped else 2.0 * cap_c / h
+            A = _base_matrix(low, sw_states)
+            for cap, g_cap in zip(low.caps, g):
+                _stamp_conductance(A, cap.p, cap.n, g_cap)
+            topologies[key] = _Operators(_factor(A, low), g)
+        return topologies[key]
+
+    events: List[Tuple[float, str]] = []
+    # damped start only when loop currents were indeterminate at t=0; a clean
+    # start keeps the trapezoidal charge identity exact from the first step
+    pending_damp = settings.damping_steps if indeterminate else 0
+    idx0 = 0
+    for boundary in boundaries:
+        while idx0 < boundary:  # one segment per ramp knee before the boundary
+            seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
+            steps = seg_end - idx0
+            damp = min(pending_damp, steps) if nc else 0
+            vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+            pending_damp = max(0, pending_damp - steps)
+            emf = emf + slope * (steps * h)
+            near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
+            np.copyto(emf, target, where=(slope != 0.0) & near)
+            idx0 = seg_end
+
+        logged = len(events)
+        for si, new_state in sw_events.get(boundary, ()):
+            if sw_states[si] != new_state:
+                sw_states[si] = new_state
+                events.append((boundary * h, low.switches[si].name))
+        if boundary in src_events:
+            events.append((boundary * h, "source"))
+        if len(events) > logged:  # a switch changed or a source stepped
+            pending_damp = settings.damping_steps
+
+    return _package(circuit, low, settings, timelines, out, events)

@@ -541,6 +541,24 @@ class TestGridLimit:
         assert "points" in capsys.readouterr().err
 
 
+class TestSweepGridCheckedUpFront:
+    """A sweep frequency whose grid exceeds ``engine.MAX_GRID_POINTS`` exits 2
+    before any cell runs; the cells before it used to run first."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig7", "--freqs", "100,1e-300", "--loads", "10n"],
+        ["sweep", "--preset", "fig8", "--freqs", "2,1e-300"],
+    ], ids=["fig7", "fig8"])
+    def test_no_cell_runs(self, tmp_path, capsys, monkeypatch, argv):
+        ran = []
+        for module in (analysis, electromech):
+            monkeypatch.setattr(module, "run_scenario", ran.append)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert "points" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSerialStudies:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--preset", "fig7", "--freqs", "100,300", "--loads", "10n,dea"],

@@ -18,6 +18,7 @@ from hvsim.circuit import (
     VoltageSource,
 )
 from hvsim.analysis import voltage_shares
+from hvsim.cli import apply_override
 from hvsim.devices import ScheduleError
 from hvsim.engine import (
     IntegrationSettings,
@@ -293,6 +294,20 @@ class TestTransient:
         folded = {"S1": (False, [(-2e-6, True), (1e-6, False), (2e-4, True)])}
         res = run_transient(c, IntegrationSettings(step=1e-5, stop=1e-4), folded)
         assert res.voltage("B").samples[0] > 9.9
+
+
+class TestLongRun:
+    def test_long_run_starts_with_the_short_run(self):
+        """fig3 at a 20 Hz drive, with ``stop`` x1 and x40: the long run walks
+        12,796 events and its first samples equal the short run's bit for bit."""
+        scenario = apply_override(load_preset("fig3"), "ctrl.g.f", "20")
+        short = run_scenario(scenario)
+        long = run_scenario(scenario.with_settings(stop=40 * scenario.settings.stop))
+        assert (len(short.events), len(long.events)) == (316, 12_796)
+        assert long.n_samples == 40 * (short.n_samples - 1) + 1
+        for node in "ABOC":
+            head = long.voltage(node).samples[: short.n_samples]
+            assert np.array_equal(head, short.voltage(node).samples), node
 
 
 def random_rc_circuit(rng):

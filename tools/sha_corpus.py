@@ -45,6 +45,9 @@ def jobs():
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
     yield "run:fig3:slow-slew", ["run", "--preset", "fig3",
                                  "--set", "comp.Vsup_emf.slew=2e5"], None
+    # fig3 at a 20 Hz drive over 20 s: 3,196 switching events in one run
+    yield "run:fig3:many-events", ["run", "--preset", "fig3", "--set", "ctrl.g.f=20",
+                                   "--set", "tran.stop=20", "--set", "tran.step=1m"], None
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
