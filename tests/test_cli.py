@@ -508,7 +508,8 @@ def run_fresh(code: str) -> str:
 
 class TestImport:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about 1 s to import and only the fig8 filter uses it
+        # scipy.signal takes about 1 s to import; the fig8 filter is closed-form
+        # numpy, so no path needs it (the fig8 paths are checked below)
         code = ("import sys, hvsim.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
         assert run_fresh(code) == "[]"
@@ -518,6 +519,18 @@ class TestImport:
         code = ("import sys, hvsim.cli; print(sorted(m for m in sys.modules "
                 "if m.startswith(('scipy.linalg', 'scipy._lib'))))")
         assert run_fresh(code) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig8"],
+        ["sweep", "--preset", "fig8", "--freqs", "15"],
+    ], ids=["run", "sweep"])
+    def test_fig8_paths_leave_scipy_unloaded(self, tmp_path, argv):
+        # the displacement filter needs neither scipy.signal nor scipy.linalg
+        code = ("import sys, hvsim.cli; "
+                f"code = hvsim.cli.main({argv + ['--out', str(tmp_path)]!r}); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.signal', 'scipy.linalg', 'scipy._lib'))))")
+        assert run_fresh(code).splitlines()[-1] == "0 []"
 
     def test_later_scipy_linalg_import_shares_the_routines(self):
         code = ("import hvsim.cli, scipy.linalg, scipy.linalg.lapack as lapack; "
