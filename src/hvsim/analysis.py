@@ -6,7 +6,7 @@ another through :func:`run_study` and is written with :func:`write_table`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,7 +17,7 @@ from .engine import IntegrationSettings, SimulationError, TransientResult
 from .presets import FIG7C_PHASES, converter_bridge, dual_channel_with_phase, load_fragment
 from .runner import run_scenario
 from .scenario import Scenario
-from .waveform import Waveform, WaveformError, run_values
+from .waveform import Waveform, WaveformError
 
 
 class MeasureError(ValueError):
@@ -96,21 +96,22 @@ def measure_slew(w: Waveform) -> float:
     raise MeasureError("no rising edge crosses both thresholds")
 
 
-def voltage_shares(v_a: Waveform, v_b: Waveform, v_o: Waveform, v_c: Waveform) -> Metrics:
+def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> Metrics:
     """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
-    ``C-D`` (``D`` is ground).
+    ``C-D`` (``D`` is ground), from the node voltages ``a``, ``b``, ``o`` and
+    ``c`` indexed alike.
 
     Drops are differences of the measured node traces; shares are evaluated
     at the last sample of the widest blocking plateau (where the stack
     end-to-end voltage is within 0.1% of its maximum) and so describe the
     steady blocking state.  Shares are reported as fractions of the stack
-    end-to-end voltage and are undefined (None) below 1 V.  Run-length
-    traces are read one value per run, with the same result.
+    end-to-end voltage and are undefined (None) below 1 V.
+
+    The arrays may hold every grid point, or one value per run of a
+    run-length result (:meth:`TransientResult.rows`): a run's value holds
+    over its whole run, so the maximum, and the value at the last index
+    where a condition holds, are the same bit for bit on either form.
     """
-    try:
-        a, b, o, c = run_values(v_a, v_b, v_o, v_c)
-    except WaveformError:
-        raise MeasureError("share traces must share one sampling grid") from None
     drops = (a - b, b - o, o - c, c)
     total = a
     max_drop = max(float(drop.max()) for drop in drops)
@@ -224,6 +225,15 @@ def supply_port_current(run: TransientResult) -> Waveform:
     return delivered
 
 
+def _supply_peaks(run: TransientResult) -> Metrics:
+    """Peak current and power the supply fragment delivers over the run."""
+    i_p = supply_port_current(run).samples
+    return Metrics(
+        peak_source_current=float(i_p.max()),
+        peak_source_power=float(np.max(i_p * run.voltage("A").samples)),
+    )
+
+
 def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
     period = 1.0 / frequency
     settle = settle_periods_for(frequency)
@@ -233,18 +243,13 @@ def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
         slew = measure_slew(v_o.slice_time(v_o.stop - period, v_o.stop))
     except MeasureError:
         slew = None
-    share_metrics = voltage_shares(
-        run.voltage("A"), run.voltage("B"), v_o, run.voltage("C")
-    )
-    i_p = supply_port_current(run)
-    v_p = run.voltage("A")
-    return Metrics(
+    shares = voltage_shares(*(run.rows(node) for node in "ABOC"))
+    return replace(
+        _supply_peaks(run),
         amplitude=amplitude,
         slew_rate=slew,
-        shares=share_metrics.shares,
-        max_device_drop=share_metrics.max_device_drop,
-        peak_source_current=float(i_p.samples.max()),
-        peak_source_power=float(np.max(i_p.samples * v_p.samples)),
+        shares=shares.shares,
+        max_device_drop=shares.max_device_drop,
     )
 
 
@@ -277,13 +282,7 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
     """
 
     def cell(phase: float) -> Metrics:
-        run = run_scenario(dual_channel_with_phase(phase))
-        i_p = supply_port_current(run)
-        v_p = run.voltage("A")
-        return Metrics(
-            peak_source_current=float(i_p.samples.max()),
-            peak_source_power=float(np.max(i_p.samples * v_p.samples)),
-        )
+        return _supply_peaks(run_scenario(dual_channel_with_phase(phase)))
 
     return run_study(cell, [float(p) for p in phases])
 
@@ -310,6 +309,8 @@ class MismatchModel:
             raise MeasureError("sigma must be >= 0")
         if self.trials < 1:
             raise MeasureError("trials must be >= 1")
+        if self.seed < 0:
+            raise MeasureError("seed must be >= 0")
 
 
 def monte_carlo(
@@ -340,7 +341,7 @@ def monte_carlo(
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
         run = run_scenario(scenario)
-        return voltage_shares(*(run.voltage(node) for node in "ABOC")).max_device_drop
+        return voltage_shares(*(run.rows(node) for node in "ABOC")).max_device_drop
 
     keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
     return run_study(trial, keys)

@@ -134,15 +134,16 @@ def cmd_run(args) -> int:
         probe_label(p): result.voltage(p) if isinstance(p, str) else result.pair_voltage(*p)
         for p in scenario.probes
     }
-    csv_path = out / f"{name}.csv"
-    write_csv(csv_path, columns)
-    written = [csv_path]
+    tables = {f"{name}.csv": columns}
     if "load_m" in scenario.circuit.node_labels() and name.startswith("fig8"):
+        # filtered before any file is written, so a step too coarse for the
+        # filter leaves no CSV behind
         v_load = result.voltage("load_m")
         x = electromech.displacement_response(v_load)
-        disp_path = out / f"{name}_displacement.csv"
-        write_csv(disp_path, {"v_load": v_load, "x_norm": x})
-        written.append(disp_path)
+        tables[f"{name}_displacement.csv"] = {"v_load": v_load, "x_norm": x}
+    written = [out / file for file in tables]
+    for path, table in zip(written, tables.values()):
+        write_csv(path, table)
     if args.plot:
         svg = out / f"{name}.svg"
         series = {

@@ -25,8 +25,10 @@ and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
 contiguous.  A capacitor-free run has no state, so between events its solution
 is one constant row (or, while a source ramps, one row per step); it is stored
 run-length, one row per constant stretch plus the grid index where the
-stretch starts, and its waveforms expand to samples only when a caller reads
-them (the output side of the piecewise-linear view).
+stretch starts (the output side of the piecewise-linear view).  Only
+:class:`TransientResult` reads the format: its accessors expand it to dense
+:class:`~hvsim.waveform.Waveform` traces, and its ``rows`` hands out a
+column as stored.
 
 :func:`lu_factor` and :func:`lu_solve` call LAPACK ``dgetrf``/``dgetrs``
 directly, the routines behind scipy's wrappers of the same names, so the bits
@@ -427,9 +429,10 @@ class TransientResult:
     at memory speed.  A capacitor-free run is stored run-length: row ``i``
     holds from grid index ``starts[i]`` up to the next start (the last row up
     to ``n_samples``), one row per constant stretch and one per step of a
-    source ramp.  The accessors return :class:`Waveform` in the same form, so
-    callers read ``samples`` either way.  ``shoot_through`` is the commanded
-    time with both sides of a bridge on (see :func:`_shoot_through_seconds`).
+    source ramp.  The :class:`Waveform` accessors expand the rows to every
+    grid point; :meth:`rows` returns them as stored.  ``shoot_through`` is the
+    commanded time with both sides of a bridge on (see
+    :func:`_shoot_through_seconds`).
     """
 
     step: float
@@ -444,10 +447,15 @@ class TransientResult:
     events: List[Tuple[float, str]] = field(default_factory=list)
     shoot_through: float = 0.0  # seconds with both bridge sides commanded on
 
-    def _wave(self, values: np.ndarray) -> Waveform:
-        return Waveform(0.0, self.step, values, self.starts, self.n_samples)
+    def _wave(self, column: np.ndarray) -> Waveform:
+        if self.starts is not None:
+            column = np.repeat(column, np.diff(self.starts, append=self.n_samples))
+        return Waveform(0.0, self.step, column)
 
-    def _node_column(self, label: str) -> np.ndarray:
+    def rows(self, label: str) -> np.ndarray:
+        """Node ``label``'s column of ``x`` as stored (a view; zeros for
+        ground): its value at every grid point of a dense result, or one
+        value per run of a run-length one."""
         if is_ground(label):
             return np.zeros(self.x.shape[0])
         if label not in self.index:
@@ -455,10 +463,10 @@ class TransientResult:
         return self.x[:, self.index[label]]
 
     def voltage(self, label: str) -> Waveform:
-        return self._wave(self._node_column(label).copy())
+        return self._wave(self.rows(label).copy())
 
     def pair_voltage(self, pos: str, neg: str) -> Waveform:
-        return self._wave(self._node_column(pos) - self._node_column(neg))
+        return self._wave(self.rows(pos) - self.rows(neg))
 
     def source_current(self, name: str) -> Waveform:
         """Current delivered from the source's + terminal into the circuit."""
@@ -627,8 +635,9 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
     first ``damp`` steps backward Euler, the EMF at step ``k`` being ``emf +
     (k - idx0) * slope * h``; ``operators(damped)`` gives the topology's
     :class:`_Operators`.  The solution goes into ``out``: the dense ``(x,
-    cap_i)`` arrays of a run with capacitors, else the run-length ``(rows,
-    starts)`` lists.  Returns the capacitor voltages and currents at ``seg_end``."""
+    cap_i)`` arrays of a run with capacitors, else the ``(x, starts)`` lists
+    of a run-length :class:`TransientResult`.  Returns the capacitor voltages
+    and currents at ``seg_end``."""
     nc, m = inc.shape[1], len(emf)
     trap = operators(False)
     first_row = 0 if nc else len(out[0])

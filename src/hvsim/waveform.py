@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -15,58 +14,24 @@ class WaveformError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """A uniformly sampled signal: value ``samples[k]`` at ``start + k*step``.
-
-    Stored dense, or run-length when ``starts`` is given: ``values[i]`` holds
-    from grid index ``starts[i]`` up to the next start, the last run up to
-    ``size``.  ``samples`` is always dense; a run-length waveform expands on
-    first use.  A constant stretch of a resistive transient run is one run.
-    """
+    """A uniformly sampled signal: value ``samples[k]`` at ``start + k*step``."""
 
     start: float
     step: float
-    values: np.ndarray
-    starts: Optional[np.ndarray] = None
-    size: Optional[int] = None
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if not self.step > 0:
             raise WaveformError(f"step must be > 0, got {self.step}")
-        if values.ndim != 1 or values.size == 0:
+        if self.samples.ndim != 1 or self.samples.size == 0:
             raise WaveformError("samples must be a non-empty 1-D sequence")
-        if self.starts is None:
-            if self.size not in (None, values.size):
-                raise WaveformError(f"{values.size} samples for size {self.size}")
-            object.__setattr__(self, "size", values.size)
-        else:
-            starts = np.asarray(self.starts)
-            object.__setattr__(self, "starts", starts)
-            if (
-                starts.shape != values.shape
-                or starts[0] != 0
-                or np.any(np.diff(starts) <= 0)
-                or self.size is None
-                or starts[-1] >= self.size
-            ):
-                raise WaveformError(
-                    "run starts must rise from 0 below the size, one per value"
-                )
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            if self.starts is not None:
-                bad = int(self.starts[bad])
+        if not np.all(np.isfinite(self.samples)):
+            bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
             raise WaveformError(f"non-finite sample at t={self.time_at(bad)!r}")
 
-    @cached_property
-    def samples(self) -> np.ndarray:
-        if self.starts is None:
-            return self.values
-        return np.repeat(self.values, np.diff(self.starts, append=self.size))
-
     def __len__(self) -> int:
-        return int(self.size)
+        return self.samples.size
 
     def time_at(self, index: int) -> float:
         return self.start + index * self.step
@@ -95,24 +60,6 @@ class Waveform:
             and self.step == other.step
             and len(self) == len(other)
         )
-
-
-def run_values(*waves: Waveform) -> Tuple[np.ndarray, ...]:
-    """Values of waveforms on one grid, indexed alike: the run values when
-    all of them share one set of runs, else the dense samples.
-
-    Each run value is the value of every sample in its run, so a maximum, or
-    the value at the last index where a condition holds, is the same bit for
-    bit on either form.
-    """
-    if not all(waves[0].same_grid(w) for w in waves[1:]):
-        raise WaveformError("waveform grids do not match")
-    starts = waves[0].starts
-    if starts is not None and all(
-        w.starts is not None and np.array_equal(w.starts, starts) for w in waves[1:]
-    ):
-        return tuple(w.values for w in waves)
-    return tuple(w.samples for w in waves)
 
 
 #: rows formatted per block, which bounds the temporary lists of long CSVs

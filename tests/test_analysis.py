@@ -30,7 +30,7 @@ def wave(samples, step=1e-6):
 
 def blocking_side_drops(run):
     """High-side device shares at the end of the final blocking plateau."""
-    metrics = voltage_shares(*(run.voltage(node) for node in "ABOC"))
+    metrics = voltage_shares(*(run.rows(node) for node in "ABOC"))
     return metrics.shares[:2]
 
 
@@ -98,14 +98,11 @@ class TestMeasureSlew:
 
 
 class TestVoltageShares:
-    def grid(self, arrays):
-        return [wave(a) for a in arrays]
-
     def test_equal_drops(self):
         n = 1000
         v_a = np.full(n, 1600.0)
         v_b, v_o, v_c = np.full(n, 1200.0), np.full(n, 800.0), np.full(n, 400.0)
-        metrics = voltage_shares(*self.grid([v_a, v_b, v_o, v_c]))
+        metrics = voltage_shares(v_a, v_b, v_o, v_c)
         assert metrics.shares == pytest.approx((0.25, 0.25, 0.25, 0.25))
         assert metrics.max_device_drop == pytest.approx(400.0)
         assert sum(metrics.shares) == pytest.approx(1.0, abs=1e-9)
@@ -122,16 +119,10 @@ class TestVoltageShares:
         assert abs(d1 / side - 0.5) < 0.02
         assert abs(d2 / side - 0.5) < 0.02
 
-    def test_grid_mismatch_rejected(self):
-        a = wave(np.zeros(10))
-        b = Waveform(0.0, 2e-6, np.zeros(10))
-        with pytest.raises(MeasureError, match="grid"):
-            voltage_shares(a, b, a, a)
-
     def test_shares_undefined_below_one_volt(self):
         n = 100
         tiny = [np.full(n, x) for x in (0.5, 0.4, 0.3, 0.1)]
-        metrics = voltage_shares(*self.grid(tiny))
+        metrics = voltage_shares(*tiny)
         assert metrics.shares is None
 
 
@@ -203,6 +194,10 @@ class TestMonteCarlo:
         assert np.all(d == d[0])
         assert d.min() == np.median(d) == d.max()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(MeasureError, match="seed must be >= 0"):
+            MismatchModel(seed=-1)
+
     def test_seed_reproducibility(self):
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=8, seed=42)
@@ -240,7 +235,7 @@ class TestMonteCarlo:
             offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
             run = run_scenario(build(list(offs), list(offsets)))
-            dense = [Waveform(0.0, run.step, run.voltage(n).samples) for n in "ABOC"]
+            dense = [run.voltage(n).samples for n in "ABOC"]
             assert len(dense[0]) == run.n_samples
             metrics = voltage_shares(*dense)
             assert error is None

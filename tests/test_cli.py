@@ -123,6 +123,14 @@ class TestRun:
             for cell in cells:
                 float(cell)
 
+    def test_fig8_step_too_coarse_for_filter_writes_nothing(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--preset", "fig8", "--out", str(tmp_path), "--set", "tran.step=1m"
+        )
+        assert code == 2
+        assert "too coarse for a 80 Hz filter" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_driver_schedule_error_exits_2(self, tmp_path, capsys):
         # a 10 kHz command is shorter than the 0.4 ms driver turn-on delay
         code = run_cli(
@@ -375,6 +383,15 @@ class TestMonteCarlo:
             "montecarlo", "--preset", "fig3", "--out", str(tmp_path), "--trials", "0"
         )
         assert code == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "montecarlo", "--preset", "fig3", "--out", str(tmp_path),
+            "--trials", "1", "--seed", "-1",
+        )
+        assert code == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", [
         ["--netlist", "/nonexistent.ckt"],

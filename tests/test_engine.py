@@ -28,7 +28,7 @@ from hvsim.engine import (
 )
 from hvsim.presets import load_preset
 from hvsim.runner import run_scenario
-from hvsim.waveform import Waveform
+from hvsim.waveform import Waveform, write_csv
 
 from conftest import par, stamp_checksum
 
@@ -622,11 +622,25 @@ class TestRunLength:
 
             # shares read one value per row: bit-identical to the dense samples
             for nodes in (res.labels[:4], ["P", "S", "K", "n0"]):
-                rows = [res.voltage(node) for node in nodes]
-                dense = [Waveform(0.0, w.step, w.samples) for w in rows]
+                rows = [res.rows(node) for node in nodes]
+                dense = [res.voltage(node).samples for node in nodes]
                 assert voltage_shares(*rows) == voltage_shares(*dense)
         # ramps stored a row per step, over more than one propagator block
         assert ramp_rows > engine._BLOCK
+
+    def test_expands_and_writes_like_dense(self, tmp_path):
+        circuit, settings, timelines = random_resistive_circuit(np.random.default_rng(5))
+        res = run_transient(circuit, settings, timelines)
+        assert len(res.x) < res.n_samples
+        runs = np.diff(res.starts, append=res.n_samples)
+        columns = {node: res.voltage(node) for node in res.labels}
+        for node, wave in columns.items():
+            assert len(wave) == res.n_samples and wave.stop == settings.n_steps * settings.step
+            assert wave.samples.tobytes() == np.repeat(res.rows(node), runs).tobytes()
+        dense = {node: Waveform(0.0, res.step, w.samples.copy()) for node, w in columns.items()}
+        write_csv(tmp_path / "runs.csv", columns)
+        write_csv(tmp_path / "dense.csv", dense)
+        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
 
 class TestLapackWrappers:

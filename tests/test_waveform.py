@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hvsim.waveform import Waveform, WaveformError, run_values, write_csv
+from hvsim.waveform import Waveform, WaveformError, write_csv
 
 from conftest import read_csv
 
@@ -86,33 +86,7 @@ class TestWriteCsv:
         assert not path.exists()
 
 
-class TestRunLength:
-    def runs(self):
-        return Waveform(0.0, 1e-3, [1.0, -2.0, 3.5], starts=[0, 2, 3], size=6)
-
-    def test_expands_and_writes_like_dense(self, tmp_path):
-        runs = self.runs()
-        assert runs.samples.tolist() == [1.0, 1.0, -2.0, 3.5, 3.5, 3.5]
-        assert len(runs) == 6 and runs.stop == 5e-3
-        dense = Waveform(0.0, 1e-3, runs.samples)
-        write_csv(tmp_path / "runs.csv", {"x": runs})
-        write_csv(tmp_path / "dense.csv", {"x": dense})
-        assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
-
-    def test_run_values_fall_back_to_samples(self):
-        runs, other = self.runs(), Waveform(0.0, 1e-3, [0.0, 1.0], starts=[0, 4], size=6)
-        assert [v.tolist() for v in run_values(runs, runs)] == [[1.0, -2.0, 3.5]] * 2
-        assert run_values(runs, other)[1].tolist() == [0.0] * 4 + [1.0] * 2
-        with pytest.raises(WaveformError, match="grids"):
-            run_values(runs, Waveform(0.0, 1e-3, np.zeros(5)))
-
-    @pytest.mark.parametrize("starts,size", [
-        ([1, 2, 3], 6), ([0, 3, 2], 6), ([0, 2], 6), ([0, 2, 3], 3), ([0, 2, 3], None),
-    ])
-    def test_bad_runs_rejected(self, starts, size):
-        with pytest.raises(WaveformError, match="run starts"):
-            Waveform(0.0, 1.0, [1.0, 2.0, 3.0], starts=starts, size=size)
-
-    def test_non_finite_run_names_its_start_time(self):
+class TestWaveform:
+    def test_non_finite_sample_names_its_time(self):
         with pytest.raises(WaveformError, match="t=0.002"):
-            Waveform(0.0, 1e-3, [1.0, np.nan], starts=[0, 2], size=4)
+            Waveform(0.0, 1e-3, [1.0, 1.0, np.nan, np.nan])

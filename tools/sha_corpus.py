@@ -48,6 +48,8 @@ def jobs():
     # fig3 at a 20 Hz drive over 20 s: 3,196 switching events in one run
     yield "run:fig3:many-events", ["run", "--preset", "fig3", "--set", "ctrl.g.f=20",
                                    "--set", "tran.stop=20", "--set", "tran.step=1m"], None
+    # a step too coarse for the fig8 displacement filter: exit 2, nothing written
+    yield "run:fig8:coarse-step", ["run", "--preset", "fig8", "--set", "tran.step=1m"], None
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
