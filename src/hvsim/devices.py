@@ -8,7 +8,7 @@ a fragment rebinds those to real node labels and prefixes internal names.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .circuit import (
     Capacitor,
@@ -20,18 +20,6 @@ from .circuit import (
     VoltageSource,
     param,
 )
-
-__all__ = [
-    "BenchSupplyParams",
-    "DeaLoadParams",
-    "Fragment",
-    "ScheduleError",
-    "driver_schedule",
-    "expand_bench_supply",
-    "expand_dea_load",
-    "series_rc_load",
-    "ceramic_load",
-]
 
 
 class ScheduleError(ValueError):
@@ -59,18 +47,16 @@ class BenchSupplyParams:
 @dataclass(frozen=True)
 class DeaLoadParams:
     """Actuator equivalent: series electrode resistance feeding the actuator
-    capacitance in parallel with its leakage resistance.  ``parallel_resistance``
-    of ``None`` drops the leakage branch (pure series-RC mimic load)."""
+    capacitance in parallel with its leakage resistance."""
 
     capacitance: float = param("c", 49e-9)
     series_resistance: float = param("rs", 60e3)
-    parallel_resistance: Optional[float] = param("rp", 6.6e6)
+    parallel_resistance: float = param("rp", 6.6e6)
 
     def __post_init__(self) -> None:
-        if not (self.capacitance > 0 and self.series_resistance > 0):
+        if not (self.capacitance > 0 and self.series_resistance > 0
+                and self.parallel_resistance > 0):
             raise CircuitError("DEA load parameters must be positive")
-        if self.parallel_resistance is not None and not self.parallel_resistance > 0:
-            raise CircuitError("DEA parallel resistance must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -147,49 +133,17 @@ def expand_bench_supply(params: BenchSupplyParams) -> Fragment:
 
 def expand_dea_load(params: DeaLoadParams) -> Fragment:
     """Actuator load fragment: R_s in series with [C parallel R_p]."""
-    comps: List[Component] = [
-        Resistor(name="R_rs", pos="+", neg="m", resistance=params.series_resistance),
-        Capacitor(name="C_c", pos="m", neg="-", capacitance=params.capacitance),
-    ]
-    if params.parallel_resistance is not None:
-        comps.append(Resistor(name="R_rp", pos="m", neg="-", resistance=params.parallel_resistance))
-    return Fragment(components=tuple(comps))
+    rc = series_rc_load(params.series_resistance, params.capacitance)
+    leak = Resistor(name="R_rp", pos="m", neg="-", resistance=params.parallel_resistance)
+    return Fragment(rc.components + (leak,))
 
 
 def series_rc_load(resistance: float, capacitance: float) -> Fragment:
-    """Series-RC mimic load (the bench stand-in for an actuator)."""
-    return expand_dea_load(
-        DeaLoadParams(
-            capacitance=capacitance,
-            series_resistance=resistance,
-            parallel_resistance=None,
+    """Series-RC mimic load (the bench stand-in for an actuator): the
+    actuator equivalent without its leakage branch."""
+    return Fragment(
+        components=(
+            Resistor(name="R_rs", pos="+", neg="m", resistance=resistance),
+            Capacitor(name="C_c", pos="m", neg="-", capacitance=capacitance),
         )
     )
-
-
-def ceramic_load(
-    c0: float,
-    series_resistance: float,
-    derating: float,
-    rated_voltage: float,
-    bias_voltage: float,
-) -> Fragment:
-    """Series-RC load built from a ceramic capacitor with HV derating.
-
-    The derating coefficient is per volt, clamped at ``rated_voltage``;
-    simulation uses the derated value at ``bias_voltage``.
-    """
-    comps = (
-        Resistor(name="R_rs", pos="+", neg="m", resistance=series_resistance),
-        Capacitor(
-            name="C_c",
-            pos="m",
-            neg="-",
-            capacitance=c0,
-            derating=derating,
-            rated_voltage=rated_voltage,
-            bias_voltage=bias_voltage,
-        ),
-    )
-    return Fragment(components=comps)
-

@@ -48,7 +48,6 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -295,15 +294,7 @@ def lu_factor(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     behind ``scipy.linalg.lu_factor``, without its per-call wrapper checks."""
     if A.size == 0:  # LAPACK rejects an empty matrix
         return A.copy(), np.zeros(0, dtype=np.int32)
-    lu, piv, info = dgetrf(A)
-    if info > 0:
-        from scipy.linalg import LinAlgWarning  # imports scipy.linalg: the rare path
-
-        warnings.warn(
-            f"Diagonal number {info} is exactly zero. Singular matrix.",
-            LinAlgWarning,
-            stacklevel=2,
-        )
+    lu, piv, _ = dgetrf(A)  # a zero pivot is left in ``lu`` for the caller to find
     return lu, piv
 
 
@@ -501,7 +492,7 @@ def _initial_solve(
         b[n + j] = emf0[j]
     for j, cap in enumerate(low.caps):
         b[n + m + j] = cap.ic
-    # the raw dgetrf, not lu_factor: a zero pivot is expected here, no warning
+    # the raw dgetrf, not lu_factor: its info flag picks the fallback below
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
     indeterminate = False
     if info == 0 and np.all(np.isfinite(np.diag(lu))):

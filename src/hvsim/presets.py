@@ -10,6 +10,7 @@ probes, whose input capacitance is the modeled node parasitic.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .circuit import Circuit, ControlSignal, ConverterSource, Switch
@@ -17,14 +18,13 @@ from .devices import (
     BenchSupplyParams,
     DeaLoadParams,
     Fragment,
-    ceramic_load,
     expand_bench_supply,
     expand_dea_load,
     series_rc_load,
 )
 from .engine import IntegrationSettings, dc_operating_point
 from .scenario import Scenario
-from .topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
+from .topology import build_dual_channel, build_half_bridge
 
 
 class PresetError(KeyError):
@@ -54,22 +54,15 @@ def load_fragment(descriptor: str) -> Fragment:
         return expand_dea_load(DeaLoadParams())
     if key in ("10n", "20n", "50n"):
         c0 = {"10n": 10e-9, "20n": 20e-9, "50n": 50e-9}[key]
-        return ceramic_load(
-            c0,
-            series_resistance=100e3,
-            derating=CERAMIC_DERATING,
-            rated_voltage=CERAMIC_RATED_VOLTAGE,
-            bias_voltage=1800.0,
-        )
+        resistor, capacitor = series_rc_load(100e3, c0).components
+        derated = replace(capacitor, derating=CERAMIC_DERATING,
+                          rated_voltage=CERAMIC_RATED_VOLTAGE, bias_voltage=1800.0)
+        return Fragment((resistor, derated))
     raise PresetError(f"unknown load descriptor {descriptor!r} (10n, 20n, 50n, dea)")
 
 
 def _bench(voltage: float) -> Fragment:
     return expand_bench_supply(BenchSupplyParams(voltage=voltage))
-
-
-def _stack(balancing: Optional[float], snubber: Optional[float] = None) -> StackParams:
-    return StackParams(balancing_resistance=balancing, snubber_capacitance=snubber)
 
 
 def _distribution(
@@ -82,10 +75,7 @@ def _distribution(
     """Static-sharing bench (fig2/fig3 and their Monte-Carlo trials): the
     unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
     circuit = build_half_bridge(
-        _bench(voltage),
-        StackParams(balancing_resistance=balancing, **stack),
-        load=None,
-        control=ControlSignal(frequency=1.0),
+        _bench(voltage), None, ControlSignal(frequency=1.0), balancing=balancing, **stack
     )
     return Scenario(
         circuit,
@@ -98,9 +88,9 @@ def _distribution(
 def _fig4(snubber: Optional[float], origin: str) -> Scenario:
     circuit = build_half_bridge(
         _bench(1800.0),
-        _stack(3.6e6, snubber),
-        load=None,
-        control=ControlSignal(frequency=1000.0),
+        None,
+        ControlSignal(frequency=1000.0),
+        snubber=snubber,
         probe_nodes=("B", "O", "C"),
     )
     return Scenario(
@@ -117,12 +107,9 @@ def _fig5() -> Scenario:
     # load capacitor just misses the 99% charge level each half-cycle
     circuit = build_half_bridge(
         _bench(1800.0),
-        StackParams(
-            balancing_resistance=3.6e6,
-            driver_offsets=(0.0, 0.0, 0.0, 0.0),
-        ),
-        load=series_rc_load(100e3, 10e-9),
-        control=ControlSignal(frequency=100.0),
+        series_rc_load(100e3, 10e-9),
+        ControlSignal(frequency=100.0),
+        driver_offsets=(0.0, 0.0, 0.0, 0.0),
     )
     return Scenario(
         circuit,
@@ -146,7 +133,7 @@ def converter_bridge(
     the matched bench ``supply``.
     """
     return build_half_bridge(
-        supply, _stack(balancing), load=load, control=ControlSignal(frequency=frequency)
+        supply, load, ControlSignal(frequency=frequency), balancing=balancing
     )
 
 
@@ -183,12 +170,9 @@ def _slew() -> Scenario:
     # because the calibration isolates the board edge from driver mismatch
     circuit = build_half_bridge(
         _bench(1800.0),
-        StackParams(
-            balancing_resistance=3.6e6,
-            driver_offsets=(0.0, 0.0, 0.0, 0.0),
-        ),
-        load=None,
-        control=ControlSignal(frequency=1000.0, phase=math.pi),
+        None,
+        ControlSignal(frequency=1000.0, phase=math.pi),
+        driver_offsets=(0.0, 0.0, 0.0, 0.0),
         probe_nodes=("O",),
     )
     return Scenario(
@@ -277,15 +261,11 @@ def mc_template(
     return build
 
 
-def _channel(phase: float) -> ChannelSpec:
-    """One fig7c channel: 100 Hz drive into the 100 kOhm + 10 nF mimic load."""
-    return ChannelSpec(ControlSignal(frequency=100.0, phase=phase), series_rc_load(100e3, 10e-9))
-
-
 def dual_channel_with_phase(phase: float, origin: Optional[str] = None) -> Scenario:
-    """fig7c: one converter feeding two bridges, channel 2 shifted by ``phase``
-    radians."""
-    circuit = build_dual_channel(CONVERTER, channels=(_channel(0.0), _channel(phase)))
+    """fig7c: one converter feeding two bridges at 100 Hz, each into the
+    100 kOhm + 10 nF mimic load, channel 2 shifted by ``phase`` radians."""
+    controls = (ControlSignal(frequency=100.0), ControlSignal(frequency=100.0, phase=phase))
+    circuit = build_dual_channel(CONVERTER, controls, series_rc_load(100e3, 10e-9))
     return Scenario(
         circuit,
         IntegrationSettings(step=1e-6, stop=0.02),

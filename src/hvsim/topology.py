@@ -10,8 +10,7 @@ break-before-make behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .circuit import (
     Capacitor,
@@ -25,116 +24,90 @@ from .circuit import (
 )
 from .devices import Fragment
 
-
-@dataclass(frozen=True)
-class StackParams:
-    """Per-channel series-stack configuration: two devices per side.
-
-    The per-device sequences run top to bottom: high side first, then low
-    side.  The 900 MOhm / 100 MOhm default off-resistances model the leakage
-    mismatch that skews static sharing (a 9:1 modeling choice, not a measured
-    value); the 50 us driver offset on the second device of each side models
-    driver mismatch during transitions.  On-resistance and driver delays are
-    the :class:`~hvsim.circuit.Switch` defaults.
-    """
-
-    balancing_resistance: Optional[float] = 3.6e6
-    snubber_capacitance: Optional[float] = None
-    off_resistances: Sequence[float] = (900e6, 100e6, 900e6, 100e6)
-    driver_offsets: Sequence[float] = (0.0, 50e-6, 0.0, 50e-6)
-
-    def __post_init__(self) -> None:
-        if len(self.off_resistances) != 4:
-            raise CircuitError(f"need 4 off-resistances, got {len(self.off_resistances)}")
-        if len(self.driver_offsets) != 4:
-            raise CircuitError(f"need 4 driver offsets, got {len(self.driver_offsets)}")
-        if self.balancing_resistance is not None and not self.balancing_resistance > 0:
-            raise CircuitError("balancing resistance must be positive or None")
-        if self.snubber_capacitance is not None and not self.snubber_capacitance > 0:
-            raise CircuitError("snubber capacitance must be positive or None")
+#: Per-device off-resistances, top to bottom (high side first): the
+#: 900 MOhm / 100 MOhm pairs model the leakage mismatch that skews static
+#: sharing (a 9:1 modeling choice, not a measured value).
+OFF_RESISTANCES = (900e6, 100e6, 900e6, 100e6)
+#: Per-device driver offsets: the 50 us offset on the second device of each
+#: side models driver mismatch during transitions.
+DRIVER_OFFSETS = (0.0, 50e-6, 0.0, 50e-6)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One output channel of a multi-channel configuration."""
-
-    control: ControlSignal
-    load: Optional[Fragment]
-
-
-def _stack_side(
-    params: StackParams,
-    control_name: str,
-    invert: bool,
+def _stack_devices(
     nodes: Sequence[str],
-    base_index: int,
+    control: str,
     prefix: str,
+    balancing: Optional[float],
+    snubber: Optional[float],
+    off_resistances: Sequence[float],
+    driver_offsets: Sequence[float],
 ) -> List[Component]:
+    """The four devices of one stack along ``nodes`` (A, B, O, C, 0), each
+    with its balancing resistor and snubber when given; the lower two follow
+    the complement of ``control``."""
     comps: List[Component] = []
     for i, (pos, neg) in enumerate(zip(nodes, nodes[1:])):
-        di = base_index + i
         comps.append(
             Switch(
-                name=f"S{prefix}q{di + 1}",
+                name=f"S{prefix}q{i + 1}",
                 pos=pos,
                 neg=neg,
-                control=control_name,
-                roff=params.off_resistances[di],
-                invert=invert,
-                delay_offset=params.driver_offsets[di],
+                control=control,
+                roff=off_resistances[i],
+                invert=i >= 2,
+                delay_offset=driver_offsets[i],
             )
         )
-        if params.balancing_resistance is not None:
-            comps.append(
-                Resistor(f"R{prefix}b{di + 1}", pos, neg, params.balancing_resistance)
-            )
-        if params.snubber_capacitance is not None:
-            comps.append(
-                Capacitor(f"C{prefix}sn{di + 1}", pos, neg, params.snubber_capacitance)
-            )
+        if balancing is not None:
+            comps.append(Resistor(f"R{prefix}b{i + 1}", pos, neg, balancing))
+        if snubber is not None:
+            comps.append(Capacitor(f"C{prefix}sn{i + 1}", pos, neg, snubber))
     return comps
 
 
 def build_half_bridge(
     supply: Fragment,
-    stack: StackParams,
     load: Optional[Fragment],
     control: ControlSignal,
+    *,
+    balancing: Optional[float] = 3.6e6,
+    snubber: Optional[float] = None,
+    off_resistances: Sequence[float] = OFF_RESISTANCES,
+    driver_offsets: Sequence[float] = DRIVER_OFFSETS,
     probe_nodes: Sequence[str] = (),
 ) -> Circuit:
     """Single-channel bridge with labeled nodes A, B, O, C (D is ground).
 
-    ``supply`` feeds A; ``control`` drives every switch under the name ``g``;
-    ``probe_nodes`` each get a scope probe ``Xscope<node>``.
+    ``supply`` feeds A; ``control`` drives every switch under the name ``g``.
+    Every device gets a ``balancing`` resistor and a ``snubber`` capacitor
+    unless that value is None; ``off_resistances`` and ``driver_offsets``
+    give the four devices top to bottom.  ``probe_nodes`` each get a scope
+    probe ``Xscope<node>``.
     """
+    for label, values in (("off-resistances", off_resistances), ("driver offsets", driver_offsets)):
+        if len(values) != 4:
+            raise CircuitError(f"need 4 {label}, got {len(values)}")
     comps: List[Component] = supply.instantiate("A", "0", "sup")
-
-    comps.extend(_stack_side(stack, "g", False, ("A", "B", "O"), 0, ""))
-    comps.extend(_stack_side(stack, "g", True, ("O", "C", "0"), 2, ""))
-
+    comps.extend(_stack_devices(("A", "B", "O", "C", "0"), "g", "", balancing, snubber,
+                                off_resistances, driver_offsets))
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
     comps.extend(Probe(f"Xscope{node}", node, "0") for node in probe_nodes)
-
     return Circuit.build(comps, {"g": control})
 
 
 def build_dual_channel(
-    supply: Fragment, channels: Tuple[ChannelSpec, ChannelSpec]
+    supply: Fragment, controls: Sequence[ControlSignal], load: Fragment
 ) -> Circuit:
     """Two bridges sharing one supply, each through a 1.8 MOhm-balanced
-    stack; per-channel nodes get 1/2 suffixes."""
-    stack = StackParams(balancing_resistance=1.8e6)
+    stack into its own copy of ``load``; channel ``k`` follows ``controls[k-1]``
+    under the name ``g<k>`` and its nodes get the suffix ``k``."""
     comps: List[Component] = supply.instantiate("A", "0", "sup")
-    controls: Dict[str, ControlSignal] = {}
-    for ch_i, channel in enumerate(channels, start=1):
-        tag = str(ch_i)
-        ctrl_name = f"g{tag}"
-        controls[ctrl_name] = channel.control
-        high = ("A", f"B{tag}", f"O{tag}")
-        low = (f"O{tag}", f"C{tag}", "0")
-        comps.extend(_stack_side(stack, ctrl_name, False, high, 0, f"ch{tag}"))
-        comps.extend(_stack_side(stack, ctrl_name, True, low, 2, f"ch{tag}"))
-        if channel.load is not None:
-            comps.extend(channel.load.instantiate(f"O{tag}", "0", f"load{tag}"))
-    return Circuit.build(comps, controls)
+    names: Dict[str, ControlSignal] = {}
+    for k, control in enumerate(controls, start=1):
+        names[f"g{k}"] = control
+        nodes = ("A", f"B{k}", f"O{k}", f"C{k}", "0")
+        comps.extend(_stack_devices(nodes, f"g{k}", f"ch{k}", 1.8e6, None,
+                                    OFF_RESISTANCES, DRIVER_OFFSETS))
+        comps.extend(load.instantiate(f"O{k}", "0", f"load{k}"))
+    return Circuit.build(comps, names)

@@ -35,7 +35,7 @@ from hvsim.presets import (
 )
 from hvsim.runner import run_scenario
 from hvsim.scenario import Scenario
-from hvsim.topology import StackParams, build_half_bridge
+from hvsim.topology import build_half_bridge
 
 from conftest import par, study_values
 from test_engine import random_rc_circuit
@@ -227,9 +227,9 @@ class TestCriterion06DroopOrdering:
         # ideal (underated) 10 nF reference cell at 100 Hz
         circuit = build_half_bridge(
             CONVERTER,
-            StackParams(balancing_resistance=1.8e6),
-            load=series_rc_load(100e3, 10e-9),
-            control=ControlSignal(frequency=100.0),
+            series_rc_load(100e3, 10e-9),
+            ControlSignal(frequency=100.0),
+            balancing=1.8e6,
         )
         settle = settle_periods_for(100.0)
         scenario = Scenario(

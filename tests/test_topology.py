@@ -11,7 +11,7 @@ from hvsim.engine import IntegrationSettings, _shoot_through_seconds
 from hvsim.presets import CONVERTER, load_preset
 from hvsim.runner import run_scenario, switch_timelines
 from hvsim.scenario import Scenario
-from hvsim.topology import ChannelSpec, StackParams, build_dual_channel, build_half_bridge
+from hvsim.topology import build_dual_channel, build_half_bridge
 
 from conftest import stamp_checksum
 
@@ -19,7 +19,6 @@ from conftest import stamp_checksum
 def bridge(**kw):
     args = dict(
         supply=expand_bench_supply(BenchSupplyParams(voltage=800.0)),
-        stack=StackParams(),
         load=None,
         control=ControlSignal(frequency=1.0),
     )
@@ -44,7 +43,15 @@ class TestBuildHalfBridge:
 
     def test_sequence_length_mismatch_rejected(self):
         with pytest.raises(CircuitError, match="off-resistances"):
-            StackParams(off_resistances=(1e9, 1e9))
+            bridge(off_resistances=(1e9, 1e9))
+
+    @pytest.mark.parametrize("kw, device", [
+        ({"balancing": 0.0}, "Rb1"),
+        ({"snubber": -220e-12}, "Csn1"),
+    ], ids=["balancing", "snubber"])
+    def test_non_positive_balancing_or_snubber_names_device(self, kw, device):
+        with pytest.raises(CircuitError, match=f"^{device}: "):
+            bridge(**kw)
 
     def test_preset_digests_are_distinct_and_stable(self):
         # the variants differ exactly by their balancing/snubber population
@@ -55,8 +62,8 @@ class TestBuildHalfBridge:
         assert fig3 == stamp_checksum(load_preset("fig3").circuit)
 
     def test_balancer_swap_changes_digest(self):
-        a = bridge(stack=StackParams(balancing_resistance=3.6e6))
-        b = bridge(stack=StackParams(balancing_resistance=1.8e6))
+        a = bridge(balancing=3.6e6)
+        b = bridge(balancing=1.8e6)
         assert stamp_checksum(a) != stamp_checksum(b)
 
     def test_commanded_complementarity(self):
@@ -80,11 +87,10 @@ class TestBuildHalfBridge:
         assert np.max(np.abs(drops - v_a)) < 1e-9 * max(1.0, np.max(np.abs(v_a)))
 
     def test_identical_devices_share_equally(self):
-        stack = StackParams(
+        c = bridge(
             off_resistances=(500e6, 500e6, 500e6, 500e6),
             driver_offsets=(0.0, 0.0, 0.0, 0.0),
         )
-        c = bridge(stack=stack)
         run = run_scenario(
             Scenario(c, IntegrationSettings(step=1e-4, stop=2.0), probes=("A", "B", "O", "C"))
         )
@@ -100,13 +106,8 @@ class TestBuildDualChannel:
     def make(self, phase2):
         return build_dual_channel(
             CONVERTER,
-            channels=(
-                ChannelSpec(ControlSignal(frequency=100.0), series_rc_load(100e3, 10e-9)),
-                ChannelSpec(
-                    ControlSignal(frequency=100.0, phase=phase2),
-                    series_rc_load(100e3, 10e-9),
-                ),
-            ),
+            (ControlSignal(frequency=100.0), ControlSignal(frequency=100.0, phase=phase2)),
+            series_rc_load(100e3, 10e-9),
         )
 
     def test_zero_phase_outputs_identical(self):

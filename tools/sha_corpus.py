@@ -32,6 +32,27 @@ from hvsim.presets import PRESET_NAMES, load_preset  # noqa: E402
 
 MC_SEEDS = range(192)
 
+#: a hand-written netlist whose supply and load are X fragments, expanded at parse time
+XFRAG = """\
+# bench-fed stack into the actuator equivalent
+Xsup A 0 bench v=1.8k
+Sq1 A B ctrl=g roff=900M
+Rb1 A B 3.6M
+Sq2 B O ctrl=g roff=100M offset=50u
+Rb2 B O 3.6M
+Sq3 O C ctrl=g roff=900M inv=1
+Rb3 O C 3.6M
+Sq4 C 0 ctrl=g roff=100M inv=1 offset=50u
+Rb4 C 0 3.6M
+Xload O 0 dea
+.ctrl g square f=100
+.tran 1u 20m
+.probe A
+.probe O
+.probe load_m
+.end
+"""
+
 
 def jobs():
     """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
@@ -42,6 +63,9 @@ def jobs():
     # a differential (pos, neg) probe next to the four node probes
     fig3 = print_scenario(load_preset("fig3")).replace(".end\n", ".probe A B\n.end\n")
     yield "run:netlist:fig3-pair", ["run"], ("fig3_pair", fig3)
+    yield "run:netlist:xfrag", ["run"], ("xfrag", XFRAG)
+    # the one run job with a plot: a linear-axis SVG
+    yield "run:fig5:plot", ["run", "--preset", "fig5", "--plot"], None
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
     yield "run:fig3:slow-slew", ["run", "--preset", "fig3",
                                  "--set", "comp.Vsup_emf.slew=2e5"], None
