@@ -314,6 +314,12 @@ class Circuit:
         return Circuit(components=tuple(comps), controls=self.controls)
 
     def validate(self) -> None:
+        """Raise :class:`CircuitError` at the first broken invariant.  A frozen
+        circuit that passed is not checked again; a failure is not kept."""
+        self._checked
+
+    @functools.cached_property
+    def _checked(self) -> bool:
         names = set()
         for comp in self.components:
             if comp.name in names:
@@ -328,6 +334,7 @@ class Circuit:
                 raise CircuitError(f"{comp.name}: undefined control {ctrl!r}")
 
         self._check_dc_connectivity()
+        return True
 
     def _check_dc_connectivity(self) -> None:
         # union-find over DC-conducting edges; every node must reach ground
@@ -339,13 +346,6 @@ class Circuit:
                 x = parent[x]
             return x
 
-        def union(a: str, b: str) -> None:
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
         def canon(label: str) -> str:
             return "0" if is_ground(label) else label
 
@@ -354,7 +354,7 @@ class Circuit:
             parent.setdefault(a, a)
             parent.setdefault(b, b)
             if isinstance(comp, _DC_CONDUCTING):
-                union(a, b)
+                parent[find(a)] = find(b)  # union
 
         ground_root = find("0")
         for label in parent:

@@ -10,9 +10,10 @@ Between events the circuit is linear time-invariant, so each run factors the
 matrix once per distinct (switch states, damped) pair and reuses it at every
 later event with the same topology.  A trapezoidal stretch is a linear
 recurrence in the companion-history currents and the source EMFs; it is
-advanced a block of steps at a time from precomputed powers of its one-step
-map, so no per-step solve remains (the per-topology state-space form of
-piecewise-linear switched-circuit simulators).
+advanced a block of steps at a time from powers of its one-step map,
+tabulated as far as the longest block needs, so no per-step solve remains
+(the per-topology state-space form of piecewise-linear switched-circuit
+simulators).
 
 :func:`run_transient` has four phases: schedule (snap the switch events and
 gated-source edges to the grid), segment plan (targets, ramp knees and slopes),
@@ -150,13 +151,6 @@ SwitchTimeline = Tuple[bool, Sequence[Tuple[float, bool]]]
 
 
 @dataclass
-class _ResEl:
-    p: int
-    n: int
-    g: float
-
-
-@dataclass
 class _SwitchEl:
     p: int
     n: int
@@ -188,10 +182,11 @@ class _SourceEl:
 class _Lowered:
     labels: List[str]
     index: Dict[str, int]  # label -> row; ground labels -> -1
-    resistors: List[_ResEl]
     switches: List[_SwitchEl]
     caps: List[_CapEl]
     sources: List[_SourceEl]
+    # the resistor stamps and source rows/columns that every topology shares
+    resistive: Optional[np.ndarray] = None
 
     @property
     def n_nodes(self) -> int:
@@ -203,7 +198,8 @@ class _Lowered:
 
 
 def _lower(circuit: Circuit) -> _Lowered:
-    """Flatten composites and map node labels to matrix rows."""
+    """Check the circuit, flatten composites and map node labels to matrix rows."""
+    circuit.validate()
     labels: List[str] = []
     index: Dict[str, int] = {}
 
@@ -215,29 +211,26 @@ def _lower(circuit: Circuit) -> _Lowered:
             labels.append(label)
         return index[label]
 
-    low = _Lowered(labels, index, [], [], [], [])
+    low = _Lowered(labels, index, [], [], [])
+    resistors: List[Tuple[int, int, float]] = []
     for comp in circuit.components:
         p, n = row(comp.pos), row(comp.neg)
         if isinstance(comp, Resistor):
-            low.resistors.append(_ResEl(p, n, 1.0 / comp.resistance))
+            resistors.append((p, n, 1.0 / comp.resistance))
         elif isinstance(comp, Capacitor):
             low.caps.append(
                 _CapEl(p, n, comp.effective_capacitance(), comp.initial_voltage, comp.name)
             )
         elif isinstance(comp, Switch):
-            low.switches.append(
-                _SwitchEl(p, n, 1.0 / comp.ron, 1.0 / comp.roff, comp.name)
-            )
+            low.switches.append(_SwitchEl(p, n, 1.0 / comp.ron, 1.0 / comp.roff, comp.name))
         elif isinstance(comp, VoltageSource):
-            low.sources.append(
-                _SourceEl(p, n, comp.name, comp.voltage, comp.slew, comp.control)
-            )
+            low.sources.append(_SourceEl(p, n, comp.name, comp.voltage, comp.slew, comp.control))
         elif isinstance(comp, ConverterSource):
             e = row(f"{comp.name}__e")
             low.sources.append(
                 _SourceEl(e, n, f"{comp.name}__emf", comp.open_circuit_voltage, None, None)
             )
-            low.resistors.append(_ResEl(e, p, 1.0 / comp.internal_resistance))
+            resistors.append((e, p, 1.0 / comp.internal_resistance))
             low.caps.append(
                 _CapEl(
                     p,
@@ -248,10 +241,17 @@ def _lower(circuit: Circuit) -> _Lowered:
                 )
             )
         elif isinstance(comp, Probe):
-            low.resistors.append(_ResEl(p, n, 1.0 / comp.input_resistance))
+            resistors.append((p, n, 1.0 / comp.input_resistance))
             low.caps.append(_CapEl(p, n, comp.input_capacitance, 0.0, f"{comp.name}__cin"))
         else:  # pragma: no cover - Component union is closed
             raise CircuitError(f"cannot lower component {comp!r}")
+    size, n = low.size, low.n_nodes
+    low.resistive = A = np.zeros((size, size))
+    for p, q, g in resistors:  # stamped once per run, not once per topology
+        _stamp_conductance(A, p, q, g)
+    # source branch rows/columns; the conductances fill only the node block
+    A[:n, n:] = _incidence(n, low.sources)
+    A[n:, :n] = A[:n, n:].T
     return low
 
 
@@ -277,15 +277,9 @@ def _incidence(rows: int, branches) -> np.ndarray:
 
 
 def _base_matrix(low: _Lowered, sw_states: Sequence[bool]) -> np.ndarray:
-    n = low.n_nodes
-    A = np.zeros((low.size, low.size))
-    for r in low.resistors:
-        _stamp_conductance(A, r.p, r.n, r.g)
+    A = low.resistive.copy()  # resistors, then switches: the order of the sums
     for sw, on in zip(low.switches, sw_states):
         _stamp_conductance(A, sw.p, sw.n, sw.g_on if on else sw.g_off)
-    # source branch rows/columns; the conductances fill only the node block
-    A[:n, n:] = _incidence(n, low.sources)
-    A[n:, :n] = A[:n, n:].T
     return A
 
 
@@ -309,7 +303,7 @@ def lu_solve(lu_and_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.nda
 def _factor(A: np.ndarray, low: _Lowered):
     lu = lu_factor(A)
     diag = np.abs(np.diag(lu[0]))
-    if diag.size and (not np.all(np.isfinite(diag)) or diag.min() == 0.0):
+    if diag.size and (not np.isfinite(diag).all() or diag.min() == 0.0):
         k = int(np.argmin(np.where(np.isfinite(diag), diag, 0.0)))
         if k < low.n_nodes:
             culprit = f"node {low.labels[k]!r}"
@@ -319,21 +313,26 @@ def _factor(A: np.ndarray, low: _Lowered):
     return lu
 
 
-#: Steps per block of a trapezoidal stretch; the power table holds F^0..F^_BLOCK.
+#: Steps per block of a trapezoidal stretch; a power table grows on demand up
+#: to F^0..F^_BLOCK.
 _BLOCK = 256
 
 
-def _powers(F: np.ndarray, count: int) -> np.ndarray:
-    """``F^0 .. F^count`` stacked, built by repeated doubling."""
-    P = np.empty((count + 1,) + F.shape)
-    P[0] = np.eye(F.shape[0])
-    P[1] = F
-    k = 1  # P[0..k] are filled
+def _powers(F: np.ndarray, count: int, P: Optional[np.ndarray] = None) -> np.ndarray:
+    """``F^0 .. F^count`` stacked, by repeated doubling: ``F^j = F^(j-k) @ F^k``
+    with ``k`` the largest power of two below ``j``.  Given ``P``, a table of
+    ``F^0 .. F^k`` from an earlier call with ``k`` a power of two, the doubling
+    resumes at ``k``: a table grown in steps has the bits of one built at once."""
+    if P is None:
+        P = np.stack([np.eye(F.shape[0]), F])
+    out = np.empty((count + 1,) + F.shape)
+    k = len(P) - 1  # out[0..k] are filled
+    out[: k + 1] = P
     while k < count:
         span = min(k, count - k)
-        P[k + 1 : k + 1 + span] = P[1 : 1 + span] @ P[k]
+        out[k + 1 : k + 1 + span] = out[1 : 1 + span] @ out[k]
         k += span
-    return P
+    return out
 
 
 @dataclass
@@ -342,13 +341,15 @@ class _Operators:
 
     ``N`` is the capacitor incidence (+1 at the + node row, -1 at the - node
     row) and ``S`` selects the source rows, so a step solves
-    ``A x = N hist + S emf``.
+    ``A x = N hist + S emf``.  The table of powers of the one-step map grows
+    to the longest block asked for, in powers of two up to ``_BLOCK``: a
+    one-step ramp needs ``F^0`` and ``F^1`` only.
     """
 
     lu: Tuple[np.ndarray, np.ndarray]
     g: np.ndarray  # companion conductance of each capacitor
     k: Optional[np.ndarray] = None  # A^-1 [N S]
-    powers: Optional[np.ndarray] = None
+    powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
 
     def response(self, inc: np.ndarray, m: int) -> np.ndarray:
         """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
@@ -362,8 +363,9 @@ class _Operators:
             )
         return self.k
 
-    def step_powers(self, inc: np.ndarray, m: int) -> np.ndarray:
-        """Powers of the trapezoidal one-step map ``F`` of ``z = [hist; emf; emf step]``.
+    def step_powers(self, inc: np.ndarray, m: int, length: int) -> np.ndarray:
+        """Powers ``F^0 .. F^length`` at least (``length <= _BLOCK``) of the
+        trapezoidal one-step map ``F`` of ``z = [hist; emf; emf step]``.
 
         ``hist' = 2G Nᵀx - hist`` with ``x = A^-1 [N S] [hist; emf]``, and the
         EMF advances by its per-step increment.
@@ -374,7 +376,10 @@ class _Operators:
             F[:nc, : nc + m] = 2.0 * self.g[:, None] * (inc.T @ self.response(inc, m))
             F[:nc, :nc] -= np.eye(nc)
             F[nc : nc + m, nc + m :] = np.eye(m)
-            self.powers = _powers(F, _BLOCK)
+            self.powers = _powers(F, 1)
+        if len(self.powers) <= length:  # grow to the next power of two
+            count = 1 << (length - 1).bit_length()
+            self.powers = _powers(self.powers[1], count, self.powers)
         return self.powers
 
 
@@ -392,7 +397,6 @@ def dc_operating_point(
     Capacitors are open circuits (converter output capacitance included);
     slew limits are ignored and gated sources take their t=0 command state.
     """
-    circuit.validate()
     low = _lower(circuit)
     for sw in low.switches:
         if sw.name not in switch_states:
@@ -487,11 +491,7 @@ def _initial_solve(
     A[: n + m, : n + m] = _base_matrix(low, sw_states)
     A[:n, n + m :] = _incidence(n, low.caps)
     A[n + m :, :n] = A[:n, n + m :].T
-    b = np.zeros(size)
-    for j in range(m):
-        b[n + j] = emf0[j]
-    for j, cap in enumerate(low.caps):
-        b[n + m + j] = cap.ic
+    b = np.concatenate([np.zeros(n), emf0, [cap.ic for cap in low.caps]])
     # the raw dgetrf, not lu_factor: its info flag picks the fallback below
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
     indeterminate = False
@@ -632,7 +632,7 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
     nc, m = inc.shape[1], len(emf)
     trap = operators(False)
     first_row = 0 if nc else len(out[0])
-    if nc == 0 and not np.any(slope != 0.0):
+    if nc == 0 and not slope.any():
         # purely resistive, constant drive: the segment is one solve, one row
         out[0].append(lu_solve(trap.lu, np.concatenate([np.zeros(inc.shape[0] - m), emf])))
         out[1].append(idx0 + 1)
@@ -648,7 +648,7 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
                 out[1][k] = ic = be.g * vc - hist
         k = idx0 + 1 + damp
         if k <= seg_end:
-            P = trap.step_powers(inc, m)
+            P = trap.step_powers(inc, m, min(_BLOCK, seg_end + 1 - k))
             k_tr = trap.response(inc, m)
             z = np.concatenate([trap.g * vc + ic, emf + (k - idx0) * d_emf, d_emf])
             while k <= seg_end:
@@ -667,7 +667,7 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
             if nc:
                 vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
                 ic = out[1][seg_end]
-    if not np.all(np.isfinite(out[0][seg_end] if nc else out[0][first_row:])):
+    if not np.isfinite(out[0][seg_end] if nc else out[0][first_row:]).all():
         raise SimulationError(f"solution diverged at t={seg_end * h!r}")
     return vc, ic
 
@@ -713,7 +713,6 @@ def run_transient(
     The four phases are :func:`_schedule`, :func:`_plan_segment`,
     :func:`_propagate` and :func:`_package` (see the module docstring).
     """
-    circuit.validate()
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
     controls = circuit.control_map
@@ -761,9 +760,10 @@ def run_transient(
             damp = min(pending_damp, steps) if nc else 0
             vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
             pending_damp = max(0, pending_damp - steps)
-            emf = emf + slope * (steps * h)
-            near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
-            np.copyto(emf, target, where=(slope != 0.0) & near)
+            if slope.any():  # else _plan_segment has set every source to its target
+                emf = emf + slope * (steps * h)
+                near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
+                np.copyto(emf, target, where=(slope != 0.0) & near)
             idx0 = seg_end
 
         logged = len(events)

@@ -95,6 +95,18 @@ class TestRun:
         assert code == 2
         assert "--set comp.Sq1.ctrl: unknown control 'nosuch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("comp.Rb1.value=-5", "Rb1: resistance must be > 0, got -5.0"),
+        ("comp.Sq1.ron=2G", "Sq1: on-resistance 2000000000.0 must be below "
+                            "off-resistance 900000000.0"),
+    ])
+    def test_invalid_component_override_exits_2(self, tmp_path, capsys, override, message):
+        # with_replaced does not check; the run does, with the component's own message
+        code = run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--set", override)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_component_override(self, tmp_path):
         code = run_cli(
             "run", "--preset", "fig3", "--out", str(tmp_path),

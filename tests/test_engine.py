@@ -545,6 +545,83 @@ class TestBlockedPropagator:
         assert len(factored) < len(run.events)
 
 
+class TestPowerTable:
+    def test_short_table_is_a_prefix_of_the_full_one(self):
+        rng = np.random.default_rng(16)
+        for n in (3, 17):
+            F = rng.standard_normal((n, n)) / math.sqrt(n)
+            full = engine._powers(F, engine._BLOCK).view(np.uint64)
+            for count in range(1, engine._BLOCK):
+                short = engine._powers(F, count).view(np.uint64)
+                assert np.array_equal(short, full[: count + 1]), (n, count)
+            # grown in powers of two, resuming where each call stopped
+            grown = engine._powers(F, 1)
+            while len(grown) <= engine._BLOCK:
+                grown = engine._powers(F, 2 * (len(grown) - 1), grown)
+            assert np.array_equal(grown.view(np.uint64), full)
+
+    @staticmethod
+    def _recorded_counts(monkeypatch):
+        counts = []
+        powers = engine._powers
+
+        def recording_powers(F, count, P=None):
+            counts.append(count)
+            return powers(F, count, P)
+
+        monkeypatch.setattr(engine, "_powers", recording_powers)
+        return counts
+
+    def test_one_step_ramp_builds_no_power_past_the_first(self, monkeypatch):
+        counts = self._recorded_counts(monkeypatch)
+        run_scenario(load_preset("fig3"))
+        assert counts and max(counts) == 1
+
+    def test_long_stretch_tops_out_at_block(self, monkeypatch):
+        counts = self._recorded_counts(monkeypatch)
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Resistor("R1", "A", "B", 1e3),
+            Capacitor("C1", "B", "0", 1e-6),
+        )
+        run_transient(circuit, IntegrationSettings(1e-5, 0.05), {})
+        assert max(counts) == engine._BLOCK
+
+
+class TestValidateOnce:
+    def test_replaced_invalid_circuit_still_rejected(self):
+        base = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Resistor("R1", "A", "B", 1e3),
+            Resistor("R2", "B", "0", 1e3),
+        )
+        bad = base.with_replaced("R2", resistance=-1.0)
+        message = "R2: resistance must be > 0, got -1.0"
+        for _ in range(2):  # a failed check is not remembered as a pass
+            with pytest.raises(CircuitError, match=message):
+                run_transient(bad, IntegrationSettings(1e-3, 1e-2), {})
+            with pytest.raises(CircuitError, match=message):
+                dc_operating_point(bad, {})
+
+    def test_valid_circuit_checks_components_once(self, monkeypatch):
+        checked = []
+        validate = Resistor.validate
+
+        def counting_validate(comp):
+            checked.append(comp.name)
+            validate(comp)
+
+        monkeypatch.setattr(Resistor, "validate", counting_validate)
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Resistor("R1", "A", "0", 1e3),
+        )
+        for _ in range(2):
+            run_transient(circuit, IntegrationSettings(1e-3, 1e-2), {})
+        dc_operating_point(circuit, {})
+        assert checked == ["R1"]
+
+
 def random_resistive_circuit(rng):
     """Random capacitor-free switched network fed by a constant source, a
     gated (sometimes slewed) source and a slewed supply whose ramps span up

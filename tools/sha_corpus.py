@@ -3,6 +3,7 @@
 Usage::
 
     python tools/sha_corpus.py OUT_DIR > corpus.txt
+    python tools/sha_corpus.py --against REV WORK_DIR
 
 Each job is one in-process ``hvsim.cli.main(argv)`` call writing into its own
 subdirectory of ``OUT_DIR``.  A netlist job first writes its netlist into that
@@ -14,17 +15,33 @@ that two runs into different directories compare equal.  Running the script
 on two checkouts and diffing the listings checks that a change keeps every
 output byte-identical.  ``hvsim`` is imported from the ``src`` directory next
 to this script.
+
+``--against REV`` does that comparison in one command.  It exports ``src/``
+of the git revision ``REV`` (with ``git archive``) into ``WORK_DIR/parent``,
+next to a copy of this script, and runs the job list on that tree and on the
+working tree's ``src/`` (into ``WORK_DIR/parent/out`` and
+``WORK_DIR/change/out``; the listings go to ``listing.txt`` beside them), as
+two child processes side by side.  ``WORK_DIR`` must be new or empty.  It prints each differing line, ``-`` for
+``REV`` and ``+`` for the working tree; for each CSV that differs, each
+column's largest ``|change - parent|`` over its largest ``|parent|``; and
+last ``N differing lines of M``.  It exits 1 when a line differs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
+import math
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from hvsim.cli import main  # noqa: E402
 from hvsim.netlist import print_scenario  # noqa: E402
@@ -119,7 +136,97 @@ def run(out_root: Path) -> None:
         sys.stdout.flush()
 
 
+def _listing(path: Path) -> dict:
+    """``(job, file) -> (exit code, sha256)`` of one listing."""
+    out = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        job, code, name, sha = line.split(" ")
+        out[job, name] = (code, sha)
+    return out
+
+
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def csv_drift(parent: Path, change: Path) -> list:
+    """One line per differing column of two CSVs: its largest ``|change -
+    parent|`` over its largest ``|parent|`` (``x/0`` for an all-zero parent
+    column), plus the count of differing cells that are not both numbers."""
+    with open(parent, newline="") as fa, open(change, newline="") as fb:
+        rows_a, rows_b = csv.reader(fa), csv.reader(fb)
+        header = next(rows_a, [])
+        if next(rows_b, []) != header:
+            return ["the headers differ"]
+        diff, scale, text = [0.0] * len(header), [0.0] * len(header), [0] * len(header)
+        for row_a, row_b in itertools.zip_longest(rows_a, rows_b):
+            if row_a is None or row_b is None or len(row_a) != len(row_b):
+                return ["the row counts or lengths differ"]
+            for j, (ca, cb) in enumerate(zip(row_a, row_b)):
+                a = _number(ca)
+                if a == a:
+                    scale[j] = max(scale[j], abs(a))
+                if ca != cb:
+                    b = _number(cb)
+                    if a == a and b == b:
+                        diff[j] = max(diff[j], abs(b - a))
+                    else:
+                        text[j] += 1
+    lines = []
+    for name, d, s, t in zip(header, diff, scale, text):
+        if d or t:
+            ratio = f"{d / s:.3g}" if s else f"{d:.3g}/0"
+            lines.append(f"{name}: {ratio}" + (f", {t} non-numeric cells differ" if t else ""))
+    return lines
+
+
+def against(rev: str, work: Path) -> int:
+    """Run the job list on ``rev``'s ``src/`` and on the working tree's; print
+    the differences.  Returns 1 when a line differs, else 0."""
+    work = work.resolve()
+    if work.exists() and any(work.iterdir()):
+        sys.exit(f"{work} is not empty")
+    parent, change = work / "parent", work / "change"
+    for tree in (parent, change):
+        tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+    (parent / "tools").mkdir()
+    shutil.copy(__file__, parent / "tools" / "sha_corpus.py")
+    procs = []
+    for script, tree in ((parent / "tools" / "sha_corpus.py", parent), (Path(__file__), change)):
+        with open(tree / "listing.txt", "w") as listing:
+            procs.append(subprocess.Popen([sys.executable, str(script), str(tree / "out")],
+                                          stdout=listing))
+    if any([p.wait() for p in procs]):  # a list: wait for both
+        sys.exit("a corpus run failed; see its stderr above")
+    old, new = _listing(parent / "listing.txt"), _listing(change / "listing.txt")
+    differing = 0
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) == new.get(key):
+            continue
+        differing += 1
+        job, name = key
+        for sign, side in (("-", old), ("+", new)):
+            if key in side:
+                print(sign, job, side[key][0], name, side[key][1])
+        if name.endswith(".csv") and key in old and key in new:
+            sub = job.replace(":", "_")
+            for line in csv_drift(parent / "out" / sub / name, change / "out" / sub / name):
+                print(f"    {line}")
+    print(f"{differing} differing lines of {len(new)}")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tools/sha_corpus.py OUT_DIR")
-    run(Path(sys.argv[1]))
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--against":
+        sys.exit(against(args[1], Path(args[2])))
+    if len(args) != 1:
+        sys.exit("usage: python tools/sha_corpus.py OUT_DIR\n"
+                 "       python tools/sha_corpus.py --against REV WORK_DIR")
+    run(Path(args[0]))
