@@ -108,7 +108,7 @@ class ControlSignal:
         while True:
             rise = (k + self.phase_periods) * period
             fall = rise + self.duty * period
-            if rise > stop:
+            if not rise <= stop:  # a NaN stop ends the scan as well
                 break
             for t, state in ((rise, True), (fall, False)):
                 if 0.0 <= t <= stop:

@@ -23,7 +23,7 @@ from .circuit import CircuitError, ControlSignal, params
 from .devices import ScheduleError
 from .engine import IntegrationSettings, SimulationError
 from .netlist import NetlistError, parse_param, parse_value
-from .runner import run_scenario
+from .runner import run_scenario, shoot_through_seconds, switch_timelines
 from .scenario import Scenario, probe_label
 from .waveform import WaveformError, write_csv
 
@@ -151,11 +151,10 @@ def cmd_run(args) -> int:
         }
         plotting.line_plot(svg, series, "time [s]", "voltage [V]", title=name)
         written.append(svg)
-    if result.shoot_through > 0:
-        print(
-            f"warning: commanded shoot-through for {result.shoot_through:.6g} s",
-            file=sys.stderr,
-        )
+    circuit, stop = scenario.circuit, scenario.settings.stop
+    overlap = shoot_through_seconds(circuit, switch_timelines(circuit, stop), stop)
+    if overlap > 0:
+        print(f"warning: commanded shoot-through for {overlap:.6g} s", file=sys.stderr)
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 

@@ -8,13 +8,12 @@ a fragment rebinds those to real node labels and prefixes internal names.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .circuit import (
     Capacitor,
     CircuitError,
     Component,
-    ControlSignal,
     Resistor,
     Switch,
     VoltageSource,
@@ -92,9 +91,9 @@ class Fragment:
 
 
 def driver_schedule(
-    control: ControlSignal, switch: Switch, stop: float
+    edges: Sequence[Tuple[float, bool]], switch: Switch, stop: float
 ) -> List[Tuple[float, bool]]:
-    """Switch-state events for one device following ``control``.
+    """Switch-state events for one device from its control's ``edges(stop)``.
 
     Each commanded rising edge (falling when ``switch.invert``) becomes an ON
     event after ``turn_on_delay + delay_offset``; the other edges become OFF
@@ -106,7 +105,7 @@ def driver_schedule(
     if not stop > 0:
         raise ScheduleError(f"stop time must be > 0, got {stop}")
     events: List[Tuple[float, bool]] = []
-    for t_cmd, state in control.edges(stop):
+    for t_cmd, state in edges:
         if switch.invert:
             state = not state
         delay = switch.turn_on_delay if state else switch.turn_off_delay

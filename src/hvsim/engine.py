@@ -350,6 +350,7 @@ class _Operators:
     g: np.ndarray  # companion conductance of each capacitor
     k: Optional[np.ndarray] = None  # A^-1 [N S]
     powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
+    rows: Dict[bytes, np.ndarray] = field(default_factory=dict)  # capacitor-free x by EMF bytes
 
     def response(self, inc: np.ndarray, m: int) -> np.ndarray:
         """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
@@ -425,9 +426,7 @@ class TransientResult:
     holds from grid index ``starts[i]`` up to the next start (the last row up
     to ``n_samples``), one row per constant stretch and one per step of a
     source ramp.  The :class:`Waveform` accessors expand the rows to every
-    grid point; :meth:`rows` returns them as stored.  ``shoot_through`` is the
-    commanded time with both sides of a bridge on (see
-    :func:`_shoot_through_seconds`).
+    grid point; :meth:`rows` returns them as stored.
     """
 
     step: float
@@ -440,7 +439,6 @@ class TransientResult:
     n_samples: int
     starts: Optional[np.ndarray] = None  # grid index of each row; None: dense
     events: List[Tuple[float, str]] = field(default_factory=list)
-    shoot_through: float = 0.0  # seconds with both bridge sides commanded on
 
     def _wave(self, column: np.ndarray) -> Waveform:
         if self.starts is not None:
@@ -479,11 +477,11 @@ def _snap(t: float, h: float) -> int:
 
 def _initial_solve(
     low: _Lowered, sw_states: Sequence[bool], emf0: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
     """Consistent t=0 state with capacitors held at their initial voltages.
 
     Returns the initial unknown vector, the capacitor branch currents, and
-    whether the current split was indeterminate (capacitor loops).
+    the t=0 LU factors, None when the current split was indeterminate.
     """
     n, m, c = low.n_nodes, len(low.sources), len(low.caps)
     size = n + m + c
@@ -492,16 +490,15 @@ def _initial_solve(
     A[:n, n + m :] = _incidence(n, low.caps)
     A[n + m :, :n] = A[:n, n + m :].T
     b = np.concatenate([np.zeros(n), emf0, [cap.ic for cap in low.caps]])
-    # the raw dgetrf, not lu_factor: its info flag picks the fallback below
+    # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
-    indeterminate = False
-    if info == 0 and np.all(np.isfinite(np.diag(lu))):
-        x = lu_solve((lu, piv), b)
+    factors = (lu, piv) if info == 0 and np.all(np.isfinite(np.diag(lu))) else None
+    if factors is not None:
+        x = lu_solve(factors, b)
     else:
         # capacitor loops make the t=0 branch-current split indeterminate;
         # take the minimum-norm solution (the damped first steps erase any
         # loop-current ambiguity) and reject truly inconsistent pre-charges
-        indeterminate = True
         x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
         residual = float(np.max(np.abs(A @ x - b)))
         scale = float(np.max(np.abs(b))) + 1.0
@@ -512,48 +509,7 @@ def _initial_solve(
             )
     if not np.all(np.isfinite(x)):
         raise SimulationError("non-finite initial solution at t=0.0")
-    return x[: n + m], x[n + m :], indeterminate
-
-
-def _shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
-    """Total time any non-inverted switch and any inverted switch sharing a
-    control are simultaneously on (commanded overlap across a bridge): one
-    pass per control over its switches' time-ordered events, counting each
-    interval between adjacent boundaries whose midpoint has both sides on."""
-    groups: Dict[str, Dict[bool, List[str]]] = {}
-    for comp in circuit.components:
-        if isinstance(comp, Switch):
-            groups.setdefault(comp.control, {True: [], False: []})[comp.invert].append(
-                comp.name
-            )
-
-    total = 0.0
-    for sides in groups.values():
-        if not sides[True] or not sides[False]:
-            continue
-        on = {True: 0, False: 0}  # switches on, per side
-        changes: List[Tuple[float, bool, int]] = []
-        boundaries = {0.0, stop}
-        for side, names in sides.items():
-            for name in names:
-                initial, events = timelines[name]
-                state = int(initial)
-                on[side] += state
-                for t, new_state in events:
-                    changes.append((t, side, int(new_state) - state))
-                    state = int(new_state)
-                boundaries.update(t for t, _ in events if t < stop)
-        changes.sort()
-        pts = sorted(boundaries)
-        k = 0
-        for t0, t1 in zip(pts, pts[1:]):
-            tm = 0.5 * (t0 + t1)
-            while k < len(changes) and changes[k][0] <= tm:
-                on[changes[k][1]] += changes[k][2]
-                k += 1
-            if on[True] and on[False]:
-                total += t1 - t0
-    return total
+    return x[: n + m], x[n + m :], factors
 
 
 def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines):
@@ -627,14 +583,17 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
     (k - idx0) * slope * h``; ``operators(damped)`` gives the topology's
     :class:`_Operators`.  The solution goes into ``out``: the dense ``(x,
     cap_i)`` arrays of a run with capacitors, else the ``(x, starts)`` lists
-    of a run-length :class:`TransientResult`.  Returns the capacitor voltages
-    and currents at ``seg_end``."""
+    of a run-length :class:`TransientResult`, where a constant drive reuses
+    the row of its (topology, EMF) pair.  Each new row is checked finite.
+    Returns the capacitor voltages and currents at ``seg_end``."""
     nc, m = inc.shape[1], len(emf)
     trap = operators(False)
-    first_row = 0 if nc else len(out[0])
-    if nc == 0 and not slope.any():
-        # purely resistive, constant drive: the segment is one solve, one row
-        out[0].append(lu_solve(trap.lu, np.concatenate([np.zeros(inc.shape[0] - m), emf])))
+    new = None  # the rows this segment adds that no earlier segment checked
+    if nc == 0 and not np.count_nonzero(slope):
+        key = emf.tobytes()  # bytes, not values: -0.0 and 0.0 stay apart
+        if key not in trap.rows:
+            new = trap.rows[key] = lu_solve(trap.lu, np.append(np.zeros(len(inc) - m), emf))
+        out[0].append(trap.rows[key])
         out[1].append(idx0 + 1)
     else:
         d_emf = slope * h
@@ -662,18 +621,19 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
                 else:  # a capacitor-free ramp: one row per step
                     out[0].extend(X)
                     out[1].extend(range(k, k + L))
-                z = P[L] @ z
                 k += L
+                z = P[L] @ z if k <= seg_end else z  # the last advance is never read
             if nc:
                 vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
                 ic = out[1][seg_end]
-    if not np.isfinite(out[0][seg_end] if nc else out[0][first_row:]).all():
+        new = out[0][seg_end] if nc else out[0][idx0 - seg_end :]  # else: the ramp's rows
+    if new is not None and not np.isfinite(new).all():
         raise SimulationError(f"solution diverged at t={seg_end * h!r}")
     return vc, ic
 
 
-def _package(circuit, low, settings, timelines, out, events) -> TransientResult:
-    """Package phase: the result of a run and its commanded shoot-through time."""
+def _package(low, settings, out, events) -> TransientResult:
+    """Package phase: the result of a run."""
     if low.caps:
         (x, cap_i), starts = out, None
     else:
@@ -690,7 +650,6 @@ def _package(circuit, low, settings, timelines, out, events) -> TransientResult:
         n_samples=settings.n_steps + 1,
         starts=starts,
         events=events,
-        shoot_through=_shoot_through_seconds(circuit, timelines, settings.stop),
     )
 
 
@@ -724,7 +683,7 @@ def run_transient(
     # matching the switch-event convention
     slewed = [src.slew is not None for src in low.sources]
     emf = np.where(slewed, 0.0, _targets(low, controls, 0.5 * h))
-    x0, ic, indeterminate = _initial_solve(low, sw_states, emf)
+    x0, ic, factors = _initial_solve(low, sw_states, emf)
     if nc:
         # column-major, so each unknown's trace is contiguous
         out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
@@ -737,6 +696,8 @@ def run_transient(
     inc = _incidence(low.size, low.caps)
     cap_c = np.array([cap.c for cap in low.caps])
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+    if not nc and factors is not None:  # no capacitors: the t=0 matrix is the first topology's
+        topologies[tuple(sw_states), False] = _Operators(factors, cap_c)
 
     def operators(damped: bool) -> _Operators:
         key = (tuple(sw_states), damped)
@@ -751,7 +712,7 @@ def run_transient(
     events: List[Tuple[float, str]] = []
     # damped start only when loop currents were indeterminate at t=0; a clean
     # start keeps the trapezoidal charge identity exact from the first step
-    pending_damp = settings.damping_steps if indeterminate else 0
+    pending_damp = settings.damping_steps if factors is None else 0
     idx0 = 0
     for boundary in boundaries:
         while idx0 < boundary:  # one segment per ramp knee before the boundary
@@ -760,7 +721,7 @@ def run_transient(
             damp = min(pending_damp, steps) if nc else 0
             vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
             pending_damp = max(0, pending_damp - steps)
-            if slope.any():  # else _plan_segment has set every source to its target
+            if np.count_nonzero(slope):  # else _plan_segment has set every source to its target
                 emf = emf + slope * (steps * h)
                 near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
                 np.copyto(emf, target, where=(slope != 0.0) & near)
@@ -776,4 +737,4 @@ def run_transient(
         if len(events) > logged:  # a switch changed or a source stepped
             pending_damp = settings.damping_steps
 
-    return _package(circuit, low, settings, timelines, out, events)
+    return _package(low, settings, out, events)

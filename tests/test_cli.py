@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hvsim import analysis, cli, electromech
+from hvsim import analysis, cli, electromech, runner
 from hvsim.cli import main
 
 from conftest import read_csv
@@ -618,6 +618,29 @@ class TestSerialStudies:
         assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path)) == 0
         assert len(threads) == (4 if argv[0] == "sweep" else 6)
         assert set(threads) == {threading.get_ident()}
+
+
+class TestShootThroughOnDemand:
+    """The commanded shoot-through time is computed only where it is read:
+    studies never compute it, and ``run`` still warns with it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--preset", "fig3", "--trials", "4"],
+        ["sweep", "--preset", "fig7", "--freqs", "200", "--loads", "10n"],
+    ], ids=["montecarlo", "sweep-fig7"])
+    def test_studies_never_compute_it(self, tmp_path, monkeypatch, argv):
+        def computed(*args):
+            raise AssertionError("shoot-through computed")
+
+        for module in (cli, runner):
+            monkeypatch.setattr(module, "shoot_through_seconds", computed)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
+    def test_run_warns(self, tmp_path, capsys):
+        # a 2 ms turn-off delay on the top device overlaps the low side's turn-on
+        argv = ["run", "--preset", "fig3", "--set", "comp.Sq1.toff=2m", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == "warning: commanded shoot-through for 0.0032 s\n"
 
 
 class TestNonFiniteInput:

@@ -1,5 +1,6 @@
 """Engine tests: DC solutions, transient oracles, and conservation laws."""
 
+import itertools
 import math
 import sys
 
@@ -27,7 +28,7 @@ from hvsim.engine import (
     run_transient,
 )
 from hvsim.presets import load_preset
-from hvsim.runner import run_scenario
+from hvsim.runner import run_scenario, switch_timelines
 from hvsim.waveform import Waveform, write_csv
 
 from conftest import par, stamp_checksum
@@ -207,6 +208,26 @@ class TestTransient:
         bad = c.with_replaced("V1", voltage=float("nan"))
         with pytest.raises(SimulationError, match="t="):
             run_transient(bad, IntegrationSettings(step=1e-6, stop=1e-5), {})
+
+    @pytest.mark.parametrize("components, controls, step, stop, when", [
+        # a constant-drive row: the 1e308 V source steps on at 5 ms into the
+        # switch that stays closed to 5.1 ms, so a solve after t=0 overflows
+        ([VoltageSource("V1", "a", "0", 1e308, control="h"),
+          Resistor("R1", "a", "b", 1e-10), Switch("S1", "b", "0", control="g")],
+         {"g": ControlSignal(frequency=100.0),
+          "h": ControlSignal(frequency=100.0, phase=math.pi)}, 1e-4, 0.03, "0.0051"),
+        # a capacitor-free ramp over 1000 steps: the source current
+        # overflows in its third block; the time is the ramp's end
+        ([VoltageSource("V1", "a", "0", 1e300, slew=1e303),
+          Resistor("R1", "a", "0", 3.34e-9)], {}, 1e-6, 2e-3, "0.001"),
+    ], ids=["constant-row", "ramp-block"])
+    def test_divergence_after_start_reports_segment_end(self, components, controls,
+                                                        step, stop, when):
+        c = simple_circuit(*components, controls=controls)
+        settings = IntegrationSettings(step=step, stop=stop)
+        with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
+            with np.errstate(all="ignore"):
+                run_transient(c, settings, switch_timelines(c, stop))
 
     def test_gated_source_follows_control(self):
         # control-driven source: EMF is `voltage` while the control is high
@@ -410,7 +431,7 @@ def reference_transient(circuit, settings, timelines):
     emf = np.array([0.0 if s.slew is not None else target(s, 0.5 * h) for s in low.sources])
     x_hist = np.zeros((n_steps + 1, n + m))
     ic_hist = np.zeros((n_steps + 1, nc))
-    x_hist[0], ic_hist[0], indeterminate = engine._initial_solve(low, states, emf)
+    x_hist[0], ic_hist[0], factors = engine._initial_solve(low, states, emf)
     inc = np.zeros((n + m, nc))
     for j, cap in enumerate(low.caps):
         if cap.p >= 0:
@@ -420,7 +441,7 @@ def reference_transient(circuit, settings, timelines):
     cap_c = np.array([cap.c for cap in low.caps])
     vc = np.array([cap.ic for cap in low.caps])
     ic = ic_hist[0].copy()
-    pending = settings.damping_steps if indeterminate else 0
+    pending = settings.damping_steps if factors is None else 0
     idx0 = 0
     lengths = []
     while idx0 < n_steps:
@@ -543,6 +564,50 @@ class TestBlockedPropagator:
         run = run_scenario(load_preset("fig4b"))
         assert len(set(factored)) == len(factored)
         assert len(factored) < len(run.events)
+
+
+class TestResistiveReuse:
+    """A capacitor-free run factors each topology once, the t=0 system
+    included, and solves each (topology, EMF) pair once."""
+
+    @staticmethod
+    def _fig3_topologies(monkeypatch, name, record):
+        """Run the fig3 preset with ``engine.<name>`` recording its calls;
+        returns the calls and the number of distinct switch-state tuples the
+        run passes through (at t=0 and after each event time before stop)."""
+        calls = []
+        real = getattr(engine, name)
+
+        def recording(*args):
+            calls.append(record(*args))
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, recording)
+        scenario = load_preset("fig3")
+        stop = scenario.settings.stop
+        run = run_scenario(scenario)
+        states = {n: initial for n, (initial, _) in
+                  switch_timelines(scenario.circuit, stop).items()}
+        seen = {tuple(states.values())}
+        for t, group in itertools.groupby(run.events, key=lambda e: e[0]):
+            for _, switch in group:
+                states[switch] = not states[switch]
+            if t < stop:
+                seen.add(tuple(states.values()))
+        return calls, len(seen)
+
+    def test_each_topology_factored_once(self, monkeypatch):
+        factored, topologies = self._fig3_topologies(
+            monkeypatch, "dgetrf", lambda a: np.array(a).tobytes())
+        assert len(set(factored)) == len(factored) == topologies
+
+    def test_each_topology_emf_pair_solved_once(self, monkeypatch):
+        solved, topologies = self._fig3_topologies(
+            monkeypatch, "lu_solve", lambda lu, b: (lu[0].tobytes(), np.asarray(b).tobytes()))
+        assert len(set(solved)) == len(solved)
+        # the supply holds one EMF after its one-step ramp: one row per
+        # topology, plus the t=0 solve and the ramp's one response column
+        assert len(solved) == topologies + 2
 
 
 class TestPowerTable:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch
-from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
-from hvsim.engine import IntegrationSettings, _shoot_through_seconds
+from hvsim.devices import BenchSupplyParams, ScheduleError, expand_bench_supply, series_rc_load
+from hvsim.engine import IntegrationSettings
 from hvsim.presets import CONVERTER, load_preset
-from hvsim.runner import run_scenario, switch_timelines
+from hvsim.runner import run_scenario, shoot_through_seconds, switch_timelines
 from hvsim.scenario import Scenario
 from hvsim.topology import build_dual_channel, build_half_bridge
 
@@ -69,10 +69,14 @@ class TestBuildHalfBridge:
     def test_commanded_complementarity(self):
         # natural break-before-make: the sides are never commanded on together
         c = bridge(control=ControlSignal(frequency=50.0))
-        run = run_scenario(
-            Scenario(c, IntegrationSettings(step=1e-5, stop=0.1), probes=("O",))
-        )
-        assert run.shoot_through == 0.0
+        assert shoot_through_seconds(c, switch_timelines(c, 0.1), 0.1) == 0.0
+
+    @pytest.mark.parametrize("stop", [0.0, -1.0, float("nan")])
+    def test_stop_not_positive_rejected(self, stop):
+        # each control's edges are built before the driver checks the stop
+        # time; a NaN stop must still end there, not in an endless edge scan
+        with pytest.raises(ScheduleError, match="stop time must be > 0"):
+            switch_timelines(bridge(), stop)
 
     def test_drops_sum_to_stack_voltage_exactly(self, preset_runs):
         run = preset_runs("fig3")
@@ -205,7 +209,7 @@ class TestShootThrough:
             circuit = circuits[trial % 2]
             stop = float(rng.uniform(0.01, 2.0))
             timelines = self.random_timelines(rng, circuit, stop)
-            got = _shoot_through_seconds(circuit, timelines, stop)
+            got = shoot_through_seconds(circuit, timelines, stop)
             assert got == midpoint_scan_shoot_through(circuit, timelines, stop)
             nonzero += got > 0
         assert nonzero > 100
@@ -215,6 +219,6 @@ class TestShootThrough:
         scenario = load_preset("fig3")
         circuit = scenario.circuit.with_replaced("Sq4", turn_off_delay=0.6e-3)
         timelines = switch_timelines(circuit, scenario.settings.stop)
-        got = _shoot_through_seconds(circuit, timelines, scenario.settings.stop)
+        got = shoot_through_seconds(circuit, timelines, scenario.settings.stop)
         assert got > 0
         assert got == midpoint_scan_shoot_through(circuit, timelines, scenario.settings.stop)
