@@ -71,8 +71,7 @@ def measure_slew(w: Waveform) -> float:
     swing = hi - lo
     if swing <= 0.0:
         raise MeasureError("waveform has no swing; no qualifying rising edge")
-    th_lo = lo + 0.1 * swing
-    th_hi = lo + 0.9 * swing
+    th_lo, th_hi = lo + 0.1 * swing, lo + 0.9 * swing
 
     def cross_up(start: int, threshold: float) -> Optional[int]:
         below = s[start:-1] < threshold
@@ -217,11 +216,8 @@ def supply_port_current(run: TransientResult) -> Waveform:
         raise KeyError("no supply fragment named 'sup' in this circuit")
     delivered = run.source_current(emf)
     if "Xsup__cpar" in run.cap_names:
-        delivered = Waveform(
-            delivered.start,
-            delivered.step,
-            delivered.samples - run.cap_current("Xsup__cpar").samples,
-        )
+        cpar = run.cap_current("Xsup__cpar").samples
+        delivered = replace(delivered, samples=delivered.samples - cpar)
     return delivered
 
 

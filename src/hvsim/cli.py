@@ -10,6 +10,7 @@ thread; ``--workers`` is accepted as an upper bound on worker threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -102,9 +103,7 @@ def _resolve_scenario(args) -> Tuple[Scenario, str]:
     else:
         try:
             scenario = netlist.parse_file(args.netlist)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc)) from None
-        except NetlistError as exc:
+        except (FileNotFoundError, NetlistError) as exc:
             raise CliError(str(exc)) from None
         name = Path(args.netlist).stem
     for item in args.set or []:
@@ -179,11 +178,8 @@ def _parse_phase(tok: str) -> float:
     if "pi" in tok:
         try:
             num, _, den = tok.partition("/")
-            scale = 1.0
             lead = num.replace("pi", "").strip("*")
-            if lead:
-                scale = float(lead)
-            value = scale * math.pi
+            value = (float(lead) if lead else 1.0) * math.pi
             if den:
                 value /= float(den)
         except (ValueError, ZeroDivisionError):
@@ -232,13 +228,13 @@ def cmd_sweep(args) -> int:
             f"(it reads --{', --'.join(SWEEP_FLAGS[name])})"
         )
     out = _out_dir(args)
+    freqs = (  # fig7c reads no frequencies
+        _parse_float_list(args.freqs, "frequency")
+        if args.freqs is not None
+        else list(presets.FIG8_FREQUENCIES if name == "fig8" else presets.FIG7_FREQUENCIES)
+    )
 
     if name == "fig8":
-        freqs = (
-            _parse_float_list(args.freqs, "frequency")
-            if args.freqs is not None
-            else list(presets.FIG8_FREQUENCIES)
-        )
         supply = args.supply or "both"
         if supply not in ("bench", "converter", "both"):
             raise CliError("--supply must be bench, converter, or both")
@@ -275,11 +271,6 @@ def cmd_sweep(args) -> int:
         print(f"wrote {csv_path}")
         return 0
 
-    freqs = (
-        _parse_float_list(args.freqs, "frequency")
-        if args.freqs is not None
-        else list(presets.FIG7_FREQUENCIES)
-    )
     loads = (
         [t.strip() for t in args.loads.split(",")]
         if args.loads is not None
@@ -352,6 +343,7 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)  # one per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvsim",
@@ -407,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

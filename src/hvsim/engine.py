@@ -19,7 +19,9 @@ simulators).
 gated-source edges to the grid), segment plan (targets, ramp knees and slopes),
 propagate (the damped and blocked trapezoidal steps, or a resistive row) and
 package (the :class:`TransientResult`).  One forward walk over the sorted
-event boundaries runs the segments before each boundary, then its events.
+event boundaries runs the segments before each boundary, then its events.  A
+segment is planned only while a source is gated or off its target; once every
+EMF holds its voltage, a segment runs to its boundary at zero slope.
 
 A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
@@ -296,8 +298,7 @@ def lu_solve(lu_and_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.nda
     """Solve ``A x = b`` from :func:`lu_factor` output (LAPACK ``dgetrs``)."""
     if b.size == 0:
         return b.copy()
-    x, _ = dgetrs(*lu_and_piv, b)
-    return x
+    return dgetrs(*lu_and_piv, b)[0]
 
 
 def _factor(A: np.ndarray, low: _Lowered):
@@ -359,9 +360,7 @@ class _Operators:
             cols = np.hstack([inc, np.eye(size)[:, size - m :]])
             # one column per solve: OpenBLAS threads a multi-column getrs,
             # and its idle workers then spin through the rest of the run
-            self.k = np.column_stack(
-                [lu_solve(self.lu, col) for col in cols.T]
-            )
+            self.k = np.column_stack([lu_solve(self.lu, col) for col in cols.T])
         return self.k
 
     def step_powers(self, inc: np.ndarray, m: int, length: int) -> np.ndarray:
@@ -580,16 +579,17 @@ def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary:
 def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
     """Propagate phase: advance from grid index ``idx0`` to ``seg_end``, the
     first ``damp`` steps backward Euler, the EMF at step ``k`` being ``emf +
-    (k - idx0) * slope * h``; ``operators(damped)`` gives the topology's
+    (k - idx0) * slope * h`` (``slope`` is zero unless the segment was planned
+    with a source off its target); ``operators(damped)`` gives the topology's
     :class:`_Operators`.  The solution goes into ``out``: the dense ``(x,
     cap_i)`` arrays of a run with capacitors, else the ``(x, starts)`` lists
     of a run-length :class:`TransientResult`, where a constant drive reuses
     the row of its (topology, EMF) pair.  Each new row is checked finite.
     Returns the capacitor voltages and currents at ``seg_end``."""
     nc, m = inc.shape[1], len(emf)
-    trap = operators(False)
+    trap, ramp = operators(False), np.count_nonzero(slope)
     new = None  # the rows this segment adds that no earlier segment checked
-    if nc == 0 and not np.count_nonzero(slope):
+    if nc == 0 and not ramp:
         key = emf.tobytes()  # bytes, not values: -0.0 and 0.0 stay apart
         if key not in trap.rows:
             new = trap.rows[key] = lu_solve(trap.lu, np.append(np.zeros(len(inc) - m), emf))
@@ -597,19 +597,25 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
         out[1].append(idx0 + 1)
     else:
         d_emf = slope * h
+        drive = emf + d_emf  # the EMF after one step; at every step of a constant drive
         if damp:
             be = operators(True)
             k_be = be.response(inc, m)
+            rhs = np.concatenate([vc, drive])  # [hist; emf], rewritten in place per step
+            hist = rhs[:nc]
             for k in range(idx0 + 1, idx0 + 1 + damp):
-                hist = be.g * vc
-                out[0][k] = x = k_be @ np.concatenate([hist, emf + (k - idx0) * d_emf])
+                np.multiply(be.g, vc, out=hist)
+                if ramp:
+                    np.add(emf, (k - idx0) * d_emf, out=rhs[nc:])
+                out[0][k] = x = k_be @ rhs
                 vc = x @ inc
-                out[1][k] = ic = be.g * vc - hist
+                ic = np.subtract(be.g * vc, hist, out=out[1][k])
         k = idx0 + 1 + damp
         if k <= seg_end:
             P = trap.step_powers(inc, m, min(_BLOCK, seg_end + 1 - k))
             k_tr = trap.response(inc, m)
-            z = np.concatenate([trap.g * vc + ic, emf + (k - idx0) * d_emf, d_emf])
+            drive = emf + (k - idx0) * d_emf if ramp else drive  # d_emf is +0.0 if not ramp
+            z = np.concatenate([trap.g * vc + ic, drive, d_emf])
             while k <= seg_end:
                 # row i of Z is the state [hist; emf; emf step] before step k + i
                 L = min(_BLOCK, seg_end + 1 - k)
@@ -617,7 +623,7 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
                 X = Z[:, : nc + m] @ k_tr.T
                 if nc:
                     out[0][k : k + L] = X
-                    out[1][k : k + L] = trap.g * (X @ inc) - Z[:, :nc]
+                    np.subtract(trap.g * (X @ inc), Z[:, :nc], out=out[1][k : k + L])
                 else:  # a capacitor-free ramp: one row per step
                     out[0].extend(X)
                     out[1].extend(range(k, k + L))
@@ -675,8 +681,7 @@ def run_transient(
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
     controls = circuit.control_map
-    timelines = dict(switch_timelines)
-    sw_states, sw_events, src_events, boundaries = _schedule(low, controls, settings, timelines)
+    sw_states, sw_events, src_events, boundaries = _schedule(low, controls, settings, switch_timelines)
 
     # sample half a step in so a command edge snapped to index 0 (i.e.
     # landing within the first half-step) folds into the initial value,
@@ -713,15 +718,23 @@ def run_transient(
     # damped start only when loop currents were indeterminate at t=0; a clean
     # start keeps the trapezoidal charge identity exact from the first step
     pending_damp = settings.damping_steps if factors is None else 0
+    # with no gated source, no source moves once each EMF holds its voltage, and
+    # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
+    settled = None if any(s.control is not None for s in low.sources) else (
+        np.array([s.voltage for s in low.sources], dtype=float).tobytes())
+    still = np.zeros(len(low.sources))
     idx0 = 0
     for boundary in boundaries:
         while idx0 < boundary:  # one segment per ramp knee before the boundary
-            seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
+            if emf.tobytes() == settled:
+                seg_end, slope = boundary, still
+            else:
+                seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
             steps = seg_end - idx0
             damp = min(pending_damp, steps) if nc else 0
             vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
             pending_damp = max(0, pending_damp - steps)
-            if np.count_nonzero(slope):  # else _plan_segment has set every source to its target
+            if np.count_nonzero(slope):  # else every source holds its target
                 emf = emf + slope * (steps * h)
                 near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
                 np.copyto(emf, target, where=(slope != 0.0) & near)

@@ -18,7 +18,7 @@ from hvsim.circuit import (
     Switch,
     VoltageSource,
 )
-from hvsim.analysis import voltage_shares
+from hvsim.analysis import MismatchModel, frequency_sweep, monte_carlo, voltage_shares
 from hvsim.cli import apply_override
 from hvsim.devices import ScheduleError
 from hvsim.engine import (
@@ -27,7 +27,7 @@ from hvsim.engine import (
     dc_operating_point,
     run_transient,
 )
-from hvsim.presets import load_preset
+from hvsim.presets import load_preset, mc_template
 from hvsim.runner import run_scenario, switch_timelines
 from hvsim.waveform import Waveform, write_csv
 
@@ -564,6 +564,84 @@ class TestBlockedPropagator:
         run = run_scenario(load_preset("fig4b"))
         assert len(set(factored)) == len(factored)
         assert len(factored) < len(run.events)
+
+
+def random_ungated_circuit(rng, slewed):
+    """A :func:`random_switched_circuit` draw with no gated source: ``Vg``
+    holds its voltage from t=0, and the supply ``Vs`` does too or, with
+    ``slewed``, ramps to its voltage and reaches it 10-60% into the run."""
+    circuit, settings, timelines = random_switched_circuit(rng)
+    supply = circuit.component("Vs").voltage
+    slew = abs(supply) / (float(rng.uniform(0.1, 0.6)) * settings.stop) if slewed else None
+    circuit = circuit.with_replaced("Vg", control=None, slew=None)
+    return circuit.with_replaced("Vs", slew=slew), settings, timelines
+
+
+class TestSettledSources:
+    """With no gated source, a segment is planned only while a source is off
+    its voltage (compared by bytes); the others run unplanned to their
+    boundary at zero slope."""
+
+    @staticmethod
+    def _planned(monkeypatch):
+        """The start index of every segment ``_plan_segment`` plans."""
+        starts = []
+        plan = engine._plan_segment
+
+        def recording(low, controls, emf, idx0, boundary, h):
+            starts.append(idx0)
+            return plan(low, controls, emf, idx0, boundary, h)
+
+        monkeypatch.setattr(engine, "_plan_segment", recording)
+        return starts
+
+    @pytest.mark.parametrize("slewed", [False, True])
+    def test_matches_per_step_reference(self, monkeypatch, slewed):
+        planned = self._planned(monkeypatch)
+        rng = np.random.default_rng(1818 + slewed)
+        for trial in range(6):
+            circuit, settings, timelines = random_ungated_circuit(rng, slewed)
+            planned.clear()
+            res = run_transient(circuit, settings, timelines)
+            x_ref, ic_ref, lengths = reference_transient(circuit, settings, timelines)
+            for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
+                scale = np.max(np.abs(ref), axis=0)
+                err = np.max(np.abs(got - ref), axis=0)
+                assert np.all(err <= 1e-9 * scale), f"trial {trial}: {err / scale}"
+            if slewed:  # the ramp's segments, and none after it ends
+                assert planned and max(planned) < 0.6 * settings.n_steps + 1
+                assert len(planned) < len(lengths)
+            else:
+                assert planned == []
+
+    def test_fig7_sweep_cell_plans_no_segment(self, monkeypatch):
+        planned = self._planned(monkeypatch)
+        study = frequency_sweep([200.0], ["dea"])
+        assert study.errors == (None,) and planned == []
+
+    def test_fig3_trial_plans_its_start_up_ramp_only(self, monkeypatch):
+        planned = self._planned(monkeypatch)
+        study = monte_carlo(mc_template("fig3"), MismatchModel(trials=1))
+        assert study.errors == (None,)
+        # the one-step ramp lands on the target's bytes; the ~14 later
+        # segments (one per switching event) are unplanned
+        assert planned == [0]
+
+    def test_slewed_negative_zero_source_plans_its_first_segment(self, monkeypatch):
+        planned = self._planned(monkeypatch)
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", -0.0, slew=1e6),
+            Resistor("R1", "A", "B", 1e3),
+            Capacitor("C1", "B", "0", 1e-9),
+            Switch("S1", "B", "0", control="s"),
+            controls={"s": ControlSignal(frequency=1.0)},
+        )
+        timelines = {"S1": (False, [(5e-5, True)])}
+        res = run_transient(circuit, IntegrationSettings(1e-6, 1e-4), timelines)
+        # the EMF starts at +0.0, equal in value to -0.0 but not in bytes:
+        # the plan copies the target's sign, and the segment after the
+        # switch event runs unplanned
+        assert len(res.events) == 1 and planned == [0]
 
 
 class TestResistiveReuse:
