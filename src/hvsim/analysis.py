@@ -199,7 +199,6 @@ def _sweep_scenario(frequency: float, load: str) -> Scenario:
         converter_bridge(frequency, load_fragment(load)),
         IntegrationSettings(step=sweep_step_for(frequency), stop=(settle + 1) * period),
         probes=("A", "B", "O", "C"),
-        origin=f"sweep-{load}-{frequency:g}Hz",
     )
 
 
@@ -287,16 +286,14 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
 class MismatchModel:
     """Component-tolerance model for Monte-Carlo stress studies.
 
-    Off-resistances draw from a log-normal (median, sigma of the log);
-    per-device driver offsets draw uniformly from +-offset_span.  The
-    generator is numpy's PCG64; per-trial streams come from
-    ``SeedSequence(seed).spawn``, so any trial subset reproduces bit-exactly
-    for a fixed seed.
+    Off-resistances draw from a log-normal (median MEDIAN_OFF_RESISTANCE,
+    ``sigma`` of the log); per-device driver offsets draw uniformly from
+    +-OFFSET_SPAN.  The generator is numpy's PCG64; per-trial streams come
+    from ``SeedSequence(seed).spawn``, so any trial subset reproduces
+    bit-exactly for a fixed seed.
     """
 
-    median_off_resistance: float = 300e6
     sigma: float = 1.0
-    offset_span: float = 50e-6
     trials: int = 100
     seed: int = 0
 
@@ -307,6 +304,12 @@ class MismatchModel:
             raise MeasureError("trials must be >= 1")
         if self.seed < 0:
             raise MeasureError("seed must be >= 0")
+
+
+#: median off-resistance of the log-normal draw and half-width of the
+#: uniform driver-offset draw of every Monte-Carlo trial
+MEDIAN_OFF_RESISTANCE = 300e6
+OFFSET_SPAN = 50e-6
 
 
 def monte_carlo(
@@ -325,10 +328,8 @@ def monte_carlo(
     def trial(key: Tuple[int, int]) -> float:
         rng = np.random.Generator(np.random.PCG64(children[key[0]]))
         with np.errstate(over="ignore"):  # a wide sigma can overflow: checked below
-            offs = model.median_off_resistance * np.exp(
-                model.sigma * rng.standard_normal(4)
-            )
-        offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
+            offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
+        offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
         if not np.all(np.isfinite(offs)):
             bad = float(offs[~np.isfinite(offs)][0])
             raise MeasureError(f"sampled off-resistance {bad!r} is not finite")

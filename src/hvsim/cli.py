@@ -1,10 +1,11 @@
 """Command-line front end: run presets or netlists, sweeps, Monte-Carlo.
 
 Exit codes: 0 success, 2 for usage/parse problems (unknown preset, netlist
-syntax error, bad override), 3 for numerical failures.  Summaries go to
-stdout, diagnostics to stderr; outputs are byte-identical for identical
-inputs and seeds.  Every study runs its cells one after another on one
-thread; ``--workers`` is accepted as an upper bound on worker threads.
+syntax error, unreadable netlist or output path, bad override), 3 for
+numerical failures.  Summaries go to stdout, diagnostics to stderr; outputs
+are byte-identical for identical inputs and seeds.  Every study runs its
+cells one after another on one thread; ``--workers`` is accepted as an upper
+bound on worker threads.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ SWEEP_FLAGS = {
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    pass
 
 
 def _override(cls: type, what: str, path: str, raw: str) -> Tuple[str, object]:
@@ -95,16 +94,12 @@ def _resolve_scenario(args) -> Tuple[Scenario, str]:
     if bool(args.preset) == bool(args.netlist):
         raise CliError("exactly one of --preset or --netlist is required")
     if args.preset:
-        try:
-            scenario = presets.load_preset(args.preset)
-        except presets.PresetError as exc:
-            raise CliError(str(exc)) from None
-        name = args.preset
+        scenario, name = presets.load_preset(args.preset), args.preset
     else:
         try:
             scenario = netlist.parse_file(args.netlist)
-        except (FileNotFoundError, NetlistError) as exc:
-            raise CliError(str(exc)) from None
+        except UnicodeDecodeError as exc:  # unlike an OSError's, its message names no file
+            raise CliError(f"{args.netlist}: {exc}") from None
         name = Path(args.netlist).stem
     for item in args.set or []:
         if "=" not in item:
@@ -310,10 +305,7 @@ def cmd_montecarlo(args) -> int:
     name = args.preset
     if not name:
         raise CliError("montecarlo needs --preset")
-    try:
-        build = presets.mc_template(name)
-    except presets.PresetError as exc:
-        raise CliError(str(exc)) from None
+    build = presets.mc_template(name)
     model = analysis.MismatchModel(
         sigma=args.sigma, trials=args.trials, seed=args.seed
     )
@@ -405,11 +397,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (NetlistError, CircuitError, ScheduleError, presets.PresetError,
-            analysis.MeasureError, electromech.ElectromechError) as exc:
+    except (CliError, OSError, NetlistError, CircuitError, ScheduleError,
+            presets.PresetError, analysis.MeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, WaveformError) as exc:

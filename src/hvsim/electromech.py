@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import Study, measure_amplitude, run_study, sweep_step_for
+from .analysis import MeasureError, Study, measure_amplitude, run_study, sweep_step_for
 from .devices import Fragment
 from .engine import IntegrationSettings
 from .presets import (
@@ -41,10 +41,6 @@ DAMPING_RATIO = 0.7
 #: thread starts and then spins through the rest of the run
 _BLOCK = 256
 _ROWS = 4
-
-
-class ElectromechError(ValueError):
-    pass
 
 
 def _transition(t: np.ndarray) -> np.ndarray:
@@ -73,7 +69,7 @@ def displacement_response(v: Waveform) -> Waveform:
     """
     max_step = 1.0 / (20.0 * NATURAL_FREQUENCY)
     if v.step > max_step:
-        raise ElectromechError(
+        raise MeasureError(
             f"step {v.step:.3g} s too coarse for a {NATURAL_FREQUENCY:g} Hz "
             f"filter (need <= {max_step:.3g} s)"
         )
@@ -106,7 +102,6 @@ def _fig8_scenario(supply: Fragment, frequency: float) -> Scenario:
         converter_bridge(frequency, load_fragment("dea"), supply=supply),
         IntegrationSettings(step=sweep_step_for(frequency), stop=2.0 * period),
         probes=("A", "O", "load_m"),
-        origin=f"fig8-{frequency:g}Hz",
     )
 
 
@@ -121,9 +116,9 @@ def displacement_sweep(
     their dynamics.
     """
     if supply not in ("converter", "bench"):
-        raise ElectromechError(f"supply must be 'converter' or 'bench', got {supply!r}")
+        raise MeasureError(f"supply must be 'converter' or 'bench', got {supply!r}")
     if any(f <= 0 for f in frequencies):
-        raise ElectromechError("frequencies must be positive")
+        raise MeasureError("frequencies must be positive")
     sup = CONVERTER if supply == "converter" else bench_matched_to_converter()
     # built before the first cell runs, as in analysis.frequency_sweep
     scenarios = {f: _fig8_scenario(sup, f) for f in map(float, frequencies)}

@@ -333,12 +333,7 @@ class _Parser:
             circuit = Circuit.build(self.components, self.controls)
         except CircuitError as exc:
             raise self.fail(len(self.lines), 1, str(exc)) from None
-        return Scenario(
-            circuit=circuit,
-            settings=self.tran,
-            probes=tuple(self.probes),
-            origin=self.origin,
-        )
+        return Scenario(circuit=circuit, settings=self.tran, probes=tuple(self.probes))
 
 
 def parse(text: str, origin: str = "<string>") -> Scenario:

@@ -27,7 +27,7 @@ from .scenario import Scenario
 from .topology import build_dual_channel, build_half_bridge
 
 
-class PresetError(KeyError):
+class PresetError(ValueError):
     pass
 
 
@@ -67,7 +67,6 @@ def _bench(voltage: float) -> Fragment:
 
 def _distribution(
     balancing: Optional[float],
-    origin: str,
     voltage: float = 800.0,
     step: float = 100e-6,
     **stack,
@@ -81,11 +80,10 @@ def _distribution(
         circuit,
         IntegrationSettings(step=step, stop=2.0),
         probes=("A", "B", "O", "C"),
-        origin=origin,
     )
 
 
-def _fig4(snubber: Optional[float], origin: str) -> Scenario:
+def _fig4(snubber: Optional[float]) -> Scenario:
     circuit = build_half_bridge(
         _bench(1800.0),
         None,
@@ -97,7 +95,6 @@ def _fig4(snubber: Optional[float], origin: str) -> Scenario:
         circuit,
         IntegrationSettings(step=1e-6, stop=11e-3),
         probes=("A", "B", "O", "C"),
-        origin=origin,
     )
 
 
@@ -115,7 +112,6 @@ def _fig5() -> Scenario:
         circuit,
         IntegrationSettings(step=1e-6, stop=0.11),
         probes=("A", "O", "load_m"),
-        origin="fig5",
     )
 
 
@@ -137,12 +133,11 @@ def converter_bridge(
     )
 
 
-def _fig6(balancing: float, origin: str) -> Scenario:
+def _fig6(balancing: float) -> Scenario:
     return Scenario(
         converter_bridge(100.0, load_fragment("dea"), balancing),
         IntegrationSettings(step=1e-6, stop=0.11),
         probes=("A", "O"),
-        origin=origin,
     )
 
 
@@ -151,7 +146,6 @@ def _fig7() -> Scenario:
         converter_bridge(100.0, load_fragment("10n")),
         IntegrationSettings(step=5e-6, stop=0.11),
         probes=("A", "O"),
-        origin="fig7",
     )
 
 
@@ -160,7 +154,6 @@ def _fig8() -> Scenario:
         converter_bridge(6.0, load_fragment("dea")),
         IntegrationSettings(step=20e-6, stop=0.5),
         probes=("A", "O"),
-        origin="fig8",
     )
 
 
@@ -179,20 +172,19 @@ def _slew() -> Scenario:
         circuit,
         IntegrationSettings(step=10e-9, stop=2.5e-3),
         probes=("A", "O"),
-        origin="slew",
     )
 
 
 _BUILDERS: Dict[str, Callable[[], Scenario]] = {
-    "fig2": lambda: _distribution(None, "fig2"),
-    "fig3": lambda: _distribution(3.6e6, "fig3"),
-    "fig4a": lambda: _fig4(None, "fig4a"),
-    "fig4b": lambda: _fig4(220e-12, "fig4b"),
+    "fig2": lambda: _distribution(None),
+    "fig3": lambda: _distribution(3.6e6),
+    "fig4a": lambda: _fig4(None),
+    "fig4b": lambda: _fig4(220e-12),
     "fig5": _fig5,
-    "fig6b": lambda: _fig6(3.6e6, "fig6b"),
-    "fig6c": lambda: _fig6(1.8e6, "fig6c"),
+    "fig6b": lambda: _fig6(3.6e6),
+    "fig6c": lambda: _fig6(1.8e6),
     "fig7": _fig7,
-    "fig7c": lambda: dual_channel_with_phase(math.pi, "fig7c"),
+    "fig7c": lambda: dual_channel_with_phase(math.pi),
     "fig8": _fig8,
     "slew": _slew,
 }
@@ -251,7 +243,6 @@ def mc_template(
     def build(off_resistances: Sequence[float], offsets: Sequence[float]) -> Scenario:
         return _distribution(
             balancing,
-            f"mc-{name}",
             voltage=voltage,
             step=50e-6,
             off_resistances=tuple(off_resistances),
@@ -261,7 +252,7 @@ def mc_template(
     return build
 
 
-def dual_channel_with_phase(phase: float, origin: Optional[str] = None) -> Scenario:
+def dual_channel_with_phase(phase: float) -> Scenario:
     """fig7c: one converter feeding two bridges at 100 Hz, each into the
     100 kOhm + 10 nF mimic load, channel 2 shifted by ``phase`` radians."""
     controls = (ControlSignal(frequency=100.0), ControlSignal(frequency=100.0, phase=phase))
@@ -270,5 +261,4 @@ def dual_channel_with_phase(phase: float, origin: Optional[str] = None) -> Scena
         circuit,
         IntegrationSettings(step=1e-6, stop=0.02),
         probes=("A", "O1", "O2"),
-        origin=origin or f"fig7c-phase{phase:g}",
     )

@@ -25,7 +25,6 @@ class Scenario:
     circuit: Circuit
     settings: IntegrationSettings
     probes: Tuple[ProbeSpec, ...] = ()
-    origin: str = "<anonymous>"
 
     def __post_init__(self) -> None:
         known = set(self.circuit.node_labels())
@@ -33,7 +32,7 @@ class Scenario:
             nodes = (probe,) if isinstance(probe, str) else probe
             for node in nodes:
                 if not is_ground(node) and node not in known:
-                    raise CircuitError(f"{self.origin}: probe references unknown node {node!r}")
+                    raise CircuitError(f"probe references unknown node {node!r}")
 
     def with_settings(self, **changes) -> "Scenario":
         return replace(self, settings=replace(self.settings, **changes))

@@ -236,7 +236,6 @@ class TestCriterion06DroopOrdering:
             circuit,
             IntegrationSettings(step=5e-6, stop=(settle + 1) / 100.0),
             probes=("A", "O"),
-            origin="fig7-ideal10n",
         )
         ideal = measure_amplitude(run_scenario(scenario).voltage("O"), settle, 0.01)
         dea_ok = amplitude(100.0, "dea") < ideal
@@ -351,7 +350,7 @@ class TestCriterion10NumericalOracles:
         parser_ok = True
         for name in PRESET_NAMES:
             s = load_preset(name)
-            again = parse(print_scenario(s), origin=name)
+            again = parse(print_scenario(s))
             if not (again.circuit == s.circuit and again.settings == s.settings
                     and again.probes == s.probes):
                 parser_ok = False

@@ -7,7 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hvsim import analysis
 from hvsim.analysis import (
+    MEDIAN_OFF_RESISTANCE,
+    OFFSET_SPAN,
     MeasureError,
     MismatchModel,
     frequency_sweep,
@@ -186,9 +189,10 @@ def drops(study):
 
 
 class TestMonteCarlo:
-    def test_degenerate_distribution(self):
+    def test_degenerate_distribution(self, monkeypatch):
+        monkeypatch.setattr(analysis, "OFFSET_SPAN", 0.0)
         build = mc_template("fig3")
-        model = MismatchModel(sigma=0.0, offset_span=0.0, trials=5, seed=3)
+        model = MismatchModel(sigma=0.0, trials=5, seed=3)
         d = drops(monte_carlo(build, model))
         assert len(d) == 5
         assert np.all(d == d[0])
@@ -232,8 +236,8 @@ class TestMonteCarlo:
         children = np.random.SeedSequence(model.seed).spawn(model.trials)
         for max_drop, error, child in zip(result.values, result.errors, children):
             rng = np.random.Generator(np.random.PCG64(child))
-            offs = model.median_off_resistance * np.exp(model.sigma * rng.standard_normal(4))
-            offsets = rng.uniform(-model.offset_span, model.offset_span, 4)
+            offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
+            offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
             run = run_scenario(build(list(offs), list(offsets)))
             dense = [run.voltage(n).samples for n in "ABOC"]
             assert len(dense[0]) == run.n_samples

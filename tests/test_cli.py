@@ -282,14 +282,14 @@ class TestSweep:
         # the failed middle frequency splits the curve in two
         assert (tmp_path / "fig8_sweep.svg").read_text().count("<polyline") == 2
 
-    @pytest.mark.parametrize("argv, failing_origin, reported", [
+    @pytest.mark.parametrize("argv, failing, reported", [
         (["--preset", "fig8", "--freqs", "2,15", "--supply", "converter"],
-         "fig8-15Hz", "cell (15 Hz, converter) failed: diverged"),
+         lambda ctrl: ctrl.frequency == 15.0, "cell (15 Hz, converter) failed: diverged"),
         (["--preset", "fig7c", "--phases", "0,pi"],
-         f"fig7c-phase{math.pi:g}", f"cell (phase {math.pi:g}) failed: diverged"),
+         lambda ctrl: ctrl.phase == math.pi, f"cell (phase {math.pi:g}) failed: diverged"),
     ], ids=["fig8", "fig7c"])
     def test_simulation_error_fails_one_cell(self, tmp_path, capsys, monkeypatch,
-                                             argv, failing_origin, reported):
+                                             argv, failing, reported):
         # every sweep kind shares fig7's policy: a numerical failure is a nan
         # row named on stderr, and the other cells still run
         from hvsim import electromech
@@ -298,7 +298,7 @@ class TestSweep:
         real = analysis.run_scenario
 
         def flaky(scenario):
-            if scenario.origin == failing_origin:
+            if any(failing(ctrl) for _, ctrl in scenario.circuit.controls):
                 raise SimulationError("diverged")
             return real(scenario)
 
@@ -675,3 +675,60 @@ class TestNonFiniteInput:
     def test_exits_2_before_simulating(self, tmp_path, capsys, argv, message):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """A path the CLI cannot read or write exits 2 with one ``error:`` line;
+    ``main`` returning, not raising, means no traceback is printed."""
+
+    @staticmethod
+    def error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig3"],
+        ["sweep", "--preset", "fig7", "--freqs", "100", "--loads", "10n"],
+        ["montecarlo", "--preset", "fig3", "--trials", "1"],
+    ], ids=["run", "sweep", "montecarlo"])
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = self.error_line(capsys)
+        assert "File exists" in err and str(out) in err
+
+    def test_output_file_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "fig3.csv").mkdir()
+        assert run_cli("run", "--preset", "fig3", "--out", str(tmp_path)) == 2
+        err = self.error_line(capsys)
+        assert "Is a directory" in err and str(tmp_path / "fig3.csv") in err
+
+    def test_netlist_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("run", "--netlist", str(tmp_path), "--out", str(tmp_path)) == 2
+        err = self.error_line(capsys)
+        assert "Is a directory" in err and str(tmp_path) in err
+
+    def test_netlist_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckt"
+        bad.write_bytes(GOOD_NETLIST.encode() + b"\xff\n")
+        assert run_cli("run", "--netlist", str(bad), "--out", str(tmp_path)) == 2
+        err = self.error_line(capsys)
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+class TestPresetErrorText:
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "--preset", "nope"],
+         "error: unknown preset 'nope'; available: fig2, fig3, fig4a, fig4b, fig5, "
+         "fig6b, fig6c, fig7, fig7c, fig8, slew"),
+        (["sweep", "--preset", "fig7", "--loads", "5n"],
+         "error: unknown load descriptor '5n' (10n, 20n, 50n, dea)"),
+        (["montecarlo", "--preset", "fig5"],
+         "error: no Monte-Carlo template for 'fig5'; available: fig2, fig2_hv, fig3, fig3_hv"),
+    ], ids=["run", "sweep", "montecarlo"])
+    def test_printed_without_quotes(self, tmp_path, capsys, argv, line):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == line + "\n"

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.signal import cont2discrete, lfilter
 
-from hvsim.analysis import measure_slew
+from hvsim.analysis import MeasureError, measure_slew
 from hvsim.electromech import (
     DAMPING_RATIO,
     NATURAL_FREQUENCY,
     REFERENCE_VOLTAGE,
-    ElectromechError,
     displacement_response,
     displacement_sweep,
 )
@@ -82,7 +81,7 @@ class TestDisplacementResponse:
 
     def test_coarse_step_rejected(self):
         too_coarse = 1.0 / (10.0 * NATURAL_FREQUENCY)
-        with pytest.raises(ElectromechError, match="too coarse"):
+        with pytest.raises(MeasureError, match="too coarse"):
             displacement_response(wave(np.zeros(100), too_coarse))
 
 

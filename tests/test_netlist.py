@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import MISSING, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,16 @@ from hvsim.netlist import (
     parse_value,
     print_scenario,
 )
-from hvsim.presets import PRESET_NAMES, load_fragment, load_preset
+from hvsim import analysis, electromech
+from hvsim.presets import (
+    CONVERTER,
+    PRESET_NAMES,
+    bench_matched_to_converter,
+    dual_channel_with_phase,
+    load_fragment,
+    load_preset,
+    mc_template,
+)
 from hvsim.scenario import Scenario
 
 MINIMAL_TAIL = "\n.tran 1u 1m\n.end\n"
@@ -298,17 +308,45 @@ def random_netlist(rng) -> str:
     return "\n".join(lines) + "\n"
 
 
+def study_scenarios():
+    """Builders of the scenarios the studies make: sweep cells, fig8
+    displacement cells on both supplies, seeded Monte-Carlo draws and fig7c
+    phases."""
+    for f in (2.0, 30.0, 1000.0):
+        for load in ("10n", "20n", "50n", "dea"):
+            yield pytest.param(partial(analysis._sweep_scenario, f, load),
+                               id=f"sweep-{load}-{f:g}Hz")
+        yield pytest.param(partial(electromech._fig8_scenario, CONVERTER, f),
+                           id=f"fig8-converter-{f:g}Hz")
+        yield pytest.param(lambda f=f: electromech._fig8_scenario(bench_matched_to_converter(), f),
+                           id=f"fig8-bench-{f:g}Hz")
+    for name in ("fig2", "fig3", "fig2_hv", "fig3_hv"):
+        rng = np.random.default_rng(19)
+        for i in range(20):
+            offs = analysis.MEDIAN_OFF_RESISTANCE * np.exp(rng.standard_normal(4))
+            offsets = rng.uniform(-analysis.OFFSET_SPAN, analysis.OFFSET_SPAN, 4)
+            yield pytest.param(partial(mc_template(name), list(offs), list(offsets)),
+                               id=f"mc-{name}-{i}")
+    for phase in (0.0, math.pi / 4, 2 * math.pi / 3):
+        yield pytest.param(partial(dual_channel_with_phase, phase), id=f"fig7c-phase{phase:g}")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_round_trip(self, name):
         scenario = load_preset(name)
         text = print_scenario(scenario)
-        reparsed = parse(text, origin=scenario.origin)
+        reparsed = parse(text)
         assert reparsed.circuit == scenario.circuit
         assert reparsed.settings == scenario.settings
         assert reparsed.probes == scenario.probes
         # parse o print o parse is a fixed point
         assert print_scenario(reparsed) == text
+
+    @pytest.mark.parametrize("build", study_scenarios())
+    def test_study_scenarios_round_trip(self, build):
+        scenario = build()
+        assert parse(print_scenario(scenario)) == scenario
 
     def test_generated_corpus_round_trips(self):
         rng = np.random.default_rng(20240817)
@@ -399,7 +437,7 @@ class TestSchema:
             for p in params(cls):
                 if not p.positional:
                     assert f" {p.key}=" in text, (cls.__name__, p.key)
-        reparsed = parse(text, origin=scenario.origin)
+        reparsed = parse(text)
         assert reparsed == scenario
         assert print_scenario(reparsed) == text
         for comp in reparsed.circuit.components:

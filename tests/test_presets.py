@@ -110,7 +110,6 @@ class TestPresetParameters:
     def test_all_presets_valid_and_named(self):
         for name in PRESET_NAMES:
             scenario = load_preset(name)
-            assert scenario.origin == name
             scenario.circuit.validate()
 
     def test_unknown_preset_lists_names(self):

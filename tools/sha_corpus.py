@@ -109,6 +109,10 @@ def jobs():
                                   "--seed", str(seed)], None
     for name in ("fig2", "fig2_hv", "fig3_hv"):
         yield f"mc:{name}:w2", ["montecarlo", "--preset", name, "--workers", "2"], None
+    # a name no preset, load or Monte-Carlo template has: exit 2, one error line
+    yield "run:unknown-preset", ["run", "--preset", "nope"], None
+    yield "sweep:fig7:unknown-load", ["sweep", "--preset", "fig7", "--loads", "5n"], None
+    yield "mc:fig5:no-template", ["montecarlo", "--preset", "fig5"], None
 
 
 def _sha(data: bytes) -> str:
