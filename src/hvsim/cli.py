@@ -174,7 +174,7 @@ def _parse_phase(tok: str) -> float:
         try:
             num, _, den = tok.partition("/")
             lead = num.replace("pi", "").strip("*")
-            value = (float(lead) if lead else 1.0) * math.pi
+            value = float(lead + "1" if lead in ("", "+", "-") else lead) * math.pi
             if den:
                 value /= float(den)
         except (ValueError, ZeroDivisionError):
@@ -199,10 +199,7 @@ def _report_failures(study: analysis.Study, label) -> int:
 def _plot_sweep(path: Path, freqs: Sequence[float], curves, ylabel: str, title: str) -> None:
     """Log-frequency plot, one curve per label; a failed cell (None) plots as
     a gap."""
-    series = {
-        label: (np.array(freqs), np.array(values, dtype=float))
-        for label, values in curves.items()
-    }
+    series = {label: (freqs, values) for label, values in curves.items()}
     plotting.line_plot(path, series, "frequency [Hz]", ylabel, log_x=True, title=title)
 
 
@@ -222,7 +219,6 @@ def cmd_sweep(args) -> int:
             f"sweep --preset {name} does not read --{', --'.join(unread)} "
             f"(it reads --{', --'.join(SWEEP_FLAGS[name])})"
         )
-    out = _out_dir(args)
     freqs = (  # fig7c reads no frequencies
         _parse_float_list(args.freqs, "frequency")
         if args.freqs is not None
@@ -239,6 +235,7 @@ def cmd_sweep(args) -> int:
             study = electromech.displacement_sweep(s, freqs)
             _report_failures(study, lambda f: f"{f:g} Hz, {s}")
             x[s] = study.values
+        out = _out_dir(args)
         csv_path = out / f"{name}_sweep.csv"
         analysis.write_table(
             csv_path, ["freq_hz"] + [f"x_{s}" for s in supplies], zip(freqs, *x.values())
@@ -257,7 +254,7 @@ def cmd_sweep(args) -> int:
         )
         study = analysis.phase_sweep(phases)
         _report_failures(study, lambda p: f"phase {p:g}")
-        csv_path = out / f"{name}_phases.csv"
+        csv_path = _out_dir(args) / f"{name}_phases.csv"
         metrics = [m or analysis.Metrics() for m in study.values]
         analysis.write_table(csv_path, ["phase_rad", "peak_i_a", "peak_p_w"], [
             (phase, m.peak_source_current, m.peak_source_power)
@@ -273,10 +270,9 @@ def cmd_sweep(args) -> int:
     )
     if any(not l for l in loads):
         raise CliError("empty entry in load list")
-    for load in loads:
-        presets.load_fragment(load)  # validate descriptors up front
-    study = analysis.frequency_sweep(freqs, loads)
+    study = analysis.frequency_sweep(freqs, loads)  # an unknown load fails before any cell
     metrics = [m or analysis.Metrics() for m in study.values]
+    out = _out_dir(args)
     csv_path = out / f"{name}_sweep.csv"
     analysis.write_table(
         csv_path,
@@ -353,19 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="upper bound on worker threads, >= 1; studies run "
                             "on one thread (never changes results)")
 
-    def plot_and_seed(p):
-        # run and sweep draw no random numbers: --seed is accepted only at
-        # its default, so a seed passed here is never silently ignored
-        p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-        p.add_argument("--seed", type=int, default=0, choices=[0],
-                       help="only montecarlo reads a seed; any value but 0 is an error")
-
     p_run = sub.add_parser("run", help="run one transient scenario, write waveform CSV")
     common(p_run)
     p_run.add_argument("--netlist", help="netlist file path")
     p_run.add_argument("--set", action="append", metavar="PATH=VALUE",
                        help="override, e.g. tran.step=0.5us")
-    plot_and_seed(p_run)
+    p_run.add_argument("--plot", action="store_true", help="also write an SVG plot")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser(
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_sweep)
     workers(p_sweep)
-    plot_and_seed(p_sweep)
+    p_sweep.add_argument("--plot", action="store_true", help="also write an SVG plot")
     p_sweep.add_argument("--freqs", help="fig7/fig8: comma-separated frequencies in Hz")
     p_sweep.add_argument("--loads", help="fig7: comma-separated loads (10n,20n,50n,dea)")
     p_sweep.add_argument("--phases", help="fig7c: comma-separated phases (0,pi/2,pi)")

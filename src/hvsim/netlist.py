@@ -346,7 +346,7 @@ def parse(text: str, origin: str = "<string>") -> Scenario:
 
 
 def parse_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh.read(), origin=str(path))
 
 

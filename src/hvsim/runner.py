@@ -30,42 +30,32 @@ def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, lis
 
 def shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
     """Total time any non-inverted switch and any inverted switch sharing a
-    control are simultaneously on (commanded overlap across a bridge): one
-    pass per control over its switches' time-ordered events, counting each
-    interval between adjacent boundaries whose midpoint has both sides on."""
-    groups: Dict[str, Dict[bool, List[str]]] = {}
+    control are simultaneously on (commanded overlap across a bridge), from
+    the earlier of t=0 and the first event up to ``stop``: one sorted pass
+    per control over its switches' ``(t, inverted, on-count change)`` rows."""
+    on: Dict[str, Dict[bool, int]] = {}  # switches on, per control and side
+    rows: Dict[str, List[Tuple[float, bool, int]]] = {}
     for comp in circuit.components:
         if isinstance(comp, Switch):
-            groups.setdefault(comp.control, {True: [], False: []})[comp.invert].append(
-                comp.name
-            )
+            initial, events = timelines[comp.name]
+            state = int(initial)
+            on.setdefault(comp.control, {True: 0, False: 0})[comp.invert] += state
+            changes = rows.setdefault(comp.control, [(0.0, False, 0), (stop, False, 0)])
+            for t, new_state in events:
+                changes.append((t, comp.invert, int(new_state) - state))
+                state = int(new_state)
 
     total = 0.0
-    for sides in groups.values():
-        if not sides[True] or not sides[False]:
-            continue
-        on = {True: 0, False: 0}  # switches on, per side
-        changes: List[Tuple[float, bool, int]] = []
-        boundaries = {0.0, stop}
-        for side, names in sides.items():
-            for name in names:
-                initial, events = timelines[name]
-                state = int(initial)
-                on[side] += state
-                for t, new_state in events:
-                    changes.append((t, side, int(new_state) - state))
-                    state = int(new_state)
-                boundaries.update(t for t, _ in events if t < stop)
+    for control, changes in rows.items():
         changes.sort()
-        pts = sorted(boundaries)
-        k = 0
-        for t0, t1 in zip(pts, pts[1:]):
-            tm = 0.5 * (t0 + t1)
-            while k < len(changes) and changes[k][0] <= tm:
-                on[changes[k][1]] += changes[k][2]
-                k += 1
-            if on[True] and on[False]:
-                total += t1 - t0
+        count, t_prev = on[control], changes[0][0]
+        for t, side, delta in changes:
+            if t > stop:
+                break
+            if count[True] and count[False]:
+                total += t - t_prev
+            count[side] += delta
+            t_prev = t
     return total
 
 

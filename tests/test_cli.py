@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from hvsim import analysis, cli, electromech, runner
+from hvsim import analysis, cli, electromech, netlist, runner
 from hvsim.cli import main
+from hvsim.netlist import print_scenario
+from hvsim.presets import load_preset
 
 from conftest import read_csv
 
@@ -322,6 +324,29 @@ class TestSweep:
         assert lines[0] == "phase_rad,peak_i_a,peak_p_w"
         assert len(lines) == 4
 
+    def test_signed_pi_phases_read_as_their_values(self, tmp_path):
+        # a list that starts with "-" would be taken for a flag, hence the leading 0
+        tables = []
+        for sub, phases in (("pi", "0,-pi/2,+pi/2,-pi"),
+                            ("num", "0,-1.5707963267948966,1.5707963267948966,-3.141592653589793")):
+            out = tmp_path / sub
+            assert run_cli("sweep", "--preset", "fig7c", "--out", str(out),
+                           "--phases", phases) == 0
+            tables.append((out / "fig7c_phases.csv").read_text())
+        assert tables[0] == tables[1]
+        assert [line.split(",")[0] for line in tables[0].splitlines()[1:]] == [
+            "0.0", "-1.5707963267948966", "1.5707963267948966", "-3.141592653589793"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "fig7", "--loads", "5n"],
+        ["--preset", "fig7", "--freqs", "abc"],
+        ["--preset", "fig8", "--supply", "x"],
+    ], ids=["unknown-load", "bad-freqs", "bad-supply"])
+    def test_rejected_input_creates_no_out_dir(self, tmp_path, argv):
+        out = tmp_path / "new"
+        assert run_cli("sweep", *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("preset", [["--preset", "nosuch"], ["--preset", "fig3"], []],
                              ids=["nosuch", "fig3", "none"])
@@ -482,19 +507,22 @@ class TestSharedFlags:
     def test_seed_other_than_default_exits_2(self, tmp_path, capsys, command):
         code = run_cli(*command, "--out", str(tmp_path), "--seed", "7")
         assert code == 2
-        assert "error: argument --seed: invalid choice: 7" in capsys.readouterr().err
+        assert "error: unrecognized arguments: --seed 7" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_default_seed_accepted_on_run(self, tmp_path):
+    def test_default_seed_rejected_on_run(self, tmp_path, capsys):
+        # run draws no random numbers, so it has no --seed, not even at 0
         code = run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--seed", "0")
-        assert code == 0
-        assert (tmp_path / "fig3.csv").exists()
+        assert code == 2
+        assert "error: unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_help_says_only_montecarlo_reads_seed(self, capsys, command):
         assert run_cli(command, "--help") == 0
-        help_text = " ".join(capsys.readouterr().out.split())  # any wrap width
-        assert "only montecarlo reads a seed; any value but 0 is an error" in help_text
+        assert "--seed" not in capsys.readouterr().out
+        assert run_cli("montecarlo", "--help") == 0
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -717,6 +745,16 @@ class TestFileErrors:
         err = self.error_line(capsys)
         assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_netlist_with_bom_runs_like_plain(self, tmp_path):
+        text = print_scenario(load_preset("fig3"))
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        for out, data in ((plain, text.encode()), (bom, b"\xef\xbb\xbf" + text.encode())):
+            out.mkdir()
+            (out / "fig3.ckt").write_bytes(data)
+            assert run_cli("run", "--netlist", str(out / "fig3.ckt"), "--out", str(out)) == 0
+        assert netlist.parse_file(bom / "fig3.ckt") == netlist.parse_file(plain / "fig3.ckt")
+        assert (bom / "fig3.csv").read_bytes() == (plain / "fig3.csv").read_bytes()
 
 
 class TestPresetErrorText:

@@ -94,6 +94,10 @@ def jobs():
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
+    # the same with driver events before t=0: the overlap counted there too
+    yield "run:fig3:shoot-through-early", ["run", "--preset", "fig3",
+                                           "--set", "comp.Sq2.offset=-1m",
+                                           "--set", "comp.Sq4.toff=0.6m"], None
     for workers in (1, 2):
         yield f"sweep:fig7:w{workers}", ["sweep", "--preset", "fig7",
                                          "--workers", str(workers)], None
