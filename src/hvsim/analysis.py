@@ -203,19 +203,14 @@ def _sweep_scenario(frequency: float, load: str) -> Scenario:
 
 
 def supply_port_current(run: TransientResult) -> Waveform:
-    """Current delivered by the supply fragment ``sup`` into the circuit.
-
-    For the converter this is the current leaving the output node (EMF
-    branch minus the output-capacitor charging current); for the bench
-    supply it is simply the EMF branch current.
-    """
-    candidates = ("Xsup__emf", "Vsup_emf")
-    emf = next((n for n in candidates if n in run.source_names), None)
-    if emf is None:
+    """Current delivered by the supply fragment ``sup`` into the circuit:
+    its EMF branch current, less the charging current of the converter's
+    output capacitor ``Csup_cpar`` when there is one."""
+    if "Vsup_emf" not in run.source_names:
         raise KeyError("no supply fragment named 'sup' in this circuit")
-    delivered = run.source_current(emf)
-    if "Xsup__cpar" in run.cap_names:
-        cpar = run.cap_current("Xsup__cpar").samples
+    delivered = run.source_current("Vsup_emf")
+    if "Csup_cpar" in run.cap_names:
+        cpar = run.cap_current("Csup_cpar").samples
         delivered = replace(delivered, samples=delivered.samples - cpar)
     return delivered
 

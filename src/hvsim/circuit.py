@@ -2,8 +2,9 @@
 
 A :class:`Circuit` is an immutable bag of components plus named square-wave
 control signals.  Node references are string labels; ``"0"`` and ``"GND"``
-both denote the ground reference.  Composite components (converter supply,
-scope probe) are kept intact here and lowered to primitives by the engine.
+both denote the ground reference.  Components are the four primitives R, C,
+S and V; two-terminal blocks (supplies, probes, loads) are built from them by
+the fragments of :mod:`hvsim.devices`.
 
 Every netlist/``--set`` parameter is a dataclass field declared with
 :func:`param`, which carries its key; the field default is the parameter
@@ -221,48 +222,7 @@ class VoltageSource:
             raise CircuitError(f"{self.name}: slew limit must be > 0")
 
 
-@dataclass(frozen=True)
-class ConverterSource:
-    """Behavioral DC-HVDC converter: EMF behind an internal resistor with a
-    parallel output capacitor.  ``precharged`` starts the output capacitor at
-    the open-circuit voltage (supply settled before the drive starts)."""
-
-    name: str
-    pos: str
-    neg: str
-    open_circuit_voltage: float = param("voc", 4500.0)
-    internal_resistance: float = param("rint", 3e6)
-    parallel_capacitance: float = param("cpar", 3e-9)
-    precharged: bool = param("pre", True)
-
-    def validate(self) -> None:
-        if not (
-            self.open_circuit_voltage > 0
-            and self.internal_resistance > 0
-            and self.parallel_capacitance > 0
-        ):
-            raise CircuitError(f"{self.name}: converter parameters must be positive")
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Oscilloscope probe input: resistance in parallel with capacitance."""
-
-    name: str
-    pos: str
-    neg: str
-    input_resistance: float = param("rin", 100e6)
-    input_capacitance: float = param("cin", 5.5e-12)
-
-    def validate(self) -> None:
-        if not self.input_resistance > 0 or not self.input_capacitance > 0:
-            raise CircuitError(f"{self.name}: probe parameters must be positive")
-
-
-Component = Union[Resistor, Capacitor, Switch, VoltageSource, ConverterSource, Probe]
-
-#: component kinds that provide a DC conduction path between their terminals
-_DC_CONDUCTING = (Resistor, Switch, VoltageSource, ConverterSource, Probe)
+Component = Union[Resistor, Capacitor, Switch, VoltageSource]
 
 
 @dataclass(frozen=True)
@@ -353,7 +313,7 @@ class Circuit:
             a, b = canon(comp.pos), canon(comp.neg)
             parent.setdefault(a, a)
             parent.setdefault(b, b)
-            if isinstance(comp, _DC_CONDUCTING):
+            if not isinstance(comp, Capacitor):  # every other kind conducts at DC
                 parent[find(a)] = find(b)  # union
 
         ground_root = find("0")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -168,24 +169,26 @@ def _parse_float_list(raw: str, what: str) -> List[float]:
     return out
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"  # unsigned, no suffix
+#: a phase in units of pi: ``[+-][<number>[*]]pi[/<number>]``
+_PI_PHASE_RE = re.compile(rf"([+-]?)(?:({_NUMBER})\*?)?pi(?:/({_NUMBER}))?")
+
+
 def _parse_phase(tok: str) -> float:
+    """A ``--phases`` entry: a multiple of pi (``2*pi/3``, ``-pi/2``) or a
+    plain value in radians."""
     tok = tok.strip()
-    if "pi" in tok:
-        try:
-            num, _, den = tok.partition("/")
-            lead = num.replace("pi", "").strip("*")
-            value = float(lead + "1" if lead in ("", "+", "-") else lead) * math.pi
-            if den:
-                value /= float(den)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"bad phase {tok!r}") from None
-        if not math.isfinite(value):
-            raise CliError(f"bad phase {tok!r}")
-        return value
+    m = _PI_PHASE_RE.fullmatch(tok)
     try:
-        return parse_value(tok, allow_unit=True)
-    except ValueError:
+        if m is None:
+            return parse_value(tok, allow_unit=True)
+        sign, factor, den = m.groups()
+        value = float(sign + (factor or "1")) * math.pi / float(den or "1")
+    except (ValueError, ZeroDivisionError):
         raise CliError(f"bad phase {tok!r}") from None
+    if not math.isfinite(value):
+        raise CliError(f"bad phase {tok!r}")
+    return value
 
 
 def _report_failures(study: analysis.Study, label) -> int:

@@ -1,8 +1,9 @@
-"""Behavioral device models: gate-driver scheduling, the bench supply, and loads.
+"""Behavioral device models: gate-driver scheduling, supplies, probes and loads.
 
 Two-terminal building blocks are expressed as :class:`Fragment` objects whose
 components reference the symbolic terminals ``"+"`` and ``"-"``; instantiating
 a fragment rebinds those to real node labels and prefixes internal names.
+Each ``*Params`` class is the key schema of one netlist ``X`` kind.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .circuit import (
     Switch,
     VoltageSource,
     param,
+    params,
 )
 
 
@@ -25,8 +27,18 @@ class ScheduleError(ValueError):
     """Driver delays are incompatible with the commanded edge spacing."""
 
 
+class _PositiveParams:
+    """Base of the ``X`` key schemas, whose every float parameter is > 0."""
+
+    def __post_init__(self) -> None:
+        bad = [f"{p.key}=" for p in params(type(self))
+               if p.type is float and not getattr(self, p.name) > 0]
+        if bad:
+            raise CircuitError(f"{', '.join(bad)} must be > 0")
+
+
 @dataclass(frozen=True)
-class BenchSupplyParams:
+class BenchSupplyParams(_PositiveParams):
     """Benchtop HV generator equivalent.
 
     The output resistance and slew limit are calibration parameters (the
@@ -38,13 +50,30 @@ class BenchSupplyParams:
     output_resistance: float = param("rout", 1e3)
     slew_limit: float = param("slew", 35e6)  # V/s
 
-    def __post_init__(self) -> None:
-        if not (self.voltage > 0 and self.output_resistance > 0 and self.slew_limit > 0):
-            raise CircuitError("bench supply parameters must be positive")
+
+@dataclass(frozen=True)
+class ConverterParams(_PositiveParams):
+    """Miniature DC-HVDC converter equivalent: EMF behind an internal resistor
+    with a parallel output capacitor.  ``precharged`` starts the output
+    capacitor at the open-circuit voltage (supply settled before the drive
+    starts)."""
+
+    open_circuit_voltage: float = param("voc", 4500.0)
+    internal_resistance: float = param("rint", 3e6)
+    parallel_capacitance: float = param("cpar", 3e-9)
+    precharged: bool = param("pre", True)
 
 
 @dataclass(frozen=True)
-class DeaLoadParams:
+class ProbeParams(_PositiveParams):
+    """Oscilloscope probe input: resistance in parallel with capacitance."""
+
+    input_resistance: float = param("rin", 100e6)
+    input_capacitance: float = param("cin", 5.5e-12)
+
+
+@dataclass(frozen=True)
+class DeaLoadParams(_PositiveParams):
     """Actuator equivalent: series electrode resistance feeding the actuator
     capacitance in parallel with its leakage resistance."""
 
@@ -52,18 +81,13 @@ class DeaLoadParams:
     series_resistance: float = param("rs", 60e3)
     parallel_resistance: float = param("rp", 6.6e6)
 
-    def __post_init__(self) -> None:
-        if not (self.capacitance > 0 and self.series_resistance > 0
-                and self.parallel_resistance > 0):
-            raise CircuitError("DEA load parameters must be positive")
-
 
 @dataclass(frozen=True)
 class Fragment:
     """Two-terminal subcircuit template over symbolic terminals "+" and "-".
 
     Component names inside a fragment start with their netlist type letter
-    (R/C/S/V/X); instantiation splices the instance prefix in after it, so
+    (R/C/S/V); instantiation splices the instance prefix in after it, so
     printed netlists keep the letter-coded statement form.
     """
 
@@ -128,6 +152,24 @@ def expand_bench_supply(params: BenchSupplyParams) -> Fragment:
             Resistor(name="R_rout", pos="e", neg="+", resistance=params.output_resistance),
         )
     )
+
+
+def expand_converter(params: ConverterParams) -> Fragment:
+    """Converter fragment: EMF behind ``rint``, ``cpar`` across the output.  The
+    capacitor comes first, so the output terminals take their matrix rows
+    before the EMF node."""
+    ic = params.open_circuit_voltage if params.precharged else 0.0
+    return Fragment((
+        Capacitor("C_cpar", "+", "-", params.parallel_capacitance, initial_voltage=ic),
+        Resistor("R_rint", "e", "+", params.internal_resistance),
+        VoltageSource("V_emf", "e", "-", params.open_circuit_voltage),
+    ))
+
+
+def expand_probe(params: ProbeParams) -> Fragment:
+    """Scope probe fragment: ``rin`` parallel with ``cin``."""
+    return Fragment((Resistor("R_rin", "+", "-", params.input_resistance),
+                     Capacitor("C_cin", "+", "-", params.input_capacitance)))
 
 
 def expand_dea_load(params: DeaLoadParams) -> Fragment:

@@ -60,11 +60,9 @@ from .circuit import (
     Capacitor,
     Circuit,
     CircuitError,
-    ConverterSource,
-    Probe,
+    ControlSignal,
     Resistor,
     Switch,
-    VoltageSource,
     is_ground,
     param,
 )
@@ -200,7 +198,7 @@ class _Lowered:
 
 
 def _lower(circuit: Circuit) -> _Lowered:
-    """Check the circuit, flatten composites and map node labels to matrix rows."""
+    """Check the circuit and map node labels to matrix rows."""
     circuit.validate()
     labels: List[str] = []
     index: Dict[str, int] = {}
@@ -225,28 +223,8 @@ def _lower(circuit: Circuit) -> _Lowered:
             )
         elif isinstance(comp, Switch):
             low.switches.append(_SwitchEl(p, n, 1.0 / comp.ron, 1.0 / comp.roff, comp.name))
-        elif isinstance(comp, VoltageSource):
+        else:  # VoltageSource, the last of the four primitives
             low.sources.append(_SourceEl(p, n, comp.name, comp.voltage, comp.slew, comp.control))
-        elif isinstance(comp, ConverterSource):
-            e = row(f"{comp.name}__e")
-            low.sources.append(
-                _SourceEl(e, n, f"{comp.name}__emf", comp.open_circuit_voltage, None, None)
-            )
-            resistors.append((e, p, 1.0 / comp.internal_resistance))
-            low.caps.append(
-                _CapEl(
-                    p,
-                    n,
-                    comp.parallel_capacitance,
-                    comp.open_circuit_voltage if comp.precharged else 0.0,
-                    f"{comp.name}__cpar",
-                )
-            )
-        elif isinstance(comp, Probe):
-            resistors.append((p, n, 1.0 / comp.input_resistance))
-            low.caps.append(_CapEl(p, n, comp.input_capacitance, 0.0, f"{comp.name}__cin"))
-        else:  # pragma: no cover - Component union is closed
-            raise CircuitError(f"cannot lower component {comp!r}")
     size, n = low.size, low.n_nodes
     low.resistive = A = np.zeros((size, size))
     for p, q, g in resistors:  # stamped once per run, not once per topology
@@ -474,6 +452,41 @@ def _snap(t: float, h: float) -> int:
     return int(round(t / h))
 
 
+def _snap_events(owner: str, events, h: float, n_steps: int) -> List[Tuple[int, bool]]:
+    """``(grid index, state)`` of each ``(time, state)`` event of ``owner`` up
+    to index ``n_steps``.  Two events that snap to one index after t=0 raise
+    :class:`~hvsim.devices.ScheduleError`: the pulse between them would be lost."""
+    out: List[Tuple[int, bool]] = []
+    times: Dict[int, float] = {}  # grid index after t=0 -> event time
+    for t_e, state in events:
+        idx = _snap(t_e, h)
+        if idx in times:
+            raise ScheduleError(
+                f"{owner}: events at t={times[idx]!r} and t={t_e!r} snap to one "
+                f"grid index (step {h!r}); the pulse between them would be lost"
+            )
+        if idx <= n_steps:
+            out.append((idx, state))
+            if idx > 0:
+                times[idx] = t_e
+    return out
+
+
+def check_control_edges(
+    controls: Mapping[str, ControlSignal], settings: IntegrationSettings
+) -> None:
+    """Raise :class:`~hvsim.devices.ScheduleError` for a control that commands
+    more edges than the grid has points, before any edge list is built: the
+    :data:`MAX_GRID_POINTS` bound then caps an edge list as it caps the grid."""
+    points = settings.n_steps + 1
+    for name, ctrl in controls.items():
+        if 2.0 * ctrl.frequency * settings.stop > points:
+            raise ScheduleError(
+                f"control {name!r}: f={ctrl.frequency!r} Hz commands more edges than "
+                f"the {points} grid points"
+            )
+
+
 def _initial_solve(
     low: _Lowered, sw_states: Sequence[bool], emf0: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
@@ -517,6 +530,7 @@ def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines)
     state)`` events per grid index, the set of source-edge indices, and the
     sorted segment boundaries (every event index and the last grid index)."""
     h, n_steps = settings.step, settings.n_steps
+    check_control_edges(controls, settings)
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
@@ -524,19 +538,10 @@ def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines)
             raise SimulationError(f"no timeline given for switch {sw.name!r}")
         initial, events = timelines[sw.name]
         state = bool(initial)
-        snapped: Dict[int, float] = {}  # grid index -> event time, this switch
-        for t_e, new_state in events:
-            idx = _snap(t_e, h)
+        for idx, new_state in _snap_events(f"switch {sw.name!r}", events, h, n_steps):
             if idx <= 0:
                 state = bool(new_state)
-            elif idx <= n_steps:
-                if idx in snapped:
-                    raise ScheduleError(
-                        f"switch {sw.name!r}: events at t={snapped[idx]!r} and t={t_e!r} "
-                        f"snap to one grid index (step {h!r}); the pulse between "
-                        "them would be lost"
-                    )
-                snapped[idx] = t_e
+            else:
                 sw_events.setdefault(idx, []).append((si, bool(new_state)))
         sw_states.append(state)
 
@@ -544,8 +549,9 @@ def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines)
     src_events = {
         idx
         for src in low.sources if src.control is not None
-        for idx in (_snap(t_e, h) for t_e, _ in controls[src.control].edges(settings.stop))
-        if 0 < idx <= n_steps
+        for idx, _ in _snap_events(f"source {src.name!r}",
+                                   controls[src.control].edges(settings.stop), h, n_steps)
+        if idx > 0
     }
     boundaries = sorted(set(sw_events) | src_events | {n_steps})
     return sw_states, sw_events, src_events, boundaries
@@ -668,12 +674,13 @@ def run_transient(
 
     ``switch_timelines`` gives each switch its initial state and scheduled
     state changes; change times are snapped to the grid, and two changes of
-    one switch that snap to one grid index after t=0 raise
-    :class:`~hvsim.devices.ScheduleError` (the pulse between them would be
-    lost).  Gated sources and slew-limit ramp knees introduce additional
-    segment boundaries.  Every sample of every unknown is retained in the
-    result: dense when the circuit has capacitors, run-length when it has
-    none (see :class:`TransientResult`).
+    one switch, or two command edges of one gated source, that snap to one
+    grid index after t=0 raise :class:`~hvsim.devices.ScheduleError` (the
+    pulse between them would be lost), as does a control that commands more
+    edges than the grid has points.  Gated sources and slew-limit ramp knees
+    introduce additional segment boundaries.  Every sample of every unknown
+    is retained in the result: dense when the circuit has capacitors,
+    run-length when it has none (see :class:`TransientResult`).
 
     The four phases are :func:`_schedule`, :func:`_plan_segment`,
     :func:`_propagate` and :func:`_package` (see the module docstring).

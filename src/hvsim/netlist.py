@@ -14,13 +14,14 @@ Grammar (one statement per line, ``#`` starts a comment):
 
 Engineering suffixes are case-sensitive: p n u m k M G (m is milli, M is
 mega; there is no ``meg`` form).  Node labels are alphanumeric identifiers;
-``0`` and ``GND`` both name the ground reference.  ``X`` statements for the
-bench supply and actuator load expand to primitives at parse time, so printed
-netlists show the expansion; converter and probe stay composite.
+``0`` and ``GND`` both name the ground reference.  Every ``X`` statement
+expands to R, C and V primitives at parse time (the fragments of
+:mod:`hvsim.devices`), so printed netlists show the expansion.
 
 Keys, positions and defaults come from the parameter dataclasses
-(:func:`hvsim.circuit.params`): an omitted key takes the field default, and
-the printer omits every key whose value equals it.
+(:func:`hvsim.circuit.params`) of the R/C/S/V components and of the ``X``
+kinds' ``*Params`` schemas.  An omitted key takes the field default, and the
+printer omits every key whose value equals it.
 """
 
 from __future__ import annotations
@@ -37,16 +38,15 @@ from .circuit import (
     CircuitError,
     Component,
     ControlSignal,
-    ConverterSource,
     Param,
-    Probe,
     Resistor,
     Switch,
     VoltageSource,
     is_ground,
     params,
 )
-from .devices import BenchSupplyParams, DeaLoadParams, expand_bench_supply, expand_dea_load
+from .devices import (BenchSupplyParams, ConverterParams, DeaLoadParams, ProbeParams,
+                      expand_bench_supply, expand_converter, expand_dea_load, expand_probe)
 from .engine import IntegrationSettings
 from .scenario import ProbeSpec, Scenario
 
@@ -57,14 +57,13 @@ _COMPONENTS = {
     "S": (Switch, "switch needs a ctrl= reference"),
     "V": (VoltageSource, "source needs a value"),
 }
-#: ``X`` kind word -> (class, missing message, expansion into primitives or None)
+#: ``X`` kind word -> (key schema, missing message, expansion into primitives)
 _FRAGMENTS = {
-    "converter": (ConverterSource, None, None),
-    "probe": (Probe, None, None),
+    "converter": (ConverterParams, None, expand_converter),
+    "probe": (ProbeParams, None, expand_probe),
     "bench": (BenchSupplyParams, "bench supply needs v=", expand_bench_supply),
     "dea": (DeaLoadParams, None, expand_dea_load),
 }
-_KIND_WORD = {cls: word for word, (cls, _, expand) in _FRAGMENTS.items() if expand is None}
 
 
 class NetlistError(ValueError):
@@ -264,7 +263,6 @@ class _Parser:
         pos = self.node(line_no, toks[1])
         neg = self.node(line_no, toks[2])
         rest = toks[3:]
-        expand = None
         if head.text[0] == "X":
             if not rest:
                 raise self.fail(line_no, head.column, "X statement needs a kind word")
@@ -274,14 +272,11 @@ class _Parser:
                     f"unknown fragment kind {rest[0].text!r} ({', '.join(_FRAGMENTS)})",
                 )
             cls, missing, expand = _FRAGMENTS[rest[0].text]
-            rest = rest[1:]
+            values = self.fields(line_no, head, cls, rest[1:], missing)
+            comps = expand(cls(**values)).instantiate(pos, neg, name[1:])
         else:
             cls, missing = _COMPONENTS[head.text[0]]
-        values = self.fields(line_no, head, cls, rest, missing)
-        if expand is None:
-            comps = [cls(name, pos, neg, **values)]
-        else:
-            comps = expand(cls(**values)).instantiate(pos, neg, name[1:])
+            comps = [cls(name, pos, neg, **self.fields(line_no, head, cls, rest, missing))]
         for comp in comps:
             self.add_component(line_no, head.column, comp)
 
@@ -363,17 +358,10 @@ def _fields_text(obj: Any) -> str:
     return " ".join(positional + keyed)
 
 
-def _component_line(comp: Component) -> str:
-    words = [comp.name, comp.pos, comp.neg]
-    if type(comp) in _KIND_WORD:
-        words.append(_KIND_WORD[type(comp)])
-    text = _fields_text(comp)
-    return " ".join(words + [text] if text else words)
-
-
 def print_scenario(scenario: Scenario) -> str:
     """Canonical netlist text; ``parse(print_scenario(s))`` equals ``s``."""
-    lines = [_component_line(comp) for comp in scenario.circuit.components]
+    lines = [f"{c.name} {c.pos} {c.neg} {_fields_text(c)}".rstrip()
+             for c in scenario.circuit.components]
     for name, ctrl in scenario.circuit.controls:
         lines.append(f".ctrl {name} square {_fields_text(ctrl)}")
     lines.append(f".tran {_fields_text(scenario.settings)}")

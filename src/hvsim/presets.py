@@ -13,12 +13,14 @@ import math
 from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import Circuit, ControlSignal, ConverterSource, Switch
+from .circuit import Circuit, ControlSignal, Switch
 from .devices import (
     BenchSupplyParams,
+    ConverterParams,
     DeaLoadParams,
     Fragment,
     expand_bench_supply,
+    expand_converter,
     expand_dea_load,
     series_rc_load,
 )
@@ -41,8 +43,8 @@ FIG7_LOADS = ("10n", "20n", "50n", "dea")
 FIG8_FREQUENCIES = (1.0, 2.0, 15.0, 30.0, 60.0, 120.0)
 FIG7C_PHASES = (0.0, math.pi / 2, math.pi)
 
-#: the miniature DC-HVDC converter supply at its ConverterSource defaults
-CONVERTER = Fragment((ConverterSource(name="X", pos="+", neg="-"),))
+#: the miniature DC-HVDC converter supply at its ConverterParams defaults
+CONVERTER = expand_converter(ConverterParams())
 
 
 def load_fragment(descriptor: str) -> Fragment:

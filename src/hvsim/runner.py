@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from .circuit import Circuit, Switch
 from .devices import driver_schedule
-from .engine import TransientResult, run_transient
+from .engine import TransientResult, check_control_edges, run_transient
 from .scenario import Scenario
 
 
@@ -61,5 +61,6 @@ def shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
 
 def run_scenario(scenario: Scenario) -> TransientResult:
     """Run ``scenario`` over its grid with every switch driver scheduled."""
+    check_control_edges(scenario.circuit.control_map, scenario.settings)
     timelines = switch_timelines(scenario.circuit, scenario.settings.stop)
     return run_transient(scenario.circuit, scenario.settings, timelines)

@@ -18,11 +18,10 @@ from .circuit import (
     CircuitError,
     Component,
     ControlSignal,
-    Probe,
     Resistor,
     Switch,
 )
-from .devices import Fragment
+from .devices import Fragment, ProbeParams, expand_probe
 
 #: Per-device off-resistances, top to bottom (high side first): the
 #: 900 MOhm / 100 MOhm pairs model the leakage mismatch that skews static
@@ -82,7 +81,7 @@ def build_half_bridge(
     Every device gets a ``balancing`` resistor and a ``snubber`` capacitor
     unless that value is None; ``off_resistances`` and ``driver_offsets``
     give the four devices top to bottom.  ``probe_nodes`` each get a scope
-    probe ``Xscope<node>``.
+    probe, the parts ``Rscope<node>_rin`` and ``Cscope<node>_cin``.
     """
     for label, values in (("off-resistances", off_resistances), ("driver offsets", driver_offsets)):
         if len(values) != 4:
@@ -92,7 +91,8 @@ def build_half_bridge(
                                 off_resistances, driver_offsets))
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
-    comps.extend(Probe(f"Xscope{node}", node, "0") for node in probe_nodes)
+    for node in probe_nodes:
+        comps.extend(expand_probe(ProbeParams()).instantiate(node, "0", f"scope{node}"))
     return Circuit.build(comps, {"g": control})
 
 

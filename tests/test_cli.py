@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hvsim import analysis, cli, electromech, netlist, runner
+from hvsim.circuit import ControlSignal
 from hvsim.cli import main
 from hvsim.netlist import print_scenario
 from hvsim.presets import load_preset
@@ -611,6 +612,35 @@ class TestGridLimit:
         assert "points" in capsys.readouterr().err
 
 
+class TestScheduleRejections:
+    """A control or gated source the grid cannot resolve exits 2."""
+
+    def test_gated_source_pulse_shorter_than_a_step_exits_2(self, tmp_path, capsys):
+        # a 10 us pulse on a 100 us grid ran, with V_B at 0.0 V at every sample
+        ckt = tmp_path / "pulse.ckt"
+        ckt.write_text(".ctrl g square f=100 duty=0.001\nV1 A 0 10 ctrl=g\nR1 A B 1k\n"
+                       "C1 B 0 1u\n.tran 100u 50m\n.probe B\n.end\n")
+        assert run_cli("run", "--netlist", str(ckt), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: source 'V1': events at t=0.01 and t=0.01001 ")
+        assert not (tmp_path / "pulse.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig3", "--set", "ctrl.g.f=1e20"],
+        ["run", "--preset", "fig3", "--set", "ctrl.g.f=1e7"],
+    ], ids=["1e20", "1e7"])
+    def test_control_faster_than_grid_exits_2_before_listing_edges(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # listing the edges exhausted memory before any check ran
+        def listed(self, stop):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(ControlSignal, "edges", listed)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert "more edges than the 20001 grid points" in capsys.readouterr().err
+
+
 class TestSweepGridCheckedUpFront:
     """A sweep frequency whose grid exceeds ``engine.MAX_GRID_POINTS`` exits 2
     before any cell runs; the cells before it used to run first."""
@@ -672,8 +702,9 @@ class TestShootThroughOnDemand:
 
 
 class TestNonFiniteInput:
-    """A value beyond the float range exits 2 before any simulation starts;
-    reaching the engine, each of these hung, crashed or ran an open circuit."""
+    """A value beyond the float range, or a malformed phase, exits 2 before any
+    simulation starts; reaching the engine, each of these hung, crashed, ran an
+    open circuit or ran a phase the user did not write."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
@@ -696,10 +727,13 @@ class TestNonFiniteInput:
         (["sweep", "--preset", "fig7c", "--phases", "pi/0"], "bad phase"),
         (["sweep", "--preset", "fig7c", "--phases", "1e309*pi"], "bad phase"),
         (["sweep", "--preset", "fig7c", "--phases", "0,1e309"], "bad phase"),
+        (["sweep", "--preset", "fig7c", "--phases", "2pi3"], "bad phase"),
+        (["sweep", "--preset", "fig7c", "--phases", "0,pipi"], "bad phase"),
         (["montecarlo", "--preset", "fig3", "--sigma", "nan"], "--sigma must be finite"),
         (["montecarlo", "--preset", "fig3", "--sigma", "inf"], "--sigma must be finite"),
     ], ids=["phase", "frequency", "stop", "resistance", "fig7-freqs", "fig8-freqs",
-            "phase-over-zero", "phase-times-pi", "plain-phase", "sigma-nan", "sigma-inf"])
+            "phase-over-zero", "phase-times-pi", "plain-phase", "phase-digits-after-pi",
+            "phase-pi-twice", "sigma-nan", "sigma-inf"])
     def test_exits_2_before_simulating(self, tmp_path, capsys, argv, message):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err

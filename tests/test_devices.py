@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from hvsim.circuit import Capacitor, CircuitError, ControlSignal, ConverterSource, Resistor, Switch
+from hvsim.circuit import Capacitor, CircuitError, ControlSignal, Resistor, Switch
 from hvsim.devices import (
     BenchSupplyParams,
+    ConverterParams,
     DeaLoadParams,
-    Fragment,
     ScheduleError,
     driver_schedule,
     expand_bench_supply,
+    expand_converter,
     expand_dea_load,
     series_rc_load,
 )
@@ -28,7 +29,7 @@ def driver(turn_on_delay=0.4e-3, turn_off_delay=0.1e-3, delay_offset=0.0, invert
 
 def converter(**params):
     """Converter supply fragment."""
-    return Fragment((ConverterSource("X", "+", "-", **params),))
+    return expand_converter(ConverterParams(**params))
 
 
 def derated_capacitance(c0, derating, rated_voltage, v):
@@ -112,7 +113,7 @@ class TestConverter:
 
     def test_open_circuit_step_response(self):
         # un-precharged output rises with tau = R_int * C_par
-        params = ConverterSource("X", "+", "-", precharged=False)
+        params = ConverterParams(precharged=False)
         tau = params.internal_resistance * params.parallel_capacitance
         c = supply_circuit(converter(precharged=False))
         res = run_transient(c, IntegrationSettings(step=tau / 1000, stop=3 * tau), {})
@@ -126,6 +127,10 @@ class TestConverter:
         c = supply_circuit(converter())
         res = run_transient(c, IntegrationSettings(step=1e-5, stop=1e-3), {})
         assert res.voltage("P").samples[0] == pytest.approx(4500.0, rel=1e-9)
+
+    def test_parameter_validation(self):
+        with pytest.raises(CircuitError, match="rint= must be > 0"):
+            ConverterParams(internal_resistance=0.0)
 
 
 class TestBenchSupply:

@@ -316,6 +316,35 @@ class TestTransient:
         res = run_transient(c, IntegrationSettings(step=1e-5, stop=1e-4), folded)
         assert res.voltage("B").samples[0] > 9.9
 
+    def test_gated_source_edges_snapped_to_one_grid_index_raise(self):
+        # a 10 us high pulse every 10 ms on a 100 us grid: rise and fall snap
+        # together and the source would never turn on
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0, control="g"),
+            Resistor("R1", "A", "B", 1e3),
+            Capacitor("C1", "B", "0", 1e-6),
+            controls={"g": ControlSignal(frequency=100.0, duty=0.001, phase=math.pi)},
+        )
+        with pytest.raises(ScheduleError, match=r"source 'V1': events at t=0.005 and "
+                                                r"t=0.00501 snap to one grid index"):
+            run_transient(c, IntegrationSettings(step=1e-4, stop=5e-2), {})
+        # on a 1 us grid the pulse keeps its own samples
+        res = run_transient(c, IntegrationSettings(step=1e-6, stop=2e-2), {})
+        assert res.voltage("A").samples.max() == 10.0
+
+    def test_control_faster_than_grid_raises_before_listing_edges(self, monkeypatch):
+        def listed(self, stop):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(ControlSignal, "edges", listed)
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0, control="g"),
+            Resistor("R1", "A", "0", 1e3),
+            controls={"g": ControlSignal(frequency=1e20)},
+        )
+        with pytest.raises(ScheduleError, match="control 'g': f=1e\\+20 Hz commands"):
+            run_transient(c, IntegrationSettings(step=1e-6, stop=1e-3), {})
+
 
 class TestLongRun:
     def test_long_run_starts_with_the_short_run(self):

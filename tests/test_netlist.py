@@ -11,15 +11,22 @@ from hvsim.circuit import (
     Capacitor,
     Circuit,
     ControlSignal,
-    ConverterSource,
-    Probe,
     Resistor,
     Switch,
     VoltageSource,
     params,
 )
 from hvsim.cli import apply_override
-from hvsim.devices import BenchSupplyParams, DeaLoadParams, expand_bench_supply, expand_dea_load
+from hvsim.devices import (
+    BenchSupplyParams,
+    ConverterParams,
+    DeaLoadParams,
+    ProbeParams,
+    expand_bench_supply,
+    expand_converter,
+    expand_dea_load,
+    expand_probe,
+)
 from hvsim.engine import IntegrationSettings
 from hvsim.netlist import (
     NetlistError,
@@ -93,16 +100,25 @@ class TestGrammar:
         names = {c.name for c in s.circuit.components}
         assert {"Vsup_emf", "Rsup_rout", "Rload_rs", "Cload_c", "Rload_rp"} <= names
 
-    def test_converter_and_probe_stay_composite(self):
+    def test_converter_and_probe_expand(self):
         s = parse_ok("Xsup A 0 converter voc=4.5k rint=3M cpar=3n\nXp A 0 probe rin=100M cin=5.5p")
-        kinds = {type(c).__name__ for c in s.circuit.components}
-        assert kinds == {"ConverterSource", "Probe"}
+        assert [(type(c).__name__, c.name, c.pos, c.neg) for c in s.circuit.components] == [
+            ("Capacitor", "Csup_cpar", "A", "0"),
+            ("Resistor", "Rsup_rint", "sup_e", "A"),
+            ("VoltageSource", "Vsup_emf", "sup_e", "0"),
+            ("Resistor", "Rp_rin", "A", "0"),
+            ("Capacitor", "Cp_cin", "A", "0"),
+        ]
+        assert s.circuit.component("Csup_cpar").initial_voltage == 4500.0  # pre=1 by default
+        assert s.circuit.component("Rp_rin").resistance == 100e6
 
     def test_cold_start_converter(self):
         s = parse_ok("Xsup A 0 converter pre=0")
-        sup = s.circuit.component("Xsup")
-        assert sup.precharged is False
-        assert sup.open_circuit_voltage == 4500.0  # defaults fill in
+        assert s.circuit.component("Csup_cpar").initial_voltage == 0.0
+        # defaults fill in
+        assert s.circuit.component("Vsup_emf").voltage == 4500.0
+        assert s.circuit.component("Rsup_rint").resistance == 3e6
+        assert s.circuit.component("Csup_cpar").capacitance == 3e-9
 
     def test_full_parameter_round_trip(self):
         text = (
@@ -216,7 +232,7 @@ class TestDiagnostics:
         )
         scenario = parse(text, origin="f.ckt")
         assert scenario.circuit.component("S1").invert is True
-        assert scenario.circuit.component("X1").precharged is False
+        assert scenario.circuit.component("C1_cpar").initial_voltage == 0.0
         assert scenario.settings.damping_steps == 1000
 
     def test_floating_node_reported(self):
@@ -384,10 +400,7 @@ def off_default(cls):
 
 
 #: every printable component kind, named with its statement letter
-COMPONENT_KINDS = {
-    "R1": Resistor, "C1": Capacitor, "S1": Switch, "V1": VoltageSource,
-    "X1": ConverterSource, "X2": Probe,
-}
+COMPONENT_KINDS = {"R1": Resistor, "C1": Capacitor, "S1": Switch, "V1": VoltageSource}
 
 
 def schema_scenario() -> Scenario:
@@ -448,7 +461,9 @@ class TestSchema:
     @pytest.mark.parametrize("cls, expand, word", [
         (BenchSupplyParams, expand_bench_supply, "bench"),
         (DeaLoadParams, expand_dea_load, "dea"),
-    ], ids=["bench", "dea"])
+        (ConverterParams, expand_converter, "converter"),
+        (ProbeParams, expand_probe, "probe"),
+    ], ids=["bench", "dea", "converter", "probe"])
     def test_fragment_statements_read_every_key(self, cls, expand, word):
         values = off_default(cls)
         keys = " ".join(f"{p.key}={format_value(values[p.name])}" for p in params(cls))

@@ -6,8 +6,6 @@ import pytest
 
 from hvsim.circuit import (
     Capacitor,
-    ConverterSource,
-    Probe,
     Resistor,
     Switch,
     VoltageSource,
@@ -60,7 +58,8 @@ class TestPresetParameters:
             assert bench_voltage(name) == 1800.0
             assert control_frequency(name) == 1000.0
             assert balancer_values(name) == [3.6e6]
-            assert len(components_of(name, Probe)) == 3
+            probe_caps = [c for c in components_of(name, Capacitor) if c.name.endswith("_cin")]
+            assert [c.name for c in probe_caps] == ["CscopeB_cin", "CscopeO_cin", "CscopeC_cin"]
         snubbers = components_of("fig4b", Capacitor)
         assert {c.capacitance for c in snubbers if c.name.startswith("Csn")} == {220e-12}
         assert not [
@@ -81,10 +80,10 @@ class TestPresetParameters:
 
     def test_fig6_variants(self):
         for name, balancer in (("fig6b", 3.6e6), ("fig6c", 1.8e6)):
-            (sup,) = components_of(name, ConverterSource)
-            assert sup.open_circuit_voltage == 4500.0
-            assert sup.internal_resistance == 3e6
-            assert sup.parallel_capacitance == 3e-9
+            circuit = load_preset(name).circuit
+            assert circuit.component("Vsup_emf").voltage == 4500.0
+            assert circuit.component("Rsup_rint").resistance == 3e6
+            assert circuit.component("Csup_cpar").capacitance == 3e-9
             assert control_frequency(name) == 100.0
             assert balancer_values(name) == [balancer]
             names = {c.name for c in load_preset(name).circuit.components}
@@ -95,7 +94,8 @@ class TestPresetParameters:
         controls = scenario.circuit.control_map
         assert controls["g1"].phase == 0.0
         assert controls["g2"].phase == math.pi
-        assert len(components_of("fig7c", ConverterSource)) == 1
+        assert [c.name for c in components_of("fig7c", Capacitor)
+                if c.name.endswith("_cpar")] == ["Csup_cpar"]
         switch_names = {s.name for s in components_of("fig7c", Switch)}
         assert {"Sch1q1", "Sch2q4"} <= switch_names
 

@@ -139,7 +139,7 @@ class TestBuildDualChannel:
 
     def test_shared_supply_is_single(self):
         c = self.make(0.0)
-        converters = [comp for comp in c.components if comp.name == "Xsup"]
+        converters = [comp for comp in c.components if comp.name == "Csup_cpar"]
         assert len(converters) == 1
 
 

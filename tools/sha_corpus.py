@@ -70,6 +70,30 @@ Xload O 0 dea
 .end
 """
 
+#: a hand-written netlist with a cold converter whose - node is new and reaches
+#: ground through a resistor, a scope probe and the actuator load
+XCONV = """\
+# converter-fed stack, its return through 10 Ohm, into the actuator equivalent
+Xsup A N converter pre=0 voc=2k
+Rn N 0 10
+Sq1 A B ctrl=g roff=900M
+Rb1 A B 3.6M
+Sq2 B O ctrl=g roff=100M offset=50u
+Rb2 B O 3.6M
+Sq3 O C ctrl=g roff=900M inv=1
+Rb3 O C 3.6M
+Sq4 C 0 ctrl=g roff=100M inv=1 offset=50u
+Rb4 C 0 3.6M
+Xp O 0 probe
+Xload O 0 dea
+.ctrl g square f=100
+.tran 1u 20m
+.probe A
+.probe O
+.probe N
+.end
+"""
+
 
 def jobs():
     """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
@@ -81,6 +105,7 @@ def jobs():
     fig3 = print_scenario(load_preset("fig3")).replace(".end\n", ".probe A B\n.end\n")
     yield "run:netlist:fig3-pair", ["run"], ("fig3_pair", fig3)
     yield "run:netlist:xfrag", ["run"], ("xfrag", XFRAG)
+    yield "run:netlist:xconv", ["run"], ("xconv", XCONV)
     # the one run job with a plot: a linear-axis SVG
     yield "run:fig5:plot", ["run", "--preset", "fig5", "--plot"], None
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
