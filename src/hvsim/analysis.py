@@ -277,15 +277,21 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
     return run_study(cell, [float(p) for p in phases])
 
 
+#: Most trials a Monte-Carlo study may ask for: its table keeps one row per
+#: trial, and 10^6 fig3 trials take minutes.
+MAX_TRIALS = 1_000_000
+
+
 @dataclass(frozen=True)
 class MismatchModel:
     """Component-tolerance model for Monte-Carlo stress studies.
 
     Off-resistances draw from a log-normal (median MEDIAN_OFF_RESISTANCE,
     ``sigma`` of the log); per-device driver offsets draw uniformly from
-    +-OFFSET_SPAN.  The generator is numpy's PCG64; per-trial streams come
-    from ``SeedSequence(seed).spawn``, so any trial subset reproduces
-    bit-exactly for a fixed seed.
+    +-OFFSET_SPAN.  The generator is numpy's PCG64; trial ``i`` draws from
+    ``SeedSequence(seed, spawn_key=(i,))``, child ``i`` of
+    ``SeedSequence(seed).spawn``, so any trial subset reproduces bit-exactly
+    for a fixed seed.  At most :data:`MAX_TRIALS` trials.
     """
 
     sigma: float = 1.0
@@ -295,8 +301,8 @@ class MismatchModel:
     def __post_init__(self) -> None:
         if self.sigma < 0:
             raise MeasureError("sigma must be >= 0")
-        if self.trials < 1:
-            raise MeasureError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise MeasureError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:
             raise MeasureError("seed must be >= 0")
 
@@ -318,10 +324,11 @@ def monte_carlo(
     A draw that is not finite, or that ``build`` rejects (an off-resistance
     at or below the on-resistance), fails its trial alone.
     """
-    children = np.random.SeedSequence(model.seed).spawn(model.trials)
+    def stream(i: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(model.seed, spawn_key=(i,))
 
     def trial(key: Tuple[int, int]) -> float:
-        rng = np.random.Generator(np.random.PCG64(children[key[0]]))
+        rng = np.random.Generator(np.random.PCG64(stream(key[0])))
         with np.errstate(over="ignore"):  # a wide sigma can overflow: checked below
             offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
         offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
@@ -335,5 +342,5 @@ def monte_carlo(
         run = run_scenario(scenario)
         return voltage_shares(*(run.rows(node) for node in "ABOC")).max_device_drop
 
-    keys = [(i, int(child.generate_state(1)[0])) for i, child in enumerate(children)]
+    keys = [(i, int(stream(i).generate_state(1)[0])) for i in range(model.trials)]
     return run_study(trial, keys)

@@ -133,40 +133,18 @@ class Resistor:
 
 @dataclass(frozen=True)
 class Capacitor:
-    """Linear capacitor with optional high-voltage derating.
-
-    When ``derating`` is nonzero the capacitance used in simulation is the
-    derated value at ``bias_voltage`` (clamped at ``rated_voltage``); the
-    derating curve is evaluated once, keeping the element linear.
-    ``initial_voltage`` is the pre-charge applied when a transient starts.
-    """
+    """Linear capacitor; ``initial_voltage`` is the pre-charge applied when a
+    transient starts."""
 
     name: str
     pos: str
     neg: str
     capacitance: float = param("value", positional=True)
     initial_voltage: float = param("ic", 0.0)
-    derating: float = param("derate", 0.0)
-    rated_voltage: float = param("vrated", math.inf)
-    bias_voltage: float = param("vbias", 0.0)
 
     def validate(self) -> None:
         if not self.capacitance > 0:
             raise CircuitError(f"{self.name}: capacitance must be > 0, got {self.capacitance}")
-        if self.derating < 0:
-            raise CircuitError(f"{self.name}: derating must be >= 0")
-        self.effective_capacitance()
-
-    def effective_capacitance(self) -> float:
-        if self.derating == 0.0:
-            return self.capacitance
-        v = min(abs(self.bias_voltage), self.rated_voltage)
-        factor = 1.0 - self.derating * v
-        if factor <= 0.0:
-            raise CircuitError(
-                f"{self.name}: derating*|v| >= 1 at bias {self.bias_voltage} V (nonphysical)"
-            )
-        return self.capacitance * factor
 
 
 @dataclass(frozen=True)
@@ -247,12 +225,10 @@ class Circuit:
 
     def node_labels(self) -> List[str]:
         """All non-ground node labels in first-appearance order."""
-        seen: List[str] = []
-        for comp in self.components:
-            for label in (comp.pos, comp.neg):
-                if not is_ground(label) and label not in seen:
-                    seen.append(label)
-        return seen
+        return list(dict.fromkeys(
+            label for comp in self.components for label in (comp.pos, comp.neg)
+            if not is_ground(label)
+        ))
 
     def component(self, name: str) -> Component:
         for comp in self.components:

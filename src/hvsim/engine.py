@@ -60,9 +60,11 @@ from .circuit import (
     Capacitor,
     Circuit,
     CircuitError,
+    Component,
     ControlSignal,
     Resistor,
     Switch,
+    VoltageSource,
     is_ground,
     param,
 )
@@ -151,40 +153,12 @@ SwitchTimeline = Tuple[bool, Sequence[Tuple[float, bool]]]
 
 
 @dataclass
-class _SwitchEl:
-    p: int
-    n: int
-    g_on: float
-    g_off: float
-    name: str
-
-
-@dataclass
-class _CapEl:
-    p: int
-    n: int
-    c: float
-    ic: float
-    name: str
-
-
-@dataclass
-class _SourceEl:
-    p: int
-    n: int
-    name: str
-    voltage: float
-    slew: Optional[float]
-    control: Optional[str]
-
-
-@dataclass
 class _Lowered:
     labels: List[str]
-    index: Dict[str, int]  # label -> row; ground labels -> -1
-    switches: List[_SwitchEl]
-    caps: List[_CapEl]
-    sources: List[_SourceEl]
+    index: Dict[str, int]  # non-ground label -> row; ground labels are never stored
+    switches: List[Switch]
+    caps: List[Capacitor]
+    sources: List[VoltageSource]
     # the resistor stamps and source rows/columns that every topology shares
     resistive: Optional[np.ndarray] = None
 
@@ -196,41 +170,25 @@ class _Lowered:
     def size(self) -> int:
         return self.n_nodes + len(self.sources)
 
+    def rows(self, comp: Component) -> Tuple[int, int]:
+        """Matrix rows of ``comp``'s + and - nodes, -1 for ground."""
+        return self.index.get(comp.pos, -1), self.index.get(comp.neg, -1)
+
 
 def _lower(circuit: Circuit) -> _Lowered:
-    """Check the circuit and map node labels to matrix rows."""
+    """Check the circuit, map node labels to matrix rows and sort the parts by kind."""
     circuit.validate()
-    labels: List[str] = []
-    index: Dict[str, int] = {}
-
-    def row(label: str) -> int:
-        if is_ground(label):
-            return -1
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    low = _Lowered(labels, index, [], [], [])
-    resistors: List[Tuple[int, int, float]] = []
+    labels = circuit.node_labels()
+    low = _Lowered(labels, {label: i for i, label in enumerate(labels)}, [], [], [])
+    kinds = {Resistor: [], Capacitor: low.caps, Switch: low.switches, VoltageSource: low.sources}
     for comp in circuit.components:
-        p, n = row(comp.pos), row(comp.neg)
-        if isinstance(comp, Resistor):
-            resistors.append((p, n, 1.0 / comp.resistance))
-        elif isinstance(comp, Capacitor):
-            low.caps.append(
-                _CapEl(p, n, comp.effective_capacitance(), comp.initial_voltage, comp.name)
-            )
-        elif isinstance(comp, Switch):
-            low.switches.append(_SwitchEl(p, n, 1.0 / comp.ron, 1.0 / comp.roff, comp.name))
-        else:  # VoltageSource, the last of the four primitives
-            low.sources.append(_SourceEl(p, n, comp.name, comp.voltage, comp.slew, comp.control))
+        kinds[type(comp)].append(comp)
     size, n = low.size, low.n_nodes
     low.resistive = A = np.zeros((size, size))
-    for p, q, g in resistors:  # stamped once per run, not once per topology
-        _stamp_conductance(A, p, q, g)
+    for res in kinds[Resistor]:  # stamped once per run, not once per topology
+        _stamp_conductance(A, *low.rows(res), 1.0 / res.resistance)
     # source branch rows/columns; the conductances fill only the node block
-    A[:n, n:] = _incidence(n, low.sources)
+    A[:n, n:] = _incidence(low, n, low.sources)
     A[n:, :n] = A[:n, n:].T
     return low
 
@@ -245,21 +203,22 @@ def _stamp_conductance(A: np.ndarray, p: int, n: int, g: float) -> None:
         A[n, p] -= g
 
 
-def _incidence(rows: int, branches) -> np.ndarray:
+def _incidence(low: _Lowered, n_rows: int, branches) -> np.ndarray:
     """One column per branch: +1 at its + node row, -1 at its - node row."""
-    inc = np.zeros((rows, len(branches)))
+    inc = np.zeros((n_rows, len(branches)))
     for j, br in enumerate(branches):
-        if br.p >= 0:
-            inc[br.p, j] += 1.0
-        if br.n >= 0:
-            inc[br.n, j] -= 1.0
+        p, n = low.rows(br)
+        if p >= 0:
+            inc[p, j] += 1.0
+        if n >= 0:
+            inc[n, j] -= 1.0
     return inc
 
 
 def _base_matrix(low: _Lowered, sw_states: Sequence[bool]) -> np.ndarray:
     A = low.resistive.copy()  # resistors, then switches: the order of the sums
     for sw, on in zip(low.switches, sw_states):
-        _stamp_conductance(A, sw.p, sw.n, sw.g_on if on else sw.g_off)
+        _stamp_conductance(A, *low.rows(sw), 1.0 / sw.ron if on else 1.0 / sw.roff)
     return A
 
 
@@ -454,12 +413,14 @@ def _snap(t: float, h: float) -> int:
 
 def _snap_events(owner: str, events, h: float, n_steps: int) -> List[Tuple[int, bool]]:
     """``(grid index, state)`` of each ``(time, state)`` event of ``owner`` up
-    to index ``n_steps``.  Two events that snap to one index after t=0 raise
-    :class:`~hvsim.devices.ScheduleError`: the pulse between them would be lost."""
+    to index ``n_steps``; an event at t <= 0 takes index 0 unscaled, so one
+    far before t=0 cannot overflow.  Two events that snap to one index after
+    t=0 raise :class:`~hvsim.devices.ScheduleError`: the pulse between them
+    would be lost."""
     out: List[Tuple[int, bool]] = []
     times: Dict[int, float] = {}  # grid index after t=0 -> event time
     for t_e, state in events:
-        idx = _snap(t_e, h)
+        idx = _snap(t_e, h) if t_e > 0 else 0
         if idx in times:
             raise ScheduleError(
                 f"{owner}: events at t={times[idx]!r} and t={t_e!r} snap to one "
@@ -499,9 +460,9 @@ def _initial_solve(
     size = n + m + c
     A = np.zeros((size, size))
     A[: n + m, : n + m] = _base_matrix(low, sw_states)
-    A[:n, n + m :] = _incidence(n, low.caps)
+    A[:n, n + m :] = _incidence(low, n, low.caps)
     A[n + m :, :n] = A[:n, n + m :].T
-    b = np.concatenate([np.zeros(n), emf0, [cap.ic for cap in low.caps]])
+    b = np.concatenate([np.zeros(n), emf0, [cap.initial_voltage for cap in low.caps]])
     # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
     factors = (lu, piv) if info == 0 and np.all(np.isfinite(np.diag(lu))) else None
@@ -569,8 +530,12 @@ def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary:
         if src.slew is None or emf[j] == target[j]:
             emf[j] = target[j]
         else:
-            duration = abs(target[j] - emf[j]) / src.slew
-            ramp_end[j] = idx0 + max(1, int(math.ceil(duration / h - 1e-9)))
+            duration = abs(float(target[j] - emf[j])) / src.slew  # a float: inf, no warning
+            steps = duration / h - 1e-9
+            # a ramp that ends past the boundary (inf steps too) keeps its slew
+            # slope, so only its end after the boundary matters
+            ramp_end[j] = (idx0 + max(1, int(math.ceil(steps)))
+                           if steps <= boundary - idx0 else boundary + 1)
     seg_end = min([boundary, *ramp_end.values()])
     slope = np.zeros(len(low.sources))
     for j, k_end in ramp_end.items():
@@ -704,9 +669,9 @@ def run_transient(
         # no state: each row holds from its start index up to the next one
         out = ([x0], [0])
 
-    vc = np.array([cap.ic for cap in low.caps])
-    inc = _incidence(low.size, low.caps)
-    cap_c = np.array([cap.c for cap in low.caps])
+    vc = np.array([cap.initial_voltage for cap in low.caps])
+    inc = _incidence(low, low.size, low.caps)
+    cap_c = np.array([cap.capacitance for cap in low.caps])
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
     if not nc and factors is not None:  # no capacitors: the t=0 matrix is the first topology's
         topologies[tuple(sw_states), False] = _Operators(factors, cap_c)
@@ -717,7 +682,7 @@ def run_transient(
             g = cap_c / h if damped else 2.0 * cap_c / h
             A = _base_matrix(low, sw_states)
             for cap, g_cap in zip(low.caps, g):
-                _stamp_conductance(A, cap.p, cap.n, g_cap)
+                _stamp_conductance(A, *low.rows(cap), g_cap)
             topologies[key] = _Operators(_factor(A, low), g)
         return topologies[key]
 

@@ -3,7 +3,7 @@
 Grammar (one statement per line, ``#`` starts a comment):
 
     R<name> <n+> <n-> <value>
-    C<name> <n+> <n-> <value> [ic=] [derate=] [vrated=] [vbias=]
+    C<name> <n+> <n-> <value> [ic=]
     S<name> <n+> <n-> ctrl=<name> [ron=] [roff=] [ton=] [toff=] [offset=] [inv=]
     V<name> <n+> <n-> <value> [slew=] [ctrl=]
     X<name> <n+> <n-> converter|probe|bench|dea [key=value ...]

@@ -10,7 +10,6 @@ probes, whose input capacitance is the modeled node parasitic.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .circuit import Circuit, ControlSignal, Switch
@@ -33,9 +32,8 @@ class PresetError(ValueError):
     pass
 
 
-#: derating calibration for the ceramic load capacitors (per volt, rated V)
+#: derating calibration of the ceramic load capacitors (per volt of bias)
 CERAMIC_DERATING = 2e-4
-CERAMIC_RATED_VOLTAGE = 2000.0
 
 #: sweep grids matching the published load/frequency studies
 FIG7_FREQUENCIES = (2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
@@ -49,17 +47,14 @@ CONVERTER = expand_converter(ConverterParams())
 
 def load_fragment(descriptor: str) -> Fragment:
     """Load fragments by CLI descriptor: ``10n``/``20n``/``50n`` are ceramic
-    capacitors (derated at the 1.8 kV set voltage) in series with 100 kOhm;
-    ``dea`` is the actuator equivalent."""
+    capacitors in series with 100 kOhm, each derated linearly to its value at
+    the 1.8 kV set voltage; ``dea`` is the actuator equivalent."""
     key = descriptor.strip()
     if key == "dea":
         return expand_dea_load(DeaLoadParams())
     if key in ("10n", "20n", "50n"):
         c0 = {"10n": 10e-9, "20n": 20e-9, "50n": 50e-9}[key]
-        resistor, capacitor = series_rc_load(100e3, c0).components
-        derated = replace(capacitor, derating=CERAMIC_DERATING,
-                          rated_voltage=CERAMIC_RATED_VOLTAGE, bias_voltage=1800.0)
-        return Fragment((resistor, derated))
+        return series_rc_load(100e3, c0 * (1.0 - CERAMIC_DERATING * 1800.0))
     raise PresetError(f"unknown load descriptor {descriptor!r} (10n, 20n, 50n, dea)")
 
 

@@ -15,16 +15,16 @@ def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, lis
 
     Switches start in the state their control commands at t=0 (delays are
     treated as already elapsed); each commanded edge from t=0 on becomes a
-    delayed event.  Each control's commanded edges are built once.
+    delayed event.  The commanded edges are built once for each control
+    that a switch reads, and for no other.
     """
     controls = circuit.control_map
-    edges = {name: ctrl.edges(stop) for name, ctrl in controls.items()}
+    switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
+    edges = {name: controls[name].edges(stop) for name in {sw.control for sw in switches}}
     out: Dict[str, Tuple[bool, list]] = {}
-    for comp in circuit.components:
-        if not isinstance(comp, Switch):
-            continue
-        initial = controls[comp.control].state_at(0.0) ^ comp.invert
-        out[comp.name] = (initial, driver_schedule(edges[comp.control], comp, stop))
+    for sw in switches:
+        initial = controls[sw.control].state_at(0.0) ^ sw.invert
+        out[sw.name] = (initial, driver_schedule(edges[sw.control], sw, stop))
     return out
 
 

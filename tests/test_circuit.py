@@ -1,17 +1,18 @@
 """Circuit model tests: controls, component invariants, validation."""
 
+import dataclasses
 import math
 
 import pytest
 
 from hvsim.circuit import (
-    Capacitor,
     Circuit,
     CircuitError,
     ControlSignal,
     Resistor,
     Switch,
 )
+from hvsim.presets import load_fragment
 
 
 class TestControlSignal:
@@ -80,11 +81,12 @@ class TestComponentInvariants:
             )
 
     def test_derated_capacitor_effective_value(self):
-        cap = Capacitor(
-            "C1", "a", "0", 10e-9, derating=2e-4, rated_voltage=2000.0,
-            bias_voltage=1800.0,
+        # the load is derated where it is built; the circuit keeps that value
+        cap = load_fragment("10n").components[1]
+        c = Circuit.build(
+            [Resistor("R1", "a", "0", 1.0), dataclasses.replace(cap, pos="a", neg="0")]
         )
-        assert cap.effective_capacitance() == pytest.approx(6.4e-9)
+        assert c.component("C_c").capacitance == pytest.approx(6.4e-9)
 
     def test_ground_aliases_unify(self):
         c = Circuit.build(

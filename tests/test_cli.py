@@ -422,6 +422,18 @@ class TestMonteCarlo:
         )
         assert code == 2
 
+    def test_trials_beyond_bound_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # the bound keeps a study's key list, and its run time, finite
+        def started(*args):
+            raise AssertionError("a Monte-Carlo study started")
+
+        monkeypatch.setattr(analysis, "monte_carlo", started)
+        code = run_cli("montecarlo", "--preset", "fig3", "--trials", "1000000000",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trials must be in [1, 1000000], got 1000000000\n")
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "montecarlo", "--preset", "fig3", "--out", str(tmp_path),
@@ -639,6 +651,28 @@ class TestScheduleRejections:
         monkeypatch.setattr(ControlSignal, "edges", listed)
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert "more edges than the 20001 grid points" in capsys.readouterr().err
+
+
+class TestFarOutTimes:
+    """A finite time far outside the preset's scale runs: each of these ended
+    in an ``OverflowError`` traceback (exit 1)."""
+
+    def test_driver_event_far_before_start_folds_into_initial_state(self, tmp_path):
+        csv = {}
+        for offset in ("-1e308", "-1"):
+            out = tmp_path / offset
+            assert run_cli("run", "--preset", "fig3", "--set", f"comp.Sq1.offset={offset}",
+                           "--set", "tran.stop=0.4", "--out", str(out)) == 0
+            csv[offset] = (out / "fig3.csv").read_bytes()
+        assert csv["-1e308"] == csv["-1"]
+
+    def test_ramp_too_slow_to_count_its_steps_runs_at_its_slew(self, tmp_path):
+        assert run_cli("run", "--preset", "fig3", "--set", "comp.Vsup_emf.slew=1e-307",
+                       "--out", str(tmp_path)) == 0
+        v_a = read_csv(tmp_path / "fig3.csv")["V_A"].samples
+        stop = load_preset("fig3").settings.stop
+        assert v_a[-1] > 0.0
+        assert v_a.max() <= 1e-307 * stop
 
 
 class TestSweepGridCheckedUpFront:

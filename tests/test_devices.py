@@ -1,9 +1,9 @@
-"""Device model tests: driver timing, supplies, derating, and loads."""
+"""Device model tests: driver timing, supplies and loads."""
 
 import numpy as np
 import pytest
 
-from hvsim.circuit import Capacitor, CircuitError, ControlSignal, Resistor, Switch
+from hvsim.circuit import CircuitError, ControlSignal, Resistor, Switch
 from hvsim.devices import (
     BenchSupplyParams,
     ConverterParams,
@@ -17,6 +17,7 @@ from hvsim.devices import (
 )
 from hvsim.circuit import Circuit
 from hvsim.engine import IntegrationSettings, dc_operating_point, run_transient
+from hvsim.presets import load_fragment
 
 from conftest import par
 
@@ -30,11 +31,6 @@ def driver(turn_on_delay=0.4e-3, turn_off_delay=0.1e-3, delay_offset=0.0, invert
 def converter(**params):
     """Converter supply fragment."""
     return expand_converter(ConverterParams(**params))
-
-
-def derated_capacitance(c0, derating, rated_voltage, v):
-    return Capacitor("C1", "A", "0", c0, derating=derating, rated_voltage=rated_voltage,
-                     bias_voltage=v).effective_capacitance()
 
 
 def dea_dc_resistance(params):
@@ -153,32 +149,10 @@ class TestBenchSupply:
 
 
 class TestDeratedCapacitance:
-    def test_zero_derating_is_identity(self):
-        for v in (0.0, 500.0, 5000.0):
-            assert derated_capacitance(10e-9, 0.0, 2000.0, v) == 10e-9
-
     def test_reference_point(self):
-        # 10 nF, 2e-4/V, 1800 V, rated 2000 V -> 6.4 nF
-        assert derated_capacitance(10e-9, 2e-4, 2000.0, 1800.0) == pytest.approx(6.4e-9)
-
-    def test_zero_voltage(self):
-        assert derated_capacitance(10e-9, 2e-4, 2000.0, 0.0) == 10e-9
-
-    def test_clamped_at_rating(self):
-        at_rating = derated_capacitance(10e-9, 2e-4, 2000.0, 2000.0)
-        beyond = derated_capacitance(10e-9, 2e-4, 2000.0, 3500.0)
-        assert beyond == at_rating
-
-    def test_monotone_and_continuous(self):
-        volts = np.linspace(0.0, 3000.0, 301)
-        caps = [derated_capacitance(10e-9, 2e-4, 2000.0, v) for v in volts]
-        assert all(a >= b for a, b in zip(caps, caps[1:]))
-        steps = np.abs(np.diff(caps))
-        assert steps.max() < 10e-9 * 2e-4 * 11  # no jumps beyond the local slope
-
-    def test_nonphysical_rejected(self):
-        with pytest.raises(CircuitError, match="nonphysical"):
-            derated_capacitance(10e-9, 1e-3, 1e6, 2000.0)
+        # 10 nF, 2e-4/V, 1800 V -> 6.4 nF
+        _, capacitor = load_fragment("10n").components
+        assert capacitor.capacitance == pytest.approx(6.4e-9)
 
 
 class TestDeaLoad:

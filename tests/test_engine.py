@@ -29,6 +29,7 @@ from hvsim.engine import (
 )
 from hvsim.presets import load_preset, mc_template
 from hvsim.runner import run_scenario, switch_timelines
+from hvsim.scenario import Scenario
 from hvsim.waveform import Waveform, write_csv
 
 from conftest import par, stamp_checksum
@@ -462,13 +463,13 @@ def reference_transient(circuit, settings, timelines):
     ic_hist = np.zeros((n_steps + 1, nc))
     x_hist[0], ic_hist[0], factors = engine._initial_solve(low, states, emf)
     inc = np.zeros((n + m, nc))
-    for j, cap in enumerate(low.caps):
-        if cap.p >= 0:
-            inc[cap.p, j] = 1.0
-        if cap.n >= 0:
-            inc[cap.n, j] = -1.0
-    cap_c = np.array([cap.c for cap in low.caps])
-    vc = np.array([cap.ic for cap in low.caps])
+    for j, (p, q) in enumerate(map(low.rows, low.caps)):
+        if p >= 0:
+            inc[p, j] = 1.0
+        if q >= 0:
+            inc[q, j] = -1.0
+    cap_c = np.array([cap.capacitance for cap in low.caps])
+    vc = np.array([cap.initial_voltage for cap in low.caps])
     ic = ic_hist[0].copy()
     pending = settings.damping_steps if factors is None else 0
     idx0 = 0
@@ -888,6 +889,37 @@ class TestRunLength:
         write_csv(tmp_path / "runs.csv", columns)
         write_csv(tmp_path / "dense.csv", dense)
         assert (tmp_path / "runs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+class TestEdgesListedOnce:
+    """``run_scenario`` lists a control's edges once, and only where they are
+    read: by a switch's driver schedule or by a gated source."""
+
+    @pytest.fixture
+    def edge_calls(self, monkeypatch):
+        calls = []
+        real = ControlSignal.edges
+
+        def counted(ctrl, stop):
+            calls.append(ctrl)
+            return real(ctrl, stop)
+
+        monkeypatch.setattr(ControlSignal, "edges", counted)
+        return calls
+
+    def test_gated_source_only(self, edge_calls):
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0, control="g"),
+            Resistor("R1", "A", "B", 1e3),
+            Capacitor("C1", "B", "0", 1e-6),
+            controls={"g": ControlSignal(frequency=100.0, duty=0.02)},
+        )
+        run_scenario(Scenario(c, IntegrationSettings(step=1e-4, stop=5e-2), probes=("B",)))
+        assert len(edge_calls) == 1
+
+    def test_fig3(self, edge_calls):
+        run_scenario(load_preset("fig3"))
+        assert len(edge_calls) == 1
 
 
 class TestLapackWrappers:

@@ -123,7 +123,7 @@ class TestGrammar:
     def test_full_parameter_round_trip(self):
         text = (
             "Vsrc A 0 1.8k slew=35M\n"
-            "Cld A L 10n ic=12 derate=200u vrated=2k vbias=1.8k\n"
+            "Cld A L 10n ic=12\n"
             "Rld L 0 330k\n"
             "Ssw A L ctrl=g ron=2.5 roff=200M ton=300u toff=80u offset=-20u inv=1\n"
             ".ctrl g square f=250 duty=0.3 phase=1.2\n"
@@ -133,8 +133,7 @@ class TestGrammar:
         )
         s = parse(text)
         cap = s.circuit.component("Cld")
-        assert (cap.initial_voltage, cap.derating) == (12.0, 2e-4)
-        assert (cap.rated_voltage, cap.bias_voltage) == (2000.0, 1800.0)
+        assert (cap.capacitance, cap.initial_voltage) == (1e-8, 12.0)
         sw = s.circuit.component("Ssw")
         assert (sw.ron, sw.roff, sw.invert) == (2.5, 2e8, True)
         assert (sw.turn_on_delay, sw.turn_off_delay, sw.delay_offset) == (3e-4, 8e-5, -2e-5)
@@ -190,6 +189,11 @@ class TestDiagnostics:
     def test_unknown_parameter(self):
         with pytest.raises(NetlistError, match="unknown parameter"):
             parse("C1 1 0 1n frob=2" + MINIMAL_TAIL)
+
+    @pytest.mark.parametrize("key", ["derate", "vrated", "vbias"])
+    def test_capacitor_has_no_derating_keys(self, key):
+        with pytest.raises(NetlistError, match="unknown parameter"):
+            parse(f"C1 1 0 10n {key}=1" + MINIMAL_TAIL)
 
     def test_probe_unknown_node(self):
         with pytest.raises(NetlistError, match="undefined node 'Q'"):

@@ -12,6 +12,7 @@ from hvsim.circuit import (
 )
 from hvsim.analysis import _sweep_scenario
 from hvsim.electromech import _fig8_scenario
+from hvsim.netlist import format_value, parse_value
 from hvsim.presets import (
     CONVERTER,
     PRESET_NAMES,
@@ -115,6 +116,20 @@ class TestPresetParameters:
     def test_unknown_preset_lists_names(self):
         with pytest.raises(PresetError, match="fig3"):
             load_preset("nope")
+
+
+class TestLoadFragment:
+    @pytest.mark.parametrize("descriptor, capacitance", [
+        ("10n", 6.399999999999999e-09),
+        ("20n", 1.2799999999999999e-08),
+        ("50n", 3.1999999999999995e-08),
+    ], ids=["10n", "20n", "50n"])
+    def test_ceramic_loads_derated_at_set_voltage(self, descriptor, capacitance):
+        # c0 * (1 - 2e-4/V * 1.8 kV), bit for bit, and printable without loss
+        resistor, capacitor = load_fragment(descriptor).components
+        assert resistor.resistance == 100e3
+        assert repr(capacitor.capacitance) == repr(capacitance)
+        assert parse_value(format_value(capacitor.capacitance)) == capacitance
 
 
 class TestConverterBridge:

@@ -94,6 +94,19 @@ Xload O 0 dea
 .end
 """
 
+#: a hand-written netlist whose only gated element is a source: a 200 us pulse
+#: every 10 ms into an RC
+GATED = """\
+.ctrl g square f=100 duty=0.02
+V1 A 0 10 ctrl=g
+R1 A B 1k
+C1 B 0 1u
+.tran 100u 50m
+.probe A
+.probe B
+.end
+"""
+
 
 def jobs():
     """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
@@ -106,6 +119,7 @@ def jobs():
     yield "run:netlist:fig3-pair", ["run"], ("fig3_pair", fig3)
     yield "run:netlist:xfrag", ["run"], ("xfrag", XFRAG)
     yield "run:netlist:xconv", ["run"], ("xconv", XCONV)
+    yield "run:netlist:gated", ["run"], ("gated", GATED)
     # the one run job with a plot: a linear-axis SVG
     yield "run:fig5:plot", ["run", "--preset", "fig5", "--plot"], None
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
