@@ -299,8 +299,8 @@ class MismatchModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise MeasureError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise MeasureError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise MeasureError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:

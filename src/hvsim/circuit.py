@@ -129,6 +129,8 @@ class Resistor:
     def validate(self) -> None:
         if not self.resistance > 0:
             raise CircuitError(f"{self.name}: resistance must be > 0, got {self.resistance}")
+        if math.isinf(1.0 / self.resistance):
+            raise CircuitError(f"{self.name}: conductance of resistance {self.resistance!r} overflows")
 
 
 @dataclass(frozen=True)
@@ -171,12 +173,19 @@ class Switch:
     def validate(self) -> None:
         if not self.ron > 0 or not self.roff > 0:
             raise CircuitError(f"{self.name}: switch resistances must be > 0")
+        if math.isinf(1.0 / self.ron):  # roff > ron: 1/roff is finite then
+            raise CircuitError(f"{self.name}: conductance of on-resistance {self.ron!r} overflows")
         if not self.ron < self.roff:
             raise CircuitError(
                 f"{self.name}: on-resistance {self.ron} must be below off-resistance {self.roff}"
             )
         if self.turn_on_delay < 0 or self.turn_off_delay < 0:
             raise CircuitError(f"{self.name}: driver delays must be >= 0")
+
+    def initial_state(self, control: ControlSignal) -> bool:
+        """State at t=0: ``control``'s command then, inverted when ``invert``
+        (the driver delays are taken as already elapsed)."""
+        return control.state_at(0.0) ^ self.invert
 
 
 @dataclass(frozen=True)

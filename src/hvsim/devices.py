@@ -126,8 +126,6 @@ def driver_schedule(
     event of the next commanded edge (command period too short for the
     driver).
     """
-    if not stop > 0:
-        raise ScheduleError(f"stop time must be > 0, got {stop}")
     events: List[Tuple[float, bool]] = []
     for t_cmd, state in edges:
         if switch.invert:

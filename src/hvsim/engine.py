@@ -326,22 +326,19 @@ def _targets(low: _Lowered, controls, t: float) -> np.ndarray:
     return np.array([src.voltage if o else 0.0 for src, o in zip(low.sources, on)], dtype=float)
 
 
-def dc_operating_point(
-    circuit: Circuit, switch_states: Mapping[str, bool]
-) -> Dict[str, float]:
-    """Resistive steady-state node voltages with the given switch states.
+def dc_operating_point(circuit: Circuit) -> Dict[str, float]:
+    """Resistive steady-state node voltages at the t=0 command states.
 
     Capacitors are open circuits (converter output capacitance included);
-    slew limits are ignored and gated sources take their t=0 command state.
+    slew limits are ignored and each switch and gated source takes its t=0
+    command state (:meth:`~hvsim.circuit.Switch.initial_state`).
     """
     low = _lower(circuit)
-    for sw in low.switches:
-        if sw.name not in switch_states:
-            raise SimulationError(f"no switch state given for {sw.name!r}")
-    states = [bool(switch_states[sw.name]) for sw in low.switches]
+    controls = circuit.control_map
+    states = [sw.initial_state(controls[sw.control]) for sw in low.switches]
     A = _base_matrix(low, states)
     b = np.zeros(low.size)
-    b[low.n_nodes :] = _targets(low, circuit.control_map, 0.0)
+    b[low.n_nodes :] = _targets(low, controls, 0.0)
     lu = _factor(A, low)
     x = lu_solve(lu, b)
     if not np.all(np.isfinite(x)):

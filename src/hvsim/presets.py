@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import Circuit, ControlSignal, Switch
+from .circuit import Circuit, ControlSignal
 from .devices import (
     BenchSupplyParams,
     ConverterParams,
@@ -207,13 +207,7 @@ def bench_matched_to_converter() -> Fragment:
     Used by the displacement comparison so the two supplies agree in the
     quasi-static limit and differ only in dynamics.
     """
-    probe_circuit = converter_bridge(0.0, load_fragment("dea"))
-    states = {
-        comp.name: not comp.invert
-        for comp in probe_circuit.components
-        if isinstance(comp, Switch)
-    }
-    return _bench(dc_operating_point(probe_circuit, states)["A"])
+    return _bench(dc_operating_point(converter_bridge(0.0, load_fragment("dea")))["A"])
 
 
 def mc_template(

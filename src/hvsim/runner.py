@@ -6,25 +6,26 @@ from typing import Dict, List, Tuple
 
 from .circuit import Circuit, Switch
 from .devices import driver_schedule
-from .engine import TransientResult, check_control_edges, run_transient
+from .engine import IntegrationSettings, TransientResult, check_control_edges, run_transient
 from .scenario import Scenario
 
 
-def switch_timelines(circuit: Circuit, stop: float) -> Dict[str, Tuple[bool, list]]:
+def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[str, Tuple[bool, list]]:
     """Initial state and delayed event schedule for every switch.
 
-    Switches start in the state their control commands at t=0 (delays are
-    treated as already elapsed); each commanded edge from t=0 on becomes a
-    delayed event.  The commanded edges are built once for each control
-    that a switch reads, and for no other.
+    Switches start in their :meth:`~hvsim.circuit.Switch.initial_state`; each
+    commanded edge from t=0 on becomes a delayed event.  Each control's edge
+    count is checked before any edge list is built, and the edges are built
+    once for each control that a switch reads, and for no other.
     """
     controls = circuit.control_map
+    check_control_edges(controls, settings)
     switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
-    edges = {name: controls[name].edges(stop) for name in {sw.control for sw in switches}}
+    edges = {name: controls[name].edges(settings.stop) for name in {sw.control for sw in switches}}
     out: Dict[str, Tuple[bool, list]] = {}
     for sw in switches:
-        initial = controls[sw.control].state_at(0.0) ^ sw.invert
-        out[sw.name] = (initial, driver_schedule(edges[sw.control], sw, stop))
+        initial = sw.initial_state(controls[sw.control])
+        out[sw.name] = (initial, driver_schedule(edges[sw.control], sw, settings.stop))
     return out
 
 
@@ -61,6 +62,5 @@ def shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
 
 def run_scenario(scenario: Scenario) -> TransientResult:
     """Run ``scenario`` over its grid with every switch driver scheduled."""
-    check_control_edges(scenario.circuit.control_map, scenario.settings)
-    timelines = switch_timelines(scenario.circuit, scenario.settings.stop)
+    timelines = switch_timelines(scenario.circuit, scenario.settings)
     return run_transient(scenario.circuit, scenario.settings, timelines)

@@ -202,6 +202,12 @@ class TestMonteCarlo:
         with pytest.raises(MeasureError, match="seed must be >= 0"):
             MismatchModel(seed=-1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN or infinite sigma would fail every trial at its first draw
+        with pytest.raises(MeasureError, match="sigma must be finite and >= 0"):
+            MismatchModel(sigma=sigma)
+
     def test_seed_reproducibility(self):
         build = mc_template("fig3")
         model = MismatchModel(sigma=1.0, trials=8, seed=42)

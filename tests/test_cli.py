@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hvsim import analysis, cli, electromech, netlist, runner
@@ -763,14 +764,44 @@ class TestNonFiniteInput:
         (["sweep", "--preset", "fig7c", "--phases", "0,1e309"], "bad phase"),
         (["sweep", "--preset", "fig7c", "--phases", "2pi3"], "bad phase"),
         (["sweep", "--preset", "fig7c", "--phases", "0,pipi"], "bad phase"),
-        (["montecarlo", "--preset", "fig3", "--sigma", "nan"], "--sigma must be finite"),
-        (["montecarlo", "--preset", "fig3", "--sigma", "inf"], "--sigma must be finite"),
+        (["montecarlo", "--preset", "fig3", "--sigma", "nan"], "sigma must be finite and >= 0"),
+        (["montecarlo", "--preset", "fig3", "--sigma", "inf"], "sigma must be finite and >= 0"),
     ], ids=["phase", "frequency", "stop", "resistance", "fig7-freqs", "fig8-freqs",
             "phase-over-zero", "phase-times-pi", "plain-phase", "phase-digits-after-pi",
             "phase-pi-twice", "sigma-nan", "sigma-inf"])
     def test_exits_2_before_simulating(self, tmp_path, capsys, argv, message):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+
+class TestOverflowingConductance:
+    """A resistance or on-resistance whose conductance overflows to inf exits 2
+    with one error line naming the part.  Reaching the engine, each of these
+    ended in a numpy ``LinAlgError`` traceback or hung in the least-squares
+    fallback of the t=0 solve, which the fixture makes raise instead."""
+
+    @pytest.fixture(autouse=True)
+    def no_least_squares(self, monkeypatch):
+        def lstsq(*args, **kwargs):
+            raise AssertionError("the t=0 solve fell back to least squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+
+    @pytest.mark.parametrize("argv, part", [
+        (["--preset", "fig3", "--set", "comp.Sq1.ron=1e-320"], "Sq1"),
+        (["--preset", "fig5", "--set", "comp.Rb1.value=1e-320"], "Rb1"),
+        (["--preset", "fig3", "--set", "comp.Rsup_rout.value=1e-320"], "Rsup_rout"),
+        (None, "R1"),
+    ], ids=["switch-ron", "resistor", "bench-rout", "netlist"])
+    def test_exits_2_naming_the_part(self, tmp_path, capsys, argv, part):
+        if argv is None:
+            path = tmp_path / "tiny.ckt"
+            path.write_text("V1 A 0 10\nR1 A 0 1e-320\n.tran 1u 1m\n.probe A\n.end\n")
+            argv = ["--netlist", str(path)]
+        assert run_cli("run", *argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{part}: conductance of" in err and "overflows" in err
 
 
 class TestFileErrors:

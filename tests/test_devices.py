@@ -89,7 +89,7 @@ def supply_circuit(fragment):
 class TestConverter:
     def test_open_circuit_settles_to_4500(self):
         c = supply_circuit(converter())
-        v = dc_operating_point(c, {})
+        v = dc_operating_point(c)
         loaded = 4500.0 * 1e12 / (1e12 + 3e6)  # 1 TOhm measurement divider
         assert v["P"] == pytest.approx(loaded, rel=1e-9)
         assert v["P"] == pytest.approx(4500.0, rel=1e-5)
@@ -97,13 +97,13 @@ class TestConverter:
     def test_matched_load_halves_voltage(self):
         comps = converter().instantiate("P", "0", "sup")
         comps.append(Resistor("Rload", "P", "0", 3e6))
-        v = dc_operating_point(Circuit.build(comps), {})
+        v = dc_operating_point(Circuit.build(comps))
         assert v["P"] == pytest.approx(2250.0, rel=1e-9)
 
     def test_short_circuit_current(self):
         comps = converter().instantiate("P", "0", "sup")
         comps.append(Resistor("Rshort", "P", "0", 1e-3))
-        v = dc_operating_point(Circuit.build(comps), {})
+        v = dc_operating_point(Circuit.build(comps))
         i_short = v["P"] / 1e-3
         assert i_short == pytest.approx(1.5e-3, rel=1e-6)
 
@@ -173,7 +173,7 @@ class TestDeaLoad:
         from hvsim.circuit import VoltageSource
 
         comps.append(VoltageSource("V1", "A", "0", 1800.0))
-        v = dc_operating_point(Circuit.build(comps), {})
+        v = dc_operating_point(Circuit.build(comps))
         expected = 1800.0 * 6.6e6 / 6.66e6
         assert v["load_m"] == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(1783.78, abs=0.01)

@@ -46,7 +46,7 @@ class TestDcOperatingPoint:
             Resistor("R1", "A", "M", 1e6),
             Resistor("R2", "M", "0", 1e6),
         )
-        v = dc_operating_point(c, {})
+        v = dc_operating_point(c)
         assert v["M"] == pytest.approx(400.0, rel=1e-12)
 
     def test_off_stack_divider(self):
@@ -56,7 +56,7 @@ class TestDcOperatingPoint:
             Resistor("R1", "A", "M", 900e6),
             Resistor("R2", "M", "0", 100e6),
         )
-        v = dc_operating_point(c, {})
+        v = dc_operating_point(c)
         assert 800.0 - v["M"] == pytest.approx(720.0, rel=1e-9)
         assert v["M"] == pytest.approx(80.0, rel=1e-9)
 
@@ -69,7 +69,7 @@ class TestDcOperatingPoint:
             Resistor("R2", "M", "0", 100e6),
             Resistor("Rb2", "M", "0", 3.6e6),
         )
-        v = dc_operating_point(c, {})
+        v = dc_operating_point(c)
         rh1, rh2 = par(3.6e6, 900e6), par(3.6e6, 100e6)
         expected_top = 800.0 * rh1 / (rh1 + rh2)
         assert 800.0 - v["M"] == pytest.approx(expected_top, rel=1e-9)
@@ -78,17 +78,27 @@ class TestDcOperatingPoint:
         assert abs(expected_top - 400.0) / 400.0 < 0.02
         assert abs((800.0 - expected_top) - 400.0) / 400.0 < 0.02
 
-    def test_switch_states_honored(self):
-        c = simple_circuit(
-            VoltageSource("V1", "A", "0", 100.0),
-            Switch("S1", "A", "M", control="g", ron=1.0, roff=1e9),
-            Resistor("R1", "M", "0", 1.0),
-            controls={"g": ControlSignal(frequency=1.0)},
+    def test_t0_command_states(self):
+        # a 0 Hz control commands high for good: the switch conducts, and
+        # blocks when inverted; a source gated by a control that starts low
+        # (phase pi) gives 0 V
+        def divider(invert):
+            return simple_circuit(
+                VoltageSource("V1", "A", "0", 100.0),
+                Switch("S1", "A", "M", control="g", ron=1.0, roff=1e9, invert=invert),
+                Resistor("R1", "M", "0", 1.0),
+                controls={"g": ControlSignal(frequency=0.0)},
+            )
+
+        assert dc_operating_point(divider(False))["M"] == pytest.approx(50.0, rel=1e-12)
+        assert dc_operating_point(divider(True))["M"] == pytest.approx(
+            100.0 / (1e9 + 1.0), rel=1e-9)
+        gated = simple_circuit(
+            VoltageSource("V1", "A", "0", 100.0, control="g"),
+            Resistor("R1", "A", "0", 1e3),
+            controls={"g": ControlSignal(frequency=100.0, phase=math.pi)},
         )
-        on = dc_operating_point(c, {"S1": True})
-        off = dc_operating_point(c, {"S1": False})
-        assert on["M"] == pytest.approx(50.0, rel=1e-12)
-        assert off["M"] == pytest.approx(100.0 / (1e9 + 1.0), rel=1e-9)
+        assert dc_operating_point(gated)["A"] == 0.0
 
     def test_floating_node_rejected(self):
         with pytest.raises(CircuitError, match="float"):
@@ -228,7 +238,7 @@ class TestTransient:
         settings = IntegrationSettings(step=step, stop=stop)
         with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
             with np.errstate(all="ignore"):
-                run_transient(c, settings, switch_timelines(c, stop))
+                run_transient(c, settings, switch_timelines(c, settings))
 
     def test_gated_source_follows_control(self):
         # control-driven source: EMF is `voltage` while the control is high
@@ -345,6 +355,20 @@ class TestTransient:
         )
         with pytest.raises(ScheduleError, match="control 'g': f=1e\\+20 Hz commands"):
             run_transient(c, IntegrationSettings(step=1e-6, stop=1e-3), {})
+
+    def test_switch_timelines_checks_edge_count_before_listing_edges(self, monkeypatch):
+        def listed(self, stop):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(ControlSignal, "edges", listed)
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            Switch("S1", "A", "B", control="g"),
+            Resistor("R1", "B", "0", 1e3),
+            controls={"g": ControlSignal(frequency=1e20)},
+        )
+        with pytest.raises(ScheduleError, match="control 'g': f=1e\\+20 Hz commands"):
+            switch_timelines(c, IntegrationSettings(step=1e-6, stop=1e-3))
 
 
 class TestLongRun:
@@ -695,7 +719,7 @@ class TestResistiveReuse:
         stop = scenario.settings.stop
         run = run_scenario(scenario)
         states = {n: initial for n, (initial, _) in
-                  switch_timelines(scenario.circuit, stop).items()}
+                  switch_timelines(scenario.circuit, scenario.settings).items()}
         seen = {tuple(states.values())}
         for t, group in itertools.groupby(run.events, key=lambda e: e[0]):
             for _, switch in group:
@@ -774,7 +798,7 @@ class TestValidateOnce:
             with pytest.raises(CircuitError, match=message):
                 run_transient(bad, IntegrationSettings(1e-3, 1e-2), {})
             with pytest.raises(CircuitError, match=message):
-                dc_operating_point(bad, {})
+                dc_operating_point(bad)
 
     def test_valid_circuit_checks_components_once(self, monkeypatch):
         checked = []
@@ -791,7 +815,7 @@ class TestValidateOnce:
         )
         for _ in range(2):
             run_transient(circuit, IntegrationSettings(1e-3, 1e-2), {})
-        dc_operating_point(circuit, {})
+        dc_operating_point(circuit)
         assert checked == ["R1"]
 
 
@@ -968,10 +992,10 @@ class TestLapackWrappers:
             Resistor("R1", "A", "0", 1e3),
         )
         with pytest.raises(SimulationError, match="source 'V2'"):
-            dc_operating_point(c, {})
+            dc_operating_point(c)
 
     def test_empty_system(self):
-        assert dc_operating_point(Circuit.build([]), {}) == {"0": 0.0}
+        assert dc_operating_point(Circuit.build([])) == {"0": 0.0}
 
     def test_empty_transient(self):
         # LAPACK rejects a 0 x 0 matrix, so the t=0 solve must not factor one

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch
-from hvsim.devices import BenchSupplyParams, ScheduleError, expand_bench_supply, series_rc_load
+from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
 from hvsim.engine import IntegrationSettings
 from hvsim.presets import CONVERTER, load_preset
 from hvsim.runner import run_scenario, shoot_through_seconds, switch_timelines
@@ -69,14 +69,15 @@ class TestBuildHalfBridge:
     def test_commanded_complementarity(self):
         # natural break-before-make: the sides are never commanded on together
         c = bridge(control=ControlSignal(frequency=50.0))
-        assert shoot_through_seconds(c, switch_timelines(c, 0.1), 0.1) == 0.0
+        timelines = switch_timelines(c, IntegrationSettings(step=1e-4, stop=0.1))
+        assert shoot_through_seconds(c, timelines, 0.1) == 0.0
 
     @pytest.mark.parametrize("stop", [0.0, -1.0, float("nan")])
     def test_stop_not_positive_rejected(self, stop):
-        # each control's edges are built before the driver checks the stop
-        # time; a NaN stop must still end there, not in an endless edge scan
-        with pytest.raises(ScheduleError, match="stop time must be > 0"):
-            switch_timelines(bridge(), stop)
+        # switch_timelines takes its stop from the run's settings, which
+        # reject it; a NaN stop must end there, not in an endless edge scan
+        with pytest.raises(CircuitError, match="stop time must be"):
+            switch_timelines(bridge(), IntegrationSettings(step=1e-4, stop=stop))
 
     def test_drops_sum_to_stack_voltage_exactly(self, preset_runs):
         run = preset_runs("fig3")
@@ -125,14 +126,14 @@ class TestBuildDualChannel:
 
     def test_pi_phase_offsets_edges_half_period(self):
         c = self.make(math.pi)
-        tl = switch_timelines(c, 0.02)
+        tl = switch_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
         t1 = [t for t, s in tl["Sch1q1"][1] if s]
         t2 = [t for t, s in tl["Sch2q1"][1] if s]
         assert t2[0] - t1[0] == pytest.approx(5e-3)
 
     def test_half_pi_phase_offset_at_100hz(self):
         c = self.make(math.pi / 2)
-        tl = switch_timelines(c, 0.02)
+        tl = switch_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
         t1 = [t for t, s in tl["Sch1q1"][1] if s]
         t2 = [t for t, s in tl["Sch2q1"][1] if s]
         assert (t2[0] - t1[0]) % 10e-3 == pytest.approx(2.5e-3)
@@ -218,7 +219,7 @@ class TestShootThrough:
         # a low-side turn-off slower than the high-side turn-on overlaps
         scenario = load_preset("fig3")
         circuit = scenario.circuit.with_replaced("Sq4", turn_off_delay=0.6e-3)
-        timelines = switch_timelines(circuit, scenario.settings.stop)
+        timelines = switch_timelines(circuit, scenario.settings)
         got = shoot_through_seconds(circuit, timelines, scenario.settings.stop)
         assert got > 0
         assert got == midpoint_scan_shoot_through(circuit, timelines, scenario.settings.stop)

@@ -11,10 +11,12 @@ subdirectory and runs it with ``run --netlist``, so the netlist is listed as
 an output file too.  One line is printed per output file, as
 ``job exit-code file sha256``; the job's stdout and stderr are listed as the
 files ``<stdout>`` and ``<stderr>``, with ``OUT_DIR`` replaced by ``OUT`` so
-that two runs into different directories compare equal.  Running the script
-on two checkouts and diffing the listings checks that a change keeps every
-output byte-identical.  ``hvsim`` is imported from the ``src`` directory next
-to this script.
+that two runs into different directories compare equal.  A job that raises
+out of ``main`` is listed with the exit code ``raised`` and its
+``ExcType: message`` line at the end of its ``<stderr>``, and the corpus goes
+on with the next job.  Running the script on two checkouts and diffing the
+listings checks that a change keeps every output byte-identical.  ``hvsim``
+is imported from the ``src`` directory next to this script.
 
 ``--against REV`` does that comparison in one command.  It exports ``src/``
 of the git revision ``REV`` (with ``git archive``) into ``WORK_DIR/parent``,
@@ -35,6 +37,7 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -130,6 +133,9 @@ def jobs():
                                    "--set", "tran.stop=20", "--set", "tran.step=1m"], None
     # a step too coarse for the fig8 displacement filter: exit 2, nothing written
     yield "run:fig8:coarse-step", ["run", "--preset", "fig8", "--set", "tran.step=1m"], None
+    # an on-resistance whose conductance overflows: exit 2, one error line
+    yield "run:fig3:overflow-ron", ["run", "--preset", "fig3",
+                                    "--set", "comp.Sq1.ron=1e-320"], None
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
@@ -164,6 +170,11 @@ def _sha(data: bytes) -> str:
 
 def run(out_root: Path) -> None:
     out_root = out_root.resolve()
+    # the listing keeps the process's stdout; what native code (LAPACK's
+    # error handler) writes to file descriptor 1 goes to stderr instead
+    sys.stdout.flush()
+    listing = os.fdopen(os.dup(1), "w", encoding="utf-8")
+    os.dup2(2, 1)
     for job, argv, netlist in jobs():
         out = out_root / job.replace(":", "_")
         out.mkdir(parents=True, exist_ok=True)
@@ -174,13 +185,17 @@ def run(out_root: Path) -> None:
             argv = argv + ["--netlist", str(path)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv + ["--out", str(out)])
+            try:
+                code = main(argv + ["--out", str(out)])
+            except Exception as exc:  # listed, and the corpus goes on
+                code = "raised"
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         for label, stream in (("<stdout>", stdout), ("<stderr>", stderr)):
             text = stream.getvalue().replace(str(out_root), "OUT")
-            print(job, code, label, _sha(text.encode("utf-8")))
+            print(job, code, label, _sha(text.encode("utf-8")), file=listing)
         for path in sorted(out.iterdir()):
-            print(job, code, path.name, _sha(path.read_bytes()))
-        sys.stdout.flush()
+            print(job, code, path.name, _sha(path.read_bytes()), file=listing)
+        listing.flush()
 
 
 def _listing(path: Path) -> dict:
