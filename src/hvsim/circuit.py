@@ -18,7 +18,7 @@ import functools
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 GROUND_LABELS = ("0", "GND")
 
@@ -214,10 +214,17 @@ Component = Union[Resistor, Capacitor, Switch, VoltageSource]
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable component graph plus named control signals."""
+    """Immutable component graph plus named control signals.
+
+    ``memo`` keeps what depends on the structure alone (node labels, control
+    edge lists, the engine's lowering), each worked out once by its reader; a
+    copy made by :meth:`with_parts` with the structure unchanged shares it.
+    """
 
     components: Tuple[Component, ...]
     controls: Tuple[Tuple[str, ControlSignal], ...] = ()
+    nominal: Optional["Circuit"] = field(default=None, init=False, repr=False, compare=False)
+    memo: Dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(components: Sequence[Component], controls: Optional[Dict[str, ControlSignal]] = None) -> "Circuit":
@@ -234,10 +241,19 @@ class Circuit:
 
     def node_labels(self) -> List[str]:
         """All non-ground node labels in first-appearance order."""
-        return list(dict.fromkeys(
-            label for comp in self.components for label in (comp.pos, comp.neg)
-            if not is_ground(label)
-        ))
+        if "labels" not in self.memo:
+            self.memo["labels"] = tuple(dict.fromkeys(
+                label for comp in self.components for label in (comp.pos, comp.neg)
+                if not is_ground(label)
+            ))
+        return list(self.memo["labels"])
+
+    def control_edges(self, name: str, stop: float) -> Tuple[Tuple[float, bool], ...]:
+        """Control ``name``'s :meth:`ControlSignal.edges` up to ``stop``, kept in ``memo``."""
+        key = ("edges", name, stop)
+        if key not in self.memo:
+            self.memo[key] = tuple(self.control_map[name].edges(stop))
+        return self.memo[key]
 
     def component(self, name: str) -> Component:
         for comp in self.components:
@@ -246,17 +262,34 @@ class Circuit:
         raise KeyError(name)
 
     def with_replaced(self, name: str, **changes) -> "Circuit":
-        """Copy of the circuit with one component's fields replaced."""
-        found = False
-        comps = []
-        for comp in self.components:
-            if comp.name == name:
-                comp = replace(comp, **changes)
-                found = True
-            comps.append(comp)
-        if not found:
-            raise KeyError(name)
-        return Circuit(components=tuple(comps), controls=self.controls)
+        """Copy with one component's fields replaced (see :meth:`with_parts`)."""
+        return self.with_parts({name: replace(self.component(name), **changes)})
+
+    def with_parts(self, parts: Mapping[str, Component]) -> "Circuit":
+        """Copy with ``parts[name]`` in place of the component ``name``, not yet checked.
+
+        If every new part keeps the kind, name, nodes and control of the one
+        it replaces and this circuit passes its checks, the copy has this
+        circuit as its ``nominal`` and shares its ``memo``, and its
+        :meth:`validate` checks only the new parts: the structural checks
+        (unique names, defined controls, DC paths) hold for it too.
+        """
+        comps = list(self.components)
+        where = {comp.name: i for i, comp in enumerate(comps)}
+        same = True
+        for name, part in parts.items():
+            old, comps[where[name]] = comps[where[name]], part
+            same = same and type(part) is type(old) and (
+                (part.name, part.pos, part.neg, getattr(part, "control", None))
+                == (old.name, old.pos, old.neg, getattr(old, "control", None)))
+        derived = Circuit(tuple(comps), self.controls)
+        try:
+            if same and self._checked:
+                object.__setattr__(derived, "nominal", self)
+                object.__setattr__(derived, "memo", self.memo)
+        except CircuitError:
+            pass  # this circuit fails a check: the copy is checked in full
+        return derived
 
     def validate(self) -> None:
         """Raise :class:`CircuitError` at the first broken invariant.  A frozen
@@ -265,6 +298,11 @@ class Circuit:
 
     @functools.cached_property
     def _checked(self) -> bool:
+        if self.nominal is not None:  # the structure passed its checks there
+            for comp, old in zip(self.components, self.nominal.components):
+                if comp is not old:
+                    comp.validate()
+            return True
         names = set()
         for comp in self.components:
             if comp.name in names:

@@ -49,6 +49,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -159,8 +160,12 @@ class _Lowered:
     switches: List[Switch]
     caps: List[Capacitor]
     sources: List[VoltageSource]
-    # the resistor stamps and source rows/columns that every topology shares
-    resistive: Optional[np.ndarray] = None
+    resistors: List[Resistor]
+    # the stamps of ``resistors`` and the source rows/columns that every
+    # topology shares, as one row-major list, and the entries of it that each
+    # R, C and S part stamps, by name
+    resistive: List[float] = field(default_factory=list)
+    slots: Dict[str, Tuple[List[int], List[int]]] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -176,31 +181,42 @@ class _Lowered:
 
 
 def _lower(circuit: Circuit) -> _Lowered:
-    """Check the circuit, map node labels to matrix rows and sort the parts by kind."""
+    """Check the circuit, map node labels to matrix rows, sort the parts by
+    kind and stamp the resistors and source branches.  The lowering is kept
+    in ``circuit.memo``, so a circuit that shares the memo (one derived by
+    :meth:`~hvsim.circuit.Circuit.with_parts`) takes its labels, rows and,
+    while its resistors are the same parts, its stamps."""
     circuit.validate()
-    labels = circuit.node_labels()
-    low = _Lowered(labels, {label: i for i, label in enumerate(labels)}, [], [], [])
-    kinds = {Resistor: [], Capacitor: low.caps, Switch: low.switches, VoltageSource: low.sources}
+    kinds = {Switch: [], Capacitor: [], VoltageSource: [], Resistor: []}  # _Lowered's order
     for comp in circuit.components:
         kinds[type(comp)].append(comp)
+    low = circuit.memo.get("lowering")
+    if low is not None and all(map(operator.is_, kinds[Resistor], low.resistors)):
+        return _Lowered(low.labels, low.index, *kinds.values(), low.resistive, low.slots)
+    labels = circuit.node_labels()
+    low = _Lowered(labels, {label: i for i, label in enumerate(labels)}, *kinds.values())
     size, n = low.size, low.n_nodes
-    low.resistive = A = np.zeros((size, size))
-    for res in kinds[Resistor]:  # stamped once per run, not once per topology
-        _stamp_conductance(A, *low.rows(res), 1.0 / res.resistance)
+    for comp in (*low.resistors, *low.caps, *low.switches):
+        p, q = low.rows(comp)  # the diagonal entries add, the others subtract
+        low.slots[comp.name] = ([k * size + k for k in (p, q) if k >= 0],
+                                [p * size + q, q * size + p] if p >= 0 and q >= 0 else [])
     # source branch rows/columns; the conductances fill only the node block
-    A[:n, n:] = _incidence(low, n, low.sources)
-    A[n:, :n] = A[:n, n:].T
+    R = np.zeros((size, size))
+    R[:n, n:] = _incidence(low, n, low.sources)
+    R[n:, :n] = R[:n, n:].T
+    low.resistive = A = R.ravel().tolist()
+    for res in low.resistors:  # stamped once, not once per topology
+        _stamp(A, low.slots[res.name], 1.0 / res.resistance)
+    circuit.memo["lowering"] = low
     return low
 
 
-def _stamp_conductance(A: np.ndarray, p: int, n: int, g: float) -> None:
-    if p >= 0:
-        A[p, p] += g
-    if n >= 0:
-        A[n, n] += g
-    if p >= 0 and n >= 0:
-        A[p, n] -= g
-        A[n, p] -= g
+def _stamp(A: List[float], slots: Tuple[List[int], List[int]], g: float) -> None:
+    adds, subs = slots
+    for k in adds:
+        A[k] += g
+    for k in subs:
+        A[k] -= g
 
 
 def _incidence(low: _Lowered, n_rows: int, branches) -> np.ndarray:
@@ -215,11 +231,19 @@ def _incidence(low: _Lowered, n_rows: int, branches) -> np.ndarray:
     return inc
 
 
-def _base_matrix(low: _Lowered, sw_states: Sequence[bool]) -> np.ndarray:
-    A = low.resistive.copy()  # resistors, then switches: the order of the sums
+def _base_matrix(
+    low: _Lowered, sw_states: Sequence[bool], cap_g: Sequence[float] = ()
+) -> np.ndarray:
+    """The system matrix of one topology, summed in a fixed order: the
+    resistive stamps, then each switch, then each capacitor's companion
+    conductance in ``cap_g``.  Stamped in a Python list (the same IEEE sums
+    as numpy's) and converted once."""
+    A, size = low.resistive.copy(), low.size
     for sw, on in zip(low.switches, sw_states):
-        _stamp_conductance(A, *low.rows(sw), 1.0 / sw.ron if on else 1.0 / sw.roff)
-    return A
+        _stamp(A, low.slots[sw.name], 1.0 / sw.ron if on else 1.0 / sw.roff)
+    for cap, g in zip(low.caps, cap_g):
+        _stamp(A, low.slots[cap.name], g)
+    return np.fromiter(A, float, size * size).reshape(size, size)
 
 
 def lu_factor(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,17 +262,24 @@ def lu_solve(lu_and_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.nda
     return dgetrs(*lu_and_piv, b)[0]
 
 
+def _clean(pivots: List[float]) -> bool:
+    """No zero pivot (``dgetrf``'s ``info > 0``) and none that is not finite."""
+    return 0.0 not in pivots and all(map(math.isfinite, pivots))
+
+
 def _factor(A: np.ndarray, low: _Lowered):
+    """LU factors of ``A``; a zero or non-finite pivot raises
+    :class:`SimulationError` naming the first such pivot's row."""
     lu = lu_factor(A)
-    diag = np.abs(np.diag(lu[0]))
-    if diag.size and (not np.isfinite(diag).all() or diag.min() == 0.0):
-        k = int(np.argmin(np.where(np.isfinite(diag), diag, 0.0)))
-        if k < low.n_nodes:
-            culprit = f"node {low.labels[k]!r}"
-        else:
-            culprit = f"source {low.sources[k - low.n_nodes].name!r}"
-        raise SimulationError(f"singular system while factoring (check {culprit})")
-    return lu
+    pivots = lu[0].diagonal().tolist()
+    if _clean(pivots):
+        return lu
+    k = next(k for k, p in enumerate(pivots) if not _clean([p]))
+    if k < low.n_nodes:
+        culprit = f"node {low.labels[k]!r}"
+    else:
+        culprit = f"source {low.sources[k - low.n_nodes].name!r}"
+    raise SimulationError(f"singular system while factoring (check {culprit})")
 
 
 #: Steps per block of a trapezoidal stretch; a power table grows on demand up
@@ -462,7 +493,7 @@ def _initial_solve(
     b = np.concatenate([np.zeros(n), emf0, [cap.initial_voltage for cap in low.caps]])
     # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
-    factors = (lu, piv) if info == 0 and np.all(np.isfinite(np.diag(lu))) else None
+    factors = (lu, piv) if info == 0 and _clean(lu.diagonal().tolist()) else None
     if factors is not None:
         x = lu_solve(factors, b)
     else:
@@ -482,13 +513,13 @@ def _initial_solve(
     return x[: n + m], x[n + m :], factors
 
 
-def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines):
+def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, timelines):
     """Schedule phase: snap the switch events and gated-source command edges
     to the grid.  Returns the switch states at t=0, the ``(switch, new
     state)`` events per grid index, the set of source-edge indices, and the
     sorted segment boundaries (every event index and the last grid index)."""
     h, n_steps = settings.step, settings.n_steps
-    check_control_edges(controls, settings)
+    check_control_edges(circuit.control_map, settings)
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
@@ -508,7 +539,7 @@ def _schedule(low: _Lowered, controls, settings: IntegrationSettings, timelines)
         idx
         for src in low.sources if src.control is not None
         for idx, _ in _snap_events(f"source {src.name!r}",
-                                   controls[src.control].edges(settings.stop), h, n_steps)
+                                   circuit.control_edges(src.control, settings.stop), h, n_steps)
         if idx > 0
     }
     boundaries = sorted(set(sw_events) | src_events | {n_steps})
@@ -615,7 +646,7 @@ def _package(low, settings, out, events) -> TransientResult:
         cap_i = np.zeros((len(x), 0))
     return TransientResult(
         step=settings.step,
-        labels=low.labels,
+        labels=list(low.labels),
         index=dict(low.index),
         source_names=[s.name for s in low.sources],
         cap_names=[c.name for c in low.caps],
@@ -649,8 +680,12 @@ def run_transient(
     """
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
+    for cap in low.caps:  # before any factorization: 2C/h is the larger companion
+        if math.isinf(2.0 * float(cap.capacitance) / float(h)):
+            raise CircuitError(f"{cap.name}: companion conductance 2C/h of capacitance "
+                               f"{cap.capacitance!r} overflows at step {h!r}")
     controls = circuit.control_map
-    sw_states, sw_events, src_events, boundaries = _schedule(low, controls, settings, switch_timelines)
+    sw_states, sw_events, src_events, boundaries = _schedule(low, circuit, settings, switch_timelines)
 
     # sample half a step in so a command edge snapped to index 0 (i.e.
     # landing within the first half-step) folds into the initial value,
@@ -677,10 +712,7 @@ def run_transient(
         key = (tuple(sw_states), damped)
         if key not in topologies:
             g = cap_c / h if damped else 2.0 * cap_c / h
-            A = _base_matrix(low, sw_states)
-            for cap, g_cap in zip(low.caps, g):
-                _stamp_conductance(A, *low.rows(cap), g_cap)
-            topologies[key] = _Operators(_factor(A, low), g)
+            topologies[key] = _Operators(_factor(_base_matrix(low, sw_states, g.tolist()), low), g)
         return topologies[key]
 
     events: List[Tuple[float, str]] = []

@@ -10,9 +10,10 @@ probes, whose input capacitance is the modeled node parasitic.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import Circuit, ControlSignal
+from .circuit import Circuit, CircuitError, ControlSignal, Switch
 from .devices import (
     BenchSupplyParams,
     ConverterParams,
@@ -63,21 +64,13 @@ def _bench(voltage: float) -> Fragment:
 
 
 def _distribution(
-    balancing: Optional[float],
-    voltage: float = 800.0,
-    step: float = 100e-6,
-    **stack,
+    balancing: Optional[float], voltage: float = 800.0, step: float = 100e-6
 ) -> Scenario:
-    """Static-sharing bench (fig2/fig3 and their Monte-Carlo trials): the
-    unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
-    circuit = build_half_bridge(
-        _bench(voltage), None, ControlSignal(frequency=1.0), balancing=balancing, **stack
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=step, stop=2.0),
-        probes=("A", "B", "O", "C"),
-    )
+    """Static-sharing bench (fig2/fig3 and the nominal of their Monte-Carlo
+    trials): the unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
+    circuit = build_half_bridge(_bench(voltage), None, ControlSignal(frequency=1.0),
+                                balancing=balancing)
+    return Scenario(circuit, IntegrationSettings(step=step, stop=2.0), probes=("A", "B", "O", "C"))
 
 
 def _fig4(snubber: Optional[float]) -> Scenario:
@@ -210,35 +203,35 @@ def bench_matched_to_converter() -> Fragment:
     return _bench(dc_operating_point(converter_bridge(0.0, load_fragment("dea")))["A"])
 
 
-def mc_template(
-    name: str,
-) -> Callable[[Sequence[float], Sequence[float]], Scenario]:
+def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scenario]:
     """Scenario builder for Monte-Carlo trials: the named distribution preset
-    rebuilt with sampled per-device off-resistances and driver offsets.
+    with sampled per-device off-resistances and driver offsets.
 
-    ``fig2``/``fig3`` rebuild at their 800 V setting; ``fig2_hv``/``fig3_hv``
-    are the same stacks driven at the 1.8 kV design point.
+    ``fig2``/``fig3`` are at their 800 V setting; ``fig2_hv``/``fig3_hv``
+    are the same stacks driven at the 1.8 kV design point.  The nominal
+    scenario is built here, once; each trial puts its four sampled switches
+    in it (:meth:`~hvsim.circuit.Circuit.with_parts`) and checks only those.
     """
-    table = {
-        "fig2": (None, 800.0),
-        "fig3": (3.6e6, 800.0),
-        "fig2_hv": (None, 1800.0),
-        "fig3_hv": (3.6e6, 1800.0),
-    }
+    table = {"fig2": (None, 800.0), "fig3": (3.6e6, 800.0),
+             "fig2_hv": (None, 1800.0), "fig3_hv": (3.6e6, 1800.0)}
     if name not in table:
         raise PresetError(
             f"no Monte-Carlo template for {name!r}; available: {', '.join(sorted(table))}"
         )
     balancing, voltage = table[name]
+    nominal = _distribution(balancing, voltage=voltage, step=50e-6)
+    switches = [comp for comp in nominal.circuit.components if isinstance(comp, Switch)]
 
     def build(off_resistances: Sequence[float], offsets: Sequence[float]) -> Scenario:
-        return _distribution(
-            balancing,
-            voltage=voltage,
-            step=50e-6,
-            off_resistances=tuple(off_resistances),
-            driver_offsets=tuple(offsets),
-        )
+        for label, values in (("off-resistances", off_resistances), ("driver offsets", offsets)):
+            if len(values) != 4:
+                raise CircuitError(f"need 4 {label}, got {len(values)}")
+        circuit = nominal.circuit.with_parts({
+            sw.name: replace(sw, roff=roff, delay_offset=offset)
+            for sw, roff, offset in zip(switches, off_resistances, offsets)
+        })
+        circuit.validate()
+        return Scenario(circuit, nominal.settings, nominal.probes)
 
     return build
 

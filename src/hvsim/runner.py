@@ -15,17 +15,18 @@ def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[st
 
     Switches start in their :meth:`~hvsim.circuit.Switch.initial_state`; each
     commanded edge from t=0 on becomes a delayed event.  Each control's edge
-    count is checked before any edge list is built, and the edges are built
-    once for each control that a switch reads, and for no other.
+    count is checked before any edge list is built, and the edges are listed
+    once for each control that a switch reads, and for no other
+    (:meth:`~hvsim.circuit.Circuit.control_edges`).
     """
     controls = circuit.control_map
     check_control_edges(controls, settings)
     switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
-    edges = {name: controls[name].edges(settings.stop) for name in {sw.control for sw in switches}}
     out: Dict[str, Tuple[bool, list]] = {}
     for sw in switches:
-        initial = sw.initial_state(controls[sw.control])
-        out[sw.name] = (initial, driver_schedule(edges[sw.control], sw, settings.stop))
+        edges = circuit.control_edges(sw.control, settings.stop)
+        out[sw.name] = (sw.initial_state(controls[sw.control]),
+                        driver_schedule(edges, sw, settings.stop))
     return out
 
 

@@ -38,12 +38,11 @@ def _stack_devices(
     prefix: str,
     balancing: Optional[float],
     snubber: Optional[float],
-    off_resistances: Sequence[float],
     driver_offsets: Sequence[float],
 ) -> List[Component]:
-    """The four devices of one stack along ``nodes`` (A, B, O, C, 0), each
-    with its balancing resistor and snubber when given; the lower two follow
-    the complement of ``control``."""
+    """The four devices of one stack along ``nodes`` (A, B, O, C, 0), with
+    the :data:`OFF_RESISTANCES`, each with its balancing resistor and snubber
+    when given; the lower two follow the complement of ``control``."""
     comps: List[Component] = []
     for i, (pos, neg) in enumerate(zip(nodes, nodes[1:])):
         comps.append(
@@ -52,7 +51,7 @@ def _stack_devices(
                 pos=pos,
                 neg=neg,
                 control=control,
-                roff=off_resistances[i],
+                roff=OFF_RESISTANCES[i],
                 invert=i >= 2,
                 delay_offset=driver_offsets[i],
             )
@@ -71,7 +70,6 @@ def build_half_bridge(
     *,
     balancing: Optional[float] = 3.6e6,
     snubber: Optional[float] = None,
-    off_resistances: Sequence[float] = OFF_RESISTANCES,
     driver_offsets: Sequence[float] = DRIVER_OFFSETS,
     probe_nodes: Sequence[str] = (),
 ) -> Circuit:
@@ -79,16 +77,15 @@ def build_half_bridge(
 
     ``supply`` feeds A; ``control`` drives every switch under the name ``g``.
     Every device gets a ``balancing`` resistor and a ``snubber`` capacitor
-    unless that value is None; ``off_resistances`` and ``driver_offsets``
-    give the four devices top to bottom.  ``probe_nodes`` each get a scope
-    probe, the parts ``Rscope<node>_rin`` and ``Cscope<node>_cin``.
+    unless that value is None; ``driver_offsets`` gives the four devices top
+    to bottom.  ``probe_nodes`` each get a scope probe, the parts
+    ``Rscope<node>_rin`` and ``Cscope<node>_cin``.
     """
-    for label, values in (("off-resistances", off_resistances), ("driver offsets", driver_offsets)):
-        if len(values) != 4:
-            raise CircuitError(f"need 4 {label}, got {len(values)}")
+    if len(driver_offsets) != 4:
+        raise CircuitError(f"need 4 driver offsets, got {len(driver_offsets)}")
     comps: List[Component] = supply.instantiate("A", "0", "sup")
     comps.extend(_stack_devices(("A", "B", "O", "C", "0"), "g", "", balancing, snubber,
-                                off_resistances, driver_offsets))
+                                driver_offsets))
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
     for node in probe_nodes:
@@ -107,7 +104,6 @@ def build_dual_channel(
     for k, control in enumerate(controls, start=1):
         names[f"g{k}"] = control
         nodes = ("A", f"B{k}", f"O{k}", f"C{k}", "0")
-        comps.extend(_stack_devices(nodes, f"g{k}", f"ch{k}", 1.8e6, None,
-                                    OFF_RESISTANCES, DRIVER_OFFSETS))
+        comps.extend(_stack_devices(nodes, f"g{k}", f"ch{k}", 1.8e6, None, DRIVER_OFFSETS))
         comps.extend(load.instantiate(f"O{k}", "0", f"load{k}"))
     return Circuit.build(comps, names)

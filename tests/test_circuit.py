@@ -93,3 +93,66 @@ class TestComponentInvariants:
             [Resistor("R1", "a", "GND", 1.0), Resistor("R2", "a", "0", 1.0)]
         )
         assert c.node_labels() == ["a"]
+
+
+class TestWithParts:
+    """A copy with some parts replaced: checked in full unless every new part
+    keeps its kind, name, nodes and control."""
+
+    @staticmethod
+    def nominal():
+        return Circuit.build(
+            [Resistor("R1", "A", "0", 1e3), Switch("S1", "A", "B", control="g"),
+             Resistor("R2", "B", "0", 1e3)],
+            {"g": ControlSignal(frequency=1.0)},
+        )
+
+    def test_value_change_keeps_the_structure(self):
+        c = self.nominal()
+        s1 = dataclasses.replace(c.component("S1"), roff=5e8)
+        d = c.with_parts({"S1": s1})
+        d.validate()
+        assert d.component("S1") is s1 and d.nominal is c and d.memo is c.memo
+        assert d == Circuit.build([c.components[0], s1, c.components[2]], c.control_map)
+
+    def test_bad_value_is_checked(self):
+        c = self.nominal()
+        d = c.with_parts({"S1": dataclasses.replace(c.component("S1"), roff=1.0)})
+        with pytest.raises(CircuitError, match="^S1: on-resistance 5.0 must be below"):
+            d.validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"pos": "X", "neg": "Y"}, "node 'X' has no DC path to ground"),
+        ({"control": "h"}, "S1: undefined control 'h'"),
+        ({"name": "R1"}, "duplicate component name 'R1'"),
+    ], ids=["floating-node", "renamed-control", "duplicate-name"])
+    def test_structural_change_is_checked_in_full(self, changes, message):
+        c = self.nominal()
+        d = c.with_parts({"S1": dataclasses.replace(c.component("S1"), **changes)})
+        assert d.nominal is None
+        with pytest.raises(CircuitError, match=message):
+            d.validate()
+
+    def test_kind_change_is_checked_in_full(self):
+        c = self.nominal()
+        d = c.with_parts({"S1": Resistor("S1", "A", "B", 1e3)})
+        assert d.nominal is None and d.memo is not c.memo
+
+    def test_copy_of_a_failing_circuit_is_checked_in_full(self):
+        bad = Circuit((Switch("S1", "A", "0", control="g", roff=1.0),),
+                      (("g", ControlSignal(frequency=1.0)),))
+        good = dataclasses.replace(bad.components[0], roff=1e9)
+        d = bad.with_parts({"S1": good})
+        d.validate()
+        assert d.nominal is None and d.components == (good,)
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError):
+            self.nominal().with_parts({"S9": Resistor("S9", "A", "0", 1.0)})
+
+    def test_swapped_controls_get_their_own_edges(self):
+        c = self.nominal()
+        assert list(c.control_edges("g", 2.0)) == c.control_map["g"].edges(2.0)
+        fast = dataclasses.replace(c, controls=(("g", ControlSignal(frequency=10.0)),))
+        assert list(fast.control_edges("g", 2.0)) == ControlSignal(frequency=10.0).edges(2.0)
+        assert list(c.control_edges("g", 2.0)) == c.control_map["g"].edges(2.0)

@@ -804,6 +804,19 @@ class TestOverflowingConductance:
         assert f"{part}: conductance of" in err and "overflows" in err
 
 
+class TestOverflowingCompanion:
+    def test_capacitance_exits_2_naming_the_part_and_step(self, tmp_path, capsys, recwarn):
+        # 2C/h of 1e308 F at 1 us overflows: numpy warned and a singular
+        # system ended the run with exit 3 before the check
+        path = tmp_path / "huge.ckt"
+        path.write_text("V1 A 0 10\nR1 A B 1k\nC1 B 0 1e308\n.tran 1u 1m\n.probe B\n.end\n")
+        assert run_cli("run", "--netlist", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: C1: companion conductance 2C/h of capacitance 1e+308 "
+                       "overflows at step 1e-06\n")
+        assert not recwarn.list
+
+
 class TestFileErrors:
     """A path the CLI cannot read or write exits 2 with one ``error:`` line;
     ``main`` returning, not raising, means no traceback is printed."""

@@ -1,5 +1,6 @@
 """Engine tests: DC solutions, transient oracles, and conservation laws."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -1001,3 +1002,68 @@ class TestLapackWrappers:
         # LAPACK rejects a 0 x 0 matrix, so the t=0 solve must not factor one
         res = run_transient(Circuit.build([]), IntegrationSettings(1e-3, 1e-2), {})
         assert res.n_samples == 11 and res.x.shape[1] == 0
+
+
+class TestSharedLowering:
+    """A circuit derived with its structure unchanged takes the lowering kept
+    in the shared memo, and its resistor stamps only while its resistors are
+    the same parts."""
+
+    @staticmethod
+    def rebuilt(scenario, name, **changes):
+        comps = [dataclasses.replace(c, **changes) if c.name == name else c
+                 for c in scenario.circuit.components]
+        return dataclasses.replace(
+            scenario, circuit=Circuit.build(comps, scenario.circuit.control_map))
+
+    @pytest.mark.parametrize("name, changes", [
+        ("Rb2", {"resistance": 1.2e6}),
+        ("Sq3", {"roff": 2e8}),
+        ("Vsup_emf", {"voltage": 500.0}),
+    ], ids=["resistor", "switch", "source"])
+    def test_derived_run_matches_a_fresh_circuit(self, name, changes):
+        base = load_preset("fig3")
+        first = run_scenario(base)  # keeps the lowering in the memo
+        part = dataclasses.replace(base.circuit.component(name), **changes)
+        derived = dataclasses.replace(base, circuit=base.circuit.with_parts({name: part}))
+        assert derived.circuit.memo is base.circuit.memo
+        got, ref = run_scenario(derived), run_scenario(self.rebuilt(base, name, **changes))
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert run_scenario(base).x.tobytes() == first.x.tobytes()
+
+
+class TestStampOrder:
+    """``_base_matrix`` sums each entry in one fixed order: the resistors
+    (with the source rows and columns), then the switches, then the
+    capacitor companions, each kind in circuit order.  The bits of every
+    factorization, and so of every CSV, depend on that order."""
+
+    @staticmethod
+    def reference(low, stamps):
+        """numpy scalar stamps of ``stamps`` after the resistors."""
+        n = low.n_nodes
+        A = np.zeros((low.size, low.size))
+        for j, src in enumerate(low.sources):
+            for row, sign in zip(low.rows(src), (1.0, -1.0)):
+                if row >= 0:
+                    A[row, n + j] += sign
+                    A[n + j, row] += sign
+        for comp, g in [(r, 1.0 / r.resistance) for r in low.resistors] + stamps:
+            p, q = low.rows(comp)
+            for i, k, sign in ((p, p, 1.0), (q, q, 1.0), (p, q, -1.0), (q, p, -1.0)):
+                if i >= 0 and k >= 0:
+                    A[i, k] += sign * g
+        return A
+
+    def test_resistors_then_switches_then_capacitors(self):
+        scenario = load_preset("fig4b")  # snubber capacitors across the switches
+        low = engine._lower(scenario.circuit)
+        states = [True, False, False, True]
+        g_sw = [(sw, 1.0 / sw.ron if on else 1.0 / sw.roff)
+                for sw, on in zip(low.switches, states)]
+        g_cap = [2.0 * c.capacitance / 1e-7 for c in low.caps]
+        got = engine._base_matrix(low, states, g_cap)
+        caps = list(zip(low.caps, g_cap))
+        assert got.tobytes() == self.reference(low, g_sw + caps).tobytes()
+        # the order shows in the bits: capacitors before switches differ
+        assert got.tobytes() != self.reference(low, caps + g_sw).tobytes()

@@ -1,27 +1,35 @@
 """Preset contract tests: each named scenario carries its declared values."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hvsim.circuit import (
     Capacitor,
+    Circuit,
+    CircuitError,
     Resistor,
     Switch,
     VoltageSource,
 )
-from hvsim.analysis import _sweep_scenario
+from hvsim.analysis import MismatchModel, _sweep_scenario, monte_carlo
 from hvsim.electromech import _fig8_scenario
-from hvsim.netlist import format_value, parse_value
+from hvsim.netlist import format_value, parse_value, print_scenario
 from hvsim.presets import (
     CONVERTER,
     PRESET_NAMES,
     PresetError,
     bench_matched_to_converter,
     converter_bridge,
+    _distribution,
     load_fragment,
     load_preset,
+    mc_template,
 )
+from hvsim.runner import run_scenario
+from hvsim.scenario import Scenario
 
 
 def components_of(name, cls):
@@ -152,3 +160,95 @@ class TestConverterBridge:
         (emf,) = [c for c in bench_matched_to_converter().components
                   if isinstance(c, VoltageSource)]
         assert repr(emf.voltage) == "1963.300463194647"
+
+
+#: (balancing, supply voltage) of each Monte-Carlo template
+MC_TABLE = {"fig2": (None, 800.0), "fig3": (3.6e6, 800.0),
+            "fig2_hv": (None, 1800.0), "fig3_hv": (3.6e6, 1800.0)}
+
+
+def trial_from_scratch(name, offs, offsets):
+    """The trial scenario built and checked in full, with no template: the
+    distribution preset with the four sampled switches put in its parts."""
+    balancing, voltage = MC_TABLE[name]
+    nominal = _distribution(balancing, voltage=voltage, step=50e-6)
+    comps, k = [], 0
+    for comp in nominal.circuit.components:
+        if isinstance(comp, Switch):
+            comp = replace(comp, roff=offs[k], delay_offset=offsets[k])
+            k += 1
+        comps.append(comp)
+    circuit = Circuit.build(comps, nominal.circuit.control_map)
+    return Scenario(circuit, nominal.settings, nominal.probes)
+
+
+def draws(seed):
+    rng = np.random.default_rng(seed)
+    return list(3e8 * np.exp(rng.standard_normal(4))), list(rng.uniform(-5e-5, 5e-5, 4))
+
+
+class TestMonteCarloTemplate:
+    @pytest.mark.parametrize("name", sorted(MC_TABLE))
+    def test_trial_equals_the_scenario_built_from_scratch(self, name):
+        build = mc_template(name)
+        for seed in range(3):
+            offs, offsets = draws(seed)
+            trial, scratch = build(offs, offsets), trial_from_scratch(name, offs, offsets)
+            assert trial == scratch
+            assert print_scenario(trial) == print_scenario(scratch)
+            assert trial.circuit.nominal is not None and scratch.circuit.nominal is None
+            got, ref = run_scenario(trial), run_scenario(scratch)
+            assert got.x.tobytes() == ref.x.tobytes() and got.events == ref.events
+
+    def test_trial_skips_the_structural_checks(self, monkeypatch):
+        build = mc_template("fig3")
+
+        def no_structural_check(self):
+            raise AssertionError("DC connectivity checked again")
+
+        monkeypatch.setattr(Circuit, "_check_dc_connectivity", no_structural_check)
+        build(*draws(1)).circuit.validate()
+
+    def test_off_resistance_below_on_resistance_rejected(self):
+        build = mc_template("fig3")
+        offs, offsets = draws(2)
+        with pytest.raises(CircuitError, match="^Sq2: on-resistance 5.0 must be below "
+                                               "off-resistance 4.0$"):
+            build([offs[0], 4.0, offs[2], offs[3]], offsets)
+        assert build(offs, offsets) == trial_from_scratch("fig3", offs, offsets)
+
+    def test_bad_draw_fails_its_trial_alone(self):
+        build = mc_template("fig3")
+        calls = []
+
+        def second_trial_bad(offs, offsets):
+            calls.append(None)
+            if len(calls) == 2:
+                offs = [offs[0], 4.0, offs[2], offs[3]]
+            return build(offs, offsets)
+
+        model = MismatchModel(trials=3, seed=2)
+        clean, study = monte_carlo(build, model), monte_carlo(second_trial_bad, model)
+        assert study.errors == (None, "sampled circuit rejected: Sq2: on-resistance 5.0 "
+                                      "must be below off-resistance 4.0", None)
+        assert study.values[::2] == clean.values[::2]
+
+    @pytest.mark.parametrize("offs, offsets, message", [
+        ((1e9, 1e9), (0.0,) * 4, "need 4 off-resistances, got 2"),
+        ((1e9,) * 4, (0.0,) * 3, "need 4 driver offsets, got 3"),
+    ], ids=["off-resistances", "offsets"])
+    def test_sequence_length_mismatch_rejected(self, offs, offsets, message):
+        with pytest.raises(CircuitError, match=message):
+            mc_template("fig3")(offs, offsets)
+
+    def test_template_built_on_first_call(self, monkeypatch):
+        import hvsim.presets as presets
+
+        built = []
+        monkeypatch.setattr(presets, "_distribution",
+                            lambda *a, **kw: built.append(a) or _distribution(*a, **kw))
+        build = mc_template("fig3")
+        assert len(built) == 1
+        build(*draws(0))
+        build(*draws(1))
+        assert len(built) == 1

@@ -1,6 +1,7 @@
 """Bridge builder tests: labeling, complementarity, and sharing invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ class TestBuildHalfBridge:
         assert {(s.pos, s.neg) for s in low} == {("O", "C"), ("C", "0")}
 
     def test_sequence_length_mismatch_rejected(self):
-        with pytest.raises(CircuitError, match="off-resistances"):
-            bridge(off_resistances=(1e9, 1e9))
+        with pytest.raises(CircuitError, match="need 4 driver offsets, got 2"):
+            bridge(driver_offsets=(0.0, 0.0))
 
     @pytest.mark.parametrize("kw, device", [
         ({"balancing": 0.0}, "Rb1"),
@@ -92,10 +93,9 @@ class TestBuildHalfBridge:
         assert np.max(np.abs(drops - v_a)) < 1e-9 * max(1.0, np.max(np.abs(v_a)))
 
     def test_identical_devices_share_equally(self):
-        c = bridge(
-            off_resistances=(500e6, 500e6, 500e6, 500e6),
-            driver_offsets=(0.0, 0.0, 0.0, 0.0),
-        )
+        c = bridge(driver_offsets=(0.0, 0.0, 0.0, 0.0))
+        c = c.with_parts({comp.name: replace(comp, roff=500e6)
+                          for comp in c.components if isinstance(comp, Switch)})
         run = run_scenario(
             Scenario(c, IntegrationSettings(step=1e-4, stop=2.0), probes=("A", "B", "O", "C"))
         )

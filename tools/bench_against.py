@@ -1,0 +1,182 @@
+"""Paired benchmark of a git revision against the working tree.
+
+Usage::
+
+    python tools/bench_against.py REV WORK_DIR [--pairs N] [--seconds S]
+                                  [--seed0 K] [--workload W]
+
+The perf twin of ``tools/sha_corpus.py --against``.  It exports ``src/`` of
+the git revision ``REV`` (with ``git archive``) into ``WORK_DIR/parent`` and
+copies the working tree's ``src/`` into ``WORK_DIR/change``; each tree gets a
+copy of the working tree's ``perfbench/`` and ``BENCHMARK.json``, so both run
+the same benchmark (``perfbench/run.py`` imports ``hvsim`` from the ``src/``
+next to it).  ``WORK_DIR`` must be new or empty.  Nothing under the
+repository's ``perfbench/`` is written.
+
+Pair ``i`` runs ``perfbench/run.py --workload W --seed K+i --seconds S
+--trace 0`` on both trees, parent first for even ``i`` and change first for
+odd ``i``.  Then one ``--trace 1`` run per tree (seed ``K``) records the
+per-layer counters.  ``WORK_DIR/bench.json`` gets, for each workload and
+end-to-end metric of ``BENCHMARK.json``: both sides' values, medians and
+quartiles, the change/parent ratio of the medians, the pairs the change
+won, the metric's bound, and whether the change's median lies inside the
+parent's quartiles (the null test: ``REV=HEAD`` on a clean tree should put
+every metric there).  It also records the host and the Python, numpy and
+scipy versions.  A summary table goes to stdout.  Exits 1 when a run fails
+or an output check fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def _prepare(rev: str, work: Path) -> dict:
+    """The two trees under ``work``, by side name."""
+    trees = {side: work / side for side in SIDES}
+    for tree in trees.values():
+        tree.mkdir(parents=True)
+        shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+    shutil.copytree(ROOT / "src", trees["change"] / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return trees
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` call: its last stdout line, a JSON object."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        sys.exit(f"{tree.name}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _keyed(metrics: dict, workload: str) -> dict:
+    """``{"workload/metric": value}``; a one-workload run has bare names."""
+    return {(k if "/" in k else f"{workload}/{k}"): v["value"] for k, v in metrics.items()}
+
+
+def _spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict, spec: dict, workloads) -> dict:
+    """Per ``workload/metric`` of the end-to-end metrics: both sides' spread,
+    the ratio of medians, pair wins and the bound."""
+    out = {}
+    for workload in workloads:
+        for metric in spec["end_to_end"]:
+            key = f"{workload}/{metric['name']}"
+            parent = [r[key] for r in runs["parent"]]
+            change = [r[key] for r in runs["change"]]
+            lower = metric["better"] == "lower"
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            p, c = _spread(parent), _spread(change)
+            out[key] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                "parent": p,
+                "change": c,
+                "ratio": c["median"] / p["median"] if p["median"] else None,
+                "change_wins": wins,
+                "pairs": len(parent),
+                "inside_parent_quartiles": p["q1"] <= c["median"] <= p["q3"],
+                "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+            }
+    return out
+
+
+def _env() -> dict:
+    import numpy
+    import scipy
+
+    return {"host": platform.platform(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="git revision whose src/ is the parent side")
+    ap.add_argument("work", type=Path, help="new or empty working directory")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
+    ap.add_argument("--seed0", type=int, default=1000, help="seed of the first pair")
+    ap.add_argument("--workload", default="all")
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    work = args.work.resolve()
+    if work.exists() and any(work.iterdir()):
+        ap.error(f"{work} is not empty")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                 else [args.workload])
+    trees = _prepare(args.rev, work)
+
+    runs = {side: [] for side in SIDES}
+    failed = []
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result = _run(trees[side], args.workload, seed, seconds, 0)
+            runs[side].append(_keyed(result["metrics"], args.workload))
+            if not result["correct"]:
+                failed.append(f"{side} seed {seed}: {result['failed']} failed operations")
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    traced = {}
+    for side in SIDES:
+        result = _run(trees[side], args.workload, args.seed0, seconds, 1)
+        traced[side] = _keyed(result["metrics"], args.workload)
+        if not result["correct"]:
+            failed.append(f"{side} traced: {result['failed']} failed operations")
+
+    report = {
+        "rev": args.rev,
+        "rev_commit": subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.rev],
+                                     capture_output=True, text=True).stdout.strip(),
+        "pairs": args.pairs,
+        "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+        "seconds": seconds,
+        "order": "parent first in even pairs, change first in odd pairs",
+        "env": _env(),
+        "end_to_end": summarize(runs, spec, workloads),
+        "traced": traced,
+        "failed": failed,
+    }
+    (work / "bench.json").write_text(json.dumps(report, indent=1) + "\n")
+    print(f"{'workload/metric':28s} {'parent':>11s} {'change':>11s} {'ratio':>7s} "
+          f"{'wins':>6s} {'bound':>6s}  inside parent q1-q3")
+    for key, row in report["end_to_end"].items():
+        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+        print(f"{key:28s} {row['parent']['median']:11.5g} {row['change']['median']:11.5g} "
+              f"{ratio:>7s} {row['change_wins']:>3d}/{row['pairs']:<2d} "
+              f"{row['bound']:6.2f}  {row['inside_parent_quartiles']}")
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    print(f"wrote {work / 'bench.json'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

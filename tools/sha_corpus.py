@@ -110,6 +110,16 @@ C1 B 0 1u
 .end
 """
 
+#: a capacitor whose companion conductance 2C/h overflows at the run's step
+HUGE_CAP = """\
+V1 A 0 10
+R1 A B 1k
+C1 B 0 1e308
+.tran 1u 1m
+.probe B
+.end
+"""
+
 
 def jobs():
     """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
@@ -136,6 +146,8 @@ def jobs():
     # an on-resistance whose conductance overflows: exit 2, one error line
     yield "run:fig3:overflow-ron", ["run", "--preset", "fig3",
                                     "--set", "comp.Sq1.ron=1e-320"], None
+    # a capacitance whose companion conductance overflows: exit 2, one error line
+    yield "run:netlist:huge-cap", ["run"], ("huge_cap", HUGE_CAP)
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
