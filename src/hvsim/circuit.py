@@ -126,7 +126,7 @@ class Resistor:
     neg: str
     resistance: float = param("value", positional=True)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.resistance > 0:
             raise CircuitError(f"{self.name}: resistance must be > 0, got {self.resistance}")
         if math.isinf(1.0 / self.resistance):
@@ -144,7 +144,7 @@ class Capacitor:
     capacitance: float = param("value", positional=True)
     initial_voltage: float = param("ic", 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.capacitance > 0:
             raise CircuitError(f"{self.name}: capacitance must be > 0, got {self.capacitance}")
 
@@ -170,7 +170,7 @@ class Switch:
     turn_off_delay: float = param("toff", 0.1e-3)
     delay_offset: float = param("offset", 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.ron > 0 or not self.roff > 0:
             raise CircuitError(f"{self.name}: switch resistances must be > 0")
         if math.isinf(1.0 / self.ron):  # roff > ron: 1/roff is finite then
@@ -204,7 +204,7 @@ class VoltageSource:
     slew: Optional[float] = param("slew", None)
     control: Optional[str] = param("ctrl", None)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.slew is not None and not self.slew > 0:
             raise CircuitError(f"{self.name}: slew limit must be > 0")
 
@@ -216,14 +216,15 @@ Component = Union[Resistor, Capacitor, Switch, VoltageSource]
 class Circuit:
     """Immutable component graph plus named control signals.
 
-    ``memo`` keeps what depends on the structure alone (node labels, control
-    edge lists, the engine's lowering), each worked out once by its reader; a
-    copy made by :meth:`with_parts` with the structure unchanged shares it.
+    Each component checks its own fields when it is made; a circuit checks
+    its structure (:meth:`validate`).  ``memo`` keeps what depends on the
+    structure alone (a passed check, node labels, control edge lists, the
+    engine's lowering), each worked out once by its reader; a copy made by
+    :meth:`with_parts` with the structure unchanged shares it.
     """
 
     components: Tuple[Component, ...]
     controls: Tuple[Tuple[str, ControlSignal], ...] = ()
-    nominal: Optional["Circuit"] = field(default=None, init=False, repr=False, compare=False)
     memo: Dict[Any, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -266,13 +267,11 @@ class Circuit:
         return self.with_parts({name: replace(self.component(name), **changes)})
 
     def with_parts(self, parts: Mapping[str, Component]) -> "Circuit":
-        """Copy with ``parts[name]`` in place of the component ``name``, not yet checked.
+        """Copy with ``parts[name]`` in place of the component ``name``.
 
         If every new part keeps the kind, name, nodes and control of the one
-        it replaces and this circuit passes its checks, the copy has this
-        circuit as its ``nominal`` and shares its ``memo``, and its
-        :meth:`validate` checks only the new parts: the structural checks
-        (unique names, defined controls, DC paths) hold for it too.
+        it replaces, the copy shares this circuit's ``memo``: its structure,
+        and so the outcome of :meth:`validate`, is this circuit's.
         """
         comps = list(self.components)
         where = {comp.name: i for i, comp in enumerate(comps)}
@@ -283,32 +282,21 @@ class Circuit:
                 (part.name, part.pos, part.neg, getattr(part, "control", None))
                 == (old.name, old.pos, old.neg, getattr(old, "control", None)))
         derived = Circuit(tuple(comps), self.controls)
-        try:
-            if same and self._checked:
-                object.__setattr__(derived, "nominal", self)
-                object.__setattr__(derived, "memo", self.memo)
-        except CircuitError:
-            pass  # this circuit fails a check: the copy is checked in full
+        if same:
+            object.__setattr__(derived, "memo", self.memo)
         return derived
 
     def validate(self) -> None:
-        """Raise :class:`CircuitError` at the first broken invariant.  A frozen
-        circuit that passed is not checked again; a failure is not kept."""
-        self._checked
-
-    @functools.cached_property
-    def _checked(self) -> bool:
-        if self.nominal is not None:  # the structure passed its checks there
-            for comp, old in zip(self.components, self.nominal.components):
-                if comp is not old:
-                    comp.validate()
-            return True
+        """Raise :class:`CircuitError` at the first broken structural invariant:
+        a duplicate name, an undefined control or a node with no DC path.  A
+        pass is kept in ``memo``; a failure is not."""
+        if "checked" in self.memo:
+            return
         names = set()
         for comp in self.components:
             if comp.name in names:
                 raise CircuitError(f"duplicate component name {comp.name!r}")
             names.add(comp.name)
-            comp.validate()
 
         controls = self.control_map
         for comp in self.components:
@@ -317,7 +305,7 @@ class Circuit:
                 raise CircuitError(f"{comp.name}: undefined control {ctrl!r}")
 
         self._check_dc_connectivity()
-        return True
+        self.memo["checked"] = True
 
     def _check_dc_connectivity(self) -> None:
         # union-find over DC-conducting edges; every node must reach ground

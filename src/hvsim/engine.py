@@ -494,6 +494,8 @@ def _initial_solve(
     # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
     lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
     factors = (lu, piv) if info == 0 and _clean(lu.diagonal().tolist()) else None
+    if factors is None and not low.caps:  # no capacitor loop to excuse it
+        _factor(A, low)  # raises, naming the singular row
     if factors is not None:
         x = lu_solve(factors, b)
     else:

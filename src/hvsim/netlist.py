@@ -175,7 +175,7 @@ class _Parser:
         self.controls: Dict[str, ControlSignal] = {}
         self.tran: Optional[IntegrationSettings] = None
         self.probes: List[ProbeSpec] = []
-        self.ended = False
+        self.end: Optional[Tuple[int, int]] = None  # line and column of .end
         # (line, column, kind, reference) checked once declarations are complete
         self.deferred: List[Tuple[int, int, str, str]] = []
 
@@ -231,13 +231,14 @@ class _Parser:
         self.components.append(comp)
 
     def parse(self) -> Scenario:
+        last = 1  # the last line with a statement
         for line_no, line in enumerate(self.lines, start=1):
             toks = _tokenize(line)
             if not toks:
                 continue
-            if self.ended:
+            if self.end is not None:
                 raise self.fail(line_no, toks[0].column, "statement after .end")
-            head = toks[0]
+            head, last = toks[0], line_no
             try:
                 if head.text.startswith("."):
                     self.directive(line_no, toks)
@@ -249,8 +250,8 @@ class _Parser:
                     )
             except CircuitError as exc:
                 raise self.fail(line_no, head.column, str(exc)) from None
-        if not self.ended:
-            raise self.fail(len(self.lines), 1, "missing .end")
+        if self.end is None:
+            raise self.fail(last, 1, "missing .end")
         return self.finish()
 
     def component(self, line_no: int, toks: List[_Tok]) -> None:
@@ -309,7 +310,7 @@ class _Parser:
         elif head.text == ".end":
             if len(toks) != 1:
                 raise self.fail(line_no, toks[1].column, "unexpected tokens after .end")
-            self.ended = True
+            self.end = (line_no, head.column)
         else:
             raise self.fail(line_no, head.column, f"unknown directive {head.text!r}")
 
@@ -323,11 +324,11 @@ class _Parser:
             if kind == "node" and not is_ground(ref) and ref not in known_nodes:
                 raise self.fail(line_no, column, f"undefined node {ref!r}")
         if self.tran is None:
-            raise self.fail(len(self.lines), 1, "missing .tran directive")
+            raise self.fail(*self.end, "missing .tran directive")
         try:
             circuit = Circuit.build(self.components, self.controls)
         except CircuitError as exc:
-            raise self.fail(len(self.lines), 1, str(exc)) from None
+            raise self.fail(*self.end, str(exc)) from None
         return Scenario(circuit=circuit, settings=self.tran, probes=tuple(self.probes))
 
 

@@ -209,8 +209,8 @@ def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scena
 
     ``fig2``/``fig3`` are at their 800 V setting; ``fig2_hv``/``fig3_hv``
     are the same stacks driven at the 1.8 kV design point.  The nominal
-    scenario is built here, once; each trial puts its four sampled switches
-    in it (:meth:`~hvsim.circuit.Circuit.with_parts`) and checks only those.
+    scenario is built here, once; each trial puts its four sampled switches,
+    each checked as it is made, in it (:meth:`~hvsim.circuit.Circuit.with_parts`).
     """
     table = {"fig2": (None, 800.0), "fig3": (3.6e6, 800.0),
              "fig2_hv": (None, 1800.0), "fig3_hv": (3.6e6, 1800.0)}
@@ -230,7 +230,6 @@ def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scena
             sw.name: replace(sw, roff=roff, delay_offset=offset)
             for sw, roff, offset in zip(switches, off_resistances, offsets)
         })
-        circuit.validate()
         return Scenario(circuit, nominal.settings, nominal.probes)
 
     return build

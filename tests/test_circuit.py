@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from hvsim.circuit import (
+    Capacitor,
     Circuit,
     CircuitError,
     ControlSignal,
     Resistor,
     Switch,
+    VoltageSource,
 )
 from hvsim.presets import load_fragment
 
@@ -59,6 +62,26 @@ class TestControlSignal:
 
 
 class TestComponentInvariants:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Resistor("R1", "a", "0", 0.0), "R1: resistance must be > 0, got 0.0"),
+        (lambda: Resistor("R1", "a", "0", 1e-320),
+         "R1: conductance of resistance 1e-320 overflows"),
+        (lambda: Capacitor("C1", "a", "0", -1e-9), "C1: capacitance must be > 0, got -1e-09"),
+        (lambda: Switch("S1", "a", "0", control="g", roff=-1.0),
+         "S1: switch resistances must be > 0"),
+        (lambda: Switch("S1", "a", "0", control="g", ron=1e-320),
+         "S1: conductance of on-resistance 1e-320 overflows"),
+        (lambda: Switch("S1", "a", "0", control="g", ron=10.0, roff=5.0),
+         "S1: on-resistance 10.0 must be below off-resistance 5.0"),
+        (lambda: Switch("S1", "a", "0", control="g", turn_off_delay=-1e-3),
+         "S1: driver delays must be >= 0"),
+        (lambda: VoltageSource("V1", "a", "0", 1.0, slew=0.0), "V1: slew limit must be > 0"),
+    ], ids=["r-zero", "r-overflow", "c-negative", "s-negative", "s-overflow", "s-on-above-off",
+            "s-delay", "v-slew"])
+    def test_component_checks_its_fields_when_made(self, make, message):
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_resistor_positive(self):
         with pytest.raises(CircuitError):
             Circuit.build([Resistor("R1", "a", "0", 0.0)])
@@ -96,8 +119,9 @@ class TestComponentInvariants:
 
 
 class TestWithParts:
-    """A copy with some parts replaced: checked in full unless every new part
-    keeps its kind, name, nodes and control."""
+    """A copy with some parts replaced: it shares the memo, and with it a
+    passed structural check, unless a new part changes its kind, name, nodes
+    or control."""
 
     @staticmethod
     def nominal():
@@ -111,15 +135,17 @@ class TestWithParts:
         c = self.nominal()
         s1 = dataclasses.replace(c.component("S1"), roff=5e8)
         d = c.with_parts({"S1": s1})
+        assert d.component("S1") is s1 and d.memo is c.memo and "checked" in d.memo
         d.validate()
-        assert d.component("S1") is s1 and d.nominal is c and d.memo is c.memo
         assert d == Circuit.build([c.components[0], s1, c.components[2]], c.control_map)
 
     def test_bad_value_is_checked(self):
+        # the part checks itself when it is made, before any copy exists
         c = self.nominal()
-        d = c.with_parts({"S1": dataclasses.replace(c.component("S1"), roff=1.0)})
         with pytest.raises(CircuitError, match="^S1: on-resistance 5.0 must be below"):
-            d.validate()
+            dataclasses.replace(c.component("S1"), roff=1.0)
+        with pytest.raises(CircuitError, match="^S1: on-resistance 5.0 must be below"):
+            c.with_replaced("S1", roff=1.0)
 
     @pytest.mark.parametrize("changes, message", [
         ({"pos": "X", "neg": "Y"}, "node 'X' has no DC path to ground"),
@@ -129,22 +155,28 @@ class TestWithParts:
     def test_structural_change_is_checked_in_full(self, changes, message):
         c = self.nominal()
         d = c.with_parts({"S1": dataclasses.replace(c.component("S1"), **changes)})
-        assert d.nominal is None
+        assert d.memo is not c.memo and not d.memo
         with pytest.raises(CircuitError, match=message):
             d.validate()
 
     def test_kind_change_is_checked_in_full(self):
         c = self.nominal()
         d = c.with_parts({"S1": Resistor("S1", "A", "B", 1e3)})
-        assert d.nominal is None and d.memo is not c.memo
+        assert d.memo is not c.memo and not d.memo
+        d.validate()
+        assert "checked" in d.memo and "checked" in c.memo
 
     def test_copy_of_a_failing_circuit_is_checked_in_full(self):
-        bad = Circuit((Switch("S1", "A", "0", control="g", roff=1.0),),
+        # the copy shares the memo of a circuit that failed: no pass is kept
+        # there, so the copy's own check runs, and fails as the structure does
+        bad = Circuit((Switch("S1", "A", "0", control="g"), Resistor("R1", "B", "C", 1e3)),
                       (("g", ControlSignal(frequency=1.0)),))
-        good = dataclasses.replace(bad.components[0], roff=1e9)
+        good = dataclasses.replace(bad.components[0], roff=5e8)
         d = bad.with_parts({"S1": good})
-        d.validate()
-        assert d.nominal is None and d.components == (good,)
+        for circuit in (bad, d, bad):
+            with pytest.raises(CircuitError, match="node 'B' has no DC path"):
+                circuit.validate()
+        assert d.components[0] is good and "checked" not in d.memo
 
     def test_unknown_name_raises_key_error(self):
         with pytest.raises(KeyError):

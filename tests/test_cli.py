@@ -105,10 +105,11 @@ class TestRun:
                             "off-resistance 900000000.0"),
     ])
     def test_invalid_component_override_exits_2(self, tmp_path, capsys, override, message):
-        # with_replaced does not check; the run does, with the component's own message
+        # the replaced part checks itself as the flag is applied: the flag is named
         code = run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--set", override)
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        path = override.split("=")[0]
+        assert capsys.readouterr().err == f"error: --set {path}: {message}\n"
         assert not list(tmp_path.iterdir())
 
     def test_component_override(self, tmp_path):
@@ -867,6 +868,76 @@ class TestFileErrors:
             assert run_cli("run", "--netlist", str(out / "fig3.ckt"), "--out", str(out)) == 0
         assert netlist.parse_file(bom / "fig3.ckt") == netlist.parse_file(plain / "fig3.ckt")
         assert (bom / "fig3.csv").read_bytes() == (plain / "fig3.csv").read_bytes()
+
+
+class TestUsageErrorTable:
+    """Each usage error the CLI itself raises: exit 2, its one line, no output."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["run", "--preset", "fig3", "--set", "tran.step"],
+         "--set needs key=value, got 'tran.step'"),
+        (["run", "--preset", "fig3", "--set", "foo.bar=1"],
+         "--set: unknown path 'foo.bar' (tran.*, ctrl.*, comp.*)"),
+        (["run", "--preset", "fig3", "--set", "tran.frob=1"],
+         "--set: unknown tran key 'frob' (allowed: step, stop, damp)"),
+        (["run", "--preset", "fig3", "--set", "ctrl.h.f=1"], "--set: unknown control 'h'"),
+        (["run", "--preset", "fig3", "--set", "ctrl.g.frob=1"],
+         "--set: unknown control 'g' key 'frob' (allowed: f, duty, phase)"),
+        (["run", "--preset", "fig3", "--set", "comp.Q9.value=1"],
+         "--set: unknown component 'Q9'"),
+        (["run", "--preset", "fig3", "--set", "comp.Rb1.frob=1"],
+         "--set: unknown component 'Rb1' key 'frob' (allowed: value)"),
+        (["run", "--preset", "fig3", "--set", "tran.step=abc"],
+         "--set tran.step: malformed value 'abc'"),
+        (["run", "--preset", "fig3", "--set", "tran.step=0"],
+         "--set tran.step: integration step must be > 0, got 0.0"),
+        (["run", "--preset", "fig3", "--set", "ctrl.g.duty=2"],
+         "--set ctrl.g.duty: control duty must be in (0, 1), got 2.0"),
+        (["run", "--preset", "fig3", "--set", "comp.Sq1.roff=1"],
+         "--set comp.Sq1.roff: Sq1: on-resistance 5.0 must be below off-resistance 1.0"),
+        # each override is checked as it is applied, so their order matters
+        (["run", "--preset", "fig3", "--set", "comp.Sq1.ron=2G", "--set", "comp.Sq1.roff=5G"],
+         "--set comp.Sq1.ron: Sq1: on-resistance 2000000000.0 must be below "
+         "off-resistance 900000000.0"),
+        (["run"], "exactly one of --preset or --netlist is required"),
+        (["run", "--preset", "fig3", "--netlist", "fig3.ckt"],
+         "exactly one of --preset or --netlist is required"),
+        (["run", "--netlist", "{dir}/noprobe.ckt"],
+         "noprobe: no probes requested (add .probe directives)"),
+        (["montecarlo"], "montecarlo needs --preset"),
+        (["sweep", "--preset", "fig7", "--freqs", ""], "empty frequency list"),
+        (["sweep", "--preset", "fig7", "--freqs", "100,,200"], "empty entry in frequency list"),
+        (["sweep", "--preset", "fig7", "--loads", "10n,,dea"], "empty entry in load list"),
+        (["sweep", "--preset", "fig8", "--supply", "moon"],
+         "--supply must be bench, converter, or both"),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, argv, line):
+        (tmp_path / "noprobe.ckt").write_text("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.end\n")
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_in_a_valid_order_apply(self, tmp_path):
+        assert run_cli("run", "--preset", "fig3", "--out", str(tmp_path), "--set",
+                       "comp.Sq1.roff=5G", "--set", "comp.Sq1.ron=2G") == 0
+
+
+class TestNumericFailure:
+    """A numerical failure exits 3 with one ``error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("V1 A 0 10\nV2 A 0 5\nR1 A 0 1k\n.tran 1u 1m\n.probe A\n.end\n",
+         "singular system while factoring (check source 'V2')"),
+        ("V1 A 0 10\nR1 A B 1k\nC1 B 0 1n\nC2 B 0 1n ic=5\n.tran 1u 1m\n.probe B\n.end\n",
+         "inconsistent capacitor pre-charges at t=0.0 (constraint residual 2.5)"),
+    ], ids=["conflicting-sources", "conflicting-precharges"])
+    def test_exit_3_with_one_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "num.ckt"
+        path.write_text(text)
+        assert run_cli("run", "--netlist", str(path), "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestPresetErrorText:

@@ -793,8 +793,10 @@ class TestValidateOnce:
             Resistor("R1", "A", "B", 1e3),
             Resistor("R2", "B", "0", 1e3),
         )
-        bad = base.with_replaced("R2", resistance=-1.0)
-        message = "R2: resistance must be > 0, got -1.0"
+        with pytest.raises(CircuitError, match="R2: resistance must be > 0, got -1.0"):
+            base.with_replaced("R2", resistance=-1.0)
+        bad = base.with_replaced("R2", pos="X", neg="Y")
+        message = "node 'X' has no DC path to ground"
         for _ in range(2):  # a failed check is not remembered as a pass
             with pytest.raises(CircuitError, match=message):
                 run_transient(bad, IntegrationSettings(1e-3, 1e-2), {})
@@ -802,14 +804,15 @@ class TestValidateOnce:
                 dc_operating_point(bad)
 
     def test_valid_circuit_checks_components_once(self, monkeypatch):
+        # the structural check runs once per structure: value-only copies share its pass
         checked = []
-        validate = Resistor.validate
+        check = Circuit._check_dc_connectivity
 
-        def counting_validate(comp):
-            checked.append(comp.name)
-            validate(comp)
+        def counting_check(circuit):
+            checked.append(len(circuit.components))
+            check(circuit)
 
-        monkeypatch.setattr(Resistor, "validate", counting_validate)
+        monkeypatch.setattr(Circuit, "_check_dc_connectivity", counting_check)
         circuit = simple_circuit(
             VoltageSource("V1", "A", "0", 10.0),
             Resistor("R1", "A", "0", 1e3),
@@ -817,7 +820,8 @@ class TestValidateOnce:
         for _ in range(2):
             run_transient(circuit, IntegrationSettings(1e-3, 1e-2), {})
         dc_operating_point(circuit)
-        assert checked == ["R1"]
+        dc_operating_point(circuit.with_replaced("R1", resistance=2e3))
+        assert checked == [2]
 
 
 def random_resistive_circuit(rng):
@@ -994,6 +998,19 @@ class TestLapackWrappers:
         )
         with pytest.raises(SimulationError, match="source 'V2'"):
             dc_operating_point(c)
+
+    @pytest.mark.parametrize("v2", [10.0, 5.0], ids=["equal", "conflicting"])
+    def test_parallel_sources_in_a_transient_name_source(self, v2):
+        # with no capacitor there is no loop current to excuse a singular
+        # t=0 system: the transient names the source as the DC solve does
+        c = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0),
+            VoltageSource("V2", "A", "0", v2),
+            Resistor("R1", "A", "0", 1e3),
+        )
+        with pytest.raises(SimulationError,
+                           match="^singular system while factoring \\(check source 'V2'\\)$"):
+            run_transient(c, IntegrationSettings(1e-6, 1e-3), {})
 
     def test_empty_system(self):
         assert dc_operating_point(Circuit.build([])) == {"0": 0.0}

@@ -16,6 +16,7 @@ from hvsim.circuit import (
     VoltageSource,
     params,
 )
+from hvsim import cli
 from hvsim.cli import apply_override
 from hvsim.devices import (
     BenchSupplyParams,
@@ -242,6 +243,67 @@ class TestDiagnostics:
     def test_floating_node_reported(self):
         with pytest.raises(NetlistError, match="no DC path"):
             parse("V1 A 0 10\nR1 A 0 1k\nC1 B 0 1n\n.tran 1u 1m\n.end\n")
+
+
+#: (netlist text, line, column, message) of each diagnostic the parser gives
+DIAGNOSTICS = [
+    ("R1 A 0 1k\n.tran 1u 1m\n.end\nR2 A 0 1k\n", 4, 1, "statement after .end"),
+    ("R1 A 0 1k\nC1 A 0 1n ic=1 ic=2\n.tran 1u 1m\n.end\n", 2, 16,
+     "duplicate parameter 'ic'"),
+    ("R1 A 0 1k\nC1 A 0 1n 5\n.tran 1u 1m\n.end\n", 2, 11, "expected key=value, got '5'"),
+    ("R1 A 0 1k\nX1 A 0\n.tran 1u 1m\n.end\n", 2, 1, "X statement needs a kind word"),
+    ("X1 A 0 foo\n", 1, 8, "unknown fragment kind 'foo' (converter, probe, bench, dea)"),
+    ("R1 A 0 1k\n.foo\n", 2, 1, "unknown directive '.foo'"),
+    ("R1 A-1 0 1k\n", 1, 4, "malformed node label 'A-1'"),
+    ("R A 0 1k\n", 1, 1, "component 'R' needs a name"),
+    ("R1 A\n", 1, 1, "component needs two node arguments"),
+    ("R1 A 0 1k 2k\n", 1, 1, "resistor takes exactly one value"),
+    ("C1 A 0\n", 1, 1, "capacitor needs a value"),
+    ("S1 A 0 ron=1\n", 1, 1, "switch needs a ctrl= reference"),
+    ("V1 A 0\n", 1, 1, "source needs a value"),
+    ("X1 A 0 bench\n", 1, 1, "bench supply needs v="),
+    ("X1 A 0 bench v=1k rout=0\n", 1, 1, "rout= must be > 0"),
+    (".ctrl g sine f=1\n", 1, 1, ".ctrl needs: <name> square f=<Hz> ..."),
+    (".ctrl g square duty=0.3\n", 1, 1, ".ctrl needs f=<Hz>"),
+    (".ctrl g square f=1\n.ctrl g square f=2\n", 2, 7, "duplicate control 'g'"),
+    ("R1 A 0 1k\n.tran 1u\n", 2, 1, ".tran needs <step> <stop>"),
+    ("R1 A 0 1k\n.probe\n", 2, 1, ".probe takes one node or a node pair"),
+    ("R1 A 0 1k\n.tran 1u 1m\n.end now\n", 3, 6, "unexpected tokens after .end"),
+    # a bad value is reported at its own statement, the .tran's and the parts'
+    ("V1 A 0 10\nR1 A B 1k\nR2 B 0 1k\n.tran 0 1m\n.probe B\n.end\n", 4, 1,
+     "integration step must be > 0, got 0.0"),
+    ("V1 A 0 10\nR1 A B 0\nR2 B 0 1k\n.tran 1u 1m\n.probe B\n.end\n", 2, 1,
+     "R1: resistance must be > 0, got 0.0"),
+    ("V1 A 0 10\nR1 A B 1k\n  C1 B 0 -1n\n.tran 1u 1m\n.end\n", 3, 3,
+     "C1: capacitance must be > 0, got -1e-09"),
+    (".ctrl g square f=1\nR1 A 0 1k\nS1 A 0 ctrl=g roff=1\n.tran 1u 1m\n.end\n", 3, 1,
+     "S1: on-resistance 5.0 must be below off-resistance 1.0"),
+    ("V1 A 0 10 slew=0\nR1 A 0 1k\n.tran 1u 1m\n.end\n", 1, 1,
+     "V1: slew limit must be > 0"),
+    # a fragment's part is checked as the fragment is made, under its own name
+    ("Xsup A 0 bench v=1k rout=1e-320\nR1 A 0 1k\n.tran 1u 1m\n.end\n", 1, 1,
+     "R_rout: conductance of resistance 1e-320 overflows"),
+    # whole-file faults: a missing .end at the last statement, the rest at .end
+    ("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.probe A\n", 4, 1, "missing .end"),
+    ("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.probe A\n# done\n\n", 4, 1, "missing .end"),
+    ("", 1, 1, "missing .end"),
+    ("V1 A 0 10\nR1 A 0 1k\n.probe A\n.end\n", 4, 1, "missing .tran directive"),
+    ("V1 A 0 10\nR1 A 0 1k\nC1 B 0 1n\n.tran 1u 1m\n.probe A\n.end\n", 6, 1,
+     "node 'B' has no DC path to ground (floating subcircuit)"),
+    ("V1 A 0 10\nR1 A 0 1k\nC1 B 0 1n\n.tran 1u 1m\n  .end\n# trailer\n", 5, 3,
+     "node 'B' has no DC path to ground (floating subcircuit)"),
+]
+
+
+class TestDiagnosticTable:
+    @pytest.mark.parametrize("text, line, column, message", DIAGNOSTICS,
+                             ids=[d[3] for d in DIAGNOSTICS])
+    def test_exit_2_at_the_statement(self, tmp_path, capsys, text, line, column, message):
+        path = tmp_path / "t.ckt"
+        path.write_text(text)
+        assert cli.main(["run", "--netlist", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}:{column}: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckt"]
 
 
 class TestValueNotation:

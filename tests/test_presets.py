@@ -191,12 +191,14 @@ class TestMonteCarloTemplate:
     @pytest.mark.parametrize("name", sorted(MC_TABLE))
     def test_trial_equals_the_scenario_built_from_scratch(self, name):
         build = mc_template(name)
+        memo = build(*draws(0)).circuit.memo  # the nominal's, with its passed check
+        assert "checked" in memo
         for seed in range(3):
             offs, offsets = draws(seed)
             trial, scratch = build(offs, offsets), trial_from_scratch(name, offs, offsets)
             assert trial == scratch
             assert print_scenario(trial) == print_scenario(scratch)
-            assert trial.circuit.nominal is not None and scratch.circuit.nominal is None
+            assert trial.circuit.memo is memo and scratch.circuit.memo is not memo
             got, ref = run_scenario(trial), run_scenario(scratch)
             assert got.x.tobytes() == ref.x.tobytes() and got.events == ref.events
 

@@ -1,0 +1,64 @@
+"""Tests of the repository tools on synthetic inputs (no benchmark is run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_against = _load("bench_against")
+
+SPEC = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "steps_per_s", "unit": "steps/s", "better": "higher", "bound": 0.25},
+]}
+
+#: ten parent runs of one metric, drifting about 1% from pair to pair
+PARENT = [1.000, 1.012, 0.995, 1.004, 1.010, 0.991, 1.007, 0.998, 1.002, 1.009]
+
+
+def verdicts(parent, change, metric):
+    """(gain_shown, worse_than_bound) of ``metric`` for the paired runs."""
+    keys = [f"mc_fig3/{m['name']}" for m in SPEC["end_to_end"]]
+    runs = {side: [dict.fromkeys(keys, v) for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    row = bench_against.summarize(runs, SPEC, ["mc_fig3"])[f"mc_fig3/{metric}"]
+    return row["gain_shown"], row["worse_than_bound"]
+
+
+class TestBenchVerdicts:
+    def test_same_code_shows_neither(self):
+        # the same values in another order: the null test
+        same = PARENT[3:] + PARENT[:3]
+        assert verdicts(PARENT, same, "wall_s") == (False, False)
+        assert verdicts(PARENT, same, "steps_per_s") == (False, False)
+
+    @pytest.mark.parametrize("metric, factor", [("wall_s", 0.98), ("steps_per_s", 1.02)])
+    def test_two_percent_gain_in_every_pair_is_shown(self, metric, factor):
+        # a 2% shift is inside the parent's spread of values, but it wins every pair
+        assert verdicts(PARENT, [v * factor for v in PARENT], metric) == (True, False)
+
+    def test_gain_that_loses_two_pairs_is_not_shown(self):
+        change = [v * 0.95 for v in PARENT]
+        change[1] = change[4] = 1.1
+        assert verdicts(PARENT, change, "wall_s") == (False, False)
+
+    def test_gain_inside_the_parent_spread_is_not_shown(self):
+        # every pair won by a hair: the medians differ by less than the parent's IQR
+        assert verdicts(PARENT, [v - 1e-4 for v in PARENT], "wall_s") == (False, False)
+
+    @pytest.mark.parametrize("metric, factor, worse", [
+        ("wall_s", 1.30, True), ("wall_s", 1.20, False),
+        ("steps_per_s", 0.70, True), ("steps_per_s", 0.80, False),
+    ])
+    def test_worse_than_bound(self, metric, factor, worse):
+        assert verdicts(PARENT, [v * factor for v in PARENT], metric) == (False, worse)

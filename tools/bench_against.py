@@ -19,11 +19,14 @@ odd ``i``.  Then one ``--trace 1`` run per tree (seed ``K``) records the
 per-layer counters.  ``WORK_DIR/bench.json`` gets, for each workload and
 end-to-end metric of ``BENCHMARK.json``: both sides' values, medians and
 quartiles, the change/parent ratio of the medians, the pairs the change
-won, the metric's bound, and whether the change's median lies inside the
-parent's quartiles (the null test: ``REV=HEAD`` on a clean tree should put
-every metric there).  It also records the host and the Python, numpy and
-scipy versions.  A summary table goes to stdout.  Exits 1 when a run fails
-or an output check fails.
+won, the metric's bound and two verdicts.  ``gain_shown`` holds when the
+change won at least 9 of every 10 pairs and its median is better than the
+parent's by more than the parent's interquartile range; ``worse_than_bound``
+holds when its median is worse than the parent's by more than the bound, a
+fraction of the parent's median.  The null test, ``REV=HEAD`` on a clean
+tree, should give neither.  It also records the host and the Python, numpy
+and scipy versions.  A summary table goes to stdout.  Exits 1 when a run
+fails or an output check fails.
 """
 
 from __future__ import annotations
@@ -80,16 +83,17 @@ def _spread(values: list) -> dict:
 
 def summarize(runs: dict, spec: dict, workloads) -> dict:
     """Per ``workload/metric`` of the end-to-end metrics: both sides' spread,
-    the ratio of medians, pair wins and the bound."""
+    the ratio of medians, pair wins, the bound and the two verdicts."""
     out = {}
     for workload in workloads:
         for metric in spec["end_to_end"]:
             key = f"{workload}/{metric['name']}"
             parent = [r[key] for r in runs["parent"]]
             change = [r[key] for r in runs["change"]]
-            lower = metric["better"] == "lower"
-            wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+            sign = 1.0 if metric["better"] == "lower" else -1.0  # > 0: the change is better
+            wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
             p, c = _spread(parent), _spread(change)
+            gain = sign * (p["median"] - c["median"])
             out[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -99,8 +103,8 @@ def summarize(runs: dict, spec: dict, workloads) -> dict:
                 "ratio": c["median"] / p["median"] if p["median"] else None,
                 "change_wins": wins,
                 "pairs": len(parent),
-                "inside_parent_quartiles": p["q1"] <= c["median"] <= p["q3"],
-                "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+                "gain_shown": 10 * wins >= 9 * len(parent) and gain > p["q3"] - p["q1"],
+                "worse_than_bound": -gain > metric["bound"] * abs(p["median"]),
             }
     return out
 
@@ -166,12 +170,12 @@ def main(argv=None) -> int:
     }
     (work / "bench.json").write_text(json.dumps(report, indent=1) + "\n")
     print(f"{'workload/metric':28s} {'parent':>11s} {'change':>11s} {'ratio':>7s} "
-          f"{'wins':>6s} {'bound':>6s}  inside parent q1-q3")
+          f"{'wins':>6s} {'bound':>6s}  gain shown / worse than bound")
     for key, row in report["end_to_end"].items():
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
         print(f"{key:28s} {row['parent']['median']:11.5g} {row['change']['median']:11.5g} "
               f"{ratio:>7s} {row['change_wins']:>3d}/{row['pairs']:<2d} "
-              f"{row['bound']:6.2f}  {row['inside_parent_quartiles']}")
+              f"{row['bound']:6.2f}  {row['gain_shown']} / {row['worse_than_bound']}")
     for line in failed:
         print(f"FAILED {line}", file=sys.stderr)
     print(f"wrote {work / 'bench.json'}")

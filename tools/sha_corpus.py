@@ -120,6 +120,16 @@ C1 B 0 1e308
 .end
 """
 
+#: two sources that hold one node at different voltages, with no capacitor
+VCONFLICT = """\
+V1 A 0 10
+V2 A 0 5
+R1 A 0 1k
+.tran 1u 1m
+.probe A
+.end
+"""
+
 
 def jobs():
     """(job id, CLI argv without --out, netlist as (stem, text) or None)."""
@@ -148,6 +158,8 @@ def jobs():
                                     "--set", "comp.Sq1.ron=1e-320"], None
     # a capacitance whose companion conductance overflows: exit 2, one error line
     yield "run:netlist:huge-cap", ["run"], ("huge_cap", HUGE_CAP)
+    # conflicting sources with no capacitor: exit 3 naming the singular source row
+    yield "run:netlist:conflicting-sources", ["run"], ("vconflict", VCONFLICT)
     # a low-side turn-off slower than the high-side turn-on: a shoot-through warning
     yield "run:fig3:shoot-through", ["run", "--preset", "fig3",
                                      "--set", "comp.Sq4.toff=0.6m"], None
