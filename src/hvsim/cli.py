@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 for usage/parse problems (unknown preset, netlist
 syntax error, unreadable netlist or output path, bad override), 3 for
 numerical failures.  Summaries go to stdout, diagnostics to stderr; outputs
-are byte-identical for identical inputs and seeds.  Every study runs its
-cells one after another on one thread; ``--workers`` is accepted as an upper
-bound on worker threads.
+are byte-identical for identical inputs and seeds, on one BLAS kernel and
+library build.  Every study runs its cells one after another on one thread;
+``--workers`` is accepted as an upper bound on worker threads.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ Each ``*Params`` class is the key schema of one netlist ``X`` kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .circuit import (
     Capacitor,
@@ -86,32 +86,20 @@ class DeaLoadParams(_PositiveParams):
 class Fragment:
     """Two-terminal subcircuit template over symbolic terminals "+" and "-".
 
-    Component names inside a fragment start with their netlist type letter
+    Each part is ``(kind, name, pos, neg, values)`` and is made only when the
+    fragment is instantiated, so a part that fails its own check is named as
+    in the circuit.  Part names start with their netlist type letter
     (R/C/S/V); instantiation splices the instance prefix in after it, so
     printed netlists keep the letter-coded statement form.
     """
 
-    components: Tuple[Component, ...]
+    parts: Tuple[Tuple[type, str, str, str, Dict[str, Any]], ...]
 
     def instantiate(self, pos: str, neg: str, prefix: str) -> List[Component]:
-        def bind(label: str) -> str:
-            if label == "+":
-                return pos
-            if label == "-":
-                return neg
-            return f"{prefix}_{label}"
-
-        out = []
-        for comp in self.components:
-            out.append(
-                replace(
-                    comp,
-                    name=comp.name[0] + prefix + comp.name[1:],
-                    pos=bind(comp.pos),
-                    neg=bind(comp.neg),
-                )
-            )
-        return out
+        nodes = {"+": pos, "-": neg}
+        return [kind(name[0] + prefix + name[1:], nodes.get(p, f"{prefix}_{p}"),
+                     nodes.get(n, f"{prefix}_{n}"), **values)
+                for kind, name, p, n, values in self.parts]
 
 
 def driver_schedule(
@@ -143,13 +131,11 @@ def driver_schedule(
 
 def expand_bench_supply(params: BenchSupplyParams) -> Fragment:
     """Bench generator fragment: slew-limited EMF behind its output resistance."""
-    return Fragment(
-        components=(
-            VoltageSource(name="V_emf", pos="e", neg="-", voltage=params.voltage,
-                          slew=params.slew_limit),
-            Resistor(name="R_rout", pos="e", neg="+", resistance=params.output_resistance),
-        )
-    )
+    return Fragment((
+        (VoltageSource, "V_emf", "e", "-", {"voltage": params.voltage,
+                                            "slew": params.slew_limit}),
+        (Resistor, "R_rout", "e", "+", {"resistance": params.output_resistance}),
+    ))
 
 
 def expand_converter(params: ConverterParams) -> Fragment:
@@ -158,31 +144,28 @@ def expand_converter(params: ConverterParams) -> Fragment:
     before the EMF node."""
     ic = params.open_circuit_voltage if params.precharged else 0.0
     return Fragment((
-        Capacitor("C_cpar", "+", "-", params.parallel_capacitance, initial_voltage=ic),
-        Resistor("R_rint", "e", "+", params.internal_resistance),
-        VoltageSource("V_emf", "e", "-", params.open_circuit_voltage),
+        (Capacitor, "C_cpar", "+", "-", {"capacitance": params.parallel_capacitance,
+                                         "initial_voltage": ic}),
+        (Resistor, "R_rint", "e", "+", {"resistance": params.internal_resistance}),
+        (VoltageSource, "V_emf", "e", "-", {"voltage": params.open_circuit_voltage}),
     ))
 
 
 def expand_probe(params: ProbeParams) -> Fragment:
     """Scope probe fragment: ``rin`` parallel with ``cin``."""
-    return Fragment((Resistor("R_rin", "+", "-", params.input_resistance),
-                     Capacitor("C_cin", "+", "-", params.input_capacitance)))
+    return Fragment(((Resistor, "R_rin", "+", "-", {"resistance": params.input_resistance}),
+                     (Capacitor, "C_cin", "+", "-", {"capacitance": params.input_capacitance})))
 
 
 def expand_dea_load(params: DeaLoadParams) -> Fragment:
     """Actuator load fragment: R_s in series with [C parallel R_p]."""
     rc = series_rc_load(params.series_resistance, params.capacitance)
-    leak = Resistor(name="R_rp", pos="m", neg="-", resistance=params.parallel_resistance)
-    return Fragment(rc.components + (leak,))
+    return Fragment(rc.parts + ((Resistor, "R_rp", "m", "-",
+                                 {"resistance": params.parallel_resistance}),))
 
 
 def series_rc_load(resistance: float, capacitance: float) -> Fragment:
     """Series-RC mimic load (the bench stand-in for an actuator): the
     actuator equivalent without its leakage branch."""
-    return Fragment(
-        components=(
-            Resistor(name="R_rs", pos="+", neg="m", resistance=resistance),
-            Capacitor(name="C_c", pos="m", neg="-", capacitance=capacitance),
-        )
-    )
+    return Fragment(((Resistor, "R_rs", "+", "m", {"resistance": resistance}),
+                     (Capacitor, "C_c", "m", "-", {"capacitance": capacitance})))

@@ -8,27 +8,27 @@ dense (node counts here stay small).
 
 Between events the circuit is linear time-invariant, so each run factors the
 matrix once per distinct (switch states, damped) pair and reuses it at every
-later event with the same topology.  A trapezoidal stretch is a linear
-recurrence in the companion-history currents and the source EMFs; it is
-advanced a block of steps at a time from powers of its one-step map,
+later event with the same topology.  With capacitors, a trapezoidal stretch is
+a linear recurrence in the companion-history currents and the source EMFs; it
+is advanced a block of steps at a time from powers of its one-step map,
 tabulated as far as the longest block needs, so no per-step solve remains
 (the per-topology state-space form of piecewise-linear switched-circuit
 simulators).
 
 :func:`run_transient` has four phases: schedule (snap the switch events and
 gated-source edges to the grid), segment plan (targets, ramp knees and slopes),
-propagate (the damped and blocked trapezoidal steps, or a resistive row) and
-package (the :class:`TransientResult`).  One forward walk over the sorted
+propagate (the damped and blocked trapezoidal steps, or capacitor-free rows)
+and package (the :class:`TransientResult`).  One forward walk over the sorted
 event boundaries runs the segments before each boundary, then its events.  A
 segment is planned only while a source is gated or off its target; once every
 EMF holds its voltage, a segment runs to its boundary at zero slope.
 
 A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
-contiguous.  A capacitor-free run has no state, so between events its solution
-is one constant row (or, while a source ramps, one row per step); it is stored
-run-length, one row per constant stretch plus the grid index where the
-stretch starts (the output side of the piecewise-linear view).  Only
+contiguous.  A capacitor-free run has no state: each of its rows, at t=0, per
+constant stretch and per step of a source ramp, is one solve of the topology
+for its source EMFs, made once per distinct EMF vector.  It is stored
+run-length, each row with the grid index where it starts.  Only
 :class:`TransientResult` reads the format: its accessors expand it to dense
 :class:`~hvsim.waveform.Waveform` traces, and its ``rows`` hands out a
 column as stored.
@@ -312,14 +312,27 @@ class _Operators:
     row) and ``S`` selects the source rows, so a step solves
     ``A x = N hist + S emf``.  The table of powers of the one-step map grows
     to the longest block asked for, in powers of two up to ``_BLOCK``: a
-    one-step ramp needs ``F^0`` and ``F^1`` only.
+    topology that holds for one trapezoidal step needs ``F^0`` and ``F^1``
+    only.  A capacitor-free topology keeps the rows it solved instead.
     """
 
     lu: Tuple[np.ndarray, np.ndarray]
-    g: np.ndarray  # companion conductance of each capacitor
+    g: np.ndarray = field(default_factory=lambda: np.zeros(0))  # each capacitor's companion
     k: Optional[np.ndarray] = None  # A^-1 [N S]
     powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
     rows: Dict[bytes, np.ndarray] = field(default_factory=dict)  # capacitor-free x by EMF bytes
+
+    def row(self, emf: np.ndarray, t: float) -> np.ndarray:
+        """The capacitor-free solution ``A^-1 S emf``, solved once per EMF
+        vector (keyed by its bytes, so -0.0 and 0.0 stay apart); a new row
+        that is not finite raises :class:`SimulationError` naming ``t``."""
+        key = emf.tobytes()
+        if key not in self.rows:
+            x = lu_solve(self.lu, np.append(np.zeros(len(self.lu[0]) - len(emf)), emf))
+            if not np.isfinite(x).all():
+                raise SimulationError(f"solution diverged at t={t!r}")
+            self.rows[key] = x
+        return self.rows[key]
 
     def response(self, inc: np.ndarray, m: int) -> np.ndarray:
         """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
@@ -367,13 +380,7 @@ def dc_operating_point(circuit: Circuit) -> Dict[str, float]:
     low = _lower(circuit)
     controls = circuit.control_map
     states = [sw.initial_state(controls[sw.control]) for sw in low.switches]
-    A = _base_matrix(low, states)
-    b = np.zeros(low.size)
-    b[low.n_nodes :] = _targets(low, controls, 0.0)
-    lu = _factor(A, low)
-    x = lu_solve(lu, b)
-    if not np.all(np.isfinite(x)):
-        raise SimulationError("non-finite DC solution")
+    x = _Operators(_factor(_base_matrix(low, states), low)).row(_targets(low, controls, 0.0), 0.0)
     out = {label: float(x[i]) for label, i in low.index.items()}
     out["0"] = 0.0
     return out
@@ -478,11 +485,12 @@ def check_control_edges(
 
 def _initial_solve(
     low: _Lowered, sw_states: Sequence[bool], emf0: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
-    """Consistent t=0 state with capacitors held at their initial voltages.
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Consistent t=0 state of a run with capacitors, each held at its
+    initial voltage.
 
     Returns the initial unknown vector, the capacitor branch currents, and
-    the t=0 LU factors, None when the current split was indeterminate.
+    whether the branch-current split was determinate.
     """
     n, m, c = low.n_nodes, len(low.sources), len(low.caps)
     size = n + m + c
@@ -492,12 +500,10 @@ def _initial_solve(
     A[n + m :, :n] = A[:n, n + m :].T
     b = np.concatenate([np.zeros(n), emf0, [cap.initial_voltage for cap in low.caps]])
     # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
-    lu, piv, info = dgetrf(A) if size else (A, None, 0)  # LAPACK rejects 0 x 0
-    factors = (lu, piv) if info == 0 and _clean(lu.diagonal().tolist()) else None
-    if factors is None and not low.caps:  # no capacitor loop to excuse it
-        _factor(A, low)  # raises, naming the singular row
-    if factors is not None:
-        x = lu_solve(factors, b)
+    lu, piv, info = dgetrf(A)
+    determinate = info == 0 and _clean(lu.diagonal().tolist())
+    if determinate:
+        x = lu_solve((lu, piv), b)
     else:
         # capacitor loops make the t=0 branch-current split indeterminate;
         # take the minimum-norm solution (the damped first steps erase any
@@ -512,7 +518,7 @@ def _initial_solve(
             )
     if not np.all(np.isfinite(x)):
         raise SimulationError("non-finite initial solution at t=0.0")
-    return x[: n + m], x[n + m :], factors
+    return x[: n + m], x[n + m :], determinate
 
 
 def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, timelines):
@@ -578,63 +584,47 @@ def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary:
 
 
 def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
-    """Propagate phase: advance from grid index ``idx0`` to ``seg_end``, the
-    first ``damp`` steps backward Euler, the EMF at step ``k`` being ``emf +
-    (k - idx0) * slope * h`` (``slope`` is zero unless the segment was planned
-    with a source off its target); ``operators(damped)`` gives the topology's
-    :class:`_Operators`.  The solution goes into ``out``: the dense ``(x,
-    cap_i)`` arrays of a run with capacitors, else the ``(x, starts)`` lists
-    of a run-length :class:`TransientResult`, where a constant drive reuses
-    the row of its (topology, EMF) pair.  Each new row is checked finite.
-    Returns the capacitor voltages and currents at ``seg_end``."""
+    """Propagate phase of a run with capacitors: advance from grid index
+    ``idx0`` to ``seg_end``, the first ``damp`` steps backward Euler, the EMF
+    at step ``k`` being ``emf + (k - idx0) * slope * h`` (``slope`` is zero
+    unless the segment was planned with a source off its target);
+    ``operators(damped)`` gives the topology's :class:`_Operators`.  The
+    solution goes into the dense ``(x, cap_i)`` arrays ``out``, and its row
+    at ``seg_end`` is checked finite.  Returns the capacitor voltages and
+    currents at ``seg_end``."""
     nc, m = inc.shape[1], len(emf)
     trap, ramp = operators(False), np.count_nonzero(slope)
-    new = None  # the rows this segment adds that no earlier segment checked
-    if nc == 0 and not ramp:
-        key = emf.tobytes()  # bytes, not values: -0.0 and 0.0 stay apart
-        if key not in trap.rows:
-            new = trap.rows[key] = lu_solve(trap.lu, np.append(np.zeros(len(inc) - m), emf))
-        out[0].append(trap.rows[key])
-        out[1].append(idx0 + 1)
-    else:
-        d_emf = slope * h
-        drive = emf + d_emf  # the EMF after one step; at every step of a constant drive
-        if damp:
-            be = operators(True)
-            k_be = be.response(inc, m)
-            rhs = np.concatenate([vc, drive])  # [hist; emf], rewritten in place per step
-            hist = rhs[:nc]
-            for k in range(idx0 + 1, idx0 + 1 + damp):
-                np.multiply(be.g, vc, out=hist)
-                if ramp:
-                    np.add(emf, (k - idx0) * d_emf, out=rhs[nc:])
-                out[0][k] = x = k_be @ rhs
-                vc = x @ inc
-                ic = np.subtract(be.g * vc, hist, out=out[1][k])
-        k = idx0 + 1 + damp
-        if k <= seg_end:
-            P = trap.step_powers(inc, m, min(_BLOCK, seg_end + 1 - k))
-            k_tr = trap.response(inc, m)
-            drive = emf + (k - idx0) * d_emf if ramp else drive  # d_emf is +0.0 if not ramp
-            z = np.concatenate([trap.g * vc + ic, drive, d_emf])
-            while k <= seg_end:
-                # row i of Z is the state [hist; emf; emf step] before step k + i
-                L = min(_BLOCK, seg_end + 1 - k)
-                Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
-                X = Z[:, : nc + m] @ k_tr.T
-                if nc:
-                    out[0][k : k + L] = X
-                    np.subtract(trap.g * (X @ inc), Z[:, :nc], out=out[1][k : k + L])
-                else:  # a capacitor-free ramp: one row per step
-                    out[0].extend(X)
-                    out[1].extend(range(k, k + L))
-                k += L
-                z = P[L] @ z if k <= seg_end else z  # the last advance is never read
-            if nc:
-                vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
-                ic = out[1][seg_end]
-        new = out[0][seg_end] if nc else out[0][idx0 - seg_end :]  # else: the ramp's rows
-    if new is not None and not np.isfinite(new).all():
+    d_emf = slope * h
+    drive = emf + d_emf  # the EMF after one step; at every step of a constant drive
+    if damp:
+        be = operators(True)
+        k_be = be.response(inc, m)
+        rhs = np.concatenate([vc, drive])  # [hist; emf], rewritten in place per step
+        hist = rhs[:nc]
+        for k in range(idx0 + 1, idx0 + 1 + damp):
+            np.multiply(be.g, vc, out=hist)
+            if ramp:
+                np.add(emf, (k - idx0) * d_emf, out=rhs[nc:])
+            out[0][k] = x = k_be @ rhs
+            vc = x @ inc
+            ic = np.subtract(be.g * vc, hist, out=out[1][k])
+    k = idx0 + 1 + damp
+    if k <= seg_end:
+        P = trap.step_powers(inc, m, min(_BLOCK, seg_end + 1 - k))
+        k_tr = trap.response(inc, m)
+        drive = emf + (k - idx0) * d_emf if ramp else drive  # d_emf is +0.0 if not ramp
+        z = np.concatenate([trap.g * vc + ic, drive, d_emf])
+        while k <= seg_end:
+            # row i of Z is the state [hist; emf; emf step] before step k + i
+            L = min(_BLOCK, seg_end + 1 - k)
+            Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
+            X = out[0][k : k + L] = Z[:, : nc + m] @ k_tr.T
+            np.subtract(trap.g * (X @ inc), Z[:, :nc], out=out[1][k : k + L])
+            k += L
+            z = P[L] @ z if k <= seg_end else z  # the last advance is never read
+        vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
+        ic = out[1][seg_end]
+    if not np.isfinite(out[0][seg_end]).all():
         raise SimulationError(f"solution diverged at t={seg_end * h!r}")
     return vc, ic
 
@@ -694,21 +684,10 @@ def run_transient(
     # matching the switch-event convention
     slewed = [src.slew is not None for src in low.sources]
     emf = np.where(slewed, 0.0, _targets(low, controls, 0.5 * h))
-    x0, ic, factors = _initial_solve(low, sw_states, emf)
-    if nc:
-        # column-major, so each unknown's trace is contiguous
-        out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
-        out[0][0], out[1][0] = x0, ic
-    else:
-        # no state: each row holds from its start index up to the next one
-        out = ([x0], [0])
-
     vc = np.array([cap.initial_voltage for cap in low.caps])
     inc = _incidence(low, low.size, low.caps)
     cap_c = np.array([cap.capacitance for cap in low.caps])
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
-    if not nc and factors is not None:  # no capacitors: the t=0 matrix is the first topology's
-        topologies[tuple(sw_states), False] = _Operators(factors, cap_c)
 
     def operators(damped: bool) -> _Operators:
         key = (tuple(sw_states), damped)
@@ -717,10 +696,18 @@ def run_transient(
             topologies[key] = _Operators(_factor(_base_matrix(low, sw_states, g.tolist()), low), g)
         return topologies[key]
 
-    events: List[Tuple[float, str]] = []
+    if nc:
+        x0, ic, determinate = _initial_solve(low, sw_states, emf)
+        # column-major, so each unknown's trace is contiguous
+        out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
+        out[0][0], out[1][0] = x0, ic
+    else:  # no state: each row holds from its start index up to the next one
+        out, determinate = ([operators(False).row(emf, 0.0)], [0]), True
     # damped start only when loop currents were indeterminate at t=0; a clean
     # start keeps the trapezoidal charge identity exact from the first step
-    pending_damp = settings.damping_steps if factors is None else 0
+    pending_damp = 0 if determinate else settings.damping_steps
+
+    events: List[Tuple[float, str]] = []
     # with no gated source, no source moves once each EMF holds its voltage, and
     # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
     settled = None if any(s.control is not None for s in low.sources) else (
@@ -733,11 +720,16 @@ def run_transient(
                 seg_end, slope = boundary, still
             else:
                 seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
-            steps = seg_end - idx0
-            damp = min(pending_damp, steps) if nc else 0
-            vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+            steps, moving = seg_end - idx0, np.count_nonzero(slope)
+            if nc:
+                damp = min(pending_damp, steps)
+                vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+            else:  # one row per constant stretch, and one per step of a ramp
+                drives = [emf + i * (slope * h) for i in range(1, steps + 1)] if moving else [emf]
+                out[0].extend(operators(False).row(drive, seg_end * h) for drive in drives)
+                out[1].extend(range(idx0 + 1, idx0 + 1 + len(drives)))
             pending_damp = max(0, pending_damp - steps)
-            if np.count_nonzero(slope):  # else every source holds its target
+            if moving:  # else every source holds its target
                 emf = emf + slope * (steps * h)
                 near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
                 np.copyto(emf, target, where=(slope != 0.0) & near)

@@ -105,7 +105,7 @@ class TestComponentInvariants:
 
     def test_derated_capacitor_effective_value(self):
         # the load is derated where it is built; the circuit keeps that value
-        cap = load_fragment("10n").components[1]
+        cap = load_fragment("10n").instantiate("a", "0", "")[1]
         c = Circuit.build(
             [Resistor("R1", "a", "0", 1.0), dataclasses.replace(cap, pos="a", neg="0")]
         )

@@ -151,7 +151,7 @@ class TestBenchSupply:
 class TestDeratedCapacitance:
     def test_reference_point(self):
         # 10 nF, 2e-4/V, 1800 V -> 6.4 nF
-        _, capacitor = load_fragment("10n").components
+        _, capacitor = load_fragment("10n").instantiate("P", "0", "load")
         assert capacitor.capacitance == pytest.approx(6.4e-9)
 
 
@@ -163,7 +163,7 @@ class TestDeaLoad:
         # without its parallel branch the actuator model is the series-RC
         # mimic load, component for component
         dea = expand_dea_load(DeaLoadParams(capacitance=10e-9, series_resistance=100e3))
-        assert dea.components[:2] == series_rc_load(100e3, 10e-9).components
+        assert dea.parts[:2] == series_rc_load(100e3, 10e-9).parts
 
     def test_steady_state_divider(self):
         comps = [

@@ -222,6 +222,9 @@ class TestTransient:
             run_transient(bad, IntegrationSettings(step=1e-6, stop=1e-5), {})
 
     @pytest.mark.parametrize("components, controls, step, stop, when", [
+        # the t=0 row of a capacitor-free run is solved like every later row
+        ([VoltageSource("V1", "a", "0", 1e308), Resistor("R1", "a", "0", 1e-10)],
+         {}, 1e-6, 1e-3, "0.0"),
         # a constant-drive row: the 1e308 V source steps on at 5 ms into the
         # switch that stays closed to 5.1 ms, so a solve after t=0 overflows
         ([VoltageSource("V1", "a", "0", 1e308, control="h"),
@@ -229,10 +232,10 @@ class TestTransient:
          {"g": ControlSignal(frequency=100.0),
           "h": ControlSignal(frequency=100.0, phase=math.pi)}, 1e-4, 0.03, "0.0051"),
         # a capacitor-free ramp over 1000 steps: the source current
-        # overflows in its third block; the time is the ramp's end
+        # overflows near its 600th step; the time is the ramp's end
         ([VoltageSource("V1", "a", "0", 1e300, slew=1e303),
           Resistor("R1", "a", "0", 3.34e-9)], {}, 1e-6, 2e-3, "0.001"),
-    ], ids=["constant-row", "ramp-block"])
+    ], ids=["t0-row", "constant-row", "ramp-block"])
     def test_divergence_after_start_reports_segment_end(self, components, controls,
                                                         step, stop, when):
         c = simple_circuit(*components, controls=controls)
@@ -738,9 +741,9 @@ class TestResistiveReuse:
         solved, topologies = self._fig3_topologies(
             monkeypatch, "lu_solve", lambda lu, b: (lu[0].tobytes(), np.asarray(b).tobytes()))
         assert len(set(solved)) == len(solved)
-        # the supply holds one EMF after its one-step ramp: one row per
-        # topology, plus the t=0 solve and the ramp's one response column
-        assert len(solved) == topologies + 2
+        # the supply holds one EMF after its one-step ramp, and that ramp's
+        # one row is the held row: one row per topology, plus the t=0 row
+        assert len(solved) == topologies + 1
 
 
 class TestPowerTable:
@@ -770,10 +773,29 @@ class TestPowerTable:
         monkeypatch.setattr(engine, "_powers", recording_powers)
         return counts
 
-    def test_one_step_ramp_builds_no_power_past_the_first(self, monkeypatch):
+    @pytest.mark.parametrize("overrides", [(), (("comp.Vsup_emf.slew", "2e5"),)],
+                             ids=["fig3", "fig3-40-step-ramp"])
+    def test_capacitor_free_run_builds_no_power_table(self, monkeypatch, overrides):
         counts = self._recorded_counts(monkeypatch)
-        run_scenario(load_preset("fig3"))
-        assert counts and max(counts) == 1
+        monkeypatch.setattr(engine._Operators, "step_powers", None)  # a call raises
+        scenario = load_preset("fig3")
+        for key, value in overrides:
+            scenario = apply_override(scenario, key, value)
+        run = run_scenario(scenario)
+        assert run.starts is not None and counts == []
+
+    def test_one_step_topologies_build_no_power_past_the_first(self, monkeypatch):
+        tables = {}  # the table length of each capacitive topology, by id
+        step_powers = engine._Operators.step_powers
+
+        def recording(self, inc, m, length):
+            tables[id(self)] = len(P := step_powers(self, inc, m, length))
+            return P
+
+        monkeypatch.setattr(engine._Operators, "step_powers", recording)
+        run_scenario(load_preset("fig8"))
+        # four of fig8's topologies hold for one trapezoidal step: F^0, F^1
+        assert list(tables.values()).count(2) == 4
 
     def test_long_stretch_tops_out_at_block(self, monkeypatch):
         counts = self._recorded_counts(monkeypatch)

@@ -280,9 +280,18 @@ DIAGNOSTICS = [
      "S1: on-resistance 5.0 must be below off-resistance 1.0"),
     ("V1 A 0 10 slew=0\nR1 A 0 1k\n.tran 1u 1m\n.end\n", 1, 1,
      "V1: slew limit must be > 0"),
-    # a fragment's part is checked as the fragment is made, under its own name
+    # a fragment's part is checked as the fragment is instantiated, under its
+    # name in the circuit; a subnormal value passes the X schema's > 0 check
     ("Xsup A 0 bench v=1k rout=1e-320\nR1 A 0 1k\n.tran 1u 1m\n.end\n", 1, 1,
-     "R_rout: conductance of resistance 1e-320 overflows"),
+     "Rsup_rout: conductance of resistance 1e-320 overflows"),
+    ("Xsup A 0 converter rint=1e-320\nR1 A 0 1k\n.tran 1u 1m\n.end\n", 1, 1,
+     "Rsup_rint: conductance of resistance 1e-320 overflows"),
+    ("V1 A 0 10\nXp A 0 probe rin=1e-320\n.tran 1u 1m\n.end\n", 2, 1,
+     "Rp_rin: conductance of resistance 1e-320 overflows"),
+    ("V1 A 0 10\nXload A 0 dea rs=1e-320\n.tran 1u 1m\n.end\n", 2, 1,
+     "Rload_rs: conductance of resistance 1e-320 overflows"),
+    ("V1 A 0 10\nXload A 0 dea rp=1e-320\n.tran 1u 1m\n.end\n", 2, 1,
+     "Rload_rp: conductance of resistance 1e-320 overflows"),
     # whole-file faults: a missing .end at the last statement, the rest at .end
     ("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.probe A\n", 4, 1, "missing .end"),
     ("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.probe A\n# done\n\n", 4, 1, "missing .end"),

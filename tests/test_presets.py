@@ -134,7 +134,7 @@ class TestLoadFragment:
     ], ids=["10n", "20n", "50n"])
     def test_ceramic_loads_derated_at_set_voltage(self, descriptor, capacitance):
         # c0 * (1 - 2e-4/V * 1.8 kV), bit for bit, and printable without loss
-        resistor, capacitor = load_fragment(descriptor).components
+        resistor, capacitor = load_fragment(descriptor).instantiate("O", "0", "load")
         assert resistor.resistance == 100e3
         assert repr(capacitor.capacitance) == repr(capacitance)
         assert parse_value(format_value(capacitor.capacitance)) == capacitance
@@ -157,7 +157,7 @@ class TestConverterBridge:
     def test_matched_bench_setting(self):
         # the converter's DC output into the DEA load, recorded from the
         # hand-built circuit this builder replaced
-        (emf,) = [c for c in bench_matched_to_converter().components
+        (emf,) = [c for c in bench_matched_to_converter().instantiate("A", "0", "sup")
                   if isinstance(c, VoltageSource)]
         assert repr(emf.voltage) == "1963.300463194647"
 

@@ -1,6 +1,10 @@
 """Tests of the repository tools on synthetic inputs (no benchmark is run)."""
 
 import importlib.util
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ def _load(name):
 
 
 bench_against = _load("bench_against")
+blas_kernel = _load("blas_kernel")
 
 SPEC = {"end_to_end": [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -62,3 +67,19 @@ class TestBenchVerdicts:
     ])
     def test_worse_than_bound(self, metric, factor, worse):
         assert verdicts(PARENT, [v * factor for v in PARENT], metric) == (False, worse)
+
+
+class TestBlasKernel:
+    def test_missing_library_or_symbol_reads_unknown(self):
+        _, pattern, symbol = blas_kernel.LIBRARIES[0]
+        assert blas_kernel.corename("no-such.libs/*.so", symbol) == "unknown"
+        assert blas_kernel.corename(pattern, "no_such_corename") == "unknown"
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 kernel names")
+    def test_reads_the_kernel_each_library_runs(self):
+        # every x86-64 host runs Katmai, the oldest kernel, so a child told
+        # to take it must name it for both libraries
+        env = dict(os.environ, OPENBLAS_CORETYPE="Katmai")
+        line = subprocess.run([sys.executable, str(TOOLS / "blas_kernel.py")], env=env,
+                              capture_output=True, text=True, check=True).stdout
+        assert line == "blas kernels: numpy Katmai, scipy Katmai\n"

@@ -24,8 +24,9 @@ change won at least 9 of every 10 pairs and its median is better than the
 parent's by more than the parent's interquartile range; ``worse_than_bound``
 holds when its median is worse than the parent's by more than the bound, a
 fraction of the parent's median.  The null test, ``REV=HEAD`` on a clean
-tree, should give neither.  It also records the host and the Python, numpy
-and scipy versions.  A summary table goes to stdout.  Exits 1 when a run
+tree, should give neither.  It also records the host, the Python, numpy
+and scipy versions, and the OpenBLAS kernel each of numpy and scipy runs
+(``tools/blas_kernel.py``).  A summary table goes to stdout.  Exits 1 when a run
 fails or an output check fails.
 """
 
@@ -112,10 +113,11 @@ def summarize(runs: dict, spec: dict, workloads) -> dict:
 def _env() -> dict:
     import numpy
     import scipy
+    from blas_kernel import kernels  # next to this script
 
     return {"host": platform.platform(), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "blas_kernels": kernels()}
 
 
 def main(argv=None) -> int:

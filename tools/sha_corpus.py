@@ -16,7 +16,10 @@ out of ``main`` is listed with the exit code ``raised`` and its
 ``ExcType: message`` line at the end of its ``<stderr>``, and the corpus goes
 on with the next job.  Running the script on two checkouts and diffing the
 listings checks that a change keeps every output byte-identical.  ``hvsim``
-is imported from the ``src`` directory next to this script.
+is imported from the ``src`` directory next to this script.  The bytes hold
+for one BLAS kernel and library build, so the script names the OpenBLAS
+kernel of numpy and of scipy (``tools/blas_kernel.py``) on stderr, outside
+the listing.
 
 ``--against REV`` does that comparison in one command.  It exports ``src/``
 of the git revision ``REV`` (with ``git archive``) into ``WORK_DIR/parent``,
@@ -25,8 +28,9 @@ working tree's ``src/`` (into ``WORK_DIR/parent/out`` and
 ``WORK_DIR/change/out``; the listings go to ``listing.txt`` beside them), as
 two child processes side by side.  ``WORK_DIR`` must be new or empty.  It prints each differing line, ``-`` for
 ``REV`` and ``+`` for the working tree; for each CSV that differs, each
-column's largest ``|change - parent|`` over its largest ``|parent|``; and
-last ``N differing lines of M``.  It exits 1 when a line differs.
+column's largest ``|change - parent|`` over its largest ``|parent|``; the
+kernel line; and last ``N differing lines of M``.  It exits 1 when a line
+differs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from blas_kernel import describe  # noqa: E402  (next to this script)
 from hvsim.cli import main  # noqa: E402
 from hvsim.netlist import print_scenario  # noqa: E402
 from hvsim.presets import PRESET_NAMES, load_preset  # noqa: E402
@@ -194,6 +199,7 @@ def _sha(data: bytes) -> str:
 
 def run(out_root: Path) -> None:
     out_root = out_root.resolve()
+    print(describe(), file=sys.stderr)
     # the listing keeps the process's stdout; what native code (LAPACK's
     # error handler) writes to file descriptor 1 goes to stderr instead
     sys.stdout.flush()
@@ -282,7 +288,8 @@ def against(rev: str, work: Path) -> int:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
     (parent / "tools").mkdir()
-    shutil.copy(__file__, parent / "tools" / "sha_corpus.py")
+    for script in ("sha_corpus.py", "blas_kernel.py"):
+        shutil.copy(Path(__file__).with_name(script), parent / "tools" / script)
     procs = []
     for script, tree in ((parent / "tools" / "sha_corpus.py", parent), (Path(__file__), change)):
         with open(tree / "listing.txt", "w") as listing:
@@ -304,6 +311,7 @@ def against(rev: str, work: Path) -> int:
             sub = job.replace(":", "_")
             for line in csv_drift(parent / "out" / sub / name, change / "out" / sub / name):
                 print(f"    {line}")
+    print(describe())
     print(f"{differing} differing lines of {len(new)}")
     return 1 if differing else 0
 
