@@ -11,8 +11,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CircuitError
-from .devices import ScheduleError
+from .circuit import CircuitError, ScheduleError
 from .engine import IntegrationSettings, SimulationError, TransientResult
 from .presets import FIG7C_PHASES, converter_bridge, dual_channel_with_phase, load_fragment
 from .runner import run_scenario

@@ -27,6 +27,12 @@ class CircuitError(ValueError):
     """A circuit violates a structural invariant (bad value, floating node...)."""
 
 
+class ScheduleError(ValueError):
+    """The grid or the drivers cannot follow a control's commanded edges:
+    driver delays reorder a switch's events, two events snap to one grid
+    index, or a control commands more edges than the grid has points."""
+
+
 def is_ground(label: str) -> bool:
     return label in GROUND_LABELS
 
@@ -249,11 +255,17 @@ class Circuit:
             ))
         return list(self.memo["labels"])
 
-    def control_edges(self, name: str, stop: float) -> Tuple[Tuple[float, bool], ...]:
-        """Control ``name``'s :meth:`ControlSignal.edges` up to ``stop``, kept in ``memo``."""
+    def control_edges(self, name: str, stop: float, points: int) -> Tuple[Tuple[float, bool], ...]:
+        """Control ``name``'s :meth:`ControlSignal.edges` up to ``stop``, kept in
+        ``memo``; one that commands more edges than the grid's ``points`` raises
+        :class:`ScheduleError` before its list is built (the grid bound caps it)."""
+        ctrl = self.control_map[name]
+        if 2.0 * ctrl.frequency * stop > points:
+            raise ScheduleError(f"control {name!r}: f={ctrl.frequency!r} Hz commands more "
+                                f"edges than the {points} grid points")
         key = ("edges", name, stop)
         if key not in self.memo:
-            self.memo[key] = tuple(self.control_map[name].edges(stop))
+            self.memo[key] = tuple(ctrl.edges(stop))
         return self.memo[key]
 
     def component(self, name: str) -> Component:

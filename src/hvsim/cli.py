@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, electromech, netlist, plotting, presets
-from .circuit import CircuitError, ControlSignal, params
-from .devices import ScheduleError
+from .circuit import CircuitError, ControlSignal, ScheduleError, params
 from .engine import IntegrationSettings, SimulationError
 from .netlist import NetlistError, parse_param, parse_value
 from .runner import run_scenario, shoot_through_seconds, switch_timelines

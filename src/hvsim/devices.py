@@ -16,15 +16,12 @@ from .circuit import (
     CircuitError,
     Component,
     Resistor,
+    ScheduleError,
     Switch,
     VoltageSource,
     param,
     params,
 )
-
-
-class ScheduleError(ValueError):
-    """Driver delays are incompatible with the commanded edge spacing."""
 
 
 class _PositiveParams:

@@ -27,7 +27,8 @@ A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
 contiguous.  A capacitor-free run has no state: each of its rows, at t=0, per
 constant stretch and per step of a source ramp, is one solve of the topology
-for its source EMFs, made once per distinct EMF vector.  It is stored
+for its source EMFs; a row that can recur (every one but the inner steps of
+an ungated source's ramp) is kept and solved once per distinct EMF vector.  It is stored
 run-length, each row with the grid index where it starts.  Only
 :class:`TransientResult` reads the format: its accessors expand it to dense
 :class:`~hvsim.waveform.Waveform` traces, and its ``rows`` hands out a
@@ -62,14 +63,13 @@ from .circuit import (
     Circuit,
     CircuitError,
     Component,
-    ControlSignal,
     Resistor,
+    ScheduleError,
     Switch,
     VoltageSource,
     is_ground,
     param,
 )
-from .devices import ScheduleError
 from .waveform import Waveform
 
 
@@ -313,7 +313,7 @@ class _Operators:
     ``A x = N hist + S emf``.  The table of powers of the one-step map grows
     to the longest block asked for, in powers of two up to ``_BLOCK``: a
     topology that holds for one trapezoidal step needs ``F^0`` and ``F^1``
-    only.  A capacitor-free topology keeps the rows it solved instead.
+    only.  A capacitor-free topology keeps the rows that can recur instead.
     """
 
     lu: Tuple[np.ndarray, np.ndarray]
@@ -322,16 +322,19 @@ class _Operators:
     powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
     rows: Dict[bytes, np.ndarray] = field(default_factory=dict)  # capacitor-free x by EMF bytes
 
+    def solve(self, emf: np.ndarray, t: float) -> np.ndarray:
+        """The capacitor-free solution ``A^-1 S emf``; one that is not finite
+        raises :class:`SimulationError` naming ``t``."""
+        x = lu_solve(self.lu, np.append(np.zeros(len(self.lu[0]) - len(emf)), emf))
+        if not np.isfinite(x).all():
+            raise SimulationError(f"solution diverged at t={t!r}")
+        return x
+
     def row(self, emf: np.ndarray, t: float) -> np.ndarray:
-        """The capacitor-free solution ``A^-1 S emf``, solved once per EMF
-        vector (keyed by its bytes, so -0.0 and 0.0 stay apart); a new row
-        that is not finite raises :class:`SimulationError` naming ``t``."""
+        """:meth:`solve`, kept per EMF vector's bytes (so -0.0 and 0.0 stay apart)."""
         key = emf.tobytes()
         if key not in self.rows:
-            x = lu_solve(self.lu, np.append(np.zeros(len(self.lu[0]) - len(emf)), emf))
-            if not np.isfinite(x).all():
-                raise SimulationError(f"solution diverged at t={t!r}")
-            self.rows[key] = x
+            self.rows[key] = self.solve(emf, t)
         return self.rows[key]
 
     def response(self, inc: np.ndarray, m: int) -> np.ndarray:
@@ -380,7 +383,7 @@ def dc_operating_point(circuit: Circuit) -> Dict[str, float]:
     low = _lower(circuit)
     controls = circuit.control_map
     states = [sw.initial_state(controls[sw.control]) for sw in low.switches]
-    x = _Operators(_factor(_base_matrix(low, states), low)).row(_targets(low, controls, 0.0), 0.0)
+    x = _Operators(_factor(_base_matrix(low, states), low)).solve(_targets(low, controls, 0.0), 0.0)
     out = {label: float(x[i]) for label, i in low.index.items()}
     out["0"] = 0.0
     return out
@@ -450,7 +453,7 @@ def _snap_events(owner: str, events, h: float, n_steps: int) -> List[Tuple[int, 
     """``(grid index, state)`` of each ``(time, state)`` event of ``owner`` up
     to index ``n_steps``; an event at t <= 0 takes index 0 unscaled, so one
     far before t=0 cannot overflow.  Two events that snap to one index after
-    t=0 raise :class:`~hvsim.devices.ScheduleError`: the pulse between them
+    t=0 raise :class:`~hvsim.circuit.ScheduleError`: the pulse between them
     would be lost."""
     out: List[Tuple[int, bool]] = []
     times: Dict[int, float] = {}  # grid index after t=0 -> event time
@@ -466,21 +469,6 @@ def _snap_events(owner: str, events, h: float, n_steps: int) -> List[Tuple[int, 
             if idx > 0:
                 times[idx] = t_e
     return out
-
-
-def check_control_edges(
-    controls: Mapping[str, ControlSignal], settings: IntegrationSettings
-) -> None:
-    """Raise :class:`~hvsim.devices.ScheduleError` for a control that commands
-    more edges than the grid has points, before any edge list is built: the
-    :data:`MAX_GRID_POINTS` bound then caps an edge list as it caps the grid."""
-    points = settings.n_steps + 1
-    for name, ctrl in controls.items():
-        if 2.0 * ctrl.frequency * settings.stop > points:
-            raise ScheduleError(
-                f"control {name!r}: f={ctrl.frequency!r} Hz commands more edges than "
-                f"the {points} grid points"
-            )
 
 
 def _initial_solve(
@@ -499,11 +487,10 @@ def _initial_solve(
     A[:n, n + m :] = _incidence(low, n, low.caps)
     A[n + m :, :n] = A[:n, n + m :].T
     b = np.concatenate([np.zeros(n), emf0, [cap.initial_voltage for cap in low.caps]])
-    # the raw dgetrf: info 0 and finite pivots (the check of _factor) pick the LU path
-    lu, piv, info = dgetrf(A)
-    determinate = info == 0 and _clean(lu.diagonal().tolist())
+    lu = lu_factor(A)
+    determinate = _clean(lu[0].diagonal().tolist())  # the pivot check of _factor
     if determinate:
-        x = lu_solve((lu, piv), b)
+        x = lu_solve(lu, b)
     else:
         # capacitor loops make the t=0 branch-current split indeterminate;
         # take the minimum-norm solution (the damped first steps erase any
@@ -527,7 +514,6 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
     state)`` events per grid index, the set of source-edge indices, and the
     sorted segment boundaries (every event index and the last grid index)."""
     h, n_steps = settings.step, settings.n_steps
-    check_control_edges(circuit.control_map, settings)
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
@@ -546,8 +532,8 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
     src_events = {
         idx
         for src in low.sources if src.control is not None
-        for idx, _ in _snap_events(f"source {src.name!r}",
-                                   circuit.control_edges(src.control, settings.stop), h, n_steps)
+        for idx, _ in _snap_events(f"source {src.name!r}", circuit.control_edges(
+            src.control, settings.stop, n_steps + 1), h, n_steps)
         if idx > 0
     }
     boundaries = sorted(set(sw_events) | src_events | {n_steps})
@@ -660,12 +646,14 @@ def run_transient(
     ``switch_timelines`` gives each switch its initial state and scheduled
     state changes; change times are snapped to the grid, and two changes of
     one switch, or two command edges of one gated source, that snap to one
-    grid index after t=0 raise :class:`~hvsim.devices.ScheduleError` (the
-    pulse between them would be lost), as does a control that commands more
-    edges than the grid has points.  Gated sources and slew-limit ramp knees
-    introduce additional segment boundaries.  Every sample of every unknown
-    is retained in the result: dense when the circuit has capacitors,
-    run-length when it has none (see :class:`TransientResult`).
+    grid index after t=0 raise :class:`~hvsim.circuit.ScheduleError` (the
+    pulse between them would be lost), as does a gated source's control that
+    commands more edges than the grid has points (checked by
+    :meth:`~hvsim.circuit.Circuit.control_edges`; an unread control is not).
+    Gated sources and slew-limit ramp knees introduce additional segment
+    boundaries.  Every sample of every unknown is retained in the result:
+    dense when the circuit has capacitors, run-length when it has none (see
+    :class:`TransientResult`).
 
     The four phases are :func:`_schedule`, :func:`_plan_segment`,
     :func:`_propagate` and :func:`_package` (see the module docstring).
@@ -710,8 +698,9 @@ def run_transient(
     events: List[Tuple[float, str]] = []
     # with no gated source, no source moves once each EMF holds its voltage, and
     # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
-    settled = None if any(s.control is not None for s in low.sources) else (
-        np.array([s.voltage for s in low.sources], dtype=float).tobytes())
+    ungated = np.array([s.control is None for s in low.sources], dtype=bool)
+    settled = (np.array([s.voltage for s in low.sources], dtype=float).tobytes()
+               if ungated.all() else None)
     still = np.zeros(len(low.sources))
     idx0 = 0
     for boundary in boundaries:
@@ -725,9 +714,12 @@ def run_transient(
                 damp = min(pending_damp, steps)
                 vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
             else:  # one row per constant stretch, and one per step of a ramp
-                drives = [emf + i * (slope * h) for i in range(1, steps + 1)] if moving else [emf]
-                out[0].extend(operators(False).row(drive, seg_end * h) for drive in drives)
-                out[1].extend(range(idx0 + 1, idx0 + 1 + len(drives)))
+                op, t = operators(False), seg_end * h
+                if moving:  # an ungated source ramps once, so no inner row of its ramp recurs
+                    inner = op.solve if slope[ungated].any() else op.row
+                    out[0].extend(inner(emf + i * (slope * h), t) for i in range(1, steps))
+                out[0].append(op.row(emf + steps * (slope * h) if moving else emf, t))
+                out[1].extend(range(idx0 + 1, seg_end + 1 if moving else idx0 + 2))
             pending_damp = max(0, pending_damp - steps)
             if moving:  # else every source holds its target
                 emf = emf + slope * (steps * h)

@@ -6,7 +6,7 @@ from typing import Dict, List, Tuple
 
 from .circuit import Circuit, Switch
 from .devices import driver_schedule
-from .engine import IntegrationSettings, TransientResult, check_control_edges, run_transient
+from .engine import IntegrationSettings, TransientResult, run_transient
 from .scenario import Scenario
 
 
@@ -14,17 +14,15 @@ def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[st
     """Initial state and delayed event schedule for every switch.
 
     Switches start in their :meth:`~hvsim.circuit.Switch.initial_state`; each
-    commanded edge from t=0 on becomes a delayed event.  Each control's edge
-    count is checked before any edge list is built, and the edges are listed
-    once for each control that a switch reads, and for no other
-    (:meth:`~hvsim.circuit.Circuit.control_edges`).
+    commanded edge from t=0 on becomes a delayed event.  The edges are listed
+    once for each control that a switch reads, and for no other, by
+    :meth:`~hvsim.circuit.Circuit.control_edges`, which bounds their count first.
     """
     controls = circuit.control_map
-    check_control_edges(controls, settings)
     switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
     out: Dict[str, Tuple[bool, list]] = {}
     for sw in switches:
-        edges = circuit.control_edges(sw.control, settings.stop)
+        edges = circuit.control_edges(sw.control, settings.stop, settings.n_steps + 1)
         out[sw.name] = (sw.initial_state(controls[sw.control]),
                         driver_schedule(edges, sw, settings.stop))
     return out

@@ -184,7 +184,7 @@ class TestWithParts:
 
     def test_swapped_controls_get_their_own_edges(self):
         c = self.nominal()
-        assert list(c.control_edges("g", 2.0)) == c.control_map["g"].edges(2.0)
+        assert list(c.control_edges("g", 2.0, 2001)) == c.control_map["g"].edges(2.0)
         fast = dataclasses.replace(c, controls=(("g", ControlSignal(frequency=10.0)),))
-        assert list(fast.control_edges("g", 2.0)) == ControlSignal(frequency=10.0).edges(2.0)
-        assert list(c.control_edges("g", 2.0)) == c.control_map["g"].edges(2.0)
+        assert list(fast.control_edges("g", 2.0, 2001)) == ControlSignal(frequency=10.0).edges(2.0)
+        assert list(c.control_edges("g", 2.0, 2001)) == c.control_map["g"].edges(2.0)

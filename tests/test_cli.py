@@ -654,6 +654,14 @@ class TestScheduleRejections:
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert "more edges than the 20001 grid points" in capsys.readouterr().err
 
+    def test_unread_control_is_not_checked(self, tmp_path):
+        # no switch or gated source reads h, so its edges are never listed
+        ckt = tmp_path / "unread.ckt"
+        ckt.write_text(".ctrl h square f=1e20\nV1 A 0 10\nR1 A B 1k\nC1 B 0 1u\n"
+                       ".tran 10u 1m\n.probe B\n.end\n")
+        assert run_cli("run", "--netlist", str(ckt), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "unread.csv").exists()
+
 
 class TestFarOutTimes:
     """A finite time far outside the preset's scale runs: each of these ended

@@ -489,7 +489,7 @@ def reference_transient(circuit, settings, timelines):
     emf = np.array([0.0 if s.slew is not None else target(s, 0.5 * h) for s in low.sources])
     x_hist = np.zeros((n_steps + 1, n + m))
     ic_hist = np.zeros((n_steps + 1, nc))
-    x_hist[0], ic_hist[0], factors = engine._initial_solve(low, states, emf)
+    x_hist[0], ic_hist[0], determinate = engine._initial_solve(low, states, emf)
     inc = np.zeros((n + m, nc))
     for j, (p, q) in enumerate(map(low.rows, low.caps)):
         if p >= 0:
@@ -499,7 +499,7 @@ def reference_transient(circuit, settings, timelines):
     cap_c = np.array([cap.capacitance for cap in low.caps])
     vc = np.array([cap.initial_voltage for cap in low.caps])
     ic = ic_hist[0].copy()
-    pending = settings.damping_steps if factors is None else 0
+    pending = 0 if determinate else settings.damping_steps
     idx0 = 0
     lengths = []
     while idx0 < n_steps:
@@ -611,12 +611,43 @@ class TestBlockedPropagator:
         # at least one stretch spans several propagator blocks
         assert longest > engine._BLOCK
 
+    def test_capacitor_loops_match_per_step_reference(self, monkeypatch):
+        """Draws with a parallel twin of one capacitor at its pre-charge: the
+        t=0 split is indeterminate, so both codes damp the start."""
+        determinate = []
+        initial_solve = engine._initial_solve
+
+        def recording(*args):
+            out = initial_solve(*args)
+            determinate.append(out[2])
+            return out
+
+        monkeypatch.setattr(engine, "_initial_solve", recording)
+        rng = np.random.default_rng(4242)
+        damped = 0
+        for trial in range(8):
+            circuit, settings, timelines = random_switched_circuit(rng)
+            caps = [c for c in circuit.components if isinstance(c, Capacitor)]
+            cap = caps[int(rng.integers(0, len(caps)))]
+            twin = Capacitor("Ctwin", cap.pos, cap.neg, float(rng.uniform(1e-10, 1e-8)),
+                             initial_voltage=cap.initial_voltage)
+            circuit = Circuit.build([*circuit.components, twin], circuit.control_map)
+            damped += settings.damping_steps > 0
+            res = run_transient(circuit, settings, timelines)
+            x_ref, ic_ref, _ = reference_transient(circuit, settings, timelines)
+            for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
+                scale = np.max(np.abs(ref), axis=0)
+                err = np.max(np.abs(got - ref), axis=0)
+                assert np.all(err <= 1e-9 * scale), f"trial {trial}: {err / scale}"
+        assert determinate == [False] * 16 and damped == 5
+
     def test_one_factorization_per_topology(self, monkeypatch):
         factored = []
+        real = engine.lu_factor
 
-        def counting_lu_factor(a, *args, **kwargs):
+        def counting_lu_factor(a):
             factored.append(np.array(a).tobytes())
-            return lu_factor(a, *args, **kwargs)
+            return real(a)
 
         monkeypatch.setattr(engine, "lu_factor", counting_lu_factor)
         run = run_scenario(load_preset("fig4b"))
@@ -744,6 +775,45 @@ class TestResistiveReuse:
         # the supply holds one EMF after its one-step ramp, and that ramp's
         # one row is the held row: one row per topology, plus the t=0 row
         assert len(solved) == topologies + 1
+
+    def test_long_ramp_keeps_its_last_row_only(self, monkeypatch):
+        kept = {}  # each capacitor-free topology, by id
+        row = engine._Operators.row
+
+        def recording(op, emf, t):
+            kept[id(op)] = op
+            return row(op, emf, t)
+
+        monkeypatch.setattr(engine._Operators, "row", recording)
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", 1000.0, slew=1e6),
+            Resistor("R1", "A", "0", 1e3),
+        )
+        res = run_transient(circuit, IntegrationSettings(1e-6, 2e-3), {})
+        # the t=0 row, 1,000 ramp steps and the held row, whose EMF is the
+        # last ramp step's: only the t=0 row and that one are kept
+        assert len(res.x) == 1002 and res.voltage("A").samples[-1] == 1000.0
+        assert [len(op.rows) for op in kept.values()] == [2]
+
+    def test_gated_ramp_rows_solved_once(self, monkeypatch):
+        solved = []
+        real = engine.lu_solve
+
+        def recording(lu, b):
+            solved.append(np.asarray(b).tobytes())
+            return real(lu, b)
+
+        monkeypatch.setattr(engine, "lu_solve", recording)
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", 100.0, slew=1e6, control="g"),
+            Resistor("R1", "A", "0", 1e3),
+            controls={"g": ControlSignal(frequency=1e3)},
+        )
+        res = run_transient(circuit, IntegrationSettings(1e-6, 1e-2), {})
+        # ten periods, each ramping 0 -> 100 V and back in 1 V steps: a gated
+        # ramp's rows recur every period, and each is solved once
+        assert res.voltage("A").samples.max() == 100.0
+        assert len(solved) == len(set(solved)) == 101
 
 
 class TestPowerTable:
@@ -924,8 +994,8 @@ class TestRunLength:
                 rows = [res.rows(node) for node in nodes]
                 dense = [res.voltage(node).samples for node in nodes]
                 assert voltage_shares(*rows) == voltage_shares(*dense)
-        # ramps stored a row per step, over more than one propagator block
-        assert ramp_rows > engine._BLOCK
+        # some ramp stored a row per step for more than 256 steps
+        assert ramp_rows > 256
 
     def test_expands_and_writes_like_dense(self, tmp_path):
         circuit, settings, timelines = random_resistive_circuit(np.random.default_rng(5))
