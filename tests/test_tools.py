@@ -1,8 +1,11 @@
 """Tests of the repository tools on synthetic inputs (no benchmark is run)."""
 
 import importlib.util
+import json
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +70,36 @@ class TestBenchVerdicts:
     ])
     def test_worse_than_bound(self, metric, factor, worse):
         assert verdicts(PARENT, [v * factor for v in PARENT], metric) == (False, worse)
+
+
+class TestTrajectoryEntry:
+    def test_has_the_shape_of_the_trajectory_file(self, tmp_path):
+        (tmp_path / "perfbench").mkdir()
+        shutil.copy(TOOLS.parent / "perfbench" / "trajectory.py", tmp_path / "perfbench")
+        out = tmp_path / ".perfbench_out"
+        out.mkdir()
+        for workload in ("mc_fig3", "run_presets"):
+            for seed, value in enumerate(PARENT, 1000):
+                record = {"env": {"python": "3", "workload": workload, "seed": seed, "jobs": []},
+                          "metrics": {"wall_s": value, "steps_per_s": 1 / value},
+                          "attempted": 6, "failed": 0}
+                (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+            record["layers"], record["metrics"] = {}, {"engine.steps": 7}
+            (out / f"{workload}-seed1000-trace1.json").write_text(json.dumps(record))
+        entry = bench_against.trajectory_entry(tmp_path, "change", "ten runs")
+        recorded = json.loads((TOOLS.parent / "perfbench" / "trajectory.json").read_text())[0]
+        assert set(entry) == set(recorded)
+        assert (entry["label"], entry["env"]) == ("change", {"python": "3"})
+        for trace in ("end_to_end", "per_layer"):
+            assert set(entry[trace]) == {"mc_fig3", "run_presets"}
+            seed_row = recorded[trace]["mc_fig3"]
+            for rows in entry[trace].values():
+                assert set(rows) <= set(seed_row)
+                for metric, row in rows.items():
+                    if metric != "seeds":
+                        assert set(row) == set(seed_row[metric])
+        wall = entry["end_to_end"]["run_presets"]["wall_s"]
+        assert (wall["median"], wall["n"]) == (statistics.median(PARENT), len(PARENT))
 
 
 class TestBlasKernel:

@@ -26,13 +26,17 @@ holds when its median is worse than the parent's by more than the bound, a
 fraction of the parent's median.  The null test, ``REV=HEAD`` on a clean
 tree, should give neither.  It also records the host, the Python, numpy
 and scipy versions, and the OpenBLAS kernel each of numpy and scipy runs
-(``tools/blas_kernel.py``).  A summary table goes to stdout.  Exits 1 when a run
-fails or an output check fails.
+(``tools/blas_kernel.py``).  A summary table goes to stdout, followed by the
+change side's runs as a ``perfbench/trajectory.json`` entry (JSON, also kept
+in ``bench.json``), which ``perfbench/trajectory.py`` of the change tree
+summarizes from that tree's ``.perfbench_out/`` records.  Exits 1 when a run fails or an
+output check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import shutil
@@ -110,6 +114,18 @@ def summarize(runs: dict, spec: dict, workloads) -> dict:
     return out
 
 
+def trajectory_entry(tree: Path, label: str, note: str) -> dict:
+    """The perfbench records of ``tree`` as a ``perfbench/trajectory.json`` entry,
+    summarized by that tree's own ``perfbench/trajectory.py``."""
+    spec = importlib.util.spec_from_file_location("trajectory", tree / "perfbench" / "trajectory.py")
+    trajectory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trajectory)
+    records = [json.loads(p.read_text())
+               for p in sorted((tree / ".perfbench_out").glob("*-trace[01].json"))]
+    summary, env = trajectory.summarize(records)
+    return {"label": label, "note": note, "env": env, **summary}
+
+
 def _env() -> dict:
     import numpy
     import scipy
@@ -157,18 +173,25 @@ def main(argv=None) -> int:
         if not result["correct"]:
             failed.append(f"{side} traced: {result['failed']} failed operations")
 
+    rev_commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.rev],
+                                capture_output=True, text=True).stdout.strip()
+    seeds = range(args.seed0, args.seed0 + args.pairs)
     report = {
         "rev": args.rev,
-        "rev_commit": subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.rev],
-                                     capture_output=True, text=True).stdout.strip(),
+        "rev_commit": rev_commit,
         "pairs": args.pairs,
-        "seeds": [args.seed0, args.seed0 + args.pairs - 1],
+        "seeds": [seeds[0], seeds[-1]],
         "seconds": seconds,
         "order": "parent first in even pairs, change first in odd pairs",
         "env": _env(),
         "end_to_end": summarize(runs, spec, workloads),
         "traced": traced,
         "failed": failed,
+        "trajectory_entry": trajectory_entry(
+            trees["change"], f"working tree on {rev_commit[:12]}",
+            f"tools/bench_against.py {args.rev}: {args.pairs} --trace 0 runs (seeds "
+            f"{seeds[0]}-{seeds[-1]}, {seconds:g} s) and one --trace 1 run of the working "
+            f"tree, paired with {args.rev}"),
     }
     (work / "bench.json").write_text(json.dumps(report, indent=1) + "\n")
     print(f"{'workload/metric':28s} {'parent':>11s} {'change':>11s} {'ratio':>7s} "
@@ -178,6 +201,7 @@ def main(argv=None) -> int:
         print(f"{key:28s} {row['parent']['median']:11.5g} {row['change']['median']:11.5g} "
               f"{ratio:>7s} {row['change_wins']:>3d}/{row['pairs']:<2d} "
               f"{row['bound']:6.2f}  {row['gain_shown']} / {row['worse_than_bound']}")
+    print(json.dumps(report["trajectory_entry"], indent=1))
     for line in failed:
         print(f"FAILED {line}", file=sys.stderr)
     print(f"wrote {work / 'bench.json'}")
