@@ -12,8 +12,8 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import CircuitError, ScheduleError
-from .engine import IntegrationSettings, SimulationError, TransientResult
-from .presets import FIG7C_PHASES, converter_bridge, dual_channel_with_phase, load_fragment
+from .engine import SimulationError, TransientResult
+from .presets import FIG7C_PHASES, converter_scenario, dual_channel_with_phase
 from .runner import run_scenario
 from .scenario import Scenario
 from .waveform import Waveform, WaveformError
@@ -191,14 +191,13 @@ def sweep_step_for(frequency: float) -> float:
     return min(20e-6, period / 2000.0)
 
 
-def _sweep_scenario(frequency: float, load: str) -> Scenario:
-    settle = settle_periods_for(frequency)
-    period = 1.0 / frequency
-    return Scenario(
-        converter_bridge(frequency, load_fragment(load)),
-        IntegrationSettings(step=sweep_step_for(frequency), stop=(settle + 1) * period),
-        probes=("A", "B", "O", "C"),
-    )
+def sweep_frequencies(frequencies: Sequence[float]) -> List[float]:
+    """The drive frequencies of a study as floats, each checked positive and
+    finite before any cell, or its grid (:func:`sweep_step_for`), is made."""
+    freqs = [float(f) for f in frequencies]
+    if not all(0 < f < math.inf for f in freqs):  # NaN fails too
+        raise MeasureError("frequencies must be positive and finite")
+    return freqs
 
 
 def supply_port_current(run: TransientResult) -> Waveform:
@@ -250,12 +249,12 @@ def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study
         raise MeasureError("empty frequency list")
     if not loads:
         raise MeasureError("empty load list")
-    if any(f <= 0 for f in frequencies):
-        raise MeasureError("frequencies must be positive")
-    keys = [(float(f), str(load)) for f in frequencies for load in loads]
+    keys = [(f, str(load)) for f in sweep_frequencies(frequencies) for load in loads]
     # every cell's scenario, grid included, is built before the first cell
     # runs, so a grid the engine rejects stops the sweep before any cell runs
-    scenarios = {key: _sweep_scenario(*key) for key in keys}
+    scenarios = {(f, load): converter_scenario(f, load, settle_periods_for(f) + 1,
+                                               sweep_step_for(f), ("A", "B", "O", "C"))
+                 for f, load in keys}
 
     def cell(key: Tuple[float, str]) -> Metrics:
         return _cell_metrics(run_scenario(scenarios[key]), key[0])

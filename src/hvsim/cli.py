@@ -370,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("montecarlo", help="component-tolerance Monte-Carlo study")
     common(p_mc)
     workers(p_mc)
-    p_mc.add_argument("--seed", type=int, default=0, help="random seed")
-    p_mc.add_argument("--trials", type=_positive_int, default=100)
-    p_mc.add_argument("--sigma", type=float, default=1.0)
+    model = analysis.MismatchModel()  # the defaults of every flag
+    p_mc.add_argument("--seed", type=int, default=model.seed, help="random seed")
+    p_mc.add_argument("--trials", type=_positive_int, default=model.trials)
+    p_mc.add_argument("--sigma", type=float, default=model.sigma)
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser
 

@@ -16,18 +16,10 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import MeasureError, Study, measure_amplitude, run_study, sweep_step_for
-from .devices import Fragment
-from .engine import IntegrationSettings
-from .presets import (
-    CONVERTER,
-    FIG8_FREQUENCIES,
-    bench_matched_to_converter,
-    converter_bridge,
-    load_fragment,
-)
+from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_frequencies,
+                       sweep_step_for)
+from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter, converter_scenario
 from .runner import run_scenario
-from .scenario import Scenario
 from .waveform import Waveform
 
 #: drive voltage at which the static displacement is 1.0
@@ -96,15 +88,6 @@ def displacement_response(v: Waveform) -> Waveform:
     return Waveform(v.start, v.step, x.ravel()[: u.size])
 
 
-def _fig8_scenario(supply: Fragment, frequency: float) -> Scenario:
-    period = 1.0 / frequency
-    return Scenario(
-        converter_bridge(frequency, load_fragment("dea"), supply=supply),
-        IntegrationSettings(step=sweep_step_for(frequency), stop=2.0 * period),
-        probes=("A", "O", "load_m"),
-    )
-
-
 def displacement_sweep(
     supply: str, frequencies: Sequence[float] = FIG8_FREQUENCIES
 ) -> Study:
@@ -117,14 +100,14 @@ def displacement_sweep(
     """
     if supply not in ("converter", "bench"):
         raise MeasureError(f"supply must be 'converter' or 'bench', got {supply!r}")
-    if any(f <= 0 for f in frequencies):
-        raise MeasureError("frequencies must be positive")
+    freqs = sweep_frequencies(frequencies)
     sup = CONVERTER if supply == "converter" else bench_matched_to_converter()
     # built before the first cell runs, as in analysis.frequency_sweep
-    scenarios = {f: _fig8_scenario(sup, f) for f in map(float, frequencies)}
+    scenarios = {f: converter_scenario(f, "dea", 2, sweep_step_for(f), ("A", "O", "load_m"),
+                                       supply=sup) for f in freqs}
 
     def cell(f: float) -> float:
         x = displacement_response(run_scenario(scenarios[f]).voltage("load_m"))
         return measure_amplitude(x, 1, 1.0 / f, mode="bipolar")
 
-    return run_study(cell, [float(f) for f in frequencies])
+    return run_study(cell, freqs)

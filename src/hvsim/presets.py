@@ -113,7 +113,7 @@ def converter_bridge(
 ) -> Circuit:
     """The untethered configuration behind figs 6-8 and their studies: the
     miniature converter feeding the balanced series stack, driven at
-    ``frequency`` into ``load``.
+    ``frequency`` into ``load``; every such run is a :func:`converter_scenario`.
 
     fig6b balances with 3.6 MOhm; the fig8 bench cells swap the converter for
     the matched bench ``supply``.
@@ -123,27 +123,18 @@ def converter_bridge(
     )
 
 
-def _fig6(balancing: float) -> Scenario:
+def converter_scenario(frequency: float, load: str, periods: int, step: float,
+                       probes: Tuple[str, ...], **bridge) -> Scenario:
+    """Every converter-fed run (the fig6-fig8 presets, the fig7 sweep cells
+    and the fig8 displacement cells): :func:`converter_bridge` driven at
+    ``frequency`` into the ``load`` descriptor (:func:`load_fragment`) for
+    ``periods`` whole drive periods on the grid ``step``.  ``bridge`` passes
+    ``balancing`` or ``supply`` through to :func:`converter_bridge`.
+    """
     return Scenario(
-        converter_bridge(100.0, load_fragment("dea"), balancing),
-        IntegrationSettings(step=1e-6, stop=0.11),
-        probes=("A", "O"),
-    )
-
-
-def _fig7() -> Scenario:
-    return Scenario(
-        converter_bridge(100.0, load_fragment("10n")),
-        IntegrationSettings(step=5e-6, stop=0.11),
-        probes=("A", "O"),
-    )
-
-
-def _fig8() -> Scenario:
-    return Scenario(
-        converter_bridge(6.0, load_fragment("dea")),
-        IntegrationSettings(step=20e-6, stop=0.5),
-        probes=("A", "O"),
+        converter_bridge(frequency, load_fragment(load), **bridge),
+        IntegrationSettings(step=step, stop=periods * (1.0 / frequency)),
+        probes=probes,
     )
 
 
@@ -171,11 +162,11 @@ _BUILDERS: Dict[str, Callable[[], Scenario]] = {
     "fig4a": lambda: _fig4(None),
     "fig4b": lambda: _fig4(220e-12),
     "fig5": _fig5,
-    "fig6b": lambda: _fig6(3.6e6),
-    "fig6c": lambda: _fig6(1.8e6),
-    "fig7": _fig7,
+    "fig6b": lambda: converter_scenario(100.0, "dea", 11, 1e-6, ("A", "O"), balancing=3.6e6),
+    "fig6c": lambda: converter_scenario(100.0, "dea", 11, 1e-6, ("A", "O")),
+    "fig7": lambda: converter_scenario(100.0, "10n", 11, 5e-6, ("A", "O")),
     "fig7c": lambda: dual_channel_with_phase(math.pi),
-    "fig8": _fig8,
+    "fig8": lambda: converter_scenario(6.0, "dea", 3, 20e-6, ("A", "O")),
     "slew": _slew,
 }
 

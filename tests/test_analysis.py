@@ -174,6 +174,14 @@ class TestFrequencySweep:
         with pytest.raises(MeasureError, match="empty"):
             frequency_sweep([2.0], [])
 
+    @pytest.mark.parametrize("frequencies", [[100.0, -5.0], [0.0], [math.nan], [math.inf]],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_bad_frequency_rejected_before_any_cell(self, frequencies):
+        # nan and inf reached the settling rule and leaked ValueError and
+        # OverflowError from math.ceil
+        with pytest.raises(MeasureError, match="frequencies must be positive and finite"):
+            frequency_sweep(frequencies, ["10n"])
+
     def test_driver_schedule_error_fails_only_its_cell(self):
         # a 5 kHz command is shorter than the converter-fed stack's driver delays
         table = frequency_sweep([100.0, 5000.0], ["10n"])

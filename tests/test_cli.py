@@ -436,6 +436,17 @@ class TestMonteCarlo:
         assert capsys.readouterr().err == (
             "error: trials must be in [1, 1000000], got 1000000000\n")
 
+    def test_defaults_are_the_model_defaults(self, tmp_path, monkeypatch):
+        built = []
+
+        def recorded(build, model):
+            built.append(model)
+            return analysis.Study(((0, 1),), (1.0,), (None,))
+
+        monkeypatch.setattr(analysis, "monte_carlo", recorded)
+        assert run_cli("montecarlo", "--preset", "fig3", "--out", str(tmp_path)) == 0
+        assert built == [analysis.MismatchModel()]
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "montecarlo", "--preset", "fig3", "--out", str(tmp_path),
@@ -918,6 +929,9 @@ class TestUsageErrorTable:
         (["sweep", "--preset", "fig7", "--loads", "10n,,dea"], "empty entry in load list"),
         (["sweep", "--preset", "fig8", "--supply", "moon"],
          "--supply must be bench, converter, or both"),
+        (["sweep", "--preset", "fig7", "--freqs", "100,-5"],
+         "frequencies must be positive and finite"),
+        (["sweep", "--preset", "fig8", "--freqs", "0"], "frequencies must be positive and finite"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, line):
         (tmp_path / "noprobe.ckt").write_text("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.end\n")

@@ -139,15 +139,16 @@ class TestRiseTime:
     def test_converter_charges_slower_at_6hz(self):
         # the supply comparison at 6 Hz: the converter's internal resistance
         # stretches the load's 10-90% voltage rise well past the bench value
-        from hvsim.electromech import _fig8_scenario
-        from hvsim.presets import CONVERTER, bench_matched_to_converter
+        from hvsim.analysis import sweep_step_for
+        from hvsim.presets import CONVERTER, bench_matched_to_converter, converter_scenario
         from hvsim.runner import run_scenario
 
         conv = CONVERTER
         bench = bench_matched_to_converter()
         rt = {}
         for name, supply in (("converter", conv), ("bench", bench)):
-            run = run_scenario(_fig8_scenario(supply, 6.0))
+            run = run_scenario(converter_scenario(6.0, "dea", 2, sweep_step_for(6.0),
+                                                  ("A", "O", "load_m"), supply=supply))
             v = run.voltage("load_m")
             rt[name] = rise_time_10_90(v.slice_time(v.stop - 1.0 / 6.0, v.stop))
         assert rt["converter"] > 2.0 * rt["bench"]
@@ -162,3 +163,10 @@ class TestDisplacementSweep:
         assert failed is None
         assert [key for key, _ in study.failures()] == [5000.0]
         assert "driver delays reorder events" in study.errors[1]
+
+    @pytest.mark.parametrize("frequencies", [[2.0, 0.0], [-5.0], [math.nan], [math.inf]],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_frequency_rejected_before_any_cell(self, frequencies):
+        for supply in ("converter", "bench"):
+            with pytest.raises(MeasureError, match="frequencies must be positive and finite"):
+                displacement_sweep(supply, frequencies)

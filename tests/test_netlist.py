@@ -36,11 +36,11 @@ from hvsim.netlist import (
     parse_value,
     print_scenario,
 )
-from hvsim import analysis, electromech
+from hvsim import analysis
 from hvsim.presets import (
-    CONVERTER,
     PRESET_NAMES,
     bench_matched_to_converter,
+    converter_scenario,
     dual_channel_with_phase,
     load_fragment,
     load_preset,
@@ -404,12 +404,15 @@ def study_scenarios():
     displacement cells on both supplies, seeded Monte-Carlo draws and fig7c
     phases."""
     for f in (2.0, 30.0, 1000.0):
+        step = analysis.sweep_step_for(f)
         for load in ("10n", "20n", "50n", "dea"):
-            yield pytest.param(partial(analysis._sweep_scenario, f, load),
+            yield pytest.param(partial(converter_scenario, f, load,
+                                       analysis.settle_periods_for(f) + 1, step,
+                                       ("A", "B", "O", "C")),
                                id=f"sweep-{load}-{f:g}Hz")
-        yield pytest.param(partial(electromech._fig8_scenario, CONVERTER, f),
-                           id=f"fig8-converter-{f:g}Hz")
-        yield pytest.param(lambda f=f: electromech._fig8_scenario(bench_matched_to_converter(), f),
+        fig8 = partial(converter_scenario, f, "dea", 2, step, ("A", "O", "load_m"))
+        yield pytest.param(fig8, id=f"fig8-converter-{f:g}Hz")
+        yield pytest.param(lambda fig8=fig8: fig8(supply=bench_matched_to_converter()),
                            id=f"fig8-bench-{f:g}Hz")
     for name in ("fig2", "fig3", "fig2_hv", "fig3_hv"):
         rng = np.random.default_rng(19)

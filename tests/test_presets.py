@@ -14,11 +14,19 @@ from hvsim.circuit import (
     Switch,
     VoltageSource,
 )
-from hvsim.analysis import MismatchModel, _sweep_scenario, monte_carlo
-from hvsim.electromech import _fig8_scenario
+from hvsim import analysis, electromech
+from hvsim.analysis import (
+    MeasureError,
+    MismatchModel,
+    frequency_sweep,
+    monte_carlo,
+    settle_periods_for,
+    sweep_step_for,
+)
+from hvsim.electromech import displacement_sweep
 from hvsim.netlist import format_value, parse_value, print_scenario
 from hvsim.presets import (
-    CONVERTER,
+    FIG7_FREQUENCIES,
     PRESET_NAMES,
     PresetError,
     bench_matched_to_converter,
@@ -140,14 +148,59 @@ class TestLoadFragment:
         assert parse_value(format_value(capacitor.capacitance)) == capacitance
 
 
+def study_cells(monkeypatch, module, study, *args):
+    """The scenarios ``study`` builds for its cells, in key order, each taken
+    as its cell starts; no cell runs."""
+    built = []
+
+    def taken(scenario):
+        built.append(scenario)
+        raise MeasureError("not run")
+
+    monkeypatch.setattr(module, "run_scenario", taken)
+    study(*args)
+    return built
+
+
 class TestConverterBridge:
     """figs 6-8 and the fig7/fig8 studies run one circuit: converter_bridge."""
 
-    def test_fig7_preset_is_the_100hz_10n_sweep_cell(self):
-        assert load_preset("fig7").circuit == _sweep_scenario(100.0, "10n").circuit
+    def test_fig7_preset_is_the_100hz_10n_sweep_cell(self, monkeypatch):
+        (cell,) = study_cells(monkeypatch, analysis, frequency_sweep, [100.0], ["10n"])
+        preset = load_preset("fig7")
+        assert (preset.circuit, preset.settings) == (cell.circuit, cell.settings)
+        assert (preset.probes, cell.probes) == (("A", "O"), ("A", "B", "O", "C"))
 
-    def test_fig8_preset_is_the_6hz_converter_cell(self):
-        assert load_preset("fig8").circuit == _fig8_scenario(CONVERTER, 6.0).circuit
+    def test_fig8_preset_is_the_6hz_converter_cell(self, monkeypatch):
+        (cell,) = study_cells(monkeypatch, electromech, displacement_sweep, "converter", [6.0])
+        preset = load_preset("fig8")
+        assert preset.circuit == cell.circuit
+        assert preset.settings.step == cell.settings.step
+        assert (preset.probes, cell.probes) == (("A", "O"), ("A", "O", "load_m"))
+
+    def test_preset_grids_follow_the_study_rules(self):
+        # bit for bit: the stop is a whole number of periods times 1/f
+        fig7 = load_preset("fig7").settings
+        assert fig7.step == sweep_step_for(100.0)
+        assert fig7.stop == (settle_periods_for(100.0) + 1) * (1.0 / 100.0)
+        fig8 = load_preset("fig8").settings
+        assert (fig8.step, fig8.stop) == (sweep_step_for(6.0), 3 * (1.0 / 6.0))
+        for name in ("fig6b", "fig6c"):
+            settings = load_preset(name).settings
+            assert (settings.step, settings.stop) == (1e-6, 0.11)
+            assert load_preset(name).probes == ("A", "O")
+
+    def test_study_cells_run_whole_periods(self, monkeypatch):
+        # at 5, 10 and 1000 Hz, (settle + 1) / f differs from the product in
+        # its last bit, so a rewritten stop changes those cells' grids
+        freqs = list(FIG7_FREQUENCIES)
+        sweep = study_cells(monkeypatch, analysis, frequency_sweep, freqs, ["10n"])
+        fig8 = study_cells(monkeypatch, electromech, displacement_sweep, "bench", freqs)
+        assert len(sweep) == len(fig8) == len(freqs)
+        for f, cell, fig8_cell in zip(freqs, sweep, fig8):
+            assert cell.settings.step == fig8_cell.settings.step == sweep_step_for(f)
+            assert cell.settings.stop == (settle_periods_for(f) + 1) * (1.0 / f)
+            assert fig8_cell.settings.stop == 2 * (1.0 / f)
 
     def test_fig6_presets(self):
         dea = load_fragment("dea")

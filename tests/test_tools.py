@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import platform
 import shutil
@@ -18,12 +19,14 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a tool that imports another tool finds it here
     spec.loader.exec_module(module)
     return module
 
 
 bench_against = _load("bench_against")
 blas_kernel = _load("blas_kernel")
+sha_corpus = _load("sha_corpus")
 
 SPEC = {"end_to_end": [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -116,3 +119,53 @@ class TestBlasKernel:
         line = subprocess.run([sys.executable, str(TOOLS / "blas_kernel.py")], env=env,
                               capture_output=True, text=True, check=True).stdout
         assert line == "blas kernels: numpy Katmai, scipy Katmai\n"
+
+
+def drift(tmp_path, parent, change):
+    """``csv_drift`` of two CSVs given as their text."""
+    (tmp_path / "parent.csv").write_text(parent)
+    (tmp_path / "change.csv").write_text(change)
+    return sha_corpus.csv_drift(tmp_path / "parent.csv", tmp_path / "change.csv")
+
+
+class TestCsvDrift:
+    TABLE = "t,v,status\n0.0,1.0,ok\n1.0,2.0,ok\n"
+
+    def test_identical_files_give_nothing(self, tmp_path):
+        assert drift(tmp_path, self.TABLE, self.TABLE) == []
+
+    def test_one_ulp_change_gives_its_ratio(self, tmp_path):
+        change = self.TABLE.replace("2.0,ok", f"{math.nextafter(2.0, 3.0)!r},ok")
+        # one ulp of 2.0 over the column's largest |parent|, 2.0
+        assert drift(tmp_path, self.TABLE, change) == ["v: 2.22e-16"]
+
+    def test_all_zero_parent_column_gives_x_over_0(self, tmp_path):
+        parent = "t,v\n0.0,0.0\n1.0,0.0\n"
+        assert drift(tmp_path, parent, parent.replace("1.0,0.0", "1.0,5e-300")) == ["v: 5e-300/0"]
+
+    def test_non_numeric_cell_is_counted(self, tmp_path):
+        change = self.TABLE.replace("1.0,2.0,ok", "1.0,nan,failed: singular")
+        assert drift(tmp_path, self.TABLE, change) == [
+            "v: 0, 1 non-numeric cells differ", "status: 0/0, 1 non-numeric cells differ"]
+
+    @pytest.mark.parametrize("change, line", [
+        ("t,w,status\n0.0,1.0,ok\n1.0,2.0,ok\n", "the headers differ"),
+        ("t,v,status\n0.0,1.0,ok\n", "the row counts or lengths differ"),
+        ("t,v,status\n0.0,1.0,ok\n1.0,2.0\n", "the row counts or lengths differ"),
+    ], ids=["header", "row-count", "row-length"])
+    def test_shape_mismatch_is_reported(self, tmp_path, change, line):
+        assert drift(tmp_path, self.TABLE, change) == [line]
+
+
+class TestCorpusJobs:
+    IDS = [job for job, _, _ in sha_corpus.jobs()]
+
+    def test_ids_and_output_directories_are_unique(self):
+        assert len(self.IDS) == 240  # a job lost from the list shows here
+        assert len(set(self.IDS)) == len(self.IDS)
+        assert len({job.replace(":", "_") for job in self.IDS}) == len(self.IDS)
+
+    def test_every_preset_runs_and_runs_as_a_netlist(self):
+        for name in sha_corpus.PRESET_NAMES:
+            assert f"run:{name}" in self.IDS
+            assert f"run:netlist:{name}" in self.IDS
