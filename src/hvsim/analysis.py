@@ -94,6 +94,12 @@ def measure_slew(w: Waveform) -> float:
     raise MeasureError("no rising edge crosses both thresholds")
 
 
+def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray):
+    """The device drops of :func:`voltage_shares` and the largest of them."""
+    drops = (a - b, b - o, o - c, c)
+    return drops, max(float(drop.max()) for drop in drops)
+
+
 def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> Metrics:
     """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
     ``C-D`` (``D`` is ground), from the node voltages ``a``, ``b``, ``o`` and
@@ -110,9 +116,8 @@ def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -
     over its whole run, so the maximum, and the value at the last index
     where a condition holds, are the same bit for bit on either form.
     """
-    drops = (a - b, b - o, o - c, c)
+    drops, max_drop = _drops(a, b, o, c)
     total = a
-    max_drop = max(float(drop.max()) for drop in drops)
     peak = float(total.max())
     shares: Optional[Tuple[float, ...]] = None
     if peak > 1.0:
@@ -334,11 +339,12 @@ def monte_carlo(
             bad = float(offs[~np.isfinite(offs)][0])
             raise MeasureError(f"sampled off-resistance {bad!r} is not finite")
         try:
-            scenario = build(list(offs), list(offsets))
+            # Python floats: the same values, and cheaper to add and stamp
+            scenario = build(offs.tolist(), offsets.tolist())
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
         run = run_scenario(scenario)
-        return voltage_shares(*(run.rows(node) for node in "ABOC")).max_device_drop
+        return _drops(*(run.rows(node) for node in "ABOC"))[1]
 
     keys = [(i, int(stream(i).generate_state(1)[0])) for i in range(model.trials)]
     return run_study(trial, keys)

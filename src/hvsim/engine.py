@@ -16,12 +16,14 @@ tabulated as far as the longest block needs, so no per-step solve remains
 simulators).
 
 :func:`run_transient` has four phases: schedule (snap the switch events and
-gated-source edges to the grid), segment plan (targets, ramp knees and slopes),
+gated-source edges to the grid; resolve the switch states after each event
+boundary and the event log), segment plan (targets, ramp knees and slopes),
 propagate (the damped and blocked trapezoidal steps, or capacitor-free rows)
 and package (the :class:`TransientResult`).  One forward walk over the sorted
-event boundaries runs the segments before each boundary, then its events.  A
-segment is planned only while a source is gated or off its target; once every
-EMF holds its voltage, a segment runs to its boundary at zero slope.
+event boundaries runs the segments before each boundary, then takes its
+switch states.  A segment is planned only while a source is gated or off its
+target; once every EMF holds its voltage, a segment runs to its boundary at
+zero slope, and a capacitor-free one is a lookup of its topology's row.
 
 A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
@@ -317,7 +319,7 @@ class _Operators:
     """
 
     lu: Tuple[np.ndarray, np.ndarray]
-    g: np.ndarray = field(default_factory=lambda: np.zeros(0))  # each capacitor's companion
+    g: Optional[np.ndarray] = None  # each capacitor's companion; None without capacitors
     k: Optional[np.ndarray] = None  # A^-1 [N S]
     powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
     rows: Dict[bytes, np.ndarray] = field(default_factory=dict)  # capacitor-free x by EMF bytes
@@ -325,7 +327,9 @@ class _Operators:
     def solve(self, emf: np.ndarray, t: float) -> np.ndarray:
         """The capacitor-free solution ``A^-1 S emf``; one that is not finite
         raises :class:`SimulationError` naming ``t``."""
-        x = lu_solve(self.lu, np.append(np.zeros(len(self.lu[0]) - len(emf)), emf))
+        b = np.zeros(len(self.lu[0]))
+        b[len(b) - len(emf):] = emf
+        x = lu_solve(self.lu, b)
         if not np.isfinite(x).all():
             raise SimulationError(f"solution diverged at t={t!r}")
         return x
@@ -510,9 +514,11 @@ def _initial_solve(
 
 def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, timelines):
     """Schedule phase: snap the switch events and gated-source command edges
-    to the grid.  Returns the switch states at t=0, the ``(switch, new
-    state)`` events per grid index, the set of source-edge indices, and the
-    sorted segment boundaries (every event index and the last grid index)."""
+    to the grid, and resolve the switching sequence.  Returns the switch
+    states at t=0; per segment boundary (every event index and the last grid
+    index, sorted) the switch states after it and whether it logs an event
+    (a logged boundary restarts damping); and the event log, per boundary
+    ``(t, switch name)`` for each switch that changes, then ``(t, "source")``."""
     h, n_steps = settings.step, settings.n_steps
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
@@ -536,8 +542,18 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
             src.control, settings.stop, n_steps + 1), h, n_steps)
         if idx > 0
     }
-    boundaries = sorted(set(sw_events) | src_events | {n_steps})
-    return sw_states, sw_events, src_events, boundaries
+    initial = tuple(sw_states)
+    sequence, log = [], []
+    for idx in sorted(set(sw_events) | src_events | {n_steps}):
+        logged = len(log)
+        for si, new_state in sw_events.get(idx, ()):
+            if sw_states[si] != new_state:
+                sw_states[si] = new_state
+                log.append((idx * h, low.switches[si].name))
+        if idx in src_events:
+            log.append((idx * h, "source"))
+        sequence.append((idx, tuple(sw_states), len(log) > logged))
+    return initial, sequence, log
 
 
 def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary: int, h: float):
@@ -665,37 +681,38 @@ def run_transient(
             raise CircuitError(f"{cap.name}: companion conductance 2C/h of capacitance "
                                f"{cap.capacitance!r} overflows at step {h!r}")
     controls = circuit.control_map
-    sw_states, sw_events, src_events, boundaries = _schedule(low, circuit, settings, switch_timelines)
+    states, sequence, events = _schedule(low, circuit, settings, switch_timelines)
 
     # sample half a step in so a command edge snapped to index 0 (i.e.
     # landing within the first half-step) folds into the initial value,
     # matching the switch-event convention
     slewed = [src.slew is not None for src in low.sources]
     emf = np.where(slewed, 0.0, _targets(low, controls, 0.5 * h))
-    vc = np.array([cap.initial_voltage for cap in low.caps])
-    inc = _incidence(low, low.size, low.caps)
-    cap_c = np.array([cap.capacitance for cap in low.caps])
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
 
     def operators(damped: bool) -> _Operators:
-        key = (tuple(sw_states), damped)
+        key = (states, damped)
         if key not in topologies:
-            g = cap_c / h if damped else 2.0 * cap_c / h
-            topologies[key] = _Operators(_factor(_base_matrix(low, sw_states, g.tolist()), low), g)
+            g = (cap_c / h if damped else 2.0 * cap_c / h) if nc else None
+            A = _base_matrix(low, states, () if g is None else g.tolist())
+            topologies[key] = _Operators(_factor(A, low), g)
         return topologies[key]
 
     if nc:
-        x0, ic, determinate = _initial_solve(low, sw_states, emf)
+        vc = np.array([cap.initial_voltage for cap in low.caps])
+        inc = _incidence(low, low.size, low.caps)
+        cap_c = np.array([cap.capacitance for cap in low.caps])
+        x0, ic, determinate = _initial_solve(low, states, emf)
         # column-major, so each unknown's trace is contiguous
         out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
         out[0][0], out[1][0] = x0, ic
+        # damped start only when loop currents were indeterminate at t=0; a
+        # clean start keeps the trapezoidal charge identity exact from the first step
+        pending_damp = 0 if determinate else settings.damping_steps
     else:  # no state: each row holds from its start index up to the next one
-        out, determinate = ([operators(False).row(emf, 0.0)], [0]), True
-    # damped start only when loop currents were indeterminate at t=0; a clean
-    # start keeps the trapezoidal charge identity exact from the first step
-    pending_damp = 0 if determinate else settings.damping_steps
+        out = ([operators(False).row(emf, 0.0)], [0])
+        held: Dict[Tuple[bool, ...], np.ndarray] = {}  # each topology's row at the held EMFs
 
-    events: List[Tuple[float, str]] = []
     # with no gated source, no source moves once each EMF holds its voltage, and
     # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
     ungated = np.array([s.control is None for s in low.sources], dtype=bool)
@@ -703,9 +720,16 @@ def run_transient(
                if ungated.all() else None)
     still = np.zeros(len(low.sources))
     idx0 = 0
-    for boundary in boundaries:
+    for boundary, after, restart in sequence:
         while idx0 < boundary:  # one segment per ramp knee before the boundary
             if emf.tobytes() == settled:
+                if not nc:  # one held row up to the boundary
+                    if states not in held:
+                        held[states] = operators(False).row(emf, boundary * h)
+                    out[0].append(held[states])
+                    out[1].append(idx0 + 1)
+                    idx0 = boundary
+                    break
                 seg_end, slope = boundary, still
             else:
                 seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
@@ -713,6 +737,7 @@ def run_transient(
             if nc:
                 damp = min(pending_damp, steps)
                 vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+                pending_damp = max(0, pending_damp - steps)
             else:  # one row per constant stretch, and one per step of a ramp
                 op, t = operators(False), seg_end * h
                 if moving:  # an ungated source ramps once, so no inner row of its ramp recurs
@@ -720,21 +745,13 @@ def run_transient(
                     out[0].extend(inner(emf + i * (slope * h), t) for i in range(1, steps))
                 out[0].append(op.row(emf + steps * (slope * h) if moving else emf, t))
                 out[1].extend(range(idx0 + 1, seg_end + 1 if moving else idx0 + 2))
-            pending_damp = max(0, pending_damp - steps)
             if moving:  # else every source holds its target
                 emf = emf + slope * (steps * h)
                 near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
                 np.copyto(emf, target, where=(slope != 0.0) & near)
             idx0 = seg_end
-
-        logged = len(events)
-        for si, new_state in sw_events.get(boundary, ()):
-            if sw_states[si] != new_state:
-                sw_states[si] = new_state
-                events.append((boundary * h, low.switches[si].name))
-        if boundary in src_events:
-            events.append((boundary * h, "source"))
-        if len(events) > logged:  # a switch changed or a source stepped
+        states = after
+        if restart and nc:  # a switch changed or a source stepped
             pending_damp = settings.damping_steps
 
     return _package(low, settings, out, events)

@@ -261,6 +261,26 @@ class TestMonteCarlo:
                 metrics.max_device_drop
             ).tobytes()
 
+    @pytest.mark.parametrize("template, seed", [
+        ("fig3", 0), ("fig3", 1), ("fig3", 2), ("fig2_hv", 3), ("fig3_hv", 4)])
+    def test_trial_drop_is_the_shares_drop(self, template, seed):
+        # a trial computes the maximum drop alone; it is the value that
+        # voltage_shares gives on the same run's rows, bit for bit
+        build = mc_template(template)
+        model = MismatchModel(sigma=1.0, trials=5, seed=seed)
+        study = monte_carlo(build, model)
+        for (i, _), max_drop, error in zip(study.keys, study.values, study.errors):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(seed, spawn_key=(i,))))
+            offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
+            offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
+            run = run_scenario(build(offs.tolist(), offsets.tolist()))
+            metrics = voltage_shares(*(run.rows(n) for n in "ABOC"))
+            assert error is None
+            assert np.float64(max_drop).tobytes() == np.float64(
+                metrics.max_device_drop
+            ).tobytes()
+
     def test_trial_allocates_far_less_than_a_dense_solution(self):
         # a dense fig3 trial solution is 40,001 samples x 6 unknowns x 8 B,
         # about 1.9 MB; the run-length rows of a trial stay far below that

@@ -290,6 +290,29 @@ class TestTransient:
         assert v.samples[v.index_at(5.5e-3)] == pytest.approx(50.0, rel=1e-6)
         assert v.samples[v.index_at(7e-3)] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("capacitor", [False, True])
+    def test_event_log_order(self, capacitor):
+        circuit = simple_circuit(
+            VoltageSource("V1", "A", "0", 10.0, control="g"),
+            Resistor("R1", "A", "B", 1e3),
+            Switch("S1", "B", "0", control="s"),
+            Switch("S2", "A", "B", control="s"),
+            *([Capacitor("C1", "B", "0", 1e-9)] if capacitor else []),
+            controls={"g": ControlSignal(frequency=1e3), "s": ControlSignal(frequency=1.0)},
+        )
+        # g steps V1 at grid indices 50, 100, 150 and 200 (the last one)
+        timelines = {"S1": (False, [(5e-4, True), (1e-3, True), (2e-3, False)]),
+                     "S2": (True, [(5e-4, False)])}
+        settings = IntegrationSettings(1e-5, 2e-3)
+        res = run_transient(circuit, settings, timelines)
+        h = settings.step
+        # per index: each switch that changes, in circuit order, then the
+        # source edge; S1's repeated on command at index 100 changes nothing
+        assert res.events == [(50 * h, "S1"), (50 * h, "S2"), (50 * h, "source"),
+                              (100 * h, "source"), (150 * h, "source"),
+                              (200 * h, "S1"), (200 * h, "source")]
+        assert res.events == reference_transient(circuit, settings, timelines)[3]
+
     def test_missing_switch_timeline(self):
         c = simple_circuit(
             VoltageSource("V1", "A", "0", 10.0),
@@ -458,7 +481,8 @@ class TestPassivity:
 def reference_transient(circuit, settings, timelines):
     """Per-step reference: one ``lu_solve`` per step, both companion matrices
     refactored at every segment.  Same grid snapping, slew knees and damping
-    schedule as :func:`run_transient`; returns ``(x, cap_i, segment lengths)``."""
+    schedule as :func:`run_transient`; returns ``(x, cap_i, segment lengths,
+    event log)``, the log built as the walk reaches each event index."""
     low = engine._lower(circuit)
     h, n_steps = settings.step, settings.n_steps
     n, m, nc = low.n_nodes, len(low.sources), len(low.caps)
@@ -501,7 +525,7 @@ def reference_transient(circuit, settings, timelines):
     ic = ic_hist[0].copy()
     pending = 0 if determinate else settings.damping_steps
     idx0 = 0
-    lengths = []
+    lengths, log = [], []
     while idx0 < n_steps:
         seg_end = next(b for b in boundaries if b > idx0)
         tgt = np.array([target(s, idx0 * h + 0.5 * h) for s in low.sources])
@@ -541,11 +565,15 @@ def reference_transient(circuit, settings, timelines):
         idx0 = seg_end
         changed = False
         for si, new_state in sw_events.get(idx0, []):
-            changed |= states[si] != new_state
+            if states[si] != new_state:
+                log.append((idx0 * h, low.switches[si].name))
+                changed = True
             states[si] = new_state
+        if idx0 in src_events:
+            log.append((idx0 * h, "source"))
         if changed or idx0 in src_events:
             pending = settings.damping_steps
-    return x_hist, ic_hist, lengths
+    return x_hist, ic_hist, lengths, log
 
 
 def random_switched_circuit(rng):
@@ -602,11 +630,12 @@ class TestBlockedPropagator:
         for trial in range(12):
             circuit, settings, timelines = random_switched_circuit(rng)
             res = run_transient(circuit, settings, timelines)
-            x_ref, ic_ref, lengths = reference_transient(circuit, settings, timelines)
+            x_ref, ic_ref, lengths, ref_events = reference_transient(circuit, settings, timelines)
             for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
                 scale = np.max(np.abs(ref), axis=0)
                 err = np.max(np.abs(got - ref), axis=0)
                 assert np.all(err <= 1e-9 * scale), f"trial {trial}: {err / scale}"
+            assert res.events == ref_events, f"trial {trial}"
             longest = max(longest, max(lengths))
         # at least one stretch spans several propagator blocks
         assert longest > engine._BLOCK
@@ -634,7 +663,7 @@ class TestBlockedPropagator:
             circuit = Circuit.build([*circuit.components, twin], circuit.control_map)
             damped += settings.damping_steps > 0
             res = run_transient(circuit, settings, timelines)
-            x_ref, ic_ref, _ = reference_transient(circuit, settings, timelines)
+            x_ref, ic_ref, _, _ = reference_transient(circuit, settings, timelines)
             for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
                 scale = np.max(np.abs(ref), axis=0)
                 err = np.max(np.abs(got - ref), axis=0)
@@ -692,11 +721,12 @@ class TestSettledSources:
             circuit, settings, timelines = random_ungated_circuit(rng, slewed)
             planned.clear()
             res = run_transient(circuit, settings, timelines)
-            x_ref, ic_ref, lengths = reference_transient(circuit, settings, timelines)
+            x_ref, ic_ref, lengths, ref_events = reference_transient(circuit, settings, timelines)
             for got, ref in ((res.x, x_ref), (res.cap_i, ic_ref)):
                 scale = np.max(np.abs(ref), axis=0)
                 err = np.max(np.abs(got - ref), axis=0)
                 assert np.all(err <= 1e-9 * scale), f"trial {trial}: {err / scale}"
+            assert res.events == ref_events, f"trial {trial}"
             if slewed:  # the ramp's segments, and none after it ends
                 assert planned and max(planned) < 0.6 * settings.n_steps + 1
                 assert len(planned) < len(lengths)
@@ -775,6 +805,33 @@ class TestResistiveReuse:
         # the supply holds one EMF after its one-step ramp, and that ramp's
         # one row is the held row: one row per topology, plus the t=0 row
         assert len(solved) == topologies + 1
+
+    def test_fig3_trial_looks_up_each_held_row(self, monkeypatch):
+        rows, factored = [], []
+        row, factor = engine._Operators.row, engine.lu_factor
+
+        def recording_row(op, emf, t):
+            rows.append(t)
+            return row(op, emf, t)
+
+        def recording_factor(a):
+            factored.append(np.array(a).tobytes())
+            return factor(a)
+
+        monkeypatch.setattr(engine._Operators, "row", recording_row)
+        monkeypatch.setattr(engine, "lu_factor", recording_factor)
+        build = mc_template("fig3")
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            rows.clear()
+            factored.clear()
+            offs = (3e8 * np.exp(rng.standard_normal(4))).tolist()
+            run = run_scenario(build(offs, rng.uniform(-5e-5, 5e-5, 4).tolist()))
+            # the t=0 row and the start-up ramp's row, then one row per
+            # topology (each factored once), made at its first held stretch:
+            # every later stretch of a topology is a lookup
+            assert len(set(factored)) == len(factored)
+            assert len(rows) == len(factored) + 2 < len(run.x)
 
     def test_long_ramp_keeps_its_last_row_only(self, monkeypatch):
         kept = {}  # each capacitor-free topology, by id
@@ -968,7 +1025,8 @@ class TestRunLength:
         for trial in range(16):
             circuit, settings, timelines = random_resistive_circuit(rng)
             res = run_transient(circuit, settings, timelines)
-            x_ref, _, _ = reference_transient(circuit, settings, timelines)
+            x_ref, _, _, ref_events = reference_transient(circuit, settings, timelines)
+            assert res.events == ref_events, f"trial {trial}"
             assert res.starts is not None and len(res.x) < res.n_samples
             assert (res.n_samples, res.x.shape[1]) == x_ref.shape
             # rows one step apart are source-ramp steps

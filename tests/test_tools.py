@@ -146,7 +146,11 @@ class TestCsvDrift:
     def test_non_numeric_cell_is_counted(self, tmp_path):
         change = self.TABLE.replace("1.0,2.0,ok", "1.0,nan,failed: singular")
         assert drift(tmp_path, self.TABLE, change) == [
-            "v: 0, 1 non-numeric cells differ", "status: 0/0, 1 non-numeric cells differ"]
+            "v: 1 non-numeric cells differ", "status: 1 non-numeric cells differ"]
+
+    def test_ratio_and_count_together(self, tmp_path):
+        change = self.TABLE.replace("0.0,1.0,ok", "0.0,1.5,ok").replace("1.0,2.0,ok", "1.0,x,ok")
+        assert drift(tmp_path, self.TABLE, change) == ["v: 0.25, 1 non-numeric cells differ"]
 
     @pytest.mark.parametrize("change, line", [
         ("t,w,status\n0.0,1.0,ok\n1.0,2.0,ok\n", "the headers differ"),
@@ -169,3 +173,28 @@ class TestCorpusJobs:
         for name in sha_corpus.PRESET_NAMES:
             assert f"run:{name}" in self.IDS
             assert f"run:netlist:{name}" in self.IDS
+
+
+#: capacitor-free jobs, plus the gated RC netlist, whose listing lines Tier-1
+#: checks: every run and Monte-Carlo path of the resistive engine walk
+SUBSET = ("run:fig2", "run:fig3", "run:netlist:fig3-pair", "run:fig3:slow-slew",
+          "run:fig3:many-events", "run:netlist:conflicting-sources", "run:netlist:gated",
+          "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2")
+
+
+class TestCommittedListing:
+    def test_listing_names_its_kernels_and_lists_every_job(self):
+        assert sha_corpus.listing_kernels(sha_corpus.LISTING).startswith(
+            "blas kernels: numpy ")
+        listed = {job for job, _ in sha_corpus._listing(sha_corpus.LISTING)}
+        assert listed == {job for job, _, _ in sha_corpus.jobs()}
+
+    def test_subset_matches_the_committed_bytes(self, tmp_path):
+        kernels = sha_corpus.listing_kernels(sha_corpus.LISTING)
+        if kernels != blas_kernel.describe():
+            pytest.skip(f"the listing holds for {kernels}; this host runs "
+                        f"{blas_kernel.describe()}")
+        committed = [line for line in sha_corpus.LISTING.read_text().splitlines()
+                     if line.split(" ")[0] in SUBSET]
+        assert {line.split(" ")[0] for line in committed} == set(SUBSET)
+        assert list(sha_corpus.listing_lines(tmp_path, set(SUBSET))) == committed

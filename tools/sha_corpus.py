@@ -2,35 +2,45 @@
 
 Usage::
 
-    python tools/sha_corpus.py OUT_DIR > corpus.txt
+    python tools/sha_corpus.py OUT_DIR [JOB ...] > listing.txt
     python tools/sha_corpus.py --against REV WORK_DIR
+    python tools/sha_corpus.py --check WORK_DIR
 
 Each job is one in-process ``hvsim.cli.main(argv)`` call writing into its own
-subdirectory of ``OUT_DIR``.  A netlist job first writes its netlist into that
-subdirectory and runs it with ``run --netlist``, so the netlist is listed as
-an output file too.  One line is printed per output file, as
-``job exit-code file sha256``; the job's stdout and stderr are listed as the
-files ``<stdout>`` and ``<stderr>``, with ``OUT_DIR`` replaced by ``OUT`` so
-that two runs into different directories compare equal.  A job that raises
-out of ``main`` is listed with the exit code ``raised`` and its
-``ExcType: message`` line at the end of its ``<stderr>``, and the corpus goes
-on with the next job.  Running the script on two checkouts and diffing the
-listings checks that a change keeps every output byte-identical.  ``hvsim``
-is imported from the ``src`` directory next to this script.  The bytes hold
-for one BLAS kernel and library build, so the script names the OpenBLAS
-kernel of numpy and of scipy (``tools/blas_kernel.py``) on stderr, outside
-the listing.
+subdirectory of ``OUT_DIR``; given ``JOB`` ids, only those jobs run.  A
+netlist job first writes its netlist into that subdirectory and runs it
+with ``run --netlist``, so the netlist is listed as an output file too.  One
+line is printed per output file, as ``job exit-code file sha256``; the
+job's stdout and stderr are listed as the files ``<stdout>`` and
+``<stderr>``, with ``OUT_DIR`` replaced by ``OUT`` so that two runs into
+different directories compare equal.  A job that raises out of ``main`` is
+listed with the exit code ``raised`` and its ``ExcType: message`` line at
+the end of its ``<stderr>``, and the corpus goes on with the next job.
+Running the script on two checkouts and diffing the listings checks that a
+change keeps every output byte-identical.  ``hvsim`` is imported from the
+``src`` directory next to this script.  The bytes hold for one BLAS kernel
+and library build, so the listing's first line names the OpenBLAS kernel of
+numpy and of scipy (``# blas kernels: ...``, from ``tools/blas_kernel.py``).
 
 ``--against REV`` does that comparison in one command.  It exports ``src/``
 of the git revision ``REV`` (with ``git archive``) into ``WORK_DIR/parent``,
 next to a copy of this script, and runs the job list on that tree and on the
 working tree's ``src/`` (into ``WORK_DIR/parent/out`` and
 ``WORK_DIR/change/out``; the listings go to ``listing.txt`` beside them), as
-two child processes side by side.  ``WORK_DIR`` must be new or empty.  It prints each differing line, ``-`` for
-``REV`` and ``+`` for the working tree; for each CSV that differs, each
-column's largest ``|change - parent|`` over its largest ``|parent|``; the
-kernel line; and last ``N differing lines of M``.  It exits 1 when a line
-differs.
+two child processes side by side.  ``WORK_DIR`` must be new or empty.  It
+prints each differing line, ``-`` for ``REV`` and ``+`` for the working
+tree; for each CSV that differs, each column's largest ``|change - parent|``
+over its largest ``|parent|``; the kernel line; and last ``N differing lines
+of M``.  It exits 1 when a line differs.
+
+``--check`` compares a run of the working tree's ``src/`` (into
+``WORK_DIR/change``) with the committed listing, ``tools/corpus.sha256``,
+and prints what ``--against`` prints.  A CSV that differs is made again
+from ``HEAD``'s ``src/`` (into ``WORK_DIR/parent``, only the jobs that need
+it) to give its column drift.  When this host's kernels are not the ones in
+the listing's header, it says so first: the bytes may then differ with no
+change to the code.  The listing is regenerated only by this script
+(``python tools/sha_corpus.py OUT_DIR > tools/corpus.sha256``).
 """
 
 from __future__ import annotations
@@ -56,6 +66,9 @@ from hvsim.netlist import print_scenario  # noqa: E402
 from hvsim.presets import PRESET_NAMES, load_preset  # noqa: E402
 
 MC_SEEDS = range(192)
+
+#: the committed listing of the whole corpus, made by this script
+LISTING = ROOT / "tools" / "corpus.sha256"
 
 #: a hand-written netlist whose supply and load are X fragments, expanded at parse time
 XFRAG = """\
@@ -197,15 +210,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(out_root: Path) -> None:
+def listing_lines(out_root: Path, only=None):
+    """Run the jobs (those in ``only``, or all) into ``out_root``; yield one
+    listing line per output file."""
     out_root = out_root.resolve()
-    print(describe(), file=sys.stderr)
-    # the listing keeps the process's stdout; what native code (LAPACK's
-    # error handler) writes to file descriptor 1 goes to stderr instead
-    sys.stdout.flush()
-    listing = os.fdopen(os.dup(1), "w", encoding="utf-8")
-    os.dup2(2, 1)
     for job, argv, netlist in jobs():
+        if only is not None and job not in only:
+            continue
         out = out_root / job.replace(":", "_")
         out.mkdir(parents=True, exist_ok=True)
         if netlist is not None:
@@ -222,19 +233,37 @@ def run(out_root: Path) -> None:
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         for label, stream in (("<stdout>", stdout), ("<stderr>", stderr)):
             text = stream.getvalue().replace(str(out_root), "OUT")
-            print(job, code, label, _sha(text.encode("utf-8")), file=listing)
+            yield f"{job} {code} {label} {_sha(text.encode('utf-8'))}"
         for path in sorted(out.iterdir()):
-            print(job, code, path.name, _sha(path.read_bytes()), file=listing)
+            yield f"{job} {code} {path.name} {_sha(path.read_bytes())}"
+
+
+def run(out_root: Path, only=None) -> None:
+    # the listing keeps the process's stdout; what native code (LAPACK's
+    # error handler) writes to file descriptor 1 goes to stderr instead
+    sys.stdout.flush()
+    listing = os.fdopen(os.dup(1), "w", encoding="utf-8")
+    os.dup2(2, 1)
+    print(f"# {describe()}", file=listing)
+    for line in listing_lines(out_root, only):
+        print(line, file=listing)
         listing.flush()
 
 
 def _listing(path: Path) -> dict:
-    """``(job, file) -> (exit code, sha256)`` of one listing."""
+    """``(job, file) -> (exit code, sha256)`` of one listing; its ``#`` header
+    line is skipped."""
     out = {}
     for line in path.read_text(encoding="utf-8").splitlines():
-        job, code, name, sha = line.split(" ")
-        out[job, name] = (code, sha)
+        if not line.startswith("#"):
+            job, code, name, sha = line.split(" ")
+            out[job, name] = (code, sha)
     return out
+
+
+def listing_kernels(path: Path) -> str:
+    """The kernel line of a listing's header, without its ``# ``."""
+    return path.read_text(encoding="utf-8").partition("\n")[0].removeprefix("# ")
 
 
 def _number(cell: str) -> float:
@@ -247,7 +276,8 @@ def _number(cell: str) -> float:
 def csv_drift(parent: Path, change: Path) -> list:
     """One line per differing column of two CSVs: its largest ``|change -
     parent|`` over its largest ``|parent|`` (``x/0`` for an all-zero parent
-    column), plus the count of differing cells that are not both numbers."""
+    column) when two numbers differ, and the count of differing cells that
+    are not both numbers when there are any."""
     with open(parent, newline="") as fa, open(change, newline="") as fb:
         rows_a, rows_b = csv.reader(fa), csv.reader(fb)
         header = next(rows_a, [])
@@ -270,34 +300,50 @@ def csv_drift(parent: Path, change: Path) -> list:
     lines = []
     for name, d, s, t in zip(header, diff, scale, text):
         if d or t:
-            ratio = f"{d / s:.3g}" if s else f"{d:.3g}/0"
-            lines.append(f"{name}: {ratio}" + (f", {t} non-numeric cells differ" if t else ""))
+            parts = [(f"{d / s:.3g}" if s else f"{d:.3g}/0")] if d else []
+            parts += [f"{t} non-numeric cells differ"] if t else []
+            lines.append(f"{name}: " + ", ".join(parts))
     return lines
 
 
-def against(rev: str, work: Path) -> int:
-    """Run the job list on ``rev``'s ``src/`` and on the working tree's; print
-    the differences.  Returns 1 when a line differs, else 0."""
+def _empty(work: Path) -> Path:
     work = work.resolve()
     if work.exists() and any(work.iterdir()):
         sys.exit(f"{work} is not empty")
-    parent, change = work / "parent", work / "change"
-    for tree in (parent, change):
-        tree.mkdir(parents=True)
+    return work
+
+
+def _export(rev: str, tree: Path) -> Path:
+    """``src/`` of git revision ``rev`` under ``tree``, next to a copy of this
+    script and its helper; returns the copied script."""
+    tree.mkdir(parents=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-    (parent / "tools").mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    (tree / "tools").mkdir()
     for script in ("sha_corpus.py", "blas_kernel.py"):
-        shutil.copy(Path(__file__).with_name(script), parent / "tools" / script)
-    procs = []
-    for script, tree in ((parent / "tools" / "sha_corpus.py", parent), (Path(__file__), change)):
-        with open(tree / "listing.txt", "w") as listing:
-            procs.append(subprocess.Popen([sys.executable, str(script), str(tree / "out")],
-                                          stdout=listing))
+        shutil.copy(Path(__file__).with_name(script), tree / "tools" / script)
+    return tree / "tools" / "sha_corpus.py"
+
+
+def _start(script: Path, tree: Path, only=()) -> subprocess.Popen:
+    """A child process that runs the jobs ``only`` (or all) into ``tree/out``,
+    its listing going to ``tree/listing.txt``."""
+    tree.mkdir(parents=True, exist_ok=True)
+    with open(tree / "listing.txt", "w") as listing:
+        return subprocess.Popen([sys.executable, str(script), str(tree / "out"), *only],
+                                stdout=listing)
+
+
+def _wait(*procs: subprocess.Popen) -> None:
     if any([p.wait() for p in procs]):  # a list: wait for both
         sys.exit("a corpus run failed; see its stderr above")
-    old, new = _listing(parent / "listing.txt"), _listing(change / "listing.txt")
+
+
+def _report(old: dict, new: dict, parent: Path, change: Path) -> int:
+    """Print each differing line and, for a CSV in both ``parent/out`` and
+    ``change/out``, its :func:`csv_drift`; then the count.  Returns 1 when a
+    line differs, else 0."""
     differing = 0
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) == new.get(key):
@@ -307,8 +353,8 @@ def against(rev: str, work: Path) -> int:
         for sign, side in (("-", old), ("+", new)):
             if key in side:
                 print(sign, job, side[key][0], name, side[key][1])
-        if name.endswith(".csv") and key in old and key in new:
-            sub = job.replace(":", "_")
+        sub = job.replace(":", "_")
+        if name.endswith(".csv") and (parent / "out" / sub / name).is_file() and key in new:
             for line in csv_drift(parent / "out" / sub / name, change / "out" / sub / name):
                 print(f"    {line}")
     print(describe())
@@ -316,11 +362,41 @@ def against(rev: str, work: Path) -> int:
     return 1 if differing else 0
 
 
+def against(rev: str, work: Path) -> int:
+    """Run the job list on ``rev``'s ``src/`` and on the working tree's; print
+    the differences.  Returns 1 when a line differs, else 0."""
+    work = _empty(work)
+    parent, change = work / "parent", work / "change"
+    _wait(_start(_export(rev, parent), parent), _start(Path(__file__), change))
+    return _report(_listing(parent / "listing.txt"), _listing(change / "listing.txt"),
+                   parent, change)
+
+
+def check(work: Path) -> int:
+    """Run the job list on the working tree's ``src/`` and compare it with the
+    committed listing.  Returns 1 when a line differs, else 0."""
+    work = _empty(work)
+    parent, change = work / "parent", work / "change"
+    _wait(_start(Path(__file__), change))
+    if listing_kernels(LISTING) != describe():
+        print(f"the listing was made with {listing_kernels(LISTING)}; "
+              "this host's kernels differ, and so may the bytes")
+    old, new = _listing(LISTING), _listing(change / "listing.txt")
+    redo = sorted({job for (job, name), entry in new.items()
+                   if name.endswith(".csv") and (job, name) in old and old[job, name] != entry})
+    if redo:
+        _wait(_start(_export("HEAD", parent), parent, redo))
+    return _report(old, new, parent, change)
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if len(args) == 3 and args[0] == "--against":
         sys.exit(against(args[1], Path(args[2])))
-    if len(args) != 1:
-        sys.exit("usage: python tools/sha_corpus.py OUT_DIR\n"
-                 "       python tools/sha_corpus.py --against REV WORK_DIR")
-    run(Path(args[0]))
+    if len(args) == 2 and args[0] == "--check":
+        sys.exit(check(Path(args[1])))
+    if not args or args[0].startswith("--"):
+        sys.exit("usage: python tools/sha_corpus.py OUT_DIR [JOB ...]\n"
+                 "       python tools/sha_corpus.py --against REV WORK_DIR\n"
+                 "       python tools/sha_corpus.py --check WORK_DIR")
+    run(Path(args[0]), set(args[1:]) or None)
