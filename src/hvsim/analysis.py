@@ -236,20 +236,18 @@ def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
         slew = measure_slew(v_o.slice_time(v_o.stop - period, v_o.stop))
     except MeasureError:
         slew = None
-    shares = voltage_shares(*(run.rows(node) for node in "ABOC"))
     return replace(
         _supply_peaks(run),
         amplitude=amplitude,
         slew_rate=slew,
-        shares=shares.shares,
-        max_device_drop=shares.max_device_drop,
+        max_device_drop=_drops(*(run.rows(node) for node in "ABOC"))[1],
     )
 
 
 def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study:
     """:class:`Metrics` per (frequency, load) cell, converter-fed through the
     1.8 MOhm-balanced stack, frequency major.  Every cell runs to its own
-    steady state."""
+    steady state; its ``shares`` are None (only its maximum drop is kept)."""
     if not frequencies:
         raise MeasureError("empty frequency list")
     if not loads:

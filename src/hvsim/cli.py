@@ -23,9 +23,9 @@ import numpy as np
 
 from . import analysis, electromech, netlist, plotting, presets
 from .circuit import CircuitError, ControlSignal, ScheduleError, params
-from .engine import IntegrationSettings, SimulationError
+from .engine import IntegrationSettings, SimulationError, run_transient
 from .netlist import NetlistError, parse_param, parse_value
-from .runner import run_scenario, shoot_through_seconds, switch_timelines
+from .runner import shoot_through_seconds, switch_timelines
 from .scenario import Scenario, probe_label
 from .waveform import WaveformError, write_csv
 
@@ -122,14 +122,16 @@ def cmd_run(args) -> int:
     scenario, name = _resolve_scenario(args)
     if not scenario.probes:
         raise CliError(f"{name}: no probes requested (add .probe directives)")
-    result = run_scenario(scenario)
+    circuit, settings = scenario.circuit, scenario.settings
+    timelines = switch_timelines(circuit, settings)
+    result = run_transient(circuit, settings, timelines)
     out = _out_dir(args)
     columns = {
         probe_label(p): result.voltage(p) if isinstance(p, str) else result.pair_voltage(*p)
         for p in scenario.probes
     }
     tables = {f"{name}.csv": columns}
-    if "load_m" in scenario.circuit.node_labels() and name.startswith("fig8"):
+    if "load_m" in circuit.node_labels() and name.startswith("fig8"):
         # filtered before any file is written, so a step too coarse for the
         # filter leaves no CSV behind
         v_load = result.voltage("load_m")
@@ -145,8 +147,7 @@ def cmd_run(args) -> int:
         }
         plotting.line_plot(svg, series, "time [s]", "voltage [V]", title=name)
         written.append(svg)
-    circuit, settings = scenario.circuit, scenario.settings
-    overlap = shoot_through_seconds(circuit, switch_timelines(circuit, settings), settings.stop)
+    overlap = shoot_through_seconds(circuit, timelines, settings.stop)
     if overlap > 0:
         print(f"warning: commanded shoot-through for {overlap:.6g} s", file=sys.stderr)
     print(f"wrote {', '.join(str(p) for p in written)}")

@@ -20,7 +20,7 @@ from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_
                        sweep_step_for)
 from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter, converter_scenario
 from .runner import run_scenario
-from .waveform import Waveform
+from .waveform import Waveform, WaveformError
 
 #: drive voltage at which the static displacement is 1.0
 REFERENCE_VOLTAGE = 1800.0
@@ -46,12 +46,15 @@ def _transition(t: np.ndarray) -> np.ndarray:
     return e[:, None, None] * np.moveaxis(np.array(rows), -1, 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the drive and the result are checked finite
 def displacement_response(v: Waveform) -> Waveform:
     """Normalized displacement for a drive-voltage waveform.
 
     ``x = H2(s) * (v / v_ref)^2`` with ``H2`` the unit-DC-gain second-order
     low-pass, discretized zero-order-hold on the waveform grid (exact for
-    stepwise inputs at the sample instants), starting from rest.
+    stepwise inputs at the sample instants), starting from rest.  A drive
+    whose normalized square is not finite raises :class:`WaveformError` at
+    its first such sample.
 
     With ``A = exp(M T)`` the unit DC gain gives ``B = (I - A) e1``, so the
     Markov parameters are ``A^k B = A^k e1 - A^(k+1) e1`` (Franklin, Powell
@@ -73,6 +76,9 @@ def displacement_response(v: Waveform) -> Waveform:
     free = power[:-1, 0, :].T  # block start state to each output of the block
     gain = markov[::-1]  # input j of a block to the state after it, A^(_BLOCK-1-j) B
     u = (v.samples / REFERENCE_VOLTAGE) ** 2
+    if not np.isfinite(u).all():
+        t = v.time_at(int(np.flatnonzero(~np.isfinite(u))[0]))
+        raise WaveformError(f"normalized drive (v/{REFERENCE_VOLTAGE:g})^2 not finite at t={t!r}")
     padded = np.zeros(-(-u.size // _BLOCK) * _BLOCK)
     padded[: u.size] = u
     blocks = padded.reshape(-1, _BLOCK)

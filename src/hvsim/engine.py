@@ -652,6 +652,7 @@ def _package(low, settings, out, events) -> TransientResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every solution is checked finite
 def run_transient(
     circuit: Circuit,
     settings: IntegrationSettings,

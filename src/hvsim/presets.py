@@ -1,7 +1,8 @@
 """Named scenario presets for the bench experiments the simulator reproduces.
 
-Each preset parameterizes the half-bridge builders and returns a
-:class:`~hvsim.scenario.Scenario`.  The voltage-distribution presets (fig2,
+Each preset returns a :class:`~hvsim.scenario.Scenario`: every single-channel
+one is made by :func:`bridge_scenario`, fig7c's two channels by
+:func:`dual_channel_with_phase`.  The voltage-distribution presets (fig2,
 fig3) deliberately omit the scope-probe models so their steady drops match
 the bare divider arithmetic; the transient-imbalance and slew presets include
 probes, whose input capacitance is the modeled node parasitic.
@@ -13,7 +14,7 @@ import math
 from dataclasses import replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .circuit import Circuit, CircuitError, ControlSignal, Switch
+from .circuit import CircuitError, ControlSignal, Switch
 from .devices import (
     BenchSupplyParams,
     ConverterParams,
@@ -63,97 +64,44 @@ def _bench(voltage: float) -> Fragment:
     return expand_bench_supply(BenchSupplyParams(voltage=voltage))
 
 
+def bridge_scenario(supply: Fragment, load: Optional[Fragment], control: ControlSignal,
+                    step: float, stop: float, probes: Tuple[str, ...], **bridge) -> Scenario:
+    """Every single-channel bridge run: ``supply`` feeding the series stack,
+    driven by ``control`` into ``load``, on the grid ``step`` up to ``stop``;
+    ``bridge`` passes the stack's keywords through to
+    :func:`~hvsim.topology.build_half_bridge`."""
+    return Scenario(build_half_bridge(supply, load, control, **bridge),
+                    IntegrationSettings(step=step, stop=stop), probes=probes)
+
+
 def _distribution(
     balancing: Optional[float], voltage: float = 800.0, step: float = 100e-6
 ) -> Scenario:
     """Static-sharing bench (fig2/fig3 and the nominal of their Monte-Carlo
     trials): the unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
-    circuit = build_half_bridge(_bench(voltage), None, ControlSignal(frequency=1.0),
-                                balancing=balancing)
-    return Scenario(circuit, IntegrationSettings(step=step, stop=2.0), probes=("A", "B", "O", "C"))
+    return bridge_scenario(_bench(voltage), None, ControlSignal(frequency=1.0), step, 2.0,
+                           ("A", "B", "O", "C"), balancing=balancing)
 
 
 def _fig4(snubber: Optional[float]) -> Scenario:
-    circuit = build_half_bridge(
-        _bench(1800.0),
-        None,
-        ControlSignal(frequency=1000.0),
-        snubber=snubber,
-        probe_nodes=("B", "O", "C"),
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=1e-6, stop=11e-3),
-        probes=("A", "B", "O", "C"),
-    )
+    return bridge_scenario(_bench(1800.0), None, ControlSignal(frequency=1000.0), 1e-6, 11e-3,
+                           ("A", "B", "O", "C"), snubber=snubber, probe_nodes=("B", "O", "C"))
 
 
-def _fig5() -> Scenario:
-    # nominal board timing: the driver-offset mismatch is the transient-study
-    # knob (fig4); with offsets the conduction window shrinks by 50 us and the
-    # load capacitor just misses the 99% charge level each half-cycle
-    circuit = build_half_bridge(
-        _bench(1800.0),
-        series_rc_load(100e3, 10e-9),
-        ControlSignal(frequency=100.0),
-        driver_offsets=(0.0, 0.0, 0.0, 0.0),
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=1e-6, stop=0.11),
-        probes=("A", "O", "load_m"),
-    )
-
-
-def converter_bridge(
-    frequency: float,
-    load: Fragment,
-    balancing: float = 1.8e6,
-    supply: Fragment = CONVERTER,
-) -> Circuit:
-    """The untethered configuration behind figs 6-8 and their studies: the
-    miniature converter feeding the balanced series stack, driven at
-    ``frequency`` into ``load``; every such run is a :func:`converter_scenario`.
+def converter_scenario(frequency: float, load: str, periods: int, step: float,
+                       probes: Tuple[str, ...], balancing: float = 1.8e6,
+                       supply: Fragment = CONVERTER) -> Scenario:
+    """The untethered configuration behind figs 6-8 and their studies (the
+    presets, the fig7 sweep cells and the fig8 displacement cells): the
+    miniature converter feeding the ``balancing``-balanced stack, driven at
+    ``frequency`` into the ``load`` descriptor (:func:`load_fragment`) for
+    ``periods`` whole drive periods on the grid ``step``.
 
     fig6b balances with 3.6 MOhm; the fig8 bench cells swap the converter for
     the matched bench ``supply``.
     """
-    return build_half_bridge(
-        supply, load, ControlSignal(frequency=frequency), balancing=balancing
-    )
-
-
-def converter_scenario(frequency: float, load: str, periods: int, step: float,
-                       probes: Tuple[str, ...], **bridge) -> Scenario:
-    """Every converter-fed run (the fig6-fig8 presets, the fig7 sweep cells
-    and the fig8 displacement cells): :func:`converter_bridge` driven at
-    ``frequency`` into the ``load`` descriptor (:func:`load_fragment`) for
-    ``periods`` whole drive periods on the grid ``step``.  ``bridge`` passes
-    ``balancing`` or ``supply`` through to :func:`converter_bridge`.
-    """
-    return Scenario(
-        converter_bridge(frequency, load_fragment(load), **bridge),
-        IntegrationSettings(step=step, stop=periods * (1.0 / frequency)),
-        probes=probes,
-    )
-
-
-def _slew() -> Scenario:
-    # output starts low (phase pi) so the first rising edge is a switching
-    # transition, not the generator power-up ramp; driver offsets are zeroed
-    # because the calibration isolates the board edge from driver mismatch
-    circuit = build_half_bridge(
-        _bench(1800.0),
-        None,
-        ControlSignal(frequency=1000.0, phase=math.pi),
-        driver_offsets=(0.0, 0.0, 0.0, 0.0),
-        probe_nodes=("O",),
-    )
-    return Scenario(
-        circuit,
-        IntegrationSettings(step=10e-9, stop=2.5e-3),
-        probes=("A", "O"),
-    )
+    return bridge_scenario(supply, load_fragment(load), ControlSignal(frequency=frequency),
+                           step, periods * (1.0 / frequency), probes, balancing=balancing)
 
 
 _BUILDERS: Dict[str, Callable[[], Scenario]] = {
@@ -161,13 +109,24 @@ _BUILDERS: Dict[str, Callable[[], Scenario]] = {
     "fig3": lambda: _distribution(3.6e6),
     "fig4a": lambda: _fig4(None),
     "fig4b": lambda: _fig4(220e-12),
-    "fig5": _fig5,
+    # nominal board timing: the driver-offset mismatch is the transient-study
+    # knob (fig4); with offsets the conduction window shrinks by 50 us and the
+    # load capacitor just misses the 99% charge level each half-cycle
+    "fig5": lambda: bridge_scenario(_bench(1800.0), series_rc_load(100e3, 10e-9),
+                                    ControlSignal(frequency=100.0), 1e-6, 0.11,
+                                    ("A", "O", "load_m"), driver_offsets=(0.0, 0.0, 0.0, 0.0)),
     "fig6b": lambda: converter_scenario(100.0, "dea", 11, 1e-6, ("A", "O"), balancing=3.6e6),
     "fig6c": lambda: converter_scenario(100.0, "dea", 11, 1e-6, ("A", "O")),
     "fig7": lambda: converter_scenario(100.0, "10n", 11, 5e-6, ("A", "O")),
     "fig7c": lambda: dual_channel_with_phase(math.pi),
     "fig8": lambda: converter_scenario(6.0, "dea", 3, 20e-6, ("A", "O")),
-    "slew": _slew,
+    # output starts low (phase pi) so the first rising edge is a switching
+    # transition, not the generator power-up ramp; driver offsets are zeroed
+    # because the calibration isolates the board edge from driver mismatch
+    "slew": lambda: bridge_scenario(_bench(1800.0), None,
+                                    ControlSignal(frequency=1000.0, phase=math.pi), 10e-9, 2.5e-3,
+                                    ("A", "O"), driver_offsets=(0.0, 0.0, 0.0, 0.0),
+                                    probe_nodes=("O",)),
 }
 
 PRESET_NAMES: Tuple[str, ...] = tuple(sorted(_BUILDERS))
@@ -191,7 +150,9 @@ def bench_matched_to_converter() -> Fragment:
     Used by the displacement comparison so the two supplies agree in the
     quasi-static limit and differ only in dynamics.
     """
-    return _bench(dc_operating_point(converter_bridge(0.0, load_fragment("dea")))["A"])
+    # the t=0 switch states, and so the DC point, do not depend on the drive frequency
+    bridge = converter_scenario(100.0, "dea", 1, 1e-6, ()).circuit
+    return _bench(dc_operating_point(bridge)["A"])
 
 
 def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scenario]:

@@ -29,7 +29,7 @@ from hvsim.presets import (
     FIG7_LOADS,
     FIG8_FREQUENCIES,
     PRESET_NAMES,
-    converter_bridge,
+    bridge_scenario,
     dual_channel_with_phase,
     load_preset,
 )
@@ -267,9 +267,10 @@ class TestCriterion07DualChannelPhasing:
         for phase in (0.0, math.pi / 2, math.pi):
             run = run_scenario(dual_channel_with_phase(phase))
             peaks[phase] = float(supply_port_current(run).samples.max())
-        single_channel = converter_bridge(100.0, series_rc_load(100e3, 10e-9))
         settings = dual_channel_with_phase(0.0).settings
-        single = run_scenario(Scenario(single_channel, settings, probes=("A", "O")))
+        single = run_scenario(bridge_scenario(
+            CONVERTER, series_rc_load(100e3, 10e-9), ControlSignal(frequency=100.0),
+            settings.step, settings.stop, ("A", "O"), balancing=1.8e6))
         single_peak = float(supply_port_current(single).samples.max())
         ordering = peaks[math.pi] <= peaks[math.pi / 2] <= peaks[0.0]
         doubling = abs(peaks[0.0] - 2.0 * single_peak) / (2.0 * single_peak) < 0.01

@@ -168,6 +168,18 @@ class TestFrequencySweep:
         assert m.peak_source_power > 0
         assert m.max_device_drop > 0
 
+    def test_cell_drop_is_the_shares_drop(self, monkeypatch):
+        # a cell keeps no shares; its maximum drop is the one voltage_shares
+        # gives on the same run's rows, bit for bit
+        runs = []
+        monkeypatch.setattr(analysis, "run_scenario",
+                            lambda scenario: runs.append(run_scenario(scenario)) or runs[-1])
+        (m,) = study_values(frequency_sweep([200.0], ["10n"])).values()
+        metrics = voltage_shares(*(runs[0].rows(n) for n in "ABOC"))
+        assert m.shares is None and metrics.shares is not None
+        assert np.float64(m.max_device_drop).tobytes() == np.float64(
+            metrics.max_device_drop).tobytes()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(MeasureError, match="empty"):
             frequency_sweep([], ["10n"])

@@ -749,6 +749,20 @@ class TestShootThroughOnDemand:
             monkeypatch.setattr(module, "shoot_through_seconds", computed)
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
+    def test_run_schedules_its_drivers_once(self, tmp_path, monkeypatch):
+        # the run and the shoot-through count read the same timelines
+        calls, real = [], runner.switch_timelines
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (cli, runner):
+            monkeypatch.setattr(module, "switch_timelines", counted)
+        argv = ["run", "--preset", "fig3", "--set", "comp.Sq1.toff=2m", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 0
+        assert len(calls) == 1
+
     def test_run_warns(self, tmp_path, capsys):
         # a 2 ms turn-off delay on the top device overlaps the low side's turn-on
         argv = ["run", "--preset", "fig3", "--set", "comp.Sq1.toff=2m", "--out", str(tmp_path)]
@@ -766,7 +780,8 @@ class TestNonFiniteInput:
         def started(*args, **kwargs):
             raise AssertionError("a simulation started")
 
-        for module, name in ((cli, "run_scenario"), (analysis, "frequency_sweep"),
+        for module, name in ((cli, "switch_timelines"), (cli, "run_transient"),
+                             (analysis, "frequency_sweep"),
                              (analysis, "phase_sweep"), (analysis, "monte_carlo"),
                              (electromech, "displacement_sweep")):
             monkeypatch.setattr(module, name, started)
@@ -960,6 +975,29 @@ class TestNumericFailure:
         assert run_cli("run", "--netlist", str(path), "--out", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestCheckedOverflow:
+    """An overflow that a finiteness check then fails exits 3 with one
+    ``error:`` line and no numpy RuntimeWarning."""
+
+    def test_diverging_run(self, tmp_path, capsys, recwarn):
+        argv = ["run", "--preset", "fig5", "--set", "comp.Cload_c.value=1e10",
+                "--set", "comp.Cload_c.ic=1e300", "--set", "tran.stop=200u"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == "error: solution diverged at t=5.2e-05\n"
+        assert not recwarn.list
+
+    def test_overflowing_displacement_drive(self, tmp_path, capsys, recwarn):
+        # (v/1800)^2 first overflows at 0.56 ms: the error names that sample,
+        # not the start of the filter block it falls in
+        argv = ["run", "--preset", "fig8", "--set", "comp.Vsup_emf.value=1e160",
+                "--set", "tran.stop=1m"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err == (
+            "error: normalized drive (v/1800)^2 not finite at t=0.0005600000000000001\n")
+        assert not recwarn.list
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPresetErrorText:

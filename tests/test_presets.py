@@ -10,6 +10,7 @@ from hvsim.circuit import (
     Capacitor,
     Circuit,
     CircuitError,
+    ControlSignal,
     Resistor,
     Switch,
     VoltageSource,
@@ -29,8 +30,8 @@ from hvsim.presets import (
     FIG7_FREQUENCIES,
     PRESET_NAMES,
     PresetError,
+    CONVERTER,
     bench_matched_to_converter,
-    converter_bridge,
     _distribution,
     load_fragment,
     load_preset,
@@ -38,6 +39,7 @@ from hvsim.presets import (
 )
 from hvsim.runner import run_scenario
 from hvsim.scenario import Scenario
+from hvsim.topology import build_half_bridge
 
 
 def components_of(name, cls):
@@ -163,7 +165,7 @@ def study_cells(monkeypatch, module, study, *args):
 
 
 class TestConverterBridge:
-    """figs 6-8 and the fig7/fig8 studies run one circuit: converter_bridge."""
+    """figs 6-8 and the fig7/fig8 studies run one circuit: converter_scenario."""
 
     def test_fig7_preset_is_the_100hz_10n_sweep_cell(self, monkeypatch):
         (cell,) = study_cells(monkeypatch, analysis, frequency_sweep, [100.0], ["10n"])
@@ -203,9 +205,10 @@ class TestConverterBridge:
             assert fig8_cell.settings.stop == 2 * (1.0 / f)
 
     def test_fig6_presets(self):
-        dea = load_fragment("dea")
-        assert load_preset("fig6c").circuit == converter_bridge(100.0, dea)
-        assert load_preset("fig6b").circuit == converter_bridge(100.0, dea, balancing=3.6e6)
+        dea, control = load_fragment("dea"), ControlSignal(frequency=100.0)
+        for name, balancing in (("fig6c", 1.8e6), ("fig6b", 3.6e6)):
+            assert load_preset(name).circuit == build_half_bridge(CONVERTER, dea, control,
+                                                                  balancing=balancing)
 
     def test_matched_bench_setting(self):
         # the converter's DC output into the DEA load, recorded from the

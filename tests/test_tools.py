@@ -175,11 +175,14 @@ class TestCorpusJobs:
             assert f"run:netlist:{name}" in self.IDS
 
 
-#: capacitor-free jobs, plus the gated RC netlist, whose listing lines Tier-1
-#: checks: every run and Monte-Carlo path of the resistive engine walk
-SUBSET = ("run:fig2", "run:fig3", "run:netlist:fig3-pair", "run:fig3:slow-slew",
-          "run:fig3:many-events", "run:netlist:conflicting-sources", "run:netlist:gated",
-          "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2")
+#: the jobs whose listing lines Tier-1 checks: every preset, run as a preset
+#: and from its printed netlist, plus the capacitor-free jobs and the gated RC
+#: netlist (every run and Monte-Carlo path of the resistive engine walk)
+SUBSET = tuple(f"run:{kind}{name}" for kind in ("", "netlist:")
+               for name in sha_corpus.PRESET_NAMES) + (
+    "run:netlist:fig3-pair", "run:fig3:slow-slew", "run:fig3:many-events",
+    "run:netlist:conflicting-sources", "run:netlist:gated",
+    "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2")
 
 
 class TestCommittedListing:
