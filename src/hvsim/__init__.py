@@ -3,9 +3,9 @@ its miniature DC-HVDC converter supply, and actuator-equivalent loads.
 
 The package is organized around a small modified-nodal-analysis engine
 (:mod:`hvsim.engine`) fed by an immutable circuit model (:mod:`hvsim.circuit`),
-with behavioral device models (:mod:`hvsim.devices`), bridge builders
-(:mod:`hvsim.topology`), a netlist language (:mod:`hvsim.netlist`), named
-presets (:mod:`hvsim.presets`), measurement/sweep utilities
+with behavioral device models (:mod:`hvsim.devices`), a netlist language
+(:mod:`hvsim.netlist`), named presets and the bridge builders behind them
+(:mod:`hvsim.presets`), measurement/sweep utilities
 (:mod:`hvsim.analysis`), an electromechanical displacement model
 (:mod:`hvsim.electromech`), and a CLI (:mod:`hvsim.cli`).  Import each name
 from the module that defines it: the package re-exports nothing, so that

@@ -229,7 +229,7 @@ def cmd_sweep(args) -> int:
     )
 
     if name == "fig8":
-        supply = args.supply or "both"
+        supply = "both" if args.supply is None else args.supply
         if supply not in ("bench", "converter", "both"):
             raise CliError("--supply must be bench, converter, or both")
         supplies = ("bench", "converter") if supply == "both" else (supply,)

@@ -2,32 +2,39 @@
 
 Each preset returns a :class:`~hvsim.scenario.Scenario`: every single-channel
 one is made by :func:`bridge_scenario`, fig7c's two channels by
-:func:`dual_channel_with_phase`.  The voltage-distribution presets (fig2,
-fig3) deliberately omit the scope-probe models so their steady drops match
-the bare divider arithmetic; the transient-imbalance and slew presets include
-probes, whose input capacitance is the modeled node parasitic.
+:func:`dual_channel_with_phase`.  The single-channel bridge exposes the
+measurement nodes ``A`` (supply rail), ``B`` (between the high-side devices),
+``O`` (output midpoint), ``C`` (between the low-side devices); the bottom of
+the stack is ground (point ``D``).  High-side switches follow the control
+signal directly, low-side switches follow its complement, so the asymmetric
+driver delays give natural break-before-make behavior.  The
+voltage-distribution presets (fig2, fig3) deliberately omit the scope-probe
+models so their steady drops match the bare divider arithmetic; the
+transient-imbalance and slew presets include probes, whose input capacitance
+is the modeled node parasitic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .circuit import CircuitError, ControlSignal, Switch
+from .circuit import Capacitor, Circuit, CircuitError, Component, ControlSignal, Resistor, Switch
 from .devices import (
     BenchSupplyParams,
     ConverterParams,
     DeaLoadParams,
     Fragment,
+    ProbeParams,
     expand_bench_supply,
     expand_converter,
     expand_dea_load,
+    expand_probe,
     series_rc_load,
 )
 from .engine import IntegrationSettings, dc_operating_point
 from .scenario import Scenario
-from .topology import build_dual_channel, build_half_bridge
 
 
 class PresetError(ValueError):
@@ -45,6 +52,14 @@ FIG7C_PHASES = (0.0, math.pi / 2, math.pi)
 
 #: the miniature DC-HVDC converter supply at its ConverterParams defaults
 CONVERTER = expand_converter(ConverterParams())
+
+#: Per-device off-resistances, top to bottom (high side first): the
+#: 900 MOhm / 100 MOhm pairs model the leakage mismatch that skews static
+#: sharing (a 9:1 modeling choice, not a measured value).
+OFF_RESISTANCES = (900e6, 100e6, 900e6, 100e6)
+#: Per-device driver offsets: the 50 us offset on the second device of each
+#: side models driver mismatch during transitions.
+DRIVER_OFFSETS = (0.0, 50e-6, 0.0, 50e-6)
 
 
 def load_fragment(descriptor: str) -> Fragment:
@@ -64,13 +79,61 @@ def _bench(voltage: float) -> Fragment:
     return expand_bench_supply(BenchSupplyParams(voltage=voltage))
 
 
+def _stack_devices(
+    nodes: Sequence[str],
+    control: str,
+    prefix: str,
+    balancing: Optional[float],
+    snubber: Optional[float],
+    driver_offsets: Sequence[float],
+) -> List[Component]:
+    """The four devices of one stack along ``nodes`` (A, B, O, C, 0), with
+    the :data:`OFF_RESISTANCES`, each with its balancing resistor and snubber
+    when given; the lower two follow the complement of ``control``."""
+    comps: List[Component] = []
+    for i, (pos, neg) in enumerate(zip(nodes, nodes[1:])):
+        comps.append(
+            Switch(
+                name=f"S{prefix}q{i + 1}",
+                pos=pos,
+                neg=neg,
+                control=control,
+                roff=OFF_RESISTANCES[i],
+                invert=i >= 2,
+                delay_offset=driver_offsets[i],
+            )
+        )
+        if balancing is not None:
+            comps.append(Resistor(f"R{prefix}b{i + 1}", pos, neg, balancing))
+        if snubber is not None:
+            comps.append(Capacitor(f"C{prefix}sn{i + 1}", pos, neg, snubber))
+    return comps
+
+
 def bridge_scenario(supply: Fragment, load: Optional[Fragment], control: ControlSignal,
-                    step: float, stop: float, probes: Tuple[str, ...], **bridge) -> Scenario:
-    """Every single-channel bridge run: ``supply`` feeding the series stack,
-    driven by ``control`` into ``load``, on the grid ``step`` up to ``stop``;
-    ``bridge`` passes the stack's keywords through to
-    :func:`~hvsim.topology.build_half_bridge`."""
-    return Scenario(build_half_bridge(supply, load, control, **bridge),
+                    step: float, stop: float, probes: Tuple[str, ...], *,
+                    balancing: Optional[float] = 3.6e6, snubber: Optional[float] = None,
+                    driver_offsets: Sequence[float] = DRIVER_OFFSETS,
+                    probe_nodes: Sequence[str] = ()) -> Scenario:
+    """Every single-channel bridge run: ``supply`` feeding A of the series
+    stack, driven by ``control`` (every switch reads it under the name ``g``)
+    into ``load`` at O, on the grid ``step`` up to ``stop``.
+
+    Every device gets a ``balancing`` resistor and a ``snubber`` capacitor
+    unless that value is None; ``driver_offsets`` gives the four devices top
+    to bottom.  ``probe_nodes`` each get a scope probe, the parts
+    ``Rscope<node>_rin`` and ``Cscope<node>_cin``.
+    """
+    if len(driver_offsets) != 4:
+        raise CircuitError(f"need 4 driver offsets, got {len(driver_offsets)}")
+    comps: List[Component] = supply.instantiate("A", "0", "sup")
+    comps.extend(_stack_devices(("A", "B", "O", "C", "0"), "g", "", balancing, snubber,
+                                driver_offsets))
+    if load is not None:
+        comps.extend(load.instantiate("O", "0", "load"))
+    for node in probe_nodes:
+        comps.extend(expand_probe(ProbeParams()).instantiate(node, "0", f"scope{node}"))
+    return Scenario(Circuit.build(comps, {"g": control}),
                     IntegrationSettings(step=step, stop=stop), probes=probes)
 
 
@@ -188,12 +251,19 @@ def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scena
 
 
 def dual_channel_with_phase(phase: float) -> Scenario:
-    """fig7c: one converter feeding two bridges at 100 Hz, each into the
-    100 kOhm + 10 nF mimic load, channel 2 shifted by ``phase`` radians."""
-    controls = (ControlSignal(frequency=100.0), ControlSignal(frequency=100.0, phase=phase))
-    circuit = build_dual_channel(CONVERTER, controls, series_rc_load(100e3, 10e-9))
+    """fig7c: one converter feeding two bridges at 100 Hz, each through a
+    1.8 MOhm-balanced stack into its own copy of the 100 kOhm + 10 nF mimic
+    load, channel 2 shifted by ``phase`` radians; channel ``k`` reads its
+    control under the name ``g<k>`` and its nodes get the suffix ``k``."""
+    comps: List[Component] = CONVERTER.instantiate("A", "0", "sup")
+    controls = {"g1": ControlSignal(frequency=100.0),
+                "g2": ControlSignal(frequency=100.0, phase=phase)}
+    for k, name in enumerate(controls, start=1):
+        nodes = ("A", f"B{k}", f"O{k}", f"C{k}", "0")
+        comps.extend(_stack_devices(nodes, name, f"ch{k}", 1.8e6, None, DRIVER_OFFSETS))
+        comps.extend(series_rc_load(100e3, 10e-9).instantiate(f"O{k}", "0", f"load{k}"))
     return Scenario(
-        circuit,
+        Circuit.build(comps, controls),
         IntegrationSettings(step=1e-6, stop=0.02),
         probes=("A", "O1", "O2"),
     )

@@ -34,8 +34,6 @@ from hvsim.presets import (
     load_preset,
 )
 from hvsim.runner import run_scenario
-from hvsim.scenario import Scenario
-from hvsim.topology import build_half_bridge
 
 from conftest import par, study_values
 from test_engine import random_rc_circuit
@@ -225,17 +223,15 @@ class TestCriterion06DroopOrdering:
             for f in FIG7_FREQUENCIES
         )
         # ideal (underated) 10 nF reference cell at 100 Hz
-        circuit = build_half_bridge(
+        settle = settle_periods_for(100.0)
+        scenario = bridge_scenario(
             CONVERTER,
             series_rc_load(100e3, 10e-9),
             ControlSignal(frequency=100.0),
+            5e-6,
+            (settle + 1) / 100.0,
+            ("A", "O"),
             balancing=1.8e6,
-        )
-        settle = settle_periods_for(100.0)
-        scenario = Scenario(
-            circuit,
-            IntegrationSettings(step=5e-6, stop=(settle + 1) / 100.0),
-            probes=("A", "O"),
         )
         ideal = measure_amplitude(run_scenario(scenario).voltage("O"), settle, 0.01)
         dea_ok = amplitude(100.0, "dea") < ideal

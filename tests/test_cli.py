@@ -947,6 +947,9 @@ class TestUsageErrorTable:
         (["sweep", "--preset", "fig7", "--freqs", "100,-5"],
          "frequencies must be positive and finite"),
         (["sweep", "--preset", "fig8", "--freqs", "0"], "frequencies must be positive and finite"),
+        # an empty --supply is not the absent flag's "both"
+        (["sweep", "--preset", "fig8", "--supply", ""],
+         "--supply must be bench, converter, or both"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, line):
         (tmp_path / "noprobe.ckt").write_text("V1 A 0 10\nR1 A 0 1k\n.tran 1u 1m\n.end\n")

@@ -32,6 +32,7 @@ from hvsim.presets import (
     PresetError,
     CONVERTER,
     bench_matched_to_converter,
+    bridge_scenario,
     _distribution,
     load_fragment,
     load_preset,
@@ -39,7 +40,6 @@ from hvsim.presets import (
 )
 from hvsim.runner import run_scenario
 from hvsim.scenario import Scenario
-from hvsim.topology import build_half_bridge
 
 
 def components_of(name, cls):
@@ -207,8 +207,8 @@ class TestConverterBridge:
     def test_fig6_presets(self):
         dea, control = load_fragment("dea"), ControlSignal(frequency=100.0)
         for name, balancing in (("fig6c", 1.8e6), ("fig6b", 3.6e6)):
-            assert load_preset(name).circuit == build_half_bridge(CONVERTER, dea, control,
-                                                                  balancing=balancing)
+            assert load_preset(name) == bridge_scenario(CONVERTER, dea, control, 1e-6, 0.11,
+                                                        ("A", "O"), balancing=balancing)
 
     def test_matched_bench_setting(self):
         # the converter's DC output into the DEA load, recorded from the

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch
-from hvsim.devices import BenchSupplyParams, expand_bench_supply, series_rc_load
+from hvsim.devices import BenchSupplyParams, expand_bench_supply
 from hvsim.engine import IntegrationSettings
-from hvsim.presets import CONVERTER, load_preset
+from hvsim.presets import bridge_scenario, dual_channel_with_phase, load_preset
 from hvsim.runner import run_scenario, shoot_through_seconds, switch_timelines
 from hvsim.scenario import Scenario
-from hvsim.topology import build_dual_channel, build_half_bridge
 
 from conftest import stamp_checksum
 
@@ -22,9 +21,12 @@ def bridge(**kw):
         supply=expand_bench_supply(BenchSupplyParams(voltage=800.0)),
         load=None,
         control=ControlSignal(frequency=1.0),
+        step=1e-4,
+        stop=2.0,
+        probes=(),
     )
     args.update(kw)
-    return build_half_bridge(**args)
+    return bridge_scenario(**args).circuit
 
 
 class TestBuildHalfBridge:
@@ -109,11 +111,7 @@ class TestBuildHalfBridge:
 
 class TestBuildDualChannel:
     def make(self, phase2):
-        return build_dual_channel(
-            CONVERTER,
-            (ControlSignal(frequency=100.0), ControlSignal(frequency=100.0, phase=phase2)),
-            series_rc_load(100e3, 10e-9),
-        )
+        return dual_channel_with_phase(phase2).circuit
 
     def test_zero_phase_outputs_identical(self):
         c = self.make(0.0)
