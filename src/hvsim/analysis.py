@@ -11,11 +11,10 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CircuitError, ScheduleError
+from .circuit import CircuitError, Scenario, ScheduleError
 from .engine import SimulationError, TransientResult
 from .presets import FIG7C_PHASES, converter_scenario, dual_channel_with_phase
 from .runner import run_scenario
-from .scenario import Scenario
 from .waveform import Waveform, WaveformError
 
 

@@ -1,10 +1,12 @@
-"""Circuit data model: components, control signals, and the netlist graph.
+"""Circuit data model: components, control signals, the netlist graph, scenarios.
 
 A :class:`Circuit` is an immutable bag of components plus named square-wave
 control signals.  Node references are string labels; ``"0"`` and ``"GND"``
 both denote the ground reference.  Components are the four primitives R, C,
 S and V; two-terminal blocks (supplies, probes, loads) are built from them by
-the fragments of :mod:`hvsim.devices`.
+the fragments of :mod:`hvsim.devices`.  A :class:`Scenario` is one experiment
+as a netlist describes it: the circuit, its ``.tran`` grid
+(:class:`IntegrationSettings`) and its ``.probe`` requests.
 
 Every netlist/``--set`` parameter is a dataclass field declared with
 :func:`param`, which carries its key; the field default is the parameter
@@ -255,11 +257,12 @@ class Circuit:
             ))
         return list(self.memo["labels"])
 
-    def control_edges(self, name: str, stop: float, points: int) -> Tuple[Tuple[float, bool], ...]:
-        """Control ``name``'s :meth:`ControlSignal.edges` up to ``stop``, kept in
-        ``memo``; one that commands more edges than the grid's ``points`` raises
-        :class:`ScheduleError` before its list is built (the grid bound caps it)."""
+    def control_edges(self, name: str, settings: "IntegrationSettings") -> Tuple[Tuple[float, bool], ...]:
+        """Control ``name``'s :meth:`ControlSignal.edges` over the grid ``settings``,
+        kept in ``memo``; one that commands more edges than the grid has points
+        raises :class:`ScheduleError` before its list is built (the bound caps it)."""
         ctrl = self.control_map[name]
+        stop, points = settings.stop, settings.n_steps + 1
         if 2.0 * ctrl.frequency * stop > points:
             raise ScheduleError(f"control {name!r}: f={ctrl.frequency!r} Hz commands more "
                                 f"edges than the {points} grid points")
@@ -345,3 +348,68 @@ class Circuit:
                 raise CircuitError(
                     f"node {label!r} has no DC path to ground (floating subcircuit)"
                 )
+
+
+#: Most grid points (``stop / step + 1``) a run may have: 40 times the largest
+#: preset (slew, 250,001) and 20 times a 5 kHz fig7 sweep cell (502,001).  A
+#: capacitive run stores every point of every unknown, so a larger grid would
+#: take gigabytes before it finished.
+MAX_GRID_POINTS = 10_000_000
+
+
+@dataclass(frozen=True)
+class IntegrationSettings:
+    """Fixed integration grid plus post-event damping depth."""
+
+    step: float = param("step", positional=True)
+    stop: float = param("stop", positional=True)
+    damping_steps: int = param("damp", 2)
+
+    def __post_init__(self) -> None:
+        if not self.step > 0:
+            raise CircuitError(f"integration step must be > 0, got {self.step}")
+        if not math.isfinite(self.stop):
+            raise CircuitError(f"stop time must be finite, got {self.stop}")
+        if not self.stop >= self.step:
+            raise CircuitError(f"stop time must be >= step, got {self.stop}")
+        if not self.stop / self.step + 1 <= MAX_GRID_POINTS:  # inf fails too
+            raise CircuitError(
+                f"grid of stop/step = {self.stop / self.step:.3g} steps exceeds "
+                f"{MAX_GRID_POINTS} points"
+            )
+        if self.damping_steps < 0:
+            raise CircuitError("damping steps must be >= 0")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.stop / self.step))
+
+
+#: probe request: a node label, or a (pos, neg) node pair for a differential trace
+ProbeSpec = Union[str, Tuple[str, str]]
+
+
+def probe_label(probe: ProbeSpec) -> str:
+    if isinstance(probe, str):
+        return f"V_{probe}"
+    return f"V_{probe[0]}_{probe[1]}"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything needed to reproduce one transient experiment."""
+
+    circuit: Circuit
+    settings: IntegrationSettings
+    probes: Tuple[ProbeSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        known = set(self.circuit.node_labels())
+        for probe in self.probes:
+            nodes = (probe,) if isinstance(probe, str) else probe
+            for node in nodes:
+                if not is_ground(node) and node not in known:
+                    raise CircuitError(f"probe references unknown node {node!r}")
+
+    def with_settings(self, **changes) -> "Scenario":
+        return replace(self, settings=replace(self.settings, **changes))

@@ -22,11 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, electromech, netlist, plotting, presets
-from .circuit import CircuitError, ControlSignal, ScheduleError, params
-from .engine import IntegrationSettings, SimulationError, run_transient
+from .circuit import (CircuitError, ControlSignal, IntegrationSettings, Scenario, ScheduleError,
+                      params, probe_label)
+from .engine import SimulationError, run_transient
 from .netlist import NetlistError, parse_param, parse_value
 from .runner import shoot_through_seconds, switch_timelines
-from .scenario import Scenario, probe_label
 from .waveform import WaveformError, write_csv
 
 EXIT_USAGE = 2

@@ -1,4 +1,4 @@
-"""Drive voltage to normalized actuator displacement.
+"""Drive voltage to normalized actuator displacement, and the fig8 study of it.
 
 The static law is quadratic in voltage (electrostatic pressure), normalized
 to 1.0 at the reference voltage; the mechanics are a second-order low-pass,
@@ -6,6 +6,8 @@ discretized zero-order-hold in closed form and run as a blocked state-space
 recursion with numpy alone.  Both the natural frequency (80 Hz) and damping
 (0.7) are calibration values: the model exists to expose supply-dependent
 dynamics, not to fit a specific actuator, and its output is dimensionless.
+:func:`displacement_sweep` compares the converter with the bench supply
+matched to its loaded DC output (:func:`bench_matched_to_converter`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_frequencies,
                        sweep_step_for)
-from .presets import CONVERTER, FIG8_FREQUENCIES, bench_matched_to_converter, converter_scenario
+from .devices import BenchSupplyParams, Fragment, expand_bench_supply
+from .engine import dc_operating_point
+from .presets import CONVERTER, FIG8_FREQUENCIES, converter_scenario
 from .runner import run_scenario
 from .waveform import Waveform, WaveformError
 
@@ -92,6 +96,18 @@ def displacement_response(v: Waveform) -> Waveform:
             z = power[-1] @ z + drive
         x[r : r + _ROWS] = ub @ conv + starts @ free
     return Waveform(v.start, v.step, x.ravel()[: u.size])
+
+
+def bench_matched_to_converter() -> Fragment:
+    """Bench supply whose setting equals the converter's DC output into the
+    DEA load.
+
+    Used by the displacement comparison so the two supplies agree in the
+    quasi-static limit and differ only in dynamics.
+    """
+    # the t=0 switch states, and so the DC point, do not depend on the drive frequency
+    bridge = converter_scenario(100.0, "dea", 1, 1e-6, ()).circuit
+    return expand_bench_supply(BenchSupplyParams(voltage=dc_operating_point(bridge)["A"]))
 
 
 def displacement_sweep(

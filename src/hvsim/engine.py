@@ -65,12 +65,12 @@ from .circuit import (
     Circuit,
     CircuitError,
     Component,
+    IntegrationSettings,
     Resistor,
     ScheduleError,
     Switch,
     VoltageSource,
     is_ground,
-    param,
 )
 from .waveform import Waveform
 
@@ -114,41 +114,6 @@ def _bind_lapack():
 
 
 dgetrf, dgetrs = _bind_lapack()
-
-
-#: Most grid points (``stop / step + 1``) a run may have: 40 times the largest
-#: preset (slew, 250,001) and 20 times a 5 kHz fig7 sweep cell (502,001).  A
-#: capacitive run stores every point of every unknown, so a larger grid would
-#: take gigabytes before it finished.
-MAX_GRID_POINTS = 10_000_000
-
-
-@dataclass(frozen=True)
-class IntegrationSettings:
-    """Fixed integration grid plus post-event damping depth."""
-
-    step: float = param("step", positional=True)
-    stop: float = param("stop", positional=True)
-    damping_steps: int = param("damp", 2)
-
-    def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise CircuitError(f"integration step must be > 0, got {self.step}")
-        if not math.isfinite(self.stop):
-            raise CircuitError(f"stop time must be finite, got {self.stop}")
-        if not self.stop >= self.step:
-            raise CircuitError(f"stop time must be >= step, got {self.stop}")
-        if not self.stop / self.step + 1 <= MAX_GRID_POINTS:  # inf fails too
-            raise CircuitError(
-                f"grid of stop/step = {self.stop / self.step:.3g} steps exceeds "
-                f"{MAX_GRID_POINTS} points"
-            )
-        if self.damping_steps < 0:
-            raise CircuitError("damping steps must be >= 0")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.stop / self.step))
 
 
 #: (initial_state, [(time, state), ...]) for one switch
@@ -539,7 +504,7 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
         idx
         for src in low.sources if src.control is not None
         for idx, _ in _snap_events(f"source {src.name!r}", circuit.control_edges(
-            src.control, settings.stop, n_steps + 1), h, n_steps)
+            src.control, settings), h, n_steps)
         if idx > 0
     }
     initial = tuple(sw_states)
@@ -666,7 +631,8 @@ def run_transient(
     grid index after t=0 raise :class:`~hvsim.circuit.ScheduleError` (the
     pulse between them would be lost), as does a gated source's control that
     commands more edges than the grid has points (checked by
-    :meth:`~hvsim.circuit.Circuit.control_edges`; an unread control is not).
+    :meth:`~hvsim.circuit.Circuit.control_edges` on ``settings``; an unread
+    control is not).
     Gated sources and slew-limit ramp knees introduce additional segment
     boundaries.  Every sample of every unknown is retained in the result:
     dense when the circuit has capacitors, run-length when it has none (see

@@ -38,8 +38,11 @@ from .circuit import (
     CircuitError,
     Component,
     ControlSignal,
+    IntegrationSettings,
     Param,
+    ProbeSpec,
     Resistor,
+    Scenario,
     Switch,
     VoltageSource,
     is_ground,
@@ -47,8 +50,6 @@ from .circuit import (
 )
 from .devices import (BenchSupplyParams, ConverterParams, DeaLoadParams, ProbeParams,
                       expand_bench_supply, expand_converter, expand_dea_load, expand_probe)
-from .engine import IntegrationSettings
-from .scenario import ProbeSpec, Scenario
 
 #: component statement letter -> (class, message when its value or a required key is missing)
 _COMPONENTS = {

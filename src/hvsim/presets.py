@@ -1,6 +1,6 @@
 """Named scenario presets for the bench experiments the simulator reproduces.
 
-Each preset returns a :class:`~hvsim.scenario.Scenario`: every single-channel
+Each preset returns a :class:`~hvsim.circuit.Scenario`: every single-channel
 one is made by :func:`bridge_scenario`, fig7c's two channels by
 :func:`dual_channel_with_phase`.  The single-channel bridge exposes the
 measurement nodes ``A`` (supply rail), ``B`` (between the high-side devices),
@@ -20,7 +20,8 @@ import math
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .circuit import Capacitor, Circuit, CircuitError, Component, ControlSignal, Resistor, Switch
+from .circuit import (Capacitor, Circuit, CircuitError, Component, ControlSignal,
+                      IntegrationSettings, Resistor, Scenario, Switch)
 from .devices import (
     BenchSupplyParams,
     ConverterParams,
@@ -33,8 +34,6 @@ from .devices import (
     expand_probe,
     series_rc_load,
 )
-from .engine import IntegrationSettings, dc_operating_point
-from .scenario import Scenario
 
 
 class PresetError(ValueError):
@@ -204,18 +203,6 @@ def load_preset(name: str) -> Scenario:
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
     return builder()
-
-
-def bench_matched_to_converter() -> Fragment:
-    """Bench supply whose setting equals the converter's DC output into the
-    DEA load.
-
-    Used by the displacement comparison so the two supplies agree in the
-    quasi-static limit and differ only in dynamics.
-    """
-    # the t=0 switch states, and so the DC point, do not depend on the drive frequency
-    bridge = converter_scenario(100.0, "dea", 1, 1e-6, ()).circuit
-    return _bench(dc_operating_point(bridge)["A"])
 
 
 def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scenario]:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .circuit import Circuit, Switch
+from .circuit import Circuit, IntegrationSettings, Scenario, Switch
 from .devices import driver_schedule
-from .engine import IntegrationSettings, TransientResult, run_transient
-from .scenario import Scenario
+from .engine import TransientResult, run_transient
 
 
 def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[str, Tuple[bool, list]]:
@@ -16,13 +15,14 @@ def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[st
     Switches start in their :meth:`~hvsim.circuit.Switch.initial_state`; each
     commanded edge from t=0 on becomes a delayed event.  The edges are listed
     once for each control that a switch reads, and for no other, by
-    :meth:`~hvsim.circuit.Circuit.control_edges`, which bounds their count first.
+    :meth:`~hvsim.circuit.Circuit.control_edges` over the grid ``settings``,
+    which bounds their count by its points first.
     """
     controls = circuit.control_map
     switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
     out: Dict[str, Tuple[bool, list]] = {}
     for sw in switches:
-        edges = circuit.control_edges(sw.control, settings.stop, settings.n_steps + 1)
+        edges = circuit.control_edges(sw.control, settings)
         out[sw.name] = (sw.initial_state(controls[sw.control]),
                         driver_schedule(edges, sw, settings.stop))
     return out

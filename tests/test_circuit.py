@@ -11,6 +11,7 @@ from hvsim.circuit import (
     Circuit,
     CircuitError,
     ControlSignal,
+    IntegrationSettings,
     Resistor,
     Switch,
     VoltageSource,
@@ -183,8 +184,8 @@ class TestWithParts:
             self.nominal().with_parts({"S9": Resistor("S9", "A", "0", 1.0)})
 
     def test_swapped_controls_get_their_own_edges(self):
-        c = self.nominal()
-        assert list(c.control_edges("g", 2.0, 2001)) == c.control_map["g"].edges(2.0)
+        c, grid = self.nominal(), IntegrationSettings(step=1e-3, stop=2.0)  # 2001 points
+        assert list(c.control_edges("g", grid)) == c.control_map["g"].edges(2.0)
         fast = dataclasses.replace(c, controls=(("g", ControlSignal(frequency=10.0)),))
-        assert list(fast.control_edges("g", 2.0, 2001)) == ControlSignal(frequency=10.0).edges(2.0)
-        assert list(c.control_edges("g", 2.0, 2001)) == c.control_map["g"].edges(2.0)
+        assert list(fast.control_edges("g", grid)) == ControlSignal(frequency=10.0).edges(2.0)
+        assert list(c.control_edges("g", grid)) == c.control_map["g"].edges(2.0)

@@ -622,9 +622,19 @@ class TestImport:
                 "scipy.linalg._flapack.dgetrf is lapack.dgetrf)")
         assert run_fresh(code) == "True True True"
 
+    def test_description_layer_loads_neither_numpy_nor_the_engine(self):
+        # a netlist, a preset and their printed form need no numerical code
+        code = ("import sys, hvsim.circuit, hvsim.devices; "
+                "from hvsim.netlist import parse, print_scenario; "
+                "from hvsim.presets import PRESET_NAMES, load_preset; "
+                "print(all(parse(print_scenario(load_preset(p))) == load_preset(p) "
+                "for p in PRESET_NAMES), sorted(m for m in sys.modules "
+                "if m == 'numpy' or m == 'hvsim.engine'))")
+        assert run_fresh(code) == "True []"
+
 
 class TestGridLimit:
-    """A grid beyond ``engine.MAX_GRID_POINTS`` exits 2 before any storage is
+    """A grid beyond ``circuit.MAX_GRID_POINTS`` exits 2 before any storage is
     allocated: the run used to grow memory without bound, the sweep ended in
     numpy's ``ValueError`` (exit 1)."""
 
@@ -697,7 +707,7 @@ class TestFarOutTimes:
 
 
 class TestSweepGridCheckedUpFront:
-    """A sweep frequency whose grid exceeds ``engine.MAX_GRID_POINTS`` exits 2
+    """A sweep frequency whose grid exceeds ``circuit.MAX_GRID_POINTS`` exits 2
     before any cell runs; the cells before it used to run first."""
 
     @pytest.mark.parametrize("argv", [

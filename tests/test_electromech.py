@@ -11,6 +11,7 @@ from hvsim.electromech import (
     DAMPING_RATIO,
     NATURAL_FREQUENCY,
     REFERENCE_VOLTAGE,
+    bench_matched_to_converter,
     displacement_response,
     displacement_sweep,
 )
@@ -140,7 +141,7 @@ class TestRiseTime:
         # the supply comparison at 6 Hz: the converter's internal resistance
         # stretches the load's 10-90% voltage rise well past the bench value
         from hvsim.analysis import sweep_step_for
-        from hvsim.presets import CONVERTER, bench_matched_to_converter, converter_scenario
+        from hvsim.presets import CONVERTER, converter_scenario
         from hvsim.runner import run_scenario
 
         conv = CONVERTER

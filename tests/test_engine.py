@@ -11,11 +11,13 @@ from scipy.linalg import lu_factor, lu_solve
 
 from hvsim import engine
 from hvsim.circuit import (
+    MAX_GRID_POINTS,
     Capacitor,
     Circuit,
     CircuitError,
     ControlSignal,
     Resistor,
+    Scenario,
     Switch,
     VoltageSource,
 )
@@ -30,7 +32,6 @@ from hvsim.engine import (
 )
 from hvsim.presets import load_preset, mc_template
 from hvsim.runner import run_scenario, switch_timelines
-from hvsim.scenario import Scenario
 from hvsim.waveform import Waveform, write_csv
 
 from conftest import par, stamp_checksum
@@ -328,7 +329,7 @@ class TestTransient:
             IntegrationSettings(1e-3, math.inf)
 
     def test_grid_beyond_limit_rejected(self):
-        limit = engine.MAX_GRID_POINTS
+        limit = MAX_GRID_POINTS
         assert IntegrationSettings(1.0, limit - 1.0).n_steps + 1 == limit
         for step, stop in ((1.0, float(limit)), (1e-300, 1e-3), (1e-300, 1e300)):
             with pytest.raises(CircuitError, match="points"):

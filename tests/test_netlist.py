@@ -12,6 +12,7 @@ from hvsim.circuit import (
     Circuit,
     ControlSignal,
     Resistor,
+    Scenario,
     Switch,
     VoltageSource,
     params,
@@ -37,16 +38,15 @@ from hvsim.netlist import (
     print_scenario,
 )
 from hvsim import analysis
+from hvsim.electromech import bench_matched_to_converter
 from hvsim.presets import (
     PRESET_NAMES,
-    bench_matched_to_converter,
     converter_scenario,
     dual_channel_with_phase,
     load_fragment,
     load_preset,
     mc_template,
 )
-from hvsim.scenario import Scenario
 
 MINIMAL_TAIL = "\n.tran 1u 1m\n.end\n"
 

@@ -12,6 +12,7 @@ from hvsim.circuit import (
     CircuitError,
     ControlSignal,
     Resistor,
+    Scenario,
     Switch,
     VoltageSource,
 )
@@ -24,14 +25,13 @@ from hvsim.analysis import (
     settle_periods_for,
     sweep_step_for,
 )
-from hvsim.electromech import displacement_sweep
+from hvsim.electromech import bench_matched_to_converter, displacement_sweep
 from hvsim.netlist import format_value, parse_value, print_scenario
 from hvsim.presets import (
     FIG7_FREQUENCIES,
     PRESET_NAMES,
     PresetError,
     CONVERTER,
-    bench_matched_to_converter,
     bridge_scenario,
     _distribution,
     load_fragment,
@@ -39,7 +39,6 @@ from hvsim.presets import (
     mc_template,
 )
 from hvsim.runner import run_scenario
-from hvsim.scenario import Scenario
 
 
 def components_of(name, cls):

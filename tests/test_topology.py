@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hvsim.circuit import CircuitError, ControlSignal, Switch
+from hvsim.circuit import CircuitError, ControlSignal, Scenario, Switch
 from hvsim.devices import BenchSupplyParams, expand_bench_supply
 from hvsim.engine import IntegrationSettings
 from hvsim.presets import bridge_scenario, dual_channel_with_phase, load_preset
 from hvsim.runner import run_scenario, shoot_through_seconds, switch_timelines
-from hvsim.scenario import Scenario
 
 from conftest import stamp_checksum
 
