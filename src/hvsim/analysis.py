@@ -6,6 +6,7 @@ another through :func:`run_study` and is written with :func:`write_table`."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -301,6 +302,9 @@ class MismatchModel:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma < math.inf:  # NaN fails too
             raise MeasureError(f"sigma must be finite and >= 0, got {self.sigma}")
+        for name in ("trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise MeasureError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise MeasureError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if self.seed < 0:
@@ -324,24 +328,25 @@ def monte_carlo(
     A draw that is not finite, or that ``build`` rejects (an off-resistance
     at or below the on-resistance), fails its trial alone.
     """
-    def stream(i: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(model.seed, spawn_key=(i,))
+    seeds: List[int] = []  # each trial's key seed, from its one SeedSequence
 
-    def trial(key: Tuple[int, int]) -> float:
-        rng = np.random.Generator(np.random.PCG64(stream(key[0])))
+    def trial(i: int) -> float:
+        stream = np.random.SeedSequence(model.seed, spawn_key=(i,))
+        seeds.append(int(stream.generate_state(1)[0]))
+        rng = np.random.Generator(np.random.PCG64(stream))
         with np.errstate(over="ignore"):  # a wide sigma can overflow: checked below
             offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
-        offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
-        if not np.all(np.isfinite(offs)):
-            bad = float(offs[~np.isfinite(offs)][0])
-            raise MeasureError(f"sampled off-resistance {bad!r} is not finite")
+        # Python floats: the same values, and cheaper to check, add and stamp
+        offs, offsets = offs.tolist(), rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4).tolist()
+        bad = [v for v in offs if not math.isfinite(v)]
+        if bad:
+            raise MeasureError(f"sampled off-resistance {bad[0]!r} is not finite")
         try:
-            # Python floats: the same values, and cheaper to add and stamp
-            scenario = build(offs.tolist(), offsets.tolist())
+            scenario = build(offs, offsets)
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
         run = run_scenario(scenario)
         return _drops(*(run.rows(node) for node in "ABOC"))[1]
 
-    keys = [(i, int(stream(i).generate_state(1)[0])) for i in range(model.trials)]
-    return run_study(trial, keys)
+    study = run_study(trial, range(model.trials))
+    return Study(tuple(zip(study.keys, seeds)), study.values, study.errors)

@@ -226,9 +226,9 @@ class Circuit:
 
     Each component checks its own fields when it is made; a circuit checks
     its structure (:meth:`validate`).  ``memo`` keeps what depends on the
-    structure alone (a passed check, node labels, control edge lists, the
-    engine's lowering), each worked out once by its reader; a copy made by
-    :meth:`with_parts` with the structure unchanged shares it.
+    structure alone (a passed check, node labels, part positions, control
+    edge lists, the engine's lowering), each worked out once by its reader;
+    a copy made by :meth:`with_parts` with the structure unchanged shares it.
     """
 
     components: Tuple[Component, ...]
@@ -289,7 +289,9 @@ class Circuit:
         and so the outcome of :meth:`validate`, is this circuit's.
         """
         comps = list(self.components)
-        where = {comp.name: i for i, comp in enumerate(comps)}
+        where = self.memo.get("where")  # name -> position, structural too
+        if where is None:
+            where = self.memo["where"] = {comp.name: i for i, comp in enumerate(comps)}
         same = True
         for name, part in parts.items():
             old, comps[where[name]] = comps[where[name]], part

@@ -112,18 +112,21 @@ def driver_schedule(
     driver).
     """
     events: List[Tuple[float, bool]] = []
+    t_a = None  # the previous event's time
     for t_cmd, state in edges:
         if switch.invert:
             state = not state
         delay = switch.turn_on_delay if state else switch.turn_off_delay
-        events.append((t_cmd + delay + switch.delay_offset, state))
-    for (t_a, _), (t_b, _) in zip(events, events[1:]):
-        if not t_a < t_b:
+        t_b = t_cmd + delay + switch.delay_offset
+        if t_a is not None and not t_a < t_b:
             raise ScheduleError(
                 f"driver delays reorder events at t={t_a!r}: command period too "
                 f"short for driver (on={switch.turn_on_delay}, off={switch.turn_off_delay})"
             )
-    return [(t, s) for t, s in events if t <= stop]
+        if t_b <= stop:
+            events.append((t_b, state))
+        t_a = t_b
+    return events
 
 
 def expand_bench_supply(params: BenchSupplyParams) -> Fragment:

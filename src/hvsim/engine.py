@@ -18,12 +18,15 @@ simulators).
 :func:`run_transient` has four phases: schedule (snap the switch events and
 gated-source edges to the grid; resolve the switch states after each event
 boundary and the event log), segment plan (targets, ramp knees and slopes),
-propagate (the damped and blocked trapezoidal steps, or capacitor-free rows)
-and package (the :class:`TransientResult`).  One forward walk over the sorted
-event boundaries runs the segments before each boundary, then takes its
-switch states.  A segment is planned only while a source is gated or off its
-target; once every EMF holds its voltage, a segment runs to its boundary at
-zero slope, and a capacitor-free one is a lookup of its topology's row.
+propagate (the damped and blocked trapezoidal steps; without capacitors, the
+capacitor-free propagate phase of rows, :func:`_propagate_free`) and package
+(the :class:`TransientResult`).  Each propagate phase is one forward walk over
+the sorted event boundaries that runs the segments before each boundary, then
+takes its switch states; the two share the segment plan, the EMF advance and
+the factored topologies.  A segment is planned only while a source is gated
+or off its target; once every EMF holds its voltage (a flag only a planned
+segment can change), a segment runs to its boundary at zero slope, and a
+capacitor-free one is its topology's held row: one dict lookup.
 
 A run with capacitors is stored dense and column-major: ``TransientResult.x``
 and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
@@ -129,10 +132,10 @@ class _Lowered:
     sources: List[VoltageSource]
     resistors: List[Resistor]
     # the stamps of ``resistors`` and the source rows/columns that every
-    # topology shares, as one row-major list, and the entries of it that each
-    # R, C and S part stamps, by name
+    # topology shares, as one row-major list, and the ``(adds, subs)`` entries
+    # of it that each switch, then each capacitor, stamps, in part order
     resistive: List[float] = field(default_factory=list)
-    slots: Dict[str, Tuple[List[int], List[int]]] = field(default_factory=dict)
+    slots: List[Tuple[List[int], List[int]]] = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
@@ -151,8 +154,8 @@ def _lower(circuit: Circuit) -> _Lowered:
     """Check the circuit, map node labels to matrix rows, sort the parts by
     kind and stamp the resistors and source branches.  The lowering is kept
     in ``circuit.memo``, so a circuit that shares the memo (one derived by
-    :meth:`~hvsim.circuit.Circuit.with_parts`) takes its labels, rows and,
-    while its resistors are the same parts, its stamps."""
+    :meth:`~hvsim.circuit.Circuit.with_parts`) takes its labels, rows, slots
+    and, while its resistors are the same parts, its stamps."""
     circuit.validate()
     kinds = {Switch: [], Capacitor: [], VoltageSource: [], Resistor: []}  # _Lowered's order
     for comp in circuit.components:
@@ -163,27 +166,24 @@ def _lower(circuit: Circuit) -> _Lowered:
     labels = circuit.node_labels()
     low = _Lowered(labels, {label: i for i, label in enumerate(labels)}, *kinds.values())
     size, n = low.size, low.n_nodes
-    for comp in (*low.resistors, *low.caps, *low.switches):
-        p, q = low.rows(comp)  # the diagonal entries add, the others subtract
-        low.slots[comp.name] = ([k * size + k for k in (p, q) if k >= 0],
-                                [p * size + q, q * size + p] if p >= 0 and q >= 0 else [])
+    # the diagonal entries add, the others subtract
+    slots = [([k * size + k for k in (p, q) if k >= 0],
+              [p * size + q, q * size + p] if p >= 0 and q >= 0 else [])
+             for p, q in map(low.rows, (*low.resistors, *low.switches, *low.caps))]
+    low.slots = slots[len(low.resistors):]
     # source branch rows/columns; the conductances fill only the node block
     R = np.zeros((size, size))
     R[:n, n:] = _incidence(low, n, low.sources)
     R[n:, :n] = R[:n, n:].T
     low.resistive = A = R.ravel().tolist()
-    for res in low.resistors:  # stamped once, not once per topology
-        _stamp(A, low.slots[res.name], 1.0 / res.resistance)
+    for (adds, subs), res in zip(slots, low.resistors):  # stamped once, not once per topology
+        g = 1.0 / res.resistance
+        for k in adds:
+            A[k] += g
+        for k in subs:
+            A[k] -= g
     circuit.memo["lowering"] = low
     return low
-
-
-def _stamp(A: List[float], slots: Tuple[List[int], List[int]], g: float) -> None:
-    adds, subs = slots
-    for k in adds:
-        A[k] += g
-    for k in subs:
-        A[k] -= g
 
 
 def _incidence(low: _Lowered, n_rows: int, branches) -> np.ndarray:
@@ -203,13 +203,16 @@ def _base_matrix(
 ) -> np.ndarray:
     """The system matrix of one topology, summed in a fixed order: the
     resistive stamps, then each switch, then each capacitor's companion
-    conductance in ``cap_g``.  Stamped in a Python list (the same IEEE sums
-    as numpy's) and converted once."""
+    conductance in ``cap_g``, at the lowering's slots.  Stamped in a Python
+    list (the same IEEE sums as numpy's) and converted once."""
     A, size = low.resistive.copy(), low.size
-    for sw, on in zip(low.switches, sw_states):
-        _stamp(A, low.slots[sw.name], 1.0 / sw.ron if on else 1.0 / sw.roff)
-    for cap, g in zip(low.caps, cap_g):
-        _stamp(A, low.slots[cap.name], g)
+    g = [1.0 / sw.ron if on else 1.0 / sw.roff for sw, on in zip(low.switches, sw_states)]
+    g.extend(cap_g)
+    for (adds, subs), g_k in zip(low.slots, g):
+        for k in adds:
+            A[k] += g_k
+        for k in subs:
+            A[k] -= g_k
     return np.fromiter(A, float, size * size).reshape(size, size)
 
 
@@ -295,16 +298,17 @@ class _Operators:
         b = np.zeros(len(self.lu[0]))
         b[len(b) - len(emf):] = emf
         x = lu_solve(self.lu, b)
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x.tolist())):
             raise SimulationError(f"solution diverged at t={t!r}")
         return x
 
     def row(self, emf: np.ndarray, t: float) -> np.ndarray:
         """:meth:`solve`, kept per EMF vector's bytes (so -0.0 and 0.0 stay apart)."""
         key = emf.tobytes()
-        if key not in self.rows:
-            self.rows[key] = self.solve(emf, t)
-        return self.rows[key]
+        x = self.rows.get(key)
+        if x is None:
+            x = self.rows[key] = self.solve(emf, t)
+        return x
 
     def response(self, inc: np.ndarray, m: int) -> np.ndarray:
         """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
@@ -418,19 +422,19 @@ def _snap(t: float, h: float) -> int:
     return int(round(t / h))
 
 
-def _snap_events(owner: str, events, h: float, n_steps: int) -> List[Tuple[int, bool]]:
-    """``(grid index, state)`` of each ``(time, state)`` event of ``owner`` up
-    to index ``n_steps``; an event at t <= 0 takes index 0 unscaled, so one
-    far before t=0 cannot overflow.  Two events that snap to one index after
-    t=0 raise :class:`~hvsim.circuit.ScheduleError`: the pulse between them
-    would be lost."""
+def _snap_events(kind: str, name: str, events, h: float, n_steps: int) -> List[Tuple[int, bool]]:
+    """``(grid index, state)`` of each ``(time, state)`` event of the ``kind``
+    part ``name`` up to index ``n_steps``; an event at t <= 0 takes index 0
+    unscaled, so one far before t=0 cannot overflow.  Two events that snap to
+    one index after t=0 raise :class:`~hvsim.circuit.ScheduleError`: the
+    pulse between them would be lost."""
     out: List[Tuple[int, bool]] = []
     times: Dict[int, float] = {}  # grid index after t=0 -> event time
     for t_e, state in events:
         idx = _snap(t_e, h) if t_e > 0 else 0
         if idx in times:
             raise ScheduleError(
-                f"{owner}: events at t={times[idx]!r} and t={t_e!r} snap to one "
+                f"{kind} {name!r}: events at t={times[idx]!r} and t={t_e!r} snap to one "
                 f"grid index (step {h!r}); the pulse between them would be lost"
             )
         if idx <= n_steps:
@@ -488,11 +492,11 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
-        if sw.name not in timelines:
+        timeline = timelines.get(sw.name)
+        if timeline is None:
             raise SimulationError(f"no timeline given for switch {sw.name!r}")
-        initial, events = timelines[sw.name]
-        state = bool(initial)
-        for idx, new_state in _snap_events(f"switch {sw.name!r}", events, h, n_steps):
+        state = bool(timeline[0])
+        for idx, new_state in _snap_events("switch", sw.name, timeline[1], h, n_steps):
             if idx <= 0:
                 state = bool(new_state)
             else:
@@ -503,13 +507,13 @@ def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, ti
     src_events = {
         idx
         for src in low.sources if src.control is not None
-        for idx, _ in _snap_events(f"source {src.name!r}", circuit.control_edges(
+        for idx, _ in _snap_events("source", src.name, circuit.control_edges(
             src.control, settings), h, n_steps)
         if idx > 0
     }
     initial = tuple(sw_states)
     sequence, log = [], []
-    for idx in sorted(set(sw_events) | src_events | {n_steps}):
+    for idx in sorted(sw_events.keys() | src_events | {n_steps}):
         logged = len(log)
         for si, new_state in sw_events.get(idx, ()):
             if sw_states[si] != new_state:
@@ -548,6 +552,26 @@ def _plan_segment(low: _Lowered, controls, emf: np.ndarray, idx0: int, boundary:
         else:
             slope[j] = math.copysign(low.sources[j].slew, target[j] - emf[j])
     return seg_end, target, slope
+
+
+def _advance(emf: np.ndarray, target: np.ndarray, slope: np.ndarray, steps: int, h: float):
+    """EMF advance: ``emf`` after ``steps`` steps at ``slope``, each ramping
+    source that lands within 1e-9 (relative) of its target set to it."""
+    out = []
+    for e, s, t in zip(emf.tolist(), slope.tolist(), target.tolist()):  # numpy's IEEE sums
+        e += s * (steps * h)
+        out.append(t if s != 0.0 and abs(e - t) < 1e-9 * max(1.0, abs(t)) else e)
+    return np.array(out)
+
+
+def _topology(low: _Lowered, topologies, states, damped: bool = False, g=None) -> _Operators:
+    """The :class:`_Operators` of switch states ``states`` and capacitor
+    companions ``g`` (backward Euler when ``damped``), factored on first use."""
+    op = topologies.get((states, damped))
+    if op is None:
+        A = _base_matrix(low, states, () if g is None else g.tolist())
+        op = topologies[states, damped] = _Operators(_factor(A, low), g)
+    return op
 
 
 def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
@@ -596,6 +620,40 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
     return vc, ic
 
 
+def _propagate_free(low, controls, sequence, states, emf, settled, h):
+    """Propagate phase of a run without capacitors: the rows of the walk over
+    ``sequence`` (one per constant stretch and per ramp step) and the grid
+    index where each starts.  ``still`` is worked out after each planned
+    segment, the only place an EMF moves; while it holds, a stretch up to a
+    boundary is its topology's held row."""
+    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+    held: Dict[Tuple[bool, ...], np.ndarray] = {}  # each topology's row at the held EMFs
+    rows, starts = [_topology(low, topologies, states).row(emf, 0.0)], [0]
+    still, idx0 = emf.tobytes() == settled, 0
+    for boundary, after, _ in sequence:
+        while not still and idx0 < boundary:  # one segment per ramp knee before the boundary
+            seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
+            steps, moving = seg_end - idx0, np.count_nonzero(slope)
+            op, t = _topology(low, topologies, states), seg_end * h
+            if moving and steps > 1:  # an ungated source ramps once: no inner row recurs
+                inner = op.solve if any(s and src.control is None for s, src in zip(
+                    slope.tolist(), low.sources)) else op.row
+                rows.extend(inner(emf + i * (slope * h), t) for i in range(1, steps))
+            rows.append(op.row(emf + steps * (slope * h) if moving else emf, t))
+            starts.extend(range(idx0 + 1, seg_end + 1 if moving else idx0 + 2))
+            if moving:  # else every source holds its target
+                emf = _advance(emf, target, slope, steps, h)
+            still, idx0 = emf.tobytes() == settled, seg_end
+        if idx0 < boundary:  # one held row up to the boundary
+            row = held.get(states)
+            if row is None:
+                row = held[states] = _topology(low, topologies, states).row(emf, boundary * h)
+            rows.append(row)
+            starts.append(idx0 + 1)
+        idx0, states = boundary, after
+    return rows, starts
+
+
 def _package(low, settings, out, events) -> TransientResult:
     """Package phase: the result of a run."""
     if low.caps:
@@ -604,17 +662,9 @@ def _package(low, settings, out, events) -> TransientResult:
         x, starts = np.array(out[0]), np.array(out[1])
         cap_i = np.zeros((len(x), 0))
     return TransientResult(
-        step=settings.step,
-        labels=list(low.labels),
-        index=dict(low.index),
-        source_names=[s.name for s in low.sources],
-        cap_names=[c.name for c in low.caps],
-        x=x,
-        cap_i=cap_i,
-        n_samples=settings.n_steps + 1,
-        starts=starts,
-        events=events,
-    )
+        step=settings.step, labels=list(low.labels), index=dict(low.index),
+        source_names=[s.name for s in low.sources], cap_names=[c.name for c in low.caps],
+        x=x, cap_i=cap_i, n_samples=settings.n_steps + 1, starts=starts, events=events)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every solution is checked finite
@@ -639,7 +689,8 @@ def run_transient(
     :class:`TransientResult`).
 
     The four phases are :func:`_schedule`, :func:`_plan_segment`,
-    :func:`_propagate` and :func:`_package` (see the module docstring).
+    :func:`_propagate` (:func:`_propagate_free` without capacitors) and
+    :func:`_package` (see the module docstring).
     """
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
@@ -655,70 +706,44 @@ def run_transient(
     # matching the switch-event convention
     slewed = [src.slew is not None for src in low.sources]
     emf = np.where(slewed, 0.0, _targets(low, controls, 0.5 * h))
-    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
-
-    def operators(damped: bool) -> _Operators:
-        key = (states, damped)
-        if key not in topologies:
-            g = (cap_c / h if damped else 2.0 * cap_c / h) if nc else None
-            A = _base_matrix(low, states, () if g is None else g.tolist())
-            topologies[key] = _Operators(_factor(A, low), g)
-        return topologies[key]
-
-    if nc:
-        vc = np.array([cap.initial_voltage for cap in low.caps])
-        inc = _incidence(low, low.size, low.caps)
-        cap_c = np.array([cap.capacitance for cap in low.caps])
-        x0, ic, determinate = _initial_solve(low, states, emf)
-        # column-major, so each unknown's trace is contiguous
-        out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
-        out[0][0], out[1][0] = x0, ic
-        # damped start only when loop currents were indeterminate at t=0; a
-        # clean start keeps the trapezoidal charge identity exact from the first step
-        pending_damp = 0 if determinate else settings.damping_steps
-    else:  # no state: each row holds from its start index up to the next one
-        out = ([operators(False).row(emf, 0.0)], [0])
-        held: Dict[Tuple[bool, ...], np.ndarray] = {}  # each topology's row at the held EMFs
-
     # with no gated source, no source moves once each EMF holds its voltage, and
     # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
-    ungated = np.array([s.control is None for s in low.sources], dtype=bool)
     settled = (np.array([s.voltage for s in low.sources], dtype=float).tobytes()
-               if ungated.all() else None)
-    still = np.zeros(len(low.sources))
-    idx0 = 0
+               if all(s.control is None for s in low.sources) else None)
+    if not nc:  # no state: each row holds from its start index up to the next one
+        return _package(low, settings, _propagate_free(
+            low, controls, sequence, states, emf, settled, h), events)
+
+    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+    cap_c = np.array([cap.capacitance for cap in low.caps])
+    g_trap, g_be = 2.0 * cap_c / h, cap_c / h
+
+    def operators(damped: bool) -> _Operators:
+        return _topology(low, topologies, states, damped, g_be if damped else g_trap)
+
+    vc = np.array([cap.initial_voltage for cap in low.caps])
+    inc = _incidence(low, low.size, low.caps)
+    x0, ic, determinate = _initial_solve(low, states, emf)
+    # column-major, so each unknown's trace is contiguous
+    out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
+    out[0][0], out[1][0] = x0, ic
+    # damped start only when loop currents were indeterminate at t=0; a
+    # clean start keeps the trapezoidal charge identity exact from the first step
+    pending_damp = 0 if determinate else settings.damping_steps
+    zero, still, idx0 = np.zeros(len(low.sources)), emf.tobytes() == settled, 0
     for boundary, after, restart in sequence:
         while idx0 < boundary:  # one segment per ramp knee before the boundary
-            if emf.tobytes() == settled:
-                if not nc:  # one held row up to the boundary
-                    if states not in held:
-                        held[states] = operators(False).row(emf, boundary * h)
-                    out[0].append(held[states])
-                    out[1].append(idx0 + 1)
-                    idx0 = boundary
-                    break
-                seg_end, slope = boundary, still
-            else:
-                seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
-            steps, moving = seg_end - idx0, np.count_nonzero(slope)
-            if nc:
-                damp = min(pending_damp, steps)
-                vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
-                pending_damp = max(0, pending_damp - steps)
-            else:  # one row per constant stretch, and one per step of a ramp
-                op, t = operators(False), seg_end * h
-                if moving:  # an ungated source ramps once, so no inner row of its ramp recurs
-                    inner = op.solve if slope[ungated].any() else op.row
-                    out[0].extend(inner(emf + i * (slope * h), t) for i in range(1, steps))
-                out[0].append(op.row(emf + steps * (slope * h) if moving else emf, t))
-                out[1].extend(range(idx0 + 1, seg_end + 1 if moving else idx0 + 2))
-            if moving:  # else every source holds its target
-                emf = emf + slope * (steps * h)
-                near = np.abs(emf - target) < 1e-9 * np.maximum(1.0, np.abs(target))
-                np.copyto(emf, target, where=(slope != 0.0) & near)
-            idx0 = seg_end
+            seg_end, target, slope = ((boundary, None, zero) if still else
+                                      _plan_segment(low, controls, emf, idx0, boundary, h))
+            steps = seg_end - idx0
+            damp = min(pending_damp, steps)
+            vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+            pending_damp = max(0, pending_damp - steps)
+            if np.count_nonzero(slope):  # else every source holds its target
+                emf = _advance(emf, target, slope, steps, h)
+            still, idx0 = emf.tobytes() == settled, seg_end
         states = after
-        if restart and nc:  # a switch changed or a source stepped
+        if restart:  # a switch changed or a source stepped
             pending_damp = settings.damping_steps
 
     return _package(low, settings, out, events)

@@ -17,7 +17,6 @@ is the modeled node parasitic.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .circuit import (Capacitor, Circuit, CircuitError, Component, ControlSignal,
@@ -212,7 +211,8 @@ def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scena
     ``fig2``/``fig3`` are at their 800 V setting; ``fig2_hv``/``fig3_hv``
     are the same stacks driven at the 1.8 kV design point.  The nominal
     scenario is built here, once; each trial puts its four sampled switches,
-    each checked as it is made, in it (:meth:`~hvsim.circuit.Circuit.with_parts`).
+    each made (and so checked) by the :class:`~hvsim.circuit.Switch`
+    constructor, in it (:meth:`~hvsim.circuit.Circuit.with_parts`).
     """
     table = {"fig2": (None, 800.0), "fig3": (3.6e6, 800.0),
              "fig2_hv": (None, 1800.0), "fig3_hv": (3.6e6, 1800.0)}
@@ -229,7 +229,8 @@ def mc_template(name: str) -> Callable[[Sequence[float], Sequence[float]], Scena
             if len(values) != 4:
                 raise CircuitError(f"need 4 {label}, got {len(values)}")
         circuit = nominal.circuit.with_parts({
-            sw.name: replace(sw, roff=roff, delay_offset=offset)
+            sw.name: Switch(sw.name, sw.pos, sw.neg, sw.control, sw.ron, roff, sw.invert,
+                            sw.turn_on_delay, sw.turn_off_delay, offset)
             for sw, roff, offset in zip(switches, off_resistances, offsets)
         })
         return Scenario(circuit, nominal.settings, nominal.probes)

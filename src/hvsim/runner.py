@@ -19,12 +19,14 @@ def switch_timelines(circuit: Circuit, settings: IntegrationSettings) -> Dict[st
     which bounds their count by its points first.
     """
     controls = circuit.control_map
-    switches = [comp for comp in circuit.components if isinstance(comp, Switch)]
+    edges: Dict[str, tuple] = {}  # each read control's edges, listed once
     out: Dict[str, Tuple[bool, list]] = {}
-    for sw in switches:
-        edges = circuit.control_edges(sw.control, settings)
-        out[sw.name] = (sw.initial_state(controls[sw.control]),
-                        driver_schedule(edges, sw, settings.stop))
+    for sw in circuit.components:
+        if isinstance(sw, Switch):
+            if sw.control not in edges:
+                edges[sw.control] = circuit.control_edges(sw.control, settings)
+            out[sw.name] = (sw.initial_state(controls[sw.control]),
+                            driver_schedule(edges[sw.control], sw, settings.stop))
     return out
 
 

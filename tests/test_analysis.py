@@ -20,6 +20,7 @@ from hvsim.analysis import (
     voltage_shares,
     write_table,
 )
+from hvsim.circuit import CircuitError
 from hvsim.presets import mc_template
 from hvsim.runner import run_scenario
 from hvsim.waveform import Waveform
@@ -221,6 +222,29 @@ class TestMonteCarlo:
     def test_negative_seed_rejected(self):
         with pytest.raises(MeasureError, match="seed must be >= 0"):
             MismatchModel(seed=-1)
+
+    @pytest.mark.parametrize("name, value", [("seed", 0.5), ("trials", 2.5), ("trials", 3.0),
+                                             ("seed", "1")])
+    def test_non_integral_trials_or_seed_rejected(self, name, value):
+        # monte_carlo would stop on a bare TypeError from numpy or from range
+        with pytest.raises(MeasureError, match=f"{name} must be an integer, got {value!r}"):
+            MismatchModel(**{name: value})
+
+    def test_numpy_integer_trials_and_seed_accepted(self):
+        model = MismatchModel(trials=np.int64(2), seed=np.uint32(7))
+        assert len(monte_carlo(mc_template("fig3"), model).keys) == 2
+
+    def test_keys_hold_each_trials_stream_seed(self):
+        # each key is (trial, first state word of the trial's SeedSequence),
+        # a failed trial's too
+        def rejecting(off_resistances, offsets):
+            raise CircuitError("rejected")
+
+        for build in (mc_template("fig3"), rejecting):
+            study = monte_carlo(build, MismatchModel(trials=4, seed=9))
+            assert study.keys == tuple(
+                (i, int(np.random.SeedSequence(9, spawn_key=(i,)).generate_state(1)[0]))
+                for i in range(4))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):

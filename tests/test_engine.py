@@ -874,6 +874,26 @@ class TestResistiveReuse:
         assert len(solved) == len(set(solved)) == 101
 
 
+class TestEmfAdvance:
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_matches_the_array_form_bit_for_bit(self):
+        # the EMF advance works on Python floats; the array form it replaced
+        # is the reference, on drawn EMFs, targets and slopes (zero, -0.0,
+        # non-finite, and ramps that land just short of or past the target)
+        rng = np.random.default_rng(35)
+        for _ in range(500):
+            m = int(rng.integers(1, 5))
+            steps, h = int(rng.integers(1, 2000)), float(rng.choice([1e-7, 5e-5, 0.37]))
+            emf = rng.choice([0.0, -0.0, 1.0, -800.0], m) * rng.uniform(0.5, 2.0, m)
+            target = rng.choice([0.0, -0.0, 800.0, -1e-12, 1.8e3], m)
+            slope = (target - emf) / (steps * h) * (1.0 + rng.choice([0.0, 1e-12, -1e-10, 0.5], m))
+            slope[rng.random(m) < 0.2] = rng.choice([0.0, -0.0, math.inf, math.nan])
+            ref = emf + slope * (steps * h)
+            near = np.abs(ref - target) < 1e-9 * np.maximum(1.0, np.abs(target))
+            np.copyto(ref, target, where=(slope != 0.0) & near)
+            assert engine._advance(emf, target, slope, steps, h).tobytes() == ref.tobytes()
+
+
 class TestPowerTable:
     def test_short_table_is_a_prefix_of_the_full_one(self):
         rng = np.random.default_rng(16)
@@ -1235,3 +1255,23 @@ class TestStampOrder:
         assert got.tobytes() == self.reference(low, g_sw + caps).tobytes()
         # the order shows in the bits: capacitors before switches differ
         assert got.tobytes() != self.reference(low, caps + g_sw).tobytes()
+
+    def test_trial_stamps_its_own_switches(self):
+        # a Monte-Carlo trial shares the nominal's memo, lowering included;
+        # its matrices take the conductances of its own switches, whichever
+        # circuit was lowered first
+        build = mc_template("fig3")
+        nominal = build([300e6] * 4, [0.0] * 4)
+        trial = build([1.1e8, 2.3e8, 4.7e8, 9.1e8], [1e-5, -2e-5, 3e-5, 0.0])
+        assert trial.circuit.memo is nominal.circuit.memo
+        states = [True, False, False, True]
+        got = {}
+        for name, scenario in (("nominal", nominal), ("trial", trial), ("again", nominal)):
+            low = engine._lower(scenario.circuit)
+            assert not low.caps and low.switches == [
+                c for c in scenario.circuit.components if isinstance(c, Switch)]
+            got[name] = engine._base_matrix(low, states).tobytes()
+            g_sw = [(sw, 1.0 / sw.ron if on else 1.0 / sw.roff)
+                    for sw, on in zip(low.switches, states)]
+            assert got[name] == self.reference(low, g_sw).tobytes()
+        assert got["trial"] != got["nominal"] == got["again"]

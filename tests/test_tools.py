@@ -201,3 +201,24 @@ class TestCommittedListing:
                      if line.split(" ")[0] in SUBSET]
         assert {line.split(" ")[0] for line in committed} == set(SUBSET)
         assert list(sha_corpus.listing_lines(tmp_path, set(SUBSET))) == committed
+
+
+class TestTrialSplit:
+    def test_five_trials_split_by_layer_and_restore_the_program(self):
+        trial_split = _load("trial_split")
+        originals = [(module, attr, getattr(module, attr))
+                     for _, module, attr in trial_split.WRAPPED]
+        out = trial_split.split(trials=5, rounds=1, quiet=1)
+        for module, attr, fn in originals:
+            assert getattr(module, attr) is fn, f"{attr} left wrapped"
+        us = out["us_per_trial"]
+        assert set(us) == {"trial_plain", "trial_wrapped", "key", "draws", "build",
+                           "switch_timelines", "run_transient", *trial_split.ENGINE,
+                           "walk", "_drops"}
+        # the residual layers are differences of nested timers
+        assert us["trial_plain"] > 0 and all(value >= 0 for value in us.values())
+        calls = out["calls_per_trial"]
+        # one run per trial; the t=0 topology and one per later switch state
+        assert calls["run_transient"] == calls["build"] == calls["_drops"] == 1.0
+        assert calls["factor"] == calls["stamp"] >= 2 and calls["solve"] >= calls["factor"]
+        json.dumps(out)
