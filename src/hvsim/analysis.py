@@ -94,10 +94,10 @@ def measure_slew(w: Waveform) -> float:
     raise MeasureError("no rising edge crosses both thresholds")
 
 
-def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray):
-    """The device drops of :func:`voltage_shares` and the largest of them."""
-    drops = (a - b, b - o, o - c, c)
-    return drops, max(float(drop.max()) for drop in drops)
+def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> float:
+    """The largest device drop of :func:`voltage_shares`, each difference
+    freed before the next is made."""
+    return max(float((a - b).max()), float((b - o).max()), float((o - c).max()), float(c.max()))
 
 
 def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> Metrics:
@@ -116,7 +116,7 @@ def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -
     over its whole run, so the maximum, and the value at the last index
     where a condition holds, are the same bit for bit on either form.
     """
-    drops, max_drop = _drops(a, b, o, c)
+    drops = (a - b, b - o, o - c, c)
     total = a
     peak = float(total.max())
     shares: Optional[Tuple[float, ...]] = None
@@ -124,7 +124,7 @@ def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -
         plateau = np.flatnonzero(total >= 0.999 * peak)
         k = int(plateau[-1])
         shares = tuple(float(drop[k] / total[k]) for drop in drops)
-    return Metrics(shares=shares, max_device_drop=max_drop)
+    return Metrics(shares=shares, max_device_drop=max(float(drop.max()) for drop in drops))
 
 
 #: the failures that fail one study cell and leave the others running
@@ -229,19 +229,14 @@ def _supply_peaks(run: TransientResult) -> Metrics:
 
 def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
     period = 1.0 / frequency
-    settle = settle_periods_for(frequency)
-    v_o = run.voltage("O")
-    amplitude = measure_amplitude(v_o, settle, period, mode="unipolar")
+    v_o = run.voltage("O")  # a read-only view of the stored column
+    amplitude = measure_amplitude(v_o, settle_periods_for(frequency), period, mode="unipolar")
     try:
         slew = measure_slew(v_o.slice_time(v_o.stop - period, v_o.stop))
     except MeasureError:
         slew = None
-    return replace(
-        _supply_peaks(run),
-        amplitude=amplitude,
-        slew_rate=slew,
-        max_device_drop=_drops(*(run.rows(node) for node in "ABOC"))[1],
-    )
+    return replace(_supply_peaks(run), amplitude=amplitude, slew_rate=slew,
+                   max_device_drop=_drops(*(run.rows(node) for node in "ABOC")))
 
 
 def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study:
@@ -346,7 +341,7 @@ def monte_carlo(
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
         run = run_scenario(scenario)
-        return _drops(*(run.rows(node) for node in "ABOC"))[1]
+        return _drops(*(run.rows(node) for node in "ABOC"))
 
     study = run_study(trial, range(model.trials))
     return Study(tuple(zip(study.keys, seeds)), study.values, study.errors)

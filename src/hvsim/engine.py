@@ -9,35 +9,24 @@ dense (node counts here stay small).
 Between events the circuit is linear time-invariant, so each run factors the
 matrix once per distinct (switch states, damped) pair and reuses it at every
 later event with the same topology.  With capacitors, a trapezoidal stretch is
-a linear recurrence in the companion-history currents and the source EMFs; it
-is advanced a block of steps at a time from powers of its one-step map,
-tabulated as far as the longest block needs, so no per-step solve remains
-(the per-topology state-space form of piecewise-linear switched-circuit
-simulators).
+a linear recurrence in the companion-history currents and the source EMFs (the
+per-topology state-space form of piecewise-linear switched-circuit
+simulators): its state advances a block of steps at a time from powers of its
+one-step map, tabulated as far as the longest block needs, and its output rows
+are one product per stretch (per as many blocks as BLAS runs on one thread).
 
-:func:`run_transient` has four phases: schedule (snap the switch events and
-gated-source edges to the grid; resolve the switch states after each event
-boundary and the event log), segment plan (targets, ramp knees and slopes),
-propagate (the damped and blocked trapezoidal steps; without capacitors, the
-capacitor-free propagate phase of rows, :func:`_propagate_free`) and package
-(the :class:`TransientResult`).  Each propagate phase is one forward walk over
-the sorted event boundaries that runs the segments before each boundary, then
-takes its switch states; the two share the segment plan, the EMF advance and
-the factored topologies.  A segment is planned only while a source is gated
-or off its target; once every EMF holds its voltage (a flag only a planned
-segment can change), a segment runs to its boundary at zero slope, and a
-capacitor-free one is its topology's held row: one dict lookup.
+:func:`run_transient` has four phases, each a function: schedule
+(:func:`_schedule`), segment plan (:func:`_plan_segment`), propagate
+(:func:`_propagate`, or :func:`_propagate_free` without capacitors) and
+package (:func:`_package`).  Each propagate phase is one forward walk over the
+sorted boundaries that takes the topology of each and runs the segments before
+it; a segment is planned only while a source is gated or off its target.  Once
+every EMF holds its voltage, a segment runs to its boundary at a drive built
+once, and a capacitor-free one is its topology's held row: one dict lookup.  A
+run with capacitors checks its segment ends finite in one pass after the walk.
 
-A run with capacitors is stored dense and column-major: ``TransientResult.x``
-and ``TransientResult.cap_i`` hold every grid point, each unknown's trace
-contiguous.  A capacitor-free run has no state: each of its rows, at t=0, per
-constant stretch and per step of a source ramp, is one solve of the topology
-for its source EMFs; a row that can recur (every one but the inner steps of
-an ungated source's ramp) is kept and solved once per distinct EMF vector.  It is stored
-run-length, each row with the grid index where it starts.  Only
-:class:`TransientResult` reads the format: its accessors expand it to dense
-:class:`~hvsim.waveform.Waveform` traces, and its ``rows`` hands out a
-column as stored.
+A run with capacitors is stored dense; a capacitor-free one has no state and
+is stored run-length, one solved row per constant stretch and per ramp step.
 
 :func:`lu_factor` and :func:`lu_solve` call LAPACK ``dgetrf``/``dgetrs``
 directly, the routines behind scipy's wrappers of the same names, so the bits
@@ -255,6 +244,10 @@ def _factor(A: np.ndarray, low: _Lowered):
 #: Steps per block of a trapezoidal stretch; a power table grows on demand up
 #: to F^0..F^_BLOCK.
 _BLOCK = 256
+#: The most multiply-adds (m*n*k) of one output product of a stretch: the most
+#: OpenBLAS's gemm runs on one thread, where a row's bits do not depend on the
+#: row count (split among threads, a share's edge columns may round otherwise).
+_ONE_THREAD = 1 << 18
 
 
 def _powers(F: np.ndarray, count: int, P: Optional[np.ndarray] = None) -> np.ndarray:
@@ -367,14 +360,13 @@ class TransientResult:
     """Transient solution: every unknown at the ``n_samples`` grid points.
 
     With ``starts`` None the storage is dense: row ``k`` of ``x`` and
-    ``cap_i`` is grid point ``k``, stored column-major, so each node, source
-    or capacitor trace is one contiguous block and :meth:`voltage` copies it
-    at memory speed.  A capacitor-free run is stored run-length: row ``i``
+    ``cap_i`` is grid point ``k``, stored column-major, so each trace is one
+    contiguous block, which :meth:`voltage` and :meth:`cap_current` hand out
+    as a read-only view.  A capacitor-free run is stored run-length: row ``i``
     holds from grid index ``starts[i]`` up to the next start (the last row up
     to ``n_samples``), one row per constant stretch and one per step of a
-    source ramp.  The :class:`Waveform` accessors expand the rows to every
-    grid point; :meth:`rows` returns them as stored.
-    """
+    source ramp, and the :class:`Waveform` accessors expand the rows to every
+    grid point.  :meth:`rows` returns a column as stored."""
 
     step: float
     labels: List[str]
@@ -390,6 +382,7 @@ class TransientResult:
     def _wave(self, column: np.ndarray) -> Waveform:
         if self.starts is not None:
             column = np.repeat(column, np.diff(self.starts, append=self.n_samples))
+        column.flags.writeable = False  # a dense result's column is a view of it
         return Waveform(0.0, self.step, column)
 
     def rows(self, label: str) -> np.ndarray:
@@ -403,7 +396,7 @@ class TransientResult:
         return self.x[:, self.index[label]]
 
     def voltage(self, label: str) -> Waveform:
-        return self._wave(self.rows(label).copy())
+        return self._wave(self.rows(label))
 
     def pair_voltage(self, pos: str, neg: str) -> Waveform:
         return self._wave(self.rows(pos) - self.rows(neg))
@@ -415,7 +408,7 @@ class TransientResult:
 
     def cap_current(self, name: str) -> Waveform:
         j = self.cap_names.index(name)
-        return self._wave(self.cap_i[:, j].copy())
+        return self._wave(self.cap_i[:, j])
 
 
 def _snap(t: float, h: float) -> int:
@@ -574,21 +567,17 @@ def _topology(low: _Lowered, topologies, states, damped: bool = False, g=None) -
     return op
 
 
-def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
+def _propagate(trap, be, inc, out, vc, ic, emf, d_emf, drive, ramp, idx0, seg_end, damp):
     """Propagate phase of a run with capacitors: advance from grid index
-    ``idx0`` to ``seg_end``, the first ``damp`` steps backward Euler, the EMF
-    at step ``k`` being ``emf + (k - idx0) * slope * h`` (``slope`` is zero
-    unless the segment was planned with a source off its target);
-    ``operators(damped)`` gives the topology's :class:`_Operators`.  The
-    solution goes into the dense ``(x, cap_i)`` arrays ``out``, and its row
-    at ``seg_end`` is checked finite.  Returns the capacitor voltages and
-    currents at ``seg_end``."""
+    ``idx0`` to ``seg_end``, the first ``damp`` steps backward Euler through
+    ``be``, the rest trapezoidal through ``trap``, the EMF at step ``k`` being
+    ``emf + (k - idx0) * d_emf`` (``drive`` at every step unless ``ramp``).
+    A trapezoidal stretch fills its states a block at a time from the power
+    table, then its rows of the dense ``(x, cap_i)`` arrays ``out`` in one
+    product per batch of blocks.  Returns the capacitor voltages and currents
+    at ``seg_end``; the caller checks the segment ends finite after the walk."""
     nc, m = inc.shape[1], len(emf)
-    trap, ramp = operators(False), np.count_nonzero(slope)
-    d_emf = slope * h
-    drive = emf + d_emf  # the EMF after one step; at every step of a constant drive
     if damp:
-        be = operators(True)
         k_be = be.response(inc, m)
         rhs = np.concatenate([vc, drive])  # [hist; emf], rewritten in place per step
         hist = rhs[:nc]
@@ -605,19 +594,30 @@ def _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h):
         k_tr = trap.response(inc, m)
         drive = emf + (k - idx0) * d_emf if ramp else drive  # d_emf is +0.0 if not ramp
         z = np.concatenate([trap.g * vc + ic, drive, d_emf])
+        batch = max(1, _ONE_THREAD // (_BLOCK * k_tr.size)) * _BLOCK  # rows per product
+        Z = np.empty((min(batch, seg_end + 1 - k), z.size))  # row i: [hist; emf; emf step]
         while k <= seg_end:
-            # row i of Z is the state [hist; emf; emf step] before step k + i
-            L = min(_BLOCK, seg_end + 1 - k)
-            Z = (P[:L].reshape(-1, z.size) @ z).reshape(L, z.size)
-            X = out[0][k : k + L] = Z[:, : nc + m] @ k_tr.T
-            np.subtract(trap.g * (X @ inc), Z[:, :nc], out=out[1][k : k + L])
-            k += L
-            z = P[L] @ z if k <= seg_end else z  # the last advance is never read
+            rows = min(batch, seg_end + 1 - k)
+            if rows > _BLOCK and rows % _BLOCK == 1:  # a one-row block is a product of its own
+                rows -= 1
+            for i in range(0, rows, _BLOCK):
+                L = min(_BLOCK, rows - i)
+                np.matmul(P[:L].reshape(-1, z.size), z, out=Z[i : i + L].reshape(-1))
+                if k + i + L <= seg_end:  # the last advance would never be read
+                    z = P[L] @ z
+            X = out[0][k : k + rows] = Z[:rows, : nc + m] @ k_tr.T
+            np.subtract(trap.g * (X @ inc), Z[:rows, :nc], out=out[1][k : k + rows])
+            k += rows
         vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
         ic = out[1][seg_end]
-    if not np.isfinite(out[0][seg_end]).all():
-        raise SimulationError(f"solution diverged at t={seg_end * h!r}")
     return vc, ic
+
+
+def _check_finite(x: np.ndarray, ends: List[int], h: float) -> None:
+    """Raise :class:`SimulationError` for the first segment end whose row is not finite."""
+    finite = np.isfinite(x[ends]).all(axis=1)
+    if not finite.all():
+        raise SimulationError(f"solution diverged at t={ends[int(finite.argmin())] * h!r}")
 
 
 def _propagate_free(low, controls, sequence, states, emf, settled, h):
@@ -668,11 +668,8 @@ def _package(low, settings, out, events) -> TransientResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every solution is checked finite
-def run_transient(
-    circuit: Circuit,
-    settings: IntegrationSettings,
-    switch_timelines: Mapping[str, SwitchTimeline],
-) -> TransientResult:
+def run_transient(circuit: Circuit, settings: IntegrationSettings,
+                  switch_timelines: Mapping[str, SwitchTimeline]) -> TransientResult:
     """Integrate the circuit over [0, stop] on a fixed grid.
 
     ``switch_timelines`` gives each switch its initial state and scheduled
@@ -686,11 +683,7 @@ def run_transient(
     Gated sources and slew-limit ramp knees introduce additional segment
     boundaries.  Every sample of every unknown is retained in the result:
     dense when the circuit has capacitors, run-length when it has none (see
-    :class:`TransientResult`).
-
-    The four phases are :func:`_schedule`, :func:`_plan_segment`,
-    :func:`_propagate` (:func:`_propagate_free` without capacitors) and
-    :func:`_package` (see the module docstring).
+    :class:`TransientResult`).  The module docstring names the four phases.
     """
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
@@ -717,10 +710,6 @@ def run_transient(
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
     cap_c = np.array([cap.capacitance for cap in low.caps])
     g_trap, g_be = 2.0 * cap_c / h, cap_c / h
-
-    def operators(damped: bool) -> _Operators:
-        return _topology(low, topologies, states, damped, g_be if damped else g_trap)
-
     vc = np.array([cap.initial_voltage for cap in low.caps])
     inc = _incidence(low, low.size, low.caps)
     x0, ic, determinate = _initial_solve(low, states, emf)
@@ -730,20 +719,36 @@ def run_transient(
     # damped start only when loop currents were indeterminate at t=0; a
     # clean start keeps the trapezoidal charge identity exact from the first step
     pending_damp = 0 if determinate else settings.damping_steps
-    zero, still, idx0 = np.zeros(len(low.sources)), emf.tobytes() == settled, 0
+    zero, idx0, held = np.zeros(len(low.sources)), 0, None
+    ends: List[int] = []  # every segment end, checked finite after the walk
     for boundary, after, restart in sequence:
+        if idx0 < boundary:  # the operators of the segments up to the boundary
+            try:
+                trap = _topology(low, topologies, states, False, g_trap)
+                be = _topology(low, topologies, states, True, g_be) if pending_damp else None
+            except SimulationError:  # unless a segment before it diverged first
+                _check_finite(out[0], ends, h)
+                raise
         while idx0 < boundary:  # one segment per ramp knee before the boundary
-            seg_end, target, slope = ((boundary, None, zero) if still else
-                                      _plan_segment(low, controls, emf, idx0, boundary, h))
+            if held is None and emf.tobytes() == settled:  # no EMF moves from here on
+                held = zero, emf + zero, 0  # d_emf, drive, ramp of every later segment
+            if held is None:
+                seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
+                d_emf = slope * h
+                drive, ramp = emf + d_emf, np.count_nonzero(slope)
+            else:
+                seg_end, (d_emf, drive, ramp) = boundary, held
             steps = seg_end - idx0
             damp = min(pending_damp, steps)
-            vc, ic = _propagate(operators, inc, out, vc, ic, emf, slope, idx0, seg_end, damp, h)
+            vc, ic = _propagate(trap, be, inc, out, vc, ic, emf, d_emf, drive, ramp,
+                                idx0, seg_end, damp)
+            ends.append(seg_end)
             pending_damp = max(0, pending_damp - steps)
-            if np.count_nonzero(slope):  # else every source holds its target
+            if ramp:  # else every source holds its target
                 emf = _advance(emf, target, slope, steps, h)
-            still, idx0 = emf.tobytes() == settled, seg_end
+            idx0 = seg_end
         states = after
         if restart:  # a switch changed or a source stepped
             pending_damp = settings.damping_steps
-
+    _check_finite(out[0], ends, h)
     return _package(low, settings, out, events)

@@ -41,6 +41,13 @@ def simple_circuit(*components, controls=None):
     return Circuit.build(list(components), controls or {})
 
 
+#: a capacitive circuit whose gated 1e308 V source overflows its 1e-10 ohm
+#: load while it is on (control ``h``: from 5 ms to 10 ms, 15 ms to 20 ms, ...)
+GATED_OVERFLOW = [VoltageSource("V1", "a", "0", 1e308, control="h"),
+                  Resistor("R1", "a", "0", 1e-10), Resistor("R2", "a", "b", 1.0),
+                  Capacitor("C1", "b", "0", 1e-9)]
+
+
 class TestDcOperatingPoint:
     def test_symmetric_divider(self):
         c = simple_circuit(
@@ -244,6 +251,32 @@ class TestTransient:
         with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
             with np.errstate(all="ignore"):
                 run_transient(c, settings, switch_timelines(c, settings))
+
+    @pytest.mark.parametrize("components, timelines, step, stop, when", [
+        # a 1000-step ramp, one stretch of four blocks: the source current
+        # overflows at its 601st step, in the third block; the held segment
+        # after it ends non-finite too
+        ([VoltageSource("V1", "a", "0", 1e300, slew=1e303), Resistor("R1", "a", "0", 3.34e-9),
+          Resistor("R2", "a", "b", 1.0), Capacitor("C1", "b", "0", 1e-9)],
+         {}, 1e-6, 2e-3, "0.001"),
+        # the 1e308 V source is off up to 5 ms, a finite segment end, then
+        # on up to 10 ms: every segment end from there on is non-finite
+        (GATED_OVERFLOW, None, 1e-4, 0.03, "0.01"),
+        # the same, with two 1e-308 ohm switches that close at 12 ms: that
+        # topology does not factor, after the segment that diverged first
+        (GATED_OVERFLOW + [Switch(f"S{i}", "b", "0", control="g", ron=1e-308) for i in (1, 2)],
+         {"S1": (False, [(0.012, True)]), "S2": (False, [(0.012, True)])}, 1e-4, 0.03, "0.01"),
+    ], ids=["ramp-later-block", "after-finite-segment", "before-singular-topology"])
+    def test_capacitive_divergence_reports_first_non_finite_segment_end(
+            self, components, timelines, step, stop, when):
+        controls = {"g": ControlSignal(frequency=100.0),
+                    "h": ControlSignal(frequency=100.0, phase=math.pi)}
+        c = simple_circuit(*components, controls=controls)
+        settings = IntegrationSettings(step=step, stop=stop)
+        timelines = switch_timelines(c, settings) if timelines is None else timelines
+        with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
+            with np.errstate(all="ignore"):
+                run_transient(c, settings, timelines)
 
     def test_gated_source_follows_control(self):
         # control-driven source: EMF is `voltage` while the control is high
@@ -954,6 +987,62 @@ class TestPowerTable:
         )
         run_transient(circuit, IntegrationSettings(1e-5, 0.05), {})
         assert max(counts) == engine._BLOCK
+
+
+class TestBatchedRows:
+    """A trapezoidal stretch takes its output rows in one product per batch
+    of ``_BLOCK``-row blocks, not one per block: on one BLAS thread a gemm's
+    rows do not depend on how many rows it has, so a batch holds as many
+    blocks as keep its product's multiply-adds within ``_ONE_THREAD``.  A
+    one-row product is a gemv, whose bits may differ, so a one-row block
+    stays a product of its own."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def test_one_product_equals_the_per_block_products(self):
+        rng = np.random.default_rng(36)
+        B = engine._BLOCK
+        rows_max = engine._ONE_THREAD // B  # the batch of the smallest product
+        Z_all = rng.standard_normal((rows_max, 23)) * np.exp(rng.uniform(-30, 30, (rows_max, 1)))
+        k_all = rng.standard_normal((20, 20))
+        inc_all = rng.integers(-1, 2, (20, 7)).astype(float)
+        for K, N in itertools.product(range(1, 21), repeat=2):
+            # as in the engine: the first K columns of the state rows, the
+            # transposed response and the capacitor incidence
+            k_tr, inc = k_all[:N, :K], inc_all[:N, : min(N, 7)]
+            batch = max(1, engine._ONE_THREAD // (B * k_tr.size)) * B
+            # a whole batch, and a last one of whole blocks and an odd tail
+            for rows in (batch, batch - B + 2 * int(rng.integers(1, B // 2)) + 1):
+                Z = Z_all[:rows, : K + 3]
+                X = Z[:, :K] @ k_tr.T
+                blocks = [Z[i : i + B, :K] @ k_tr.T for i in range(0, rows, B)]
+                assert np.array_equal(self.bits(X), self.bits(np.concatenate(blocks))), (K, N, rows)
+                per_block = np.concatenate([block @ inc for block in blocks])
+                assert np.array_equal(self.bits(X @ inc), self.bits(per_block)), (K, N, rows)
+
+    @pytest.mark.parametrize("batches, blocks, tail", [
+        (0, 2, 1), (0, 2, 2), (0, 2, 3), (0, 2, 129), (0, 2, 256),
+        (1, 0, 0), (1, 0, 1), (1, 1, 1), (2, 3, 255)])
+    def test_run_matches_the_per_block_run_bit_for_bit(self, monkeypatch, batches, blocks, tail):
+        circuit = simple_circuit(
+            VoltageSource("V1", "in", "0", 100.0), Resistor("R1", "in", "n1", 1e3),
+            Capacitor("C1", "n1", "0", 1e-8), Resistor("R2", "n1", "n2", 2e3),
+            Capacitor("C2", "n2", "0", 2e-8, initial_voltage=-5.0),
+            Resistor("R3", "n2", "n3", 5e3), Capacitor("C3", "n3", "n1", 5e-9),
+            Resistor("R4", "n3", "0", 1e4),
+        )
+        # one trapezoidal stretch of whole batches, whole blocks and the tail
+        # (five unknowns, three capacitors and a source: 51 blocks a batch)
+        batch = engine._ONE_THREAD // (engine._BLOCK * 5 * 4) * engine._BLOCK
+        steps = batches * batch + blocks * engine._BLOCK + tail
+        settings = IntegrationSettings(1e-6, steps * 1e-6)
+        batched = run_transient(circuit, settings, {})
+        monkeypatch.setattr(engine, "_ONE_THREAD", 0)  # one product per block
+        blocked = run_transient(circuit, settings, {})
+        for got, ref in ((batched.x, blocked.x), (batched.cap_i, blocked.cap_i)):
+            assert np.array_equal(self.bits(got), self.bits(ref))
 
 
 class TestValidateOnce:

@@ -177,12 +177,14 @@ class TestCorpusJobs:
 
 #: the jobs whose listing lines Tier-1 checks: every preset, run as a preset
 #: and from its printed netlist, plus the capacitor-free jobs and the gated RC
-#: netlist (every run and Monte-Carlo path of the resistive engine walk)
+#: netlist (every run and Monte-Carlo path of the resistive engine walk), and
+#: the default fig7 and fig8 sweeps (the sweep tables and their metrics)
 SUBSET = tuple(f"run:{kind}{name}" for kind in ("", "netlist:")
                for name in sha_corpus.PRESET_NAMES) + (
     "run:netlist:fig3-pair", "run:fig3:slow-slew", "run:fig3:many-events",
     "run:netlist:conflicting-sources", "run:netlist:gated",
-    "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2")
+    "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2",
+    "sweep:fig7:w1", "sweep:fig8")
 
 
 class TestCommittedListing:
@@ -222,3 +224,19 @@ class TestTrialSplit:
         assert calls["run_transient"] == calls["build"] == calls["_drops"] == 1.0
         assert calls["factor"] == calls["stamp"] >= 2 and calls["solve"] >= calls["factor"]
         json.dumps(out)
+
+
+class TestInProcess:
+    def test_loads_two_trees_and_restores_sys_modules(self):
+        import hvsim.cli  # noqa: F401  (numpy and the rest are loaded before, as in a tool run)
+
+        src = TOOLS.parent / "src"
+        before = dict(sys.modules)
+        with bench_against.loaded({"parent": src, "change": src}) as packages:
+            engines = [sys.modules[f"hvsim_{side}.engine"] for side in bench_against.SIDES]
+            assert engines[0] is not engines[1] and engines[0].dgetrf is engines[1].dgetrf
+            with bench_against._as_hvsim(packages["change"]):
+                from hvsim import engine
+                assert engine is engines[1]
+            assert sys.modules["hvsim.engine"] is before["hvsim.engine"]
+        assert sys.modules == before
