@@ -30,7 +30,7 @@ from hvsim.engine import (
     dc_operating_point,
     run_transient,
 )
-from hvsim.presets import load_preset, mc_template
+from hvsim.presets import PRESET_NAMES, load_preset, mc_template
 from hvsim.runner import run_scenario, switch_timelines
 from hvsim.waveform import Waveform, write_csv
 
@@ -1364,3 +1364,81 @@ class TestStampOrder:
                     for sw, on in zip(low.switches, states)]
             assert got[name] == self.reference(low, g_sw).tobytes()
         assert got["trial"] != got["nominal"] == got["again"]
+
+
+class TestWarmEqualsCold:
+    """Every cache is keyed by all its value depends on: a circuit run with
+    warm caches (the memo shared along a chain of :meth:`Circuit.with_parts`
+    edits, after earlier runs at other grids) gives the bits of the same
+    circuit built cold, with an empty memo."""
+
+    @staticmethod
+    def run(circuit, settings):
+        return run_transient(circuit, settings, switch_timelines(circuit, settings))
+
+    @staticmethod
+    def edits(circuit, rng):
+        """A seeded chain of derived circuits: one value edit per part kind
+        (R, C, switch ``ron``/``roff``, source voltage, source slew) in a
+        random order, and, with capacitors, one capacitor moved to the node
+        below the first switch."""
+        def pick(kind):
+            parts = [c for c in circuit.components if isinstance(c, kind)]
+            return parts[int(rng.integers(len(parts)))] if parts else None
+
+        def scale():
+            return float(rng.uniform(0.5, 2.0))
+
+        steps = [
+            lambda: (r := pick(Resistor)) and dataclasses.replace(
+                r, resistance=r.resistance * scale()),
+            lambda: (c := pick(Capacitor)) and dataclasses.replace(
+                c, capacitance=c.capacitance * scale()),
+            lambda: (s := pick(Switch)) and dataclasses.replace(
+                s, ron=s.ron * scale(), roff=s.roff * scale()),
+            lambda: (v := pick(VoltageSource)) and dataclasses.replace(
+                v, voltage=v.voltage * scale()),
+            lambda: (v := pick(VoltageSource)) and dataclasses.replace(
+                v, slew=(v.slew or 35e6) * scale()),
+        ]
+        caps = [c.name for c in circuit.components if isinstance(c, Capacitor)]
+        if caps:  # a node change: the derived circuit must not share the memo
+            below = next(c.neg for c in circuit.components if isinstance(c, Switch))
+            steps.append(lambda: dataclasses.replace(circuit.component(caps[-1]), pos=below))
+        for i in rng.permutation(len(steps)):
+            part = steps[i]()
+            if part:
+                circuit = circuit.with_parts({part.name: part})
+                yield circuit
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_edit_chain(self, name):
+        scenario = load_preset(name)
+        rng = np.random.default_rng([18, PRESET_NAMES.index(name)])
+        f = max(ctrl.frequency for _, ctrl in scenario.circuit.controls)
+        stop = min(scenario.settings.stop, 2.5 / f)  # a few command periods
+        # the short grid first, so that an edge list kept for its stop is
+        # there when the long grid asks for its own
+        grids = [dataclasses.replace(scenario.settings, step=stop / 500, stop=0.6 * stop),
+                 dataclasses.replace(scenario.settings, step=stop / 600, stop=stop)]
+        circuit = scenario.circuit
+        for edit, derived in enumerate(itertools.chain([circuit], self.edits(circuit, rng))):
+            for settings in grids:
+                cold = Circuit.build(derived.components, dict(derived.controls))
+                warm, ref = self.run(derived, settings), self.run(cold, settings)
+                for attr in ("x", "cap_i", "starts"):
+                    got, want = getattr(warm, attr), getattr(ref, attr)
+                    assert np.array_equal(got, want), (edit, settings, attr)
+                assert warm.events == ref.events, (edit, settings)
+
+    def test_power_table_grown_in_steps_equals_one_built_at_once(self):
+        rng = np.random.default_rng(1818)
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            F = rng.standard_normal((n, n)) / math.sqrt(n)
+            P = engine._powers(F, 1)
+            for length in np.sort(rng.integers(1, engine._BLOCK + 1, size=4)):
+                if len(P) <= length:  # grown as _Operators.step_powers grows it
+                    P = engine._powers(F, 1 << (int(length) - 1).bit_length(), P)
+                    once = engine._powers(F, len(P) - 1)
+                    assert np.array_equal(P.view(np.uint64), once.view(np.uint64)), (n, length)
