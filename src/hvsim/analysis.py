@@ -13,9 +13,8 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import CircuitError, Scenario, ScheduleError
-from .engine import SimulationError, TransientResult
+from .engine import SimulationError, TransientResult, run_transient
 from .presets import FIG7C_PHASES, converter_scenario, dual_channel_with_phase
-from .runner import run_scenario
 from .waveform import Waveform, WaveformError
 
 
@@ -255,7 +254,7 @@ def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study
                  for f, load in keys}
 
     def cell(key: Tuple[float, str]) -> Metrics:
-        return _cell_metrics(run_scenario(scenarios[key]), key[0])
+        return _cell_metrics(run_transient(scenarios[key].circuit, scenarios[key].settings), key[0])
 
     return run_study(cell, keys)
 
@@ -268,7 +267,8 @@ def phase_sweep(phases: Sequence[float] = FIG7C_PHASES) -> Study:
     """
 
     def cell(phase: float) -> Metrics:
-        return _supply_peaks(run_scenario(dual_channel_with_phase(phase)))
+        scenario = dual_channel_with_phase(phase)
+        return _supply_peaks(run_transient(scenario.circuit, scenario.settings))
 
     return run_study(cell, [float(p) for p in phases])
 
@@ -340,7 +340,7 @@ def monte_carlo(
             scenario = build(offs, offsets)
         except CircuitError as exc:
             raise MeasureError(f"sampled circuit rejected: {exc}") from None
-        run = run_scenario(scenario)
+        run = run_transient(scenario.circuit, scenario.settings)
         return _drops(*(run.rows(node) for node in "ABOC"))
 
     study = run_study(trial, range(model.trials))

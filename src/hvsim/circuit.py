@@ -187,6 +187,9 @@ class Switch:
             raise CircuitError(
                 f"{self.name}: on-resistance {self.ron} must be below off-resistance {self.roff}"
             )
+        for key in ("turn_on_delay", "turn_off_delay", "delay_offset"):
+            if not math.isfinite(getattr(self, key)):
+                raise CircuitError(f"{self.name}: {key} must be finite, got {getattr(self, key)}")
         if self.turn_on_delay < 0 or self.turn_off_delay < 0:
             raise CircuitError(f"{self.name}: driver delays must be >= 0")
 
@@ -194,6 +197,31 @@ class Switch:
         """State at t=0: ``control``'s command then, inverted when ``invert``
         (the driver delays are taken as already elapsed)."""
         return control.state_at(0.0) ^ self.invert
+
+    def events(self, edges: Sequence[Tuple[float, bool]], stop: float) -> List[Tuple[float, bool]]:
+        """``(time, state)`` changes up to ``stop`` from the control's commanded
+        ``edges``: an edge that turns the switch on (a rising one, falling when
+        ``invert``) lands ``turn_on_delay + delay_offset`` later, the others
+        ``turn_off_delay + delay_offset`` later.  Raises
+        :class:`ScheduleError` when a delayed event would land at or past the
+        event of the next commanded edge (command period too short for the
+        driver)."""
+        events: List[Tuple[float, bool]] = []
+        t_a = None  # the previous event's time
+        for t_cmd, state in edges:
+            if self.invert:
+                state = not state
+            delay = self.turn_on_delay if state else self.turn_off_delay
+            t_b = t_cmd + delay + self.delay_offset
+            if t_a is not None and not t_a < t_b:
+                raise ScheduleError(
+                    f"driver delays reorder events at t={t_a!r}: command period too "
+                    f"short for driver (on={self.turn_on_delay}, off={self.turn_off_delay})"
+                )
+            if t_b <= stop:
+                events.append((t_b, state))
+            t_a = t_b
+        return events
 
 
 @dataclass(frozen=True)

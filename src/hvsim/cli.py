@@ -17,16 +17,15 @@ import re
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analysis, electromech, netlist, plotting, presets
-from .circuit import (CircuitError, ControlSignal, IntegrationSettings, Scenario, ScheduleError,
-                      params, probe_label)
+from .circuit import (Circuit, CircuitError, ControlSignal, IntegrationSettings, Scenario,
+                      ScheduleError, Switch, params, probe_label)
 from .engine import SimulationError, run_transient
 from .netlist import NetlistError, parse_param, parse_value
-from .runner import shoot_through_seconds, switch_timelines
 from .waveform import WaveformError, write_csv
 
 EXIT_USAGE = 2
@@ -118,12 +117,46 @@ def _out_dir(args) -> Path:
     return out
 
 
+def shoot_through_seconds(circuit: Circuit, timelines, stop: float) -> float:
+    """Total time any non-inverted switch and any inverted switch sharing a
+    control are simultaneously on (commanded overlap across a bridge), from
+    the earlier of t=0 and the first event up to ``stop``: one sorted pass
+    per control over its switches' ``(t, inverted, on-count change)`` rows."""
+    on: Dict[str, Dict[bool, int]] = {}  # switches on, per control and side
+    rows: Dict[str, List[Tuple[float, bool, int]]] = {}
+    for comp in circuit.components:
+        if isinstance(comp, Switch):
+            initial, events = timelines[comp.name]
+            state = int(initial)
+            on.setdefault(comp.control, {True: 0, False: 0})[comp.invert] += state
+            changes = rows.setdefault(comp.control, [(0.0, False, 0), (stop, False, 0)])
+            for t, new_state in events:
+                changes.append((t, comp.invert, int(new_state) - state))
+                state = int(new_state)
+
+    total = 0.0
+    for control, changes in rows.items():
+        changes.sort()
+        count, t_prev = on[control], changes[0][0]
+        for t, side, delta in changes:
+            if t > stop:
+                break
+            if count[True] and count[False]:
+                total += t - t_prev
+            count[side] += delta
+            t_prev = t
+    return total
+
+
 def cmd_run(args) -> int:
     scenario, name = _resolve_scenario(args)
     if not scenario.probes:
         raise CliError(f"{name}: no probes requested (add .probe directives)")
     circuit, settings = scenario.circuit, scenario.settings
-    timelines = switch_timelines(circuit, settings)
+    controls = circuit.control_map  # drivers scheduled once, for the run and the overlap
+    timelines = {sw.name: (sw.initial_state(controls[sw.control]),
+                           sw.events(circuit.control_edges(sw.control, settings), settings.stop))
+                 for sw in circuit.components if isinstance(sw, Switch)}
     result = run_transient(circuit, settings, timelines)
     out = _out_dir(args)
     columns = {

@@ -1,4 +1,4 @@
-"""Behavioral device models: gate-driver scheduling, supplies, probes and loads.
+"""Behavioral device models: supplies, probes and loads.
 
 Two-terminal building blocks are expressed as :class:`Fragment` objects whose
 components reference the symbolic terminals ``"+"`` and ``"-"``; instantiating
@@ -9,15 +9,13 @@ Each ``*Params`` class is the key schema of one netlist ``X`` kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .circuit import (
     Capacitor,
     CircuitError,
     Component,
     Resistor,
-    ScheduleError,
-    Switch,
     VoltageSource,
     param,
     params,
@@ -97,36 +95,6 @@ class Fragment:
         return [kind(name[0] + prefix + name[1:], nodes.get(p, f"{prefix}_{p}"),
                      nodes.get(n, f"{prefix}_{n}"), **values)
                 for kind, name, p, n, values in self.parts]
-
-
-def driver_schedule(
-    edges: Sequence[Tuple[float, bool]], switch: Switch, stop: float
-) -> List[Tuple[float, bool]]:
-    """Switch-state events for one device from its control's ``edges(stop)``.
-
-    Each commanded rising edge (falling when ``switch.invert``) becomes an ON
-    event after ``turn_on_delay + delay_offset``; the other edges become OFF
-    events after ``turn_off_delay + delay_offset``.  Raises
-    :class:`ScheduleError` when a delayed event would land at or past the
-    event of the next commanded edge (command period too short for the
-    driver).
-    """
-    events: List[Tuple[float, bool]] = []
-    t_a = None  # the previous event's time
-    for t_cmd, state in edges:
-        if switch.invert:
-            state = not state
-        delay = switch.turn_on_delay if state else switch.turn_off_delay
-        t_b = t_cmd + delay + switch.delay_offset
-        if t_a is not None and not t_a < t_b:
-            raise ScheduleError(
-                f"driver delays reorder events at t={t_a!r}: command period too "
-                f"short for driver (on={switch.turn_on_delay}, off={switch.turn_off_delay})"
-            )
-        if t_b <= stop:
-            events.append((t_b, state))
-        t_a = t_b
-    return events
 
 
 def expand_bench_supply(params: BenchSupplyParams) -> Fragment:

@@ -21,9 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_frequencies,
                        sweep_step_for)
 from .devices import BenchSupplyParams, Fragment, expand_bench_supply
-from .engine import dc_operating_point
+from .engine import dc_operating_point, run_transient
 from .presets import CONVERTER, FIG8_FREQUENCIES, converter_scenario
-from .runner import run_scenario
 from .waveform import Waveform, WaveformError
 
 #: drive voltage at which the static displacement is 1.0
@@ -129,7 +128,8 @@ def displacement_sweep(
                                        supply=sup) for f in freqs}
 
     def cell(f: float) -> float:
-        x = displacement_response(run_scenario(scenarios[f]).voltage("load_m"))
+        run = run_transient(scenarios[f].circuit, scenarios[f].settings)
+        x = displacement_response(run.voltage("load_m"))
         return measure_amplitude(x, 1, 1.0 / f, mode="bipolar")
 
     return run_study(cell, freqs)

@@ -415,13 +415,12 @@ def _snap(t: float, h: float) -> int:
     return int(round(t / h))
 
 
-def _snap_events(kind: str, name: str, events, h: float, n_steps: int) -> List[Tuple[int, bool]]:
-    """``(grid index, state)`` of each ``(time, state)`` event of the ``kind``
-    part ``name`` up to index ``n_steps``; an event at t <= 0 takes index 0
-    unscaled, so one far before t=0 cannot overflow.  Two events that snap to
-    one index after t=0 raise :class:`~hvsim.circuit.ScheduleError`: the
-    pulse between them would be lost."""
-    out: List[Tuple[int, bool]] = []
+def _snap_events(kind: str, name: str, events, h: float, n_steps: int):
+    """Yield ``(grid index, state)`` of each ``(time, state)`` event of the
+    ``kind`` part ``name`` up to index ``n_steps``; an event at t <= 0 takes
+    index 0 unscaled, so one far before t=0 cannot overflow.  Two events that
+    snap to one index after t=0 raise :class:`~hvsim.circuit.ScheduleError`:
+    the pulse between them would be lost."""
     times: Dict[int, float] = {}  # grid index after t=0 -> event time
     for t_e, state in events:
         idx = _snap(t_e, h) if t_e > 0 else 0
@@ -431,10 +430,9 @@ def _snap_events(kind: str, name: str, events, h: float, n_steps: int) -> List[T
                 f"grid index (step {h!r}); the pulse between them would be lost"
             )
         if idx <= n_steps:
-            out.append((idx, state))
             if idx > 0:
                 times[idx] = t_e
-    return out
+            yield idx, state
 
 
 def _initial_solve(
@@ -475,21 +473,34 @@ def _initial_solve(
 
 
 def _schedule(low: _Lowered, circuit: Circuit, settings: IntegrationSettings, timelines):
-    """Schedule phase: snap the switch events and gated-source command edges
-    to the grid, and resolve the switching sequence.  Returns the switch
-    states at t=0; per segment boundary (every event index and the last grid
-    index, sorted) the switch states after it and whether it logs an event
-    (a logged boundary restarts damping); and the event log, per boundary
-    ``(t, switch name)`` for each switch that changes, then ``(t, "source")``."""
+    """Schedule phase: each switch's initial state and events (from
+    :meth:`~hvsim.circuit.Switch.initial_state` and
+    :meth:`~hvsim.circuit.Switch.events` over its control's
+    :meth:`~hvsim.circuit.Circuit.control_edges`, listed once per control, or
+    from ``timelines`` when given) and the gated-source command edges,
+    snapped to the grid as they are read; then the switching sequence.
+    Returns the switch states at t=0; per segment boundary (every event index
+    and the last grid index, sorted) the switch states after it and whether
+    it logs an event (a logged boundary restarts damping); and the event log,
+    per boundary ``(t, switch name)`` for each switch that changes, then
+    ``(t, "source")``."""
     h, n_steps = settings.step, settings.n_steps
+    controls = circuit.control_map
+    edges: Dict[str, tuple] = {}  # each read control's edges, listed once
     sw_states: List[bool] = []
     sw_events: Dict[int, List[Tuple[int, bool]]] = {}
     for si, sw in enumerate(low.switches):
-        timeline = timelines.get(sw.name)
-        if timeline is None:
+        if timelines is None:
+            if sw.control not in edges:
+                edges[sw.control] = circuit.control_edges(sw.control, settings)
+            state = sw.initial_state(controls[sw.control])
+            events = sw.events(edges[sw.control], settings.stop)
+        elif sw.name in timelines:
+            state, events = timelines[sw.name]
+        else:
             raise SimulationError(f"no timeline given for switch {sw.name!r}")
-        state = bool(timeline[0])
-        for idx, new_state in _snap_events("switch", sw.name, timeline[1], h, n_steps):
+        state = bool(state)
+        for idx, new_state in _snap_events("switch", sw.name, events, h, n_steps):
             if idx <= 0:
                 state = bool(new_state)
             else:
@@ -669,15 +680,17 @@ def _package(low, settings, out, events) -> TransientResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # every solution is checked finite
 def run_transient(circuit: Circuit, settings: IntegrationSettings,
-                  switch_timelines: Mapping[str, SwitchTimeline]) -> TransientResult:
+                  timelines: Optional[Mapping[str, SwitchTimeline]] = None) -> TransientResult:
     """Integrate the circuit over [0, stop] on a fixed grid.
 
-    ``switch_timelines`` gives each switch its initial state and scheduled
-    state changes; change times are snapped to the grid, and two changes of
-    one switch, or two command edges of one gated source, that snap to one
-    grid index after t=0 raise :class:`~hvsim.circuit.ScheduleError` (the
-    pulse between them would be lost), as does a gated source's control that
-    commands more edges than the grid has points (checked by
+    Each switch starts in its :meth:`~hvsim.circuit.Switch.initial_state` and
+    changes at its driver-delayed :meth:`~hvsim.circuit.Switch.events`, unless
+    ``timelines`` gives every switch its initial state and state changes.
+    Change times are snapped to the grid, and two changes of one switch, or
+    two command edges of one gated source, that snap to one grid index after
+    t=0 raise :class:`~hvsim.circuit.ScheduleError` (the pulse between them
+    would be lost), as does a control that a switch or a gated source reads
+    and that commands more edges than the grid has points (checked by
     :meth:`~hvsim.circuit.Circuit.control_edges` on ``settings``; an unread
     control is not).
     Gated sources and slew-limit ramp knees introduce additional segment
@@ -687,12 +700,12 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
     """
     low = _lower(circuit)
     h, nc = settings.step, len(low.caps)
+    states, sequence, events = _schedule(low, circuit, settings, timelines)
     for cap in low.caps:  # before any factorization: 2C/h is the larger companion
         if math.isinf(2.0 * float(cap.capacitance) / float(h)):
             raise CircuitError(f"{cap.name}: companion conductance 2C/h of capacitance "
                                f"{cap.capacitance!r} overflows at step {h!r}")
     controls = circuit.control_map
-    states, sequence, events = _schedule(low, circuit, settings, switch_timelines)
 
     # sample half a step in so a command edge snapped to index 0 (i.e.
     # landing within the first half-step) folds into the initial value,

@@ -5,14 +5,24 @@ import hashlib
 import numpy as np
 import pytest
 
+from hvsim.circuit import Switch
+from hvsim.engine import run_transient
 from hvsim.presets import load_preset
-from hvsim.runner import run_scenario
 from hvsim.waveform import Waveform, WaveformError
 
 
 def par(*resistances):
     """Parallel resistance (test-side oracle helper)."""
     return 1.0 / sum(1.0 / r for r in resistances)
+
+
+def driver_timelines(circuit, settings):
+    """Each switch's ``(initial state, driver-delayed events)`` over the grid
+    ``settings``, as ``hvsim run`` hands them to the engine."""
+    controls = circuit.control_map
+    return {sw.name: (sw.initial_state(controls[sw.control]),
+                      sw.events(circuit.control_edges(sw.control, settings), settings.stop))
+            for sw in circuit.components if isinstance(sw, Switch)}
 
 
 def study_values(study):
@@ -57,7 +67,8 @@ def preset_runs():
 
     def get(name):
         if name not in cache:
-            cache[name] = run_scenario(load_preset(name))
+            scenario = load_preset(name)
+            cache[name] = run_transient(scenario.circuit, scenario.settings)
         return cache[name]
 
     return get

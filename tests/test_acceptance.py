@@ -33,7 +33,6 @@ from hvsim.presets import (
     dual_channel_with_phase,
     load_preset,
 )
-from hvsim.runner import run_scenario
 
 from conftest import par, study_values
 from test_engine import random_rc_circuit
@@ -71,7 +70,8 @@ def stack_chain_oracle(balancing, v_in=800.0):
 class TestCriterion01BalancedSharing:
     def test_fig3(self, preset_runs):
         t0 = time.perf_counter()
-        fresh = run_scenario(load_preset("fig3"))
+        scenario = load_preset("fig3")
+        fresh = run_transient(scenario.circuit, scenario.settings)
         elapsed = time.perf_counter() - t0
         d1, d2 = blocking_drops_at(fresh, 0.85)
         o1, o2 = stack_chain_oracle(3.6e6)
@@ -233,7 +233,8 @@ class TestCriterion06DroopOrdering:
             ("A", "O"),
             balancing=1.8e6,
         )
-        ideal = measure_amplitude(run_scenario(scenario).voltage("O"), settle, 0.01)
+        ideal_run = run_transient(scenario.circuit, scenario.settings)
+        ideal = measure_amplitude(ideal_run.voltage("O"), settle, 0.01)
         dea_ok = amplitude(100.0, "dea") < ideal
         detail = (
             f"C-ordering {'ok' if cap_ok else 'VIOLATED'}; dea@100Hz "
@@ -261,12 +262,14 @@ class TestCriterion07DualChannelPhasing:
     def test_fig7c(self):
         peaks = {}
         for phase in (0.0, math.pi / 2, math.pi):
-            run = run_scenario(dual_channel_with_phase(phase))
+            scenario = dual_channel_with_phase(phase)
+            run = run_transient(scenario.circuit, scenario.settings)
             peaks[phase] = float(supply_port_current(run).samples.max())
         settings = dual_channel_with_phase(0.0).settings
-        single = run_scenario(bridge_scenario(
+        scenario = bridge_scenario(
             CONVERTER, series_rc_load(100e3, 10e-9), ControlSignal(frequency=100.0),
-            settings.step, settings.stop, ("A", "O"), balancing=1.8e6))
+            settings.step, settings.stop, ("A", "O"), balancing=1.8e6)
+        single = run_transient(scenario.circuit, scenario.settings)
         single_peak = float(supply_port_current(single).samples.max())
         ordering = peaks[math.pi] <= peaks[math.pi / 2] <= peaks[0.0]
         doubling = abs(peaks[0.0] - 2.0 * single_peak) / (2.0 * single_peak) < 0.01

@@ -21,8 +21,8 @@ from hvsim.analysis import (
     write_table,
 )
 from hvsim.circuit import CircuitError
+from hvsim.engine import run_transient
 from hvsim.presets import mc_template
-from hvsim.runner import run_scenario
 from hvsim.waveform import Waveform
 
 from conftest import par, study_values
@@ -173,8 +173,8 @@ class TestFrequencySweep:
         # a cell keeps no shares; its maximum drop is the one voltage_shares
         # gives on the same run's rows, bit for bit
         runs = []
-        monkeypatch.setattr(analysis, "run_scenario",
-                            lambda scenario: runs.append(run_scenario(scenario)) or runs[-1])
+        monkeypatch.setattr(analysis, "run_transient",
+                            lambda *args: runs.append(run_transient(*args)) or runs[-1])
         (m,) = study_values(frequency_sweep([200.0], ["10n"])).values()
         metrics = voltage_shares(*(runs[0].rows(n) for n in "ABOC"))
         assert m.shares is None and metrics.shares is not None
@@ -288,7 +288,8 @@ class TestMonteCarlo:
             rng = np.random.Generator(np.random.PCG64(child))
             offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
-            run = run_scenario(build(list(offs), list(offsets)))
+            trial = build(list(offs), list(offsets))
+            run = run_transient(trial.circuit, trial.settings)
             dense = [run.voltage(n).samples for n in "ABOC"]
             assert len(dense[0]) == run.n_samples
             metrics = voltage_shares(*dense)
@@ -310,7 +311,8 @@ class TestMonteCarlo:
                 np.random.SeedSequence(seed, spawn_key=(i,))))
             offs = MEDIAN_OFF_RESISTANCE * np.exp(model.sigma * rng.standard_normal(4))
             offsets = rng.uniform(-OFFSET_SPAN, OFFSET_SPAN, 4)
-            run = run_scenario(build(offs.tolist(), offsets.tolist()))
+            trial = build(offs.tolist(), offsets.tolist())
+            run = run_transient(trial.circuit, trial.settings)
             metrics = voltage_shares(*(run.rows(n) for n in "ABOC"))
             assert error is None
             assert np.float64(max_drop).tobytes() == np.float64(

@@ -76,9 +76,15 @@ class TestComponentInvariants:
          "S1: on-resistance 10.0 must be below off-resistance 5.0"),
         (lambda: Switch("S1", "a", "0", control="g", turn_off_delay=-1e-3),
          "S1: driver delays must be >= 0"),
+        (lambda: Switch("S1", "a", "0", control="g", turn_on_delay=math.nan),
+         "S1: turn_on_delay must be finite, got nan"),
+        (lambda: Switch("S1", "a", "0", control="g", turn_off_delay=math.inf),
+         "S1: turn_off_delay must be finite, got inf"),
+        (lambda: Switch("S1", "a", "0", control="g", delay_offset=-math.inf),
+         "S1: delay_offset must be finite, got -inf"),
         (lambda: VoltageSource("V1", "a", "0", 1.0, slew=0.0), "V1: slew limit must be > 0"),
     ], ids=["r-zero", "r-overflow", "c-negative", "s-negative", "s-overflow", "s-on-above-off",
-            "s-delay", "v-slew"])
+            "s-delay", "s-ton-nan", "s-toff-inf", "s-offset-inf", "v-slew"])
     def test_component_checks_its_fields_when_made(self, make, message):
         with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
             make()

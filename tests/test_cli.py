@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvsim import analysis, cli, electromech, netlist, runner
-from hvsim.circuit import ControlSignal
+from hvsim import analysis, cli, electromech, netlist
+from hvsim.circuit import ControlSignal, Switch
 from hvsim.cli import main
 from hvsim.netlist import print_scenario
 from hvsim.presets import load_preset
@@ -300,15 +300,15 @@ class TestSweep:
         from hvsim import electromech
         from hvsim.engine import SimulationError
 
-        real = analysis.run_scenario
+        real = analysis.run_transient
 
-        def flaky(scenario):
-            if any(failing(ctrl) for _, ctrl in scenario.circuit.controls):
+        def flaky(circuit, settings, timelines=None):
+            if any(failing(ctrl) for _, ctrl in circuit.controls):
                 raise SimulationError("diverged")
-            return real(scenario)
+            return real(circuit, settings, timelines)
 
-        monkeypatch.setattr(analysis, "run_scenario", flaky)
-        monkeypatch.setattr(electromech, "run_scenario", flaky)
+        monkeypatch.setattr(analysis, "run_transient", flaky)
+        monkeypatch.setattr(electromech, "run_transient", flaky)
         code = run_cli("sweep", *argv, "--out", str(tmp_path))
         assert code == 0
         assert reported in capsys.readouterr().err
@@ -717,7 +717,7 @@ class TestSweepGridCheckedUpFront:
     def test_no_cell_runs(self, tmp_path, capsys, monkeypatch, argv):
         ran = []
         for module in (analysis, electromech):
-            monkeypatch.setattr(module, "run_scenario", ran.append)
+            monkeypatch.setattr(module, "run_transient", lambda *args: ran.append(args))
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert "points" in capsys.readouterr().err
         assert ran == []
@@ -731,13 +731,13 @@ class TestSerialStudies:
     ], ids=["sweep-fig7", "montecarlo"])
     def test_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch, argv):
         threads = []
-        real = analysis.run_scenario
+        real = analysis.run_transient
 
-        def recording_run_scenario(scenario):
+        def recording_run_transient(*args):
             threads.append(threading.get_ident())
-            return real(scenario)
+            return real(*args)
 
-        monkeypatch.setattr(analysis, "run_scenario", recording_run_scenario)
+        monkeypatch.setattr(analysis, "run_transient", recording_run_transient)
         assert run_cli(*argv, "--workers", "2", "--out", str(tmp_path)) == 0
         assert len(threads) == (4 if argv[0] == "sweep" else 6)
         assert set(threads) == {threading.get_ident()}
@@ -755,23 +755,21 @@ class TestShootThroughOnDemand:
         def computed(*args):
             raise AssertionError("shoot-through computed")
 
-        for module in (cli, runner):
-            monkeypatch.setattr(module, "shoot_through_seconds", computed)
+        monkeypatch.setattr(cli, "shoot_through_seconds", computed)
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
     def test_run_schedules_its_drivers_once(self, tmp_path, monkeypatch):
         # the run and the shoot-through count read the same timelines
-        calls, real = [], runner.switch_timelines
+        calls, real = [], Switch.events
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(switch, *args):
+            calls.append(switch.name)
+            return real(switch, *args)
 
-        for module in (cli, runner):
-            monkeypatch.setattr(module, "switch_timelines", counted)
+        monkeypatch.setattr(Switch, "events", counted)
         argv = ["run", "--preset", "fig3", "--set", "comp.Sq1.toff=2m", "--out", str(tmp_path)]
         assert run_cli(*argv) == 0
-        assert len(calls) == 1
+        assert sorted(calls) == ["Sq1", "Sq2", "Sq3", "Sq4"]
 
     def test_run_warns(self, tmp_path, capsys):
         # a 2 ms turn-off delay on the top device overlaps the low side's turn-on
@@ -790,7 +788,7 @@ class TestNonFiniteInput:
         def started(*args, **kwargs):
             raise AssertionError("a simulation started")
 
-        for module, name in ((cli, "switch_timelines"), (cli, "run_transient"),
+        for module, name in ((Switch, "events"), (cli, "run_transient"),
                              (analysis, "frequency_sweep"),
                              (analysis, "phase_sweep"), (analysis, "monte_carlo"),
                              (electromech, "displacement_sweep")):

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from hvsim.circuit import CircuitError, ControlSignal, Resistor, Switch
+from hvsim.circuit import CircuitError, ControlSignal, Resistor, ScheduleError, Switch
 from hvsim.devices import (
     BenchSupplyParams,
     ConverterParams,
     DeaLoadParams,
-    ScheduleError,
-    driver_schedule,
     expand_bench_supply,
     expand_converter,
     expand_dea_load,
@@ -39,27 +37,29 @@ def dea_dc_resistance(params):
 
 
 class TestDriverSchedule:
+    """``Switch.events``: the driver delays applied to a control's edges."""
+
     def test_rising_edge_default_delay(self):
         # rising command at t=0 -> ON event 0.4 ms later
         ctrl = ControlSignal(frequency=10.0)
-        events = driver_schedule(ctrl.edges(0.06), driver(), stop=0.06)
+        events = driver().events(ctrl.edges(0.06), 0.06)
         assert events[0] == (pytest.approx(0.4e-3), True)
 
     def test_zero_delay_matches_command(self):
         ctrl = ControlSignal(frequency=50.0)
-        events = driver_schedule(ctrl.edges(0.05), driver(0.0, 0.0), stop=0.05)
+        events = driver(0.0, 0.0).events(ctrl.edges(0.05), 0.05)
         assert events == ctrl.edges(0.05)
 
     def test_one_khz_valid_ten_khz_rejected(self):
         switch = driver()
-        ok = driver_schedule(ControlSignal(frequency=1000.0).edges(5e-3), switch, stop=5e-3)
+        ok = switch.events(ControlSignal(frequency=1000.0).edges(5e-3), 5e-3)
         assert len(ok) > 0
         with pytest.raises(ScheduleError, match="too short"):
-            driver_schedule(ControlSignal(frequency=10000.0).edges(5e-3), switch, stop=5e-3)
+            switch.events(ControlSignal(frequency=10000.0).edges(5e-3), 5e-3)
 
     def test_events_strictly_increase_and_alternate(self):
         ctrl = ControlSignal(frequency=200.0, duty=0.3)
-        events = driver_schedule(ctrl.edges(0.05), driver(0.2e-3, 0.05e-3, 10e-6), stop=0.05)
+        events = driver(0.2e-3, 0.05e-3, 10e-6).events(ctrl.edges(0.05), 0.05)
         times = [t for t, _ in events]
         states = [s for _, s in events]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -67,15 +67,15 @@ class TestDriverSchedule:
 
     def test_offset_shifts_events(self):
         ctrl = ControlSignal(frequency=10.0)
-        base = driver_schedule(ctrl.edges(0.2), driver(), stop=0.2)
-        nudged = driver_schedule(ctrl.edges(0.2), driver(delay_offset=50e-6), stop=0.2)
+        base = driver().events(ctrl.edges(0.2), 0.2)
+        nudged = driver(delay_offset=50e-6).events(ctrl.edges(0.2), 0.2)
         for (t0, s0), (t1, s1) in zip(base, nudged):
             assert s0 == s1
             assert t1 - t0 == pytest.approx(50e-6)
 
     def test_invert_swaps_delays(self):
         ctrl = ControlSignal(frequency=10.0)
-        inv = driver_schedule(ctrl.edges(0.2), driver(invert=True), stop=0.2)
+        inv = driver(invert=True).events(ctrl.edges(0.2), 0.2)
         # command rises at 0 -> inverted device FALLS, so off-delay applies
         assert inv[0] == (pytest.approx(0.1e-3), False)
 

@@ -142,14 +142,15 @@ class TestRiseTime:
         # stretches the load's 10-90% voltage rise well past the bench value
         from hvsim.analysis import sweep_step_for
         from hvsim.presets import CONVERTER, converter_scenario
-        from hvsim.runner import run_scenario
+        from hvsim.engine import run_transient
 
         conv = CONVERTER
         bench = bench_matched_to_converter()
         rt = {}
         for name, supply in (("converter", conv), ("bench", bench)):
-            run = run_scenario(converter_scenario(6.0, "dea", 2, sweep_step_for(6.0),
-                                                  ("A", "O", "load_m"), supply=supply))
+            scenario = converter_scenario(6.0, "dea", 2, sweep_step_for(6.0),
+                                          ("A", "O", "load_m"), supply=supply)
+            run = run_transient(scenario.circuit, scenario.settings)
             v = run.voltage("load_m")
             rt[name] = rise_time_10_90(v.slice_time(v.stop - 1.0 / 6.0, v.stop))
         assert rt["converter"] > 2.0 * rt["bench"]

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,13 +18,12 @@ from hvsim.circuit import (
     CircuitError,
     ControlSignal,
     Resistor,
-    Scenario,
+    ScheduleError,
     Switch,
     VoltageSource,
 )
 from hvsim.analysis import MismatchModel, frequency_sweep, monte_carlo, voltage_shares
 from hvsim.cli import apply_override
-from hvsim.devices import ScheduleError
 from hvsim.engine import (
     IntegrationSettings,
     SimulationError,
@@ -31,10 +31,9 @@ from hvsim.engine import (
     run_transient,
 )
 from hvsim.presets import PRESET_NAMES, load_preset, mc_template
-from hvsim.runner import run_scenario, switch_timelines
 from hvsim.waveform import Waveform, write_csv
 
-from conftest import par, stamp_checksum
+from conftest import driver_timelines, par, stamp_checksum
 
 
 def simple_circuit(*components, controls=None):
@@ -250,7 +249,7 @@ class TestTransient:
         settings = IntegrationSettings(step=step, stop=stop)
         with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
             with np.errstate(all="ignore"):
-                run_transient(c, settings, switch_timelines(c, settings))
+                run_transient(c, settings)
 
     @pytest.mark.parametrize("components, timelines, step, stop, when", [
         # a 1000-step ramp, one stretch of four blocks: the source current
@@ -273,7 +272,6 @@ class TestTransient:
                     "h": ControlSignal(frequency=100.0, phase=math.pi)}
         c = simple_circuit(*components, controls=controls)
         settings = IntegrationSettings(step=step, stop=stop)
-        timelines = switch_timelines(c, settings) if timelines is None else timelines
         with pytest.raises(SimulationError, match=f"^solution diverged at t={when}$"):
             with np.errstate(all="ignore"):
                 run_transient(c, settings, timelines)
@@ -417,7 +415,7 @@ class TestTransient:
         with pytest.raises(ScheduleError, match="control 'g': f=1e\\+20 Hz commands"):
             run_transient(c, IntegrationSettings(step=1e-6, stop=1e-3), {})
 
-    def test_switch_timelines_checks_edge_count_before_listing_edges(self, monkeypatch):
+    def test_switch_control_checks_edge_count_before_listing_edges(self, monkeypatch):
         def listed(self, stop):
             raise AssertionError("an edge list was built")
 
@@ -429,7 +427,57 @@ class TestTransient:
             controls={"g": ControlSignal(frequency=1e20)},
         )
         with pytest.raises(ScheduleError, match="control 'g': f=1e\\+20 Hz commands"):
-            switch_timelines(c, IntegrationSettings(step=1e-6, stop=1e-3))
+            run_transient(c, IntegrationSettings(step=1e-6, stop=1e-3))
+
+
+class TestFaultPrecedence:
+    """Which fault a circuit with two of them reports: the structural check
+    first, then each switch in circuit order (its edge count, driver order
+    and snapping), then the gated sources, then the capacitor companions."""
+
+    SETTINGS = IntegrationSettings(step=1e-4, stop=0.02)
+    CONTROLS = {"g": ControlSignal(frequency=100.0, duty=0.001),  # a 10 us pulse
+                "h": ControlSignal(frequency=1000.0)}
+    SNAPS = "switch 'S1': events at t=0.01 and t=0.01001 snap to one grid index"
+    REORDERS = "driver delays reorder events at t=0.0006: command period too short"
+
+    def bridge(self, first, second):
+        """S1's pulse snaps to one index; S2's 0.6 ms turn-on outlasts its
+        0.5 ms command."""
+        parts = {"S1": Switch("S1", "B", "0", control="g", turn_on_delay=0.0,
+                              turn_off_delay=0.0),
+                 "S2": Switch("S2", "A", "B", control="h", turn_on_delay=0.6e-3,
+                              turn_off_delay=0.0)}
+        return simple_circuit(VoltageSource("V1", "A", "0", 10.0),
+                              Resistor("R1", "A", "B", 1e3), parts[first], parts[second],
+                              controls=self.CONTROLS)
+
+    @pytest.mark.parametrize("order, message", [
+        (("S1", "S2"), SNAPS), (("S2", "S1"), REORDERS)], ids=["snap-first", "reorder-first"])
+    def test_each_switch_in_circuit_order(self, order, message):
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}"):
+            run_transient(self.bridge(*order), self.SETTINGS)
+
+    @pytest.mark.parametrize("control, message", [
+        (ControlSignal(frequency=100.0, duty=0.001),
+         "source 'V1': events at t=0.01 and t=0.01001 snap to one grid index"),
+        (ControlSignal(frequency=1e20), "control 'g': f=1e+20 Hz commands more edges"),
+    ], ids=["snapped-edges", "edge-count"])
+    def test_gated_source_before_capacitor_companion(self, control, message):
+        c = simple_circuit(VoltageSource("V1", "A", "0", 10.0, control="g"),
+                           Resistor("R1", "A", "B", 1e3), Capacitor("C1", "B", "0", 1e305),
+                           controls={"g": control})
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}"):
+            run_transient(c, self.SETTINGS)
+        with pytest.raises(CircuitError, match="^C1: companion conductance 2C/h"):
+            run_transient(c.with_replaced("V1", control=None), self.SETTINGS)
+
+    def test_structure_before_switch_schedule(self):
+        c = self.bridge("S1", "S2")
+        with pytest.raises(CircuitError, match="^S1: undefined control 'nope'$"):
+            run_transient(c.with_replaced("S1", control="nope"), self.SETTINGS)
+        with pytest.raises(CircuitError, match="^node 'X' has no DC path to ground"):
+            run_transient(c.with_replaced("R1", pos="X", neg="Y"), self.SETTINGS)
 
 
 class TestLongRun:
@@ -437,8 +485,9 @@ class TestLongRun:
         """fig3 at a 20 Hz drive, with ``stop`` x1 and x40: the long run walks
         12,796 events and its first samples equal the short run's bit for bit."""
         scenario = apply_override(load_preset("fig3"), "ctrl.g.f", "20")
-        short = run_scenario(scenario)
-        long = run_scenario(scenario.with_settings(stop=40 * scenario.settings.stop))
+        short = run_transient(scenario.circuit, scenario.settings)
+        longer = scenario.with_settings(stop=40 * scenario.settings.stop)
+        long = run_transient(longer.circuit, longer.settings)
         assert (len(short.events), len(long.events)) == (316, 12_796)
         assert long.n_samples == 40 * (short.n_samples - 1) + 1
         for node in "ABOC":
@@ -713,7 +762,8 @@ class TestBlockedPropagator:
             return real(a)
 
         monkeypatch.setattr(engine, "lu_factor", counting_lu_factor)
-        run = run_scenario(load_preset("fig4b"))
+        scenario = load_preset("fig4b")
+        run = run_transient(scenario.circuit, scenario.settings)
         assert len(set(factored)) == len(factored)
         assert len(factored) < len(run.events)
 
@@ -816,9 +866,9 @@ class TestResistiveReuse:
         monkeypatch.setattr(engine, name, recording)
         scenario = load_preset("fig3")
         stop = scenario.settings.stop
-        run = run_scenario(scenario)
+        run = run_transient(scenario.circuit, scenario.settings)
         states = {n: initial for n, (initial, _) in
-                  switch_timelines(scenario.circuit, scenario.settings).items()}
+                  driver_timelines(scenario.circuit, scenario.settings).items()}
         seen = {tuple(states.values())}
         for t, group in itertools.groupby(run.events, key=lambda e: e[0]):
             for _, switch in group:
@@ -860,7 +910,8 @@ class TestResistiveReuse:
             rows.clear()
             factored.clear()
             offs = (3e8 * np.exp(rng.standard_normal(4))).tolist()
-            run = run_scenario(build(offs, rng.uniform(-5e-5, 5e-5, 4).tolist()))
+            trial = build(offs, rng.uniform(-5e-5, 5e-5, 4).tolist())
+            run = run_transient(trial.circuit, trial.settings)
             # the t=0 row and the start-up ramp's row, then one row per
             # topology (each factored once), made at its first held stretch:
             # every later stretch of a topology is a lookup
@@ -962,7 +1013,7 @@ class TestPowerTable:
         scenario = load_preset("fig3")
         for key, value in overrides:
             scenario = apply_override(scenario, key, value)
-        run = run_scenario(scenario)
+        run = run_transient(scenario.circuit, scenario.settings)
         assert run.starts is not None and counts == []
 
     def test_one_step_topologies_build_no_power_past_the_first(self, monkeypatch):
@@ -974,7 +1025,8 @@ class TestPowerTable:
             return P
 
         monkeypatch.setattr(engine._Operators, "step_powers", recording)
-        run_scenario(load_preset("fig8"))
+        scenario = load_preset("fig8")
+        run_transient(scenario.circuit, scenario.settings)
         # four of fig8's topologies hold for one trapezoidal step: F^0, F^1
         assert list(tables.values()).count(2) == 4
 
@@ -1181,7 +1233,7 @@ class TestRunLength:
 
 
 class TestEdgesListedOnce:
-    """``run_scenario`` lists a control's edges once, and only where they are
+    """``run_transient`` lists a control's edges once, and only where they are
     read: by a switch's driver schedule or by a gated source."""
 
     @pytest.fixture
@@ -1203,11 +1255,12 @@ class TestEdgesListedOnce:
             Capacitor("C1", "B", "0", 1e-6),
             controls={"g": ControlSignal(frequency=100.0, duty=0.02)},
         )
-        run_scenario(Scenario(c, IntegrationSettings(step=1e-4, stop=5e-2), probes=("B",)))
+        run_transient(c, IntegrationSettings(step=1e-4, stop=5e-2))
         assert len(edge_calls) == 1
 
     def test_fig3(self, edge_calls):
-        run_scenario(load_preset("fig3"))
+        scenario = load_preset("fig3")
+        run_transient(scenario.circuit, scenario.settings)
         assert len(edge_calls) == 1
 
 
@@ -1300,13 +1353,15 @@ class TestSharedLowering:
     ], ids=["resistor", "switch", "source"])
     def test_derived_run_matches_a_fresh_circuit(self, name, changes):
         base = load_preset("fig3")
-        first = run_scenario(base)  # keeps the lowering in the memo
+        first = run_transient(base.circuit, base.settings)  # keeps the lowering in the memo
         part = dataclasses.replace(base.circuit.component(name), **changes)
         derived = dataclasses.replace(base, circuit=base.circuit.with_parts({name: part}))
         assert derived.circuit.memo is base.circuit.memo
-        got, ref = run_scenario(derived), run_scenario(self.rebuilt(base, name, **changes))
+        rebuilt = self.rebuilt(base, name, **changes)
+        got = run_transient(derived.circuit, derived.settings)
+        ref = run_transient(rebuilt.circuit, rebuilt.settings)
         assert got.x.tobytes() == ref.x.tobytes()
-        assert run_scenario(base).x.tobytes() == first.x.tobytes()
+        assert run_transient(base.circuit, base.settings).x.tobytes() == first.x.tobytes()
 
 
 class TestStampOrder:
@@ -1373,10 +1428,6 @@ class TestWarmEqualsCold:
     circuit built cold, with an empty memo."""
 
     @staticmethod
-    def run(circuit, settings):
-        return run_transient(circuit, settings, switch_timelines(circuit, settings))
-
-    @staticmethod
     def edits(circuit, rng):
         """A seeded chain of derived circuits: one value edit per part kind
         (R, C, switch ``ron``/``roff``, source voltage, source slew) in a
@@ -1425,7 +1476,7 @@ class TestWarmEqualsCold:
         for edit, derived in enumerate(itertools.chain([circuit], self.edits(circuit, rng))):
             for settings in grids:
                 cold = Circuit.build(derived.components, dict(derived.controls))
-                warm, ref = self.run(derived, settings), self.run(cold, settings)
+                warm, ref = run_transient(derived, settings), run_transient(cold, settings)
                 for attr in ("x", "cap_i", "starts"):
                     got, want = getattr(warm, attr), getattr(ref, attr)
                     assert np.array_equal(got, want), (edit, settings, attr)

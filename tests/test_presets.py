@@ -26,6 +26,7 @@ from hvsim.analysis import (
     sweep_step_for,
 )
 from hvsim.electromech import bench_matched_to_converter, displacement_sweep
+from hvsim.engine import run_transient
 from hvsim.netlist import format_value, parse_value, print_scenario
 from hvsim.presets import (
     FIG7_FREQUENCIES,
@@ -38,7 +39,6 @@ from hvsim.presets import (
     load_preset,
     mc_template,
 )
-from hvsim.runner import run_scenario
 
 
 def components_of(name, cls):
@@ -151,16 +151,25 @@ class TestLoadFragment:
 
 def study_cells(monkeypatch, module, study, *args):
     """The scenarios ``study`` builds for its cells, in key order, each taken
-    as its cell starts; no cell runs."""
-    built = []
+    as its cell starts to run its circuit and grid; no cell runs."""
+    built, taken = {}, []
+    build = module.converter_scenario
 
-    def taken(scenario):
-        built.append(scenario)
+    def building(*args, **kwargs):
+        scenario = build(*args, **kwargs)
+        built[id(scenario.circuit)] = scenario
+        return scenario
+
+    def take(circuit, settings, timelines=None):
+        scenario = built[id(circuit)]
+        assert scenario.settings is settings and timelines is None
+        taken.append(scenario)
         raise MeasureError("not run")
 
-    monkeypatch.setattr(module, "run_scenario", taken)
+    monkeypatch.setattr(module, "converter_scenario", building)
+    monkeypatch.setattr(module, "run_transient", take)
     study(*args)
-    return built
+    return taken
 
 
 class TestConverterBridge:
@@ -254,7 +263,8 @@ class TestMonteCarloTemplate:
             assert trial == scratch
             assert print_scenario(trial) == print_scenario(scratch)
             assert trial.circuit.memo is memo and scratch.circuit.memo is not memo
-            got, ref = run_scenario(trial), run_scenario(scratch)
+            got = run_transient(trial.circuit, trial.settings)
+            ref = run_transient(scratch.circuit, scratch.settings)
             assert got.x.tobytes() == ref.x.tobytes() and got.events == ref.events
 
     def test_trial_skips_the_structural_checks(self, monkeypatch):

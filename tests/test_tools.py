@@ -215,8 +215,7 @@ class TestTrialSplit:
             assert getattr(module, attr) is fn, f"{attr} left wrapped"
         us = out["us_per_trial"]
         assert set(us) == {"trial_plain", "trial_wrapped", "key", "draws", "build",
-                           "switch_timelines", "run_transient", *trial_split.ENGINE,
-                           "walk", "_drops"}
+                           "run_transient", *trial_split.ENGINE, "walk", "_drops"}
         # the residual layers are differences of nested timers
         assert us["trial_plain"] > 0 and all(value >= 0 for value in us.values())
         calls = out["calls_per_trial"]

@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hvsim.circuit import CircuitError, ControlSignal, Scenario, Switch
+from hvsim.circuit import CircuitError, ControlSignal, Switch
 from hvsim.devices import BenchSupplyParams, expand_bench_supply
-from hvsim.engine import IntegrationSettings
+from hvsim.cli import shoot_through_seconds
+from hvsim.engine import IntegrationSettings, run_transient
 from hvsim.presets import bridge_scenario, dual_channel_with_phase, load_preset
-from hvsim.runner import run_scenario, shoot_through_seconds, switch_timelines
 
-from conftest import stamp_checksum
+from conftest import driver_timelines, stamp_checksum
 
 
 def bridge(**kw):
@@ -71,15 +71,15 @@ class TestBuildHalfBridge:
     def test_commanded_complementarity(self):
         # natural break-before-make: the sides are never commanded on together
         c = bridge(control=ControlSignal(frequency=50.0))
-        timelines = switch_timelines(c, IntegrationSettings(step=1e-4, stop=0.1))
+        timelines = driver_timelines(c, IntegrationSettings(step=1e-4, stop=0.1))
         assert shoot_through_seconds(c, timelines, 0.1) == 0.0
 
     @pytest.mark.parametrize("stop", [0.0, -1.0, float("nan")])
     def test_stop_not_positive_rejected(self, stop):
-        # switch_timelines takes its stop from the run's settings, which
+        # the switch events take their stop from the run's settings, which
         # reject it; a NaN stop must end there, not in an endless edge scan
         with pytest.raises(CircuitError, match="stop time must be"):
-            switch_timelines(bridge(), IntegrationSettings(step=1e-4, stop=stop))
+            run_transient(bridge(), IntegrationSettings(step=1e-4, stop=stop))
 
     def test_drops_sum_to_stack_voltage_exactly(self, preset_runs):
         run = preset_runs("fig3")
@@ -97,9 +97,7 @@ class TestBuildHalfBridge:
         c = bridge(driver_offsets=(0.0, 0.0, 0.0, 0.0))
         c = c.with_parts({comp.name: replace(comp, roff=500e6)
                           for comp in c.components if isinstance(comp, Switch)})
-        run = run_scenario(
-            Scenario(c, IntegrationSettings(step=1e-4, stop=2.0), probes=("A", "B", "O", "C"))
-        )
+        run = run_transient(c, IntegrationSettings(step=1e-4, stop=2.0))
         k = run.voltage("A").index_at(0.85)  # high side blocking, settled
         v_a = run.voltage("A").samples[k]
         v_b = run.voltage("B").samples[k]
@@ -114,23 +112,21 @@ class TestBuildDualChannel:
 
     def test_zero_phase_outputs_identical(self):
         c = self.make(0.0)
-        run = run_scenario(
-            Scenario(c, IntegrationSettings(step=1e-6, stop=0.02), probes=("O1", "O2"))
-        )
+        run = run_transient(c, IntegrationSettings(step=1e-6, stop=0.02))
         o1, o2 = run.voltage("O1").samples, run.voltage("O2").samples
         scale = np.max(np.abs(o1))
         assert np.max(np.abs(o1 - o2)) < 1e-12 * scale
 
     def test_pi_phase_offsets_edges_half_period(self):
         c = self.make(math.pi)
-        tl = switch_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
+        tl = driver_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
         t1 = [t for t, s in tl["Sch1q1"][1] if s]
         t2 = [t for t, s in tl["Sch2q1"][1] if s]
         assert t2[0] - t1[0] == pytest.approx(5e-3)
 
     def test_half_pi_phase_offset_at_100hz(self):
         c = self.make(math.pi / 2)
-        tl = switch_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
+        tl = driver_timelines(c, IntegrationSettings(step=1e-6, stop=0.02))
         t1 = [t for t, s in tl["Sch1q1"][1] if s]
         t2 = [t for t, s in tl["Sch2q1"][1] if s]
         assert (t2[0] - t1[0]) % 10e-3 == pytest.approx(2.5e-3)
@@ -216,7 +212,7 @@ class TestShootThrough:
         # a low-side turn-off slower than the high-side turn-on overlaps
         scenario = load_preset("fig3")
         circuit = scenario.circuit.with_replaced("Sq4", turn_off_delay=0.6e-3)
-        timelines = switch_timelines(circuit, scenario.settings)
+        timelines = driver_timelines(circuit, scenario.settings)
         got = shoot_through_seconds(circuit, timelines, scenario.settings.stop)
         assert got > 0
         assert got == midpoint_scan_shoot_through(circuit, timelines, scenario.settings.stop)

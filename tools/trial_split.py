@@ -10,13 +10,14 @@ once as it is, for the plain cost of a trial, and once with each layer
 wrapped by a ``perf_counter`` timer that also counts its calls.  The wrapped
 layers are module attributes, replaced for the wrapped run and restored
 after it: ``monte_carlo``'s trial loop (``analysis.run_study``), the trial's
-``build``, ``runner.switch_timelines``, ``runner.run_transient`` and, inside
-it, ``engine._lower``, ``engine._schedule``, ``engine._base_matrix``
+``build``, ``analysis.run_transient`` and, inside it, ``engine._lower``,
+``engine._schedule`` (the switches' driver events, snapped to the grid, and
+the switching sequence), ``engine._base_matrix``
 (stamp), ``engine._factor`` (factor), ``engine.lu_solve`` (solve) and
 ``engine._package``, and ``analysis._drops``.  Three layers are what is
 left of their parent: the key (``monte_carlo`` less its trial loop: the
 list of trial keys, where it is made before the trials), the draws (the
-trial loop less build, ``run_scenario`` and ``_drops``: the trial's
+trial loop less build, ``run_transient`` and ``_drops``: the trial's
 generator and draws, and its key where the trial makes it) and the walk
 (``run_transient`` less its wrapped layers).
 
@@ -37,14 +38,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hvsim import analysis, engine, runner  # noqa: E402
+from hvsim import analysis, engine  # noqa: E402
 from hvsim.presets import mc_template  # noqa: E402
 
 #: (layer, module, attribute) of every wrapped layer
 WRAPPED = (
     ("trial_loop", analysis, "run_study"),
-    ("switch_timelines", runner, "switch_timelines"),
-    ("run_transient", runner, "run_transient"),
+    ("run_transient", analysis, "run_transient"),
     ("_lower", engine, "_lower"),
     ("_schedule", engine, "_schedule"),
     ("stamp", engine, "_base_matrix"),
@@ -87,11 +87,9 @@ def _round(build, model) -> dict:
     finally:
         for module, attr, fn in saved:
             setattr(module, attr, fn)
-    # the timers of run_transient and switch_timelines nest in run_scenario's
-    # share of the trial loop, which has no timer of its own
-    run_scenario = spent["switch_timelines"] + spent["run_transient"]
     spent["key"] = total - spent["trial_loop"]
-    spent["draws"] = spent["trial_loop"] - spent["build"] - run_scenario - spent["_drops"]
+    spent["draws"] = (spent["trial_loop"] - spent["build"] - spent["run_transient"]
+                      - spent["_drops"])
     spent["walk"] = spent["run_transient"] - sum(spent[layer] for layer in ENGINE)
     spent["trial_plain"] = plain
     spent["trial_wrapped"] = total
@@ -106,8 +104,8 @@ def split(trials: int = 50, rounds: int = 40, quiet: int = 8) -> dict:
     analysis.monte_carlo(build, model)  # untimed: first-call set-up
     kept = sorted((_round(build, model) for _ in range(rounds)), key=lambda r: r["plain"])
     kept = kept[: max(1, min(quiet, rounds))]
-    order = ("trial_plain", "trial_wrapped", "key", "draws", "build", "switch_timelines",
-             "run_transient", *ENGINE, "walk", "_drops")
+    order = ("trial_plain", "trial_wrapped", "key", "draws", "build", "run_transient",
+             *ENGINE, "walk", "_drops")
     us = {layer: round(1e6 * sum(r["spent"][layer] for r in kept) / (len(kept) * trials), 2)
           for layer in order}
     per_trial = {layer: round(n / trials, 2) for layer, n in kept[0]["calls"].items()
