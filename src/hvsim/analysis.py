@@ -94,9 +94,11 @@ def measure_slew(w: Waveform) -> float:
 
 
 def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> float:
-    """The largest device drop of :func:`voltage_shares`, each difference
-    freed before the next is made."""
-    return max(float((a - b).max()), float((b - o).max()), float((o - c).max()), float(c.max()))
+    """The largest device drop of :func:`voltage_shares`, the three
+    differences made one after another in one buffer."""
+    d = a - b
+    return max(float(d.max()), float(np.subtract(b, o, out=d).max()),
+               float(np.subtract(o, c, out=d).max()), float(c.max()))
 
 
 def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> Metrics:
@@ -210,19 +212,21 @@ def supply_port_current(run: TransientResult) -> Waveform:
     output capacitor ``Csup_cpar`` when there is one."""
     if "Vsup_emf" not in run.source_names:
         raise KeyError("no supply fragment named 'sup' in this circuit")
-    delivered = run.source_current("Vsup_emf")
+    delivered = run.source_current("Vsup_emf")  # a new array, not a view of the run
     if "Csup_cpar" in run.cap_names:
         cpar = run.cap_current("Csup_cpar").samples
-        delivered = replace(delivered, samples=delivered.samples - cpar)
+        delivered = replace(delivered, samples=np.subtract(delivered.samples, cpar,
+                                                           out=delivered.samples))
     return delivered
 
 
 def _supply_peaks(run: TransientResult) -> Metrics:
     """Peak current and power the supply fragment delivers over the run."""
-    i_p = supply_port_current(run).samples
+    i_p = supply_port_current(run).samples  # a new array: the power is made in it
+    peak_current = float(i_p.max())
     return Metrics(
-        peak_source_current=float(i_p.max()),
-        peak_source_power=float(np.max(i_p * run.voltage("A").samples)),
+        peak_source_current=peak_current,
+        peak_source_power=float(np.multiply(i_p, run.voltage("A").samples, out=i_p).max()),
     )
 
 

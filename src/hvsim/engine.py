@@ -252,14 +252,18 @@ _ONE_THREAD = 1 << 18
 
 def _powers(F: np.ndarray, count: int, P: Optional[np.ndarray] = None) -> np.ndarray:
     """``F^0 .. F^count`` stacked, by repeated doubling: ``F^j = F^(j-k) @ F^k``
-    with ``k`` the largest power of two below ``j``.  Given ``P``, a table of
-    ``F^0 .. F^k`` from an earlier call with ``k`` a power of two, the doubling
-    resumes at ``k``: a table grown in steps has the bits of one built at once."""
-    if P is None:
-        P = np.stack([np.eye(F.shape[0]), F])
+    with ``k`` the largest power of two below ``j``.  numpy runs the stacked
+    product one gemm per power, so each power has the bits of its own 2-D
+    product on every kernel (one taller product of the stacked rows would round
+    by the kernel's row blocking).  Given ``P``, a table of ``F^0 .. F^k`` from
+    an earlier call with ``k`` a power of two, the doubling resumes at ``k``: a
+    table grown in steps has the bits of one built at once."""
     out = np.empty((count + 1,) + F.shape)
-    k = len(P) - 1  # out[0..k] are filled
-    out[: k + 1] = P
+    if P is None:
+        out[0], out[1], k = np.eye(len(F)), F, 1  # out[0..k] are filled
+    else:
+        k = len(P) - 1
+        out[: k + 1] = P
     while k < count:
         span = min(k, count - k)
         out[k + 1 : k + 1 + span] = out[1 : 1 + span] @ out[k]
@@ -303,17 +307,16 @@ class _Operators:
             x = self.rows[key] = self.solve(emf, t)
         return x
 
-    def response(self, inc: np.ndarray, m: int) -> np.ndarray:
-        """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``."""
+    def response(self, ns: np.ndarray) -> np.ndarray:
+        """``A^-1 [N S]``, so that ``x = A^-1 [N S] [hist; emf]``, from the
+        run's ``[N S]`` stored by columns, one contiguous row each."""
         if self.k is None:
-            size = inc.shape[0]
-            cols = np.hstack([inc, np.eye(size)[:, size - m :]])
             # one column per solve: OpenBLAS threads a multi-column getrs,
             # and its idle workers then spin through the rest of the run
-            self.k = np.column_stack([lu_solve(self.lu, col) for col in cols.T])
+            self.k = np.column_stack([lu_solve(self.lu, col) for col in ns])
         return self.k
 
-    def step_powers(self, inc: np.ndarray, m: int, length: int) -> np.ndarray:
+    def step_powers(self, walk: "_Walk", length: int) -> np.ndarray:
         """Powers ``F^0 .. F^length`` at least (``length <= _BLOCK``) of the
         trapezoidal one-step map ``F`` of ``z = [hist; emf; emf step]``.
 
@@ -321,12 +324,12 @@ class _Operators:
         EMF advances by its per-step increment.
         """
         if self.powers is None:
-            nc = inc.shape[1]
-            F = np.eye(nc + 2 * m)
-            F[:nc, : nc + m] = 2.0 * self.g[:, None] * (inc.T @ self.response(inc, m))
-            F[:nc, :nc] -= np.eye(nc)
-            F[nc : nc + m, nc + m :] = np.eye(m)
-            self.powers = _powers(F, 1)
+            nc = walk.inc.shape[1]
+            self.powers = P = walk.start.copy()  # [I; F], F's capacitor rows filled here
+            F = P[1]
+            np.multiply(2.0 * self.g[:, None], walk.inc.T @ self.response(walk.ns),
+                        out=F[:nc, : len(walk.ns)])
+            F[:nc, :nc] -= P[0, :nc, :nc]
         if len(self.powers) <= length:  # grow to the next power of two
             count = 1 << (length - 1).bit_length()
             self.powers = _powers(self.powers[1], count, self.powers)
@@ -382,7 +385,8 @@ class TransientResult:
     def _wave(self, column: np.ndarray) -> Waveform:
         if self.starts is not None:
             column = np.repeat(column, np.diff(self.starts, append=self.n_samples))
-        column.flags.writeable = False  # a dense result's column is a view of it
+        elif column.base is not None:  # a view of the stored result
+            column.flags.writeable = False
         return Waveform(0.0, self.step, column)
 
     def rows(self, label: str) -> np.ndarray:
@@ -578,35 +582,68 @@ def _topology(low: _Lowered, topologies, states, damped: bool = False, g=None) -
     return op
 
 
-def _propagate(trap, be, inc, out, vc, ic, emf, d_emf, drive, ramp, idx0, seg_end, damp):
+@dataclass
+class _Walk:
+    """What every segment of one run with capacitors shares: the capacitor
+    incidence ``N``, ``[N S]`` by columns (each a contiguous row, the
+    right-hand side of one response solve), the start of each trapezoidal
+    power table (``[I; F]`` with ``F``'s capacitor rows left to fill), the
+    rows of one output product and a scratch of that many trapezoidal
+    states, and the dense ``(x, cap_i)`` arrays the run fills."""
+
+    inc: np.ndarray
+    ns: np.ndarray
+    start: np.ndarray
+    batch: int
+    states: np.ndarray
+    out: Tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, low: _Lowered, n_steps: int) -> "_Walk":
+        size, nc, m = low.size, len(low.caps), len(low.sources)
+        inc = _incidence(low, size, low.caps)
+        ns = np.ascontiguousarray(np.hstack([inc, np.eye(size)[:, size - m :]]).T)
+        n = nc + 2 * m
+        start = np.stack([np.eye(n), np.eye(n)])
+        start[1, nc : nc + m, nc + m :] = np.eye(m)
+        # rows per product: as many _BLOCK-row blocks as one BLAS thread runs
+        batch = max(1, _ONE_THREAD // (_BLOCK * size * (nc + m))) * _BLOCK
+        # column-major, so each unknown's trace is contiguous; the walk writes
+        # every row, row 0 from the t=0 solve
+        out = tuple(np.empty((rows, n_steps + 1)).T for rows in (size, nc))
+        return cls(inc, ns, start, batch, np.empty((min(batch, n_steps), n)), out)
+
+
+def _propagate(walk, trap, be, vc, ic, emf, d_emf, drive, ramp, idx0, seg_end, damp):
     """Propagate phase of a run with capacitors: advance from grid index
     ``idx0`` to ``seg_end``, the first ``damp`` steps backward Euler through
     ``be``, the rest trapezoidal through ``trap``, the EMF at step ``k`` being
     ``emf + (k - idx0) * d_emf`` (``drive`` at every step unless ``ramp``).
     A trapezoidal stretch fills its states a block at a time from the power
-    table, then its rows of the dense ``(x, cap_i)`` arrays ``out`` in one
-    product per batch of blocks.  Returns the capacitor voltages and currents
-    at ``seg_end``; the caller checks the segment ends finite after the walk."""
+    table, then its rows of the dense ``(x, cap_i)`` arrays in one product per
+    batch of blocks, and its capacitor currents one trace per capacitor.
+    Returns the capacitor voltages and currents at ``seg_end``; the caller
+    checks the segment ends finite after the walk."""
+    inc, (x_out, i_out) = walk.inc, walk.out
     nc, m = inc.shape[1], len(emf)
     if damp:
-        k_be = be.response(inc, m)
+        k_be = be.response(walk.ns)
         rhs = np.concatenate([vc, drive])  # [hist; emf], rewritten in place per step
         hist = rhs[:nc]
         for k in range(idx0 + 1, idx0 + 1 + damp):
             np.multiply(be.g, vc, out=hist)
             if ramp:
                 np.add(emf, (k - idx0) * d_emf, out=rhs[nc:])
-            out[0][k] = x = k_be @ rhs
+            x_out[k] = x = k_be @ rhs
             vc = x @ inc
-            ic = np.subtract(be.g * vc, hist, out=out[1][k])
+            ic = np.subtract(be.g * vc, hist, out=i_out[k])
     k = idx0 + 1 + damp
     if k <= seg_end:
-        P = trap.step_powers(inc, m, min(_BLOCK, seg_end + 1 - k))
-        k_tr = trap.response(inc, m)
+        P = trap.step_powers(walk, min(_BLOCK, seg_end + 1 - k))
+        k_tr, g = trap.k, trap.g[:, None]  # the response made by step_powers
         drive = emf + (k - idx0) * d_emf if ramp else drive  # d_emf is +0.0 if not ramp
         z = np.concatenate([trap.g * vc + ic, drive, d_emf])
-        batch = max(1, _ONE_THREAD // (_BLOCK * k_tr.size)) * _BLOCK  # rows per product
-        Z = np.empty((min(batch, seg_end + 1 - k), z.size))  # row i: [hist; emf; emf step]
+        Z, batch, traces = walk.states, walk.batch, i_out.T  # Z row i: [hist; emf; emf step]
         while k <= seg_end:
             rows = min(batch, seg_end + 1 - k)
             if rows > _BLOCK and rows % _BLOCK == 1:  # a one-row block is a product of its own
@@ -616,11 +653,15 @@ def _propagate(trap, be, inc, out, vc, ic, emf, d_emf, drive, ramp, idx0, seg_en
                 np.matmul(P[:L].reshape(-1, z.size), z, out=Z[i : i + L].reshape(-1))
                 if k + i + L <= seg_end:  # the last advance would never be read
                     z = P[L] @ z
-            X = out[0][k : k + rows] = Z[:rows, : nc + m] @ k_tr.T
-            np.subtract(trap.g * (X @ inc), Z[:rows, :nc], out=out[1][k : k + rows])
+            X = x_out[k : k + rows] = Z[:rows, : nc + m] @ k_tr.T
+            V = X @ inc
+            # 2G Nᵀx - hist, a contiguous run per capacitor
+            cur = np.multiply(g, V.T, out=traces[:, k : k + rows])
+            cur -= Z[:rows, :nc].T
             k += rows
-        vc = X[-1] @ inc  # x at seg_end as a contiguous row: same BLAS path, same bits
-        ic = out[1][seg_end]
+        # vc from x at seg_end as a contiguous row (a gemv); a one-row X @ inc is that gemv
+        vc = V[0] if rows == 1 else X[-1] @ inc
+        ic = i_out[seg_end]
     return vc, ic
 
 
@@ -721,13 +762,14 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
             low, controls, sequence, states, emf, settled, h), events)
 
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
+    # switch states -> (trapezoidal operators, backward-Euler ones once damped)
+    pairs: Dict[Tuple[bool, ...], Tuple[_Operators, Optional[_Operators]]] = {}
     cap_c = np.array([cap.capacitance for cap in low.caps])
     g_trap, g_be = 2.0 * cap_c / h, cap_c / h
     vc = np.array([cap.initial_voltage for cap in low.caps])
-    inc = _incidence(low, low.size, low.caps)
     x0, ic, determinate = _initial_solve(low, states, emf)
-    # column-major, so each unknown's trace is contiguous
-    out = tuple(np.zeros((rows, settings.n_steps + 1)).T for rows in (low.size, nc))
+    walk = _Walk.of(low, settings.n_steps)
+    out = walk.out
     out[0][0], out[1][0] = x0, ic
     # damped start only when loop currents were indeterminate at t=0; a
     # clean start keeps the trapezoidal charge identity exact from the first step
@@ -736,12 +778,16 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
     ends: List[int] = []  # every segment end, checked finite after the walk
     for boundary, after, restart in sequence:
         if idx0 < boundary:  # the operators of the segments up to the boundary
-            try:
-                trap = _topology(low, topologies, states, False, g_trap)
-                be = _topology(low, topologies, states, True, g_be) if pending_damp else None
-            except SimulationError:  # unless a segment before it diverged first
-                _check_finite(out[0], ends, h)
-                raise
+            pair = pairs.get(states)
+            if pair is None or pending_damp and pair[1] is None:
+                try:
+                    pair = pairs[states] = (
+                        _topology(low, topologies, states, False, g_trap),
+                        _topology(low, topologies, states, True, g_be) if pending_damp else None)
+                except SimulationError:  # unless a segment before it diverged first
+                    _check_finite(out[0], ends, h)
+                    raise
+            trap, be = pair
         while idx0 < boundary:  # one segment per ramp knee before the boundary
             if held is None and emf.tobytes() == settled:  # no EMF moves from here on
                 held = zero, emf + zero, 0  # d_emf, drive, ramp of every later segment
@@ -753,7 +799,7 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
                 seg_end, (d_emf, drive, ramp) = boundary, held
             steps = seg_end - idx0
             damp = min(pending_damp, steps)
-            vc, ic = _propagate(trap, be, inc, out, vc, ic, emf, d_emf, drive, ramp,
+            vc, ic = _propagate(walk, trap, be, vc, ic, emf, d_emf, drive, ramp,
                                 idx0, seg_end, damp)
             ends.append(seg_end)
             pending_damp = max(0, pending_damp - steps)

@@ -37,7 +37,7 @@ class Waveform:
             raise WaveformError(f"step must be > 0, got {self.step}")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise WaveformError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.isfinite(self.samples).all():
             bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
             raise WaveformError(f"non-finite sample at t={self.time_at(bad)!r}")
 
@@ -246,8 +246,7 @@ def write_csv(path, columns: Dict[str, Waveform]) -> None:
         if not first.same_grid(w):
             raise WaveformError("CSV columns must share one sampling grid")
     data = [first.times()] + [w.samples for w in waves]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("t," + ",".join(columns) + "\n").encode())
         for i in range(0, len(first), _CSV_BLOCK):
-            block = np.stack([col[i : i + _CSV_BLOCK] for col in data], axis=1)
-            fh.write(_csv_rows(block).decode("ascii"))
+            fh.write(_csv_rows(np.stack([col[i : i + _CSV_BLOCK] for col in data], axis=1)))

@@ -3,8 +3,12 @@
 import dataclasses
 import itertools
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -978,7 +982,46 @@ class TestEmfAdvance:
             assert engine._advance(emf, target, slope, steps, h).tobytes() == ref.tobytes()
 
 
+#: a child process's check of the power table under the OpenBLAS kernel it
+#: runs: its kernel line, then ``n j`` for each size whose power ``F^j`` is not
+#: bit for bit the 2-D product ``F^(j-k) @ F^k`` (``k`` the largest power of
+#: two below ``j``) that the doubling names
+POWERS_CHILD = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+from blas_kernel import describe
+from hvsim.engine import _BLOCK, _powers
+print(describe())
+rng = np.random.default_rng(38)
+for n in range(3, 12):
+    F = rng.standard_normal((n, n)) / np.sqrt(n)
+    table, powers = _powers(F, _BLOCK), [np.eye(n), F]
+    for j in range(2, _BLOCK + 1):
+        k = 1 << (j - 1).bit_length() - 1
+        powers.append(powers[j - k] @ powers[k])
+    bad = [j for j, power in enumerate(powers) if table[j].tobytes() != power.tobytes()]
+    if bad:
+        print(n, bad[0])
+"""
+
+
 class TestPowerTable:
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 kernel names")
+    @pytest.mark.parametrize("kernel", ["Katmai", "Nehalem"])
+    def test_each_power_is_its_own_2d_product_under_other_kernels(self, kernel):
+        # the stacked doubling must run one gemm per power: one taller product
+        # of the stacked rows rounds by the kernel's row blocking, which this
+        # host's kernel may not show (Katmai and Nehalem do at sizes 5-11)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+        lines = subprocess.run(
+            [sys.executable, "-c", POWERS_CHILD, str(root / "src"), str(root / "tools")],
+            env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+        if lines[0] != f"blas kernels: numpy {kernel}, scipy {kernel}":
+            pytest.skip(f"the child ran {lines[0]}")
+        assert lines[1:] == []
+
     def test_short_table_is_a_prefix_of_the_full_one(self):
         rng = np.random.default_rng(16)
         for n in (3, 17):
@@ -1020,8 +1063,8 @@ class TestPowerTable:
         tables = {}  # the table length of each capacitive topology, by id
         step_powers = engine._Operators.step_powers
 
-        def recording(self, inc, m, length):
-            tables[id(self)] = len(P := step_powers(self, inc, m, length))
+        def recording(self, walk, length):
+            tables[id(self)] = len(P := step_powers(self, walk, length))
             return P
 
         monkeypatch.setattr(engine._Operators, "step_powers", recording)

@@ -225,6 +225,33 @@ class TestTrialSplit:
         json.dumps(out)
 
 
+class TestCellSplit:
+    def test_two_cells_split_by_layer_and_restore_the_program(self):
+        cell_split = _load("cell_split")
+        engine = cell_split.engine
+        originals = [(owner, attr, getattr(owner, attr))
+                     for _, owner, attr in cell_split.WRAPPED]
+        originals.append((engine, "_propagate", engine._propagate))
+        out = cell_split.split(rounds=1, quiet=1)
+        for owner, attr, fn in originals:
+            assert getattr(owner, attr) is fn, f"{attr} left wrapped"
+        assert set(out["cells"]) == {"30 Hz/10n", "200 Hz/dea"}
+        for cell in out["cells"].values():
+            us, calls = cell["us_per_cell"], cell["calls_per_cell"]
+            timed = {layer for layer, _, _ in cell_split.WRAPPED[1:]} | {
+                layer for layer, _ in cell_split.STATEMENTS} | {"segment", "walk"}
+            assert set(us) == timed | {"cell_plain", "cell_timed", "topology_set_up"}
+            assert set(calls) == timed
+            # the residual layers are differences of nested timers
+            assert all(value >= 0 for value in us.values())
+            assert calls["schedule"] == calls["walk"] == calls["metrics"] == 1
+            # every segment runs trapezoidal steps after its damped ones (84
+            # of them damped); a batch's outputs are two timed runs of statements
+            assert calls["segment"] == calls["power_table"] == calls["trapezoidal_states"] == 89
+            assert calls["damped_steps"] == 84 and calls["stretch_outputs"] == 2 * 89
+        json.dumps(out)
+
+
 class TestInProcess:
     def test_loads_two_trees_and_restores_sys_modules(self):
         import hvsim.cli  # noqa: F401  (numpy and the rest are loaded before, as in a tool run)

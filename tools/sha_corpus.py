@@ -3,7 +3,7 @@
 Usage::
 
     python tools/sha_corpus.py OUT_DIR [JOB ...] > listing.txt
-    python tools/sha_corpus.py --against REV WORK_DIR
+    python tools/sha_corpus.py --against REV WORK_DIR [--kernel NAME]
     python tools/sha_corpus.py --check WORK_DIR
 
 Each job is one in-process ``hvsim.cli.main(argv)`` call writing into its own
@@ -32,6 +32,12 @@ prints each differing line, ``-`` for ``REV`` and ``+`` for the working
 tree; for each CSV that differs, each column's largest ``|change - parent|``
 over its largest ``|parent|``; the kernel line; and last ``N differing lines
 of M``.  It exits 1 when a line differs.
+
+``--kernel NAME`` runs both child processes under ``OPENBLAS_CORETYPE=NAME``
+(``Haswell``, ``Nehalem``, ...), so that a change's bits are compared under a
+kernel this host does not pick by itself.  The kernel line printed is then
+the children's, from their listings' headers, and the run stops without
+comparing when a child's header does not name ``NAME`` for both libraries.
 
 ``--check`` compares a run of the working tree's ``src/`` (into
 ``WORK_DIR/change``) with the committed listing, ``tools/corpus.sha256``,
@@ -326,13 +332,15 @@ def _export(rev: str, tree: Path) -> Path:
     return tree / "tools" / "sha_corpus.py"
 
 
-def _start(script: Path, tree: Path, only=()) -> subprocess.Popen:
+def _start(script: Path, tree: Path, only=(), kernel=None) -> subprocess.Popen:
     """A child process that runs the jobs ``only`` (or all) into ``tree/out``,
-    its listing going to ``tree/listing.txt``."""
+    its listing going to ``tree/listing.txt``; under ``OPENBLAS_CORETYPE=kernel``
+    when ``kernel`` is given."""
     tree.mkdir(parents=True, exist_ok=True)
+    env = None if kernel is None else dict(os.environ, OPENBLAS_CORETYPE=kernel)
     with open(tree / "listing.txt", "w") as listing:
         return subprocess.Popen([sys.executable, str(script), str(tree / "out"), *only],
-                                stdout=listing)
+                                stdout=listing, env=env)
 
 
 def _wait(*procs: subprocess.Popen) -> None:
@@ -340,10 +348,10 @@ def _wait(*procs: subprocess.Popen) -> None:
         sys.exit("a corpus run failed; see its stderr above")
 
 
-def _report(old: dict, new: dict, parent: Path, change: Path) -> int:
+def _report(old: dict, new: dict, parent: Path, change: Path, kernels: str) -> int:
     """Print each differing line and, for a CSV in both ``parent/out`` and
-    ``change/out``, its :func:`csv_drift`; then the count.  Returns 1 when a
-    line differs, else 0."""
+    ``change/out``, its :func:`csv_drift`; then the kernel line ``kernels``
+    and the count.  Returns 1 when a line differs, else 0."""
     differing = 0
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) == new.get(key):
@@ -357,19 +365,24 @@ def _report(old: dict, new: dict, parent: Path, change: Path) -> int:
         if name.endswith(".csv") and (parent / "out" / sub / name).is_file() and key in new:
             for line in csv_drift(parent / "out" / sub / name, change / "out" / sub / name):
                 print(f"    {line}")
-    print(describe())
+    print(kernels)
     print(f"{differing} differing lines of {len(new)}")
     return 1 if differing else 0
 
 
-def against(rev: str, work: Path) -> int:
-    """Run the job list on ``rev``'s ``src/`` and on the working tree's; print
-    the differences.  Returns 1 when a line differs, else 0."""
+def against(rev: str, work: Path, kernel=None) -> int:
+    """Run the job list on ``rev``'s ``src/`` and on the working tree's, each
+    under ``OPENBLAS_CORETYPE=kernel`` when ``kernel`` is given; print the
+    differences.  Returns 1 when a line differs, else 0."""
     work = _empty(work)
     parent, change = work / "parent", work / "change"
-    _wait(_start(_export(rev, parent), parent), _start(Path(__file__), change))
+    _wait(_start(_export(rev, parent), parent, kernel=kernel),
+          _start(Path(__file__), change, kernel=kernel))
+    kernels = {listing_kernels(tree / "listing.txt") for tree in (parent, change)}
+    if kernel is not None and kernels != {f"blas kernels: numpy {kernel}, scipy {kernel}"}:
+        sys.exit(f"asked for kernel {kernel}; the children ran {' and '.join(sorted(kernels))}")
     return _report(_listing(parent / "listing.txt"), _listing(change / "listing.txt"),
-                   parent, change)
+                   parent, change, listing_kernels(change / "listing.txt"))
 
 
 def check(work: Path) -> int:
@@ -386,17 +399,17 @@ def check(work: Path) -> int:
                    if name.endswith(".csv") and (job, name) in old and old[job, name] != entry})
     if redo:
         _wait(_start(_export("HEAD", parent), parent, redo))
-    return _report(old, new, parent, change)
+    return _report(old, new, parent, change, describe())
 
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    if len(args) == 3 and args[0] == "--against":
-        sys.exit(against(args[1], Path(args[2])))
+    if len(args) in (3, 5) and args[0] == "--against" and args[3:4] in ([], ["--kernel"]):
+        sys.exit(against(args[1], Path(args[2]), *args[4:]))
     if len(args) == 2 and args[0] == "--check":
         sys.exit(check(Path(args[1])))
     if not args or args[0].startswith("--"):
         sys.exit("usage: python tools/sha_corpus.py OUT_DIR [JOB ...]\n"
-                 "       python tools/sha_corpus.py --against REV WORK_DIR\n"
+                 "       python tools/sha_corpus.py --against REV WORK_DIR [--kernel NAME]\n"
                  "       python tools/sha_corpus.py --check WORK_DIR")
     run(Path(args[0]), set(args[1:]) or None)
