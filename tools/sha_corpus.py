@@ -121,6 +121,26 @@ Xload O 0 dea
 .end
 """
 
+#: every X kind with each of its keys off the default, its internal nodes probed
+XKEYS = """\
+Xb A 0 bench v=900 rout=2k slew=20M
+Sq A O ctrl=g
+Xd O 0 dea c=20n rs=30k rp=3.3M
+Xc P 0 converter voc=1.5k rint=1M cpar=2n pre=0
+Xp P Q probe rin=50M cin=10p
+Rq Q 0 1M
+.ctrl g square f=1k
+.tran 2u 2m
+.probe A
+.probe b_e
+.probe O
+.probe d_m
+.probe P
+.probe c_e
+.probe Q
+.end
+"""
+
 #: a hand-written netlist whose only gated element is a source: a 200 us pulse
 #: every 10 ms into an RC
 GATED = """\
@@ -166,6 +186,7 @@ def jobs():
     yield "run:netlist:fig3-pair", ["run"], ("fig3_pair", fig3)
     yield "run:netlist:xfrag", ["run"], ("xfrag", XFRAG)
     yield "run:netlist:xconv", ["run"], ("xconv", XCONV)
+    yield "run:netlist:xkeys", ["run"], ("xkeys", XKEYS)
     yield "run:netlist:gated", ["run"], ("gated", GATED)
     # the one run job with a plot: a linear-axis SVG
     yield "run:fig5:plot", ["run", "--preset", "fig5", "--plot"], None
