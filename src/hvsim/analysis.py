@@ -1,5 +1,5 @@
-"""Waveform metrics and study orchestration: amplitude, slew rate, per-device
-voltage shares, frequency/load sweeps, dual-channel phasing, and seeded
+"""Waveform metrics and study orchestration: amplitude, slew rate, the
+largest device drop, frequency/load sweeps, dual-channel phasing, and seeded
 Monte-Carlo mismatch studies.  Every study runs its keyed cells one after
 another through :func:`run_study` and is written with :func:`write_table`."""
 
@@ -28,7 +28,6 @@ class Metrics:
 
     amplitude: Optional[float] = None
     slew_rate: Optional[float] = None
-    shares: Optional[Tuple[float, ...]] = None
     max_device_drop: Optional[float] = None
     peak_source_current: Optional[float] = None
     peak_source_power: Optional[float] = None
@@ -94,38 +93,18 @@ def measure_slew(w: Waveform) -> float:
 
 
 def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> float:
-    """The largest device drop of :func:`voltage_shares`, the three
-    differences made one after another in one buffer."""
+    """The largest device drop of the stack, over ``A-B``, ``B-O``, ``O-C``
+    and ``C-D`` (``D`` is ground), from the node voltages ``a``, ``b``, ``o``
+    and ``c`` indexed alike; the three differences are made one after another
+    in one buffer.
+
+    The arrays may hold every grid point, or one value per run of a
+    run-length result (:meth:`TransientResult.rows`): a run's value holds over
+    its whole run, so the maximum is the same bit for bit on either form.
+    """
     d = a - b
     return max(float(d.max()), float(np.subtract(b, o, out=d).max()),
                float(np.subtract(o, c, out=d).max()), float(c.max()))
-
-
-def voltage_shares(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> Metrics:
-    """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
-    ``C-D`` (``D`` is ground), from the node voltages ``a``, ``b``, ``o`` and
-    ``c`` indexed alike.
-
-    Drops are differences of the measured node traces; shares are evaluated
-    at the last sample of the widest blocking plateau (where the stack
-    end-to-end voltage is within 0.1% of its maximum) and so describe the
-    steady blocking state.  Shares are reported as fractions of the stack
-    end-to-end voltage and are undefined (None) below 1 V.
-
-    The arrays may hold every grid point, or one value per run of a
-    run-length result (:meth:`TransientResult.rows`): a run's value holds
-    over its whole run, so the maximum, and the value at the last index
-    where a condition holds, are the same bit for bit on either form.
-    """
-    drops = (a - b, b - o, o - c, c)
-    total = a
-    peak = float(total.max())
-    shares: Optional[Tuple[float, ...]] = None
-    if peak > 1.0:
-        plateau = np.flatnonzero(total >= 0.999 * peak)
-        k = int(plateau[-1])
-        shares = tuple(float(drop[k] / total[k]) for drop in drops)
-    return Metrics(shares=shares, max_device_drop=max(float(drop.max()) for drop in drops))
 
 
 #: the failures that fail one study cell and leave the others running
@@ -207,7 +186,7 @@ def sweep_frequencies(frequencies: Sequence[float]) -> List[float]:
 
 
 def supply_port_current(run: TransientResult) -> Waveform:
-    """Current delivered by the supply fragment ``sup`` into the circuit:
+    """Current delivered by the supply block ``sup`` into the circuit:
     its EMF branch current, less the charging current of the converter's
     output capacitor ``Csup_cpar`` when there is one."""
     if "Vsup_emf" not in run.source_names:
@@ -221,7 +200,7 @@ def supply_port_current(run: TransientResult) -> Waveform:
 
 
 def _supply_peaks(run: TransientResult) -> Metrics:
-    """Peak current and power the supply fragment delivers over the run."""
+    """Peak current and power the supply block delivers over the run."""
     i_p = supply_port_current(run).samples  # a new array: the power is made in it
     peak_current = float(i_p.max())
     return Metrics(
@@ -245,7 +224,7 @@ def _cell_metrics(run: TransientResult, frequency: float) -> Metrics:
 def frequency_sweep(frequencies: Sequence[float], loads: Sequence[str]) -> Study:
     """:class:`Metrics` per (frequency, load) cell, converter-fed through the
     1.8 MOhm-balanced stack, frequency major.  Every cell runs to its own
-    steady state; its ``shares`` are None (only its maximum drop is kept)."""
+    steady state."""
     if not frequencies:
         raise MeasureError("empty frequency list")
     if not loads:

@@ -3,8 +3,8 @@
 A :class:`Circuit` is an immutable bag of components plus named square-wave
 control signals.  Node references are string labels; ``"0"`` and ``"GND"``
 both denote the ground reference.  Components are the four primitives R, C,
-S and V; two-terminal blocks (supplies, probes, loads) are built from them by
-the fragments of :mod:`hvsim.devices`.  A :class:`Scenario` is one experiment
+S and V; the two-terminal blocks of :mod:`hvsim.devices` (supplies, probes,
+loads) are made of them.  A :class:`Scenario` is one experiment
 as a netlist describes it: the circuit, its ``.tran`` grid
 (:class:`IntegrationSettings`) and its ``.probe`` requests.
 

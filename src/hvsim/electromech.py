@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_frequencies,
                        sweep_step_for)
-from .devices import BenchSupplyParams, Fragment, expand_bench_supply
+from .devices import BenchSupplyParams
 from .engine import dc_operating_point, run_transient
 from .presets import CONVERTER, FIG8_FREQUENCIES, converter_scenario
 from .waveform import Waveform, WaveformError
@@ -97,7 +97,7 @@ def displacement_response(v: Waveform) -> Waveform:
     return Waveform(v.start, v.step, x.ravel()[: u.size])
 
 
-def bench_matched_to_converter() -> Fragment:
+def bench_matched_to_converter() -> BenchSupplyParams:
     """Bench supply whose setting equals the converter's DC output into the
     DEA load.
 
@@ -106,7 +106,7 @@ def bench_matched_to_converter() -> Fragment:
     """
     # the t=0 switch states, and so the DC point, do not depend on the drive frequency
     bridge = converter_scenario(100.0, "dea", 1, 1e-6, ()).circuit
-    return expand_bench_supply(BenchSupplyParams(voltage=dc_operating_point(bridge)["A"]))
+    return BenchSupplyParams(voltage=dc_operating_point(bridge)["A"])
 
 
 def displacement_sweep(

@@ -15,12 +15,12 @@ Grammar (one statement per line, ``#`` starts a comment):
 Engineering suffixes are case-sensitive: p n u m k M G (m is milli, M is
 mega; there is no ``meg`` form).  Node labels are alphanumeric identifiers;
 ``0`` and ``GND`` both name the ground reference.  Every ``X`` statement
-expands to R, C and V primitives at parse time (the fragments of
-:mod:`hvsim.devices`), so printed netlists show the expansion.
+is made into its block's R, C and V parts at parse time (the blocks of
+:mod:`hvsim.devices`), so printed netlists show the parts.
 
 Keys, positions and defaults come from the parameter dataclasses
 (:func:`hvsim.circuit.params`) of the R/C/S/V components and of the ``X``
-kinds' ``*Params`` schemas.  An omitted key takes the field default, and the
+kinds' ``*Params`` blocks.  An omitted key takes the field default, and the
 printer omits every key whose value equals it.
 """
 
@@ -48,8 +48,7 @@ from .circuit import (
     is_ground,
     params,
 )
-from .devices import (BenchSupplyParams, ConverterParams, DeaLoadParams, ProbeParams,
-                      expand_bench_supply, expand_converter, expand_dea_load, expand_probe)
+from .devices import BenchSupplyParams, ConverterParams, DeaLoadParams, ProbeParams
 
 #: component statement letter -> (class, message when its value or a required key is missing)
 _COMPONENTS = {
@@ -58,12 +57,12 @@ _COMPONENTS = {
     "S": (Switch, "switch needs a ctrl= reference"),
     "V": (VoltageSource, "source needs a value"),
 }
-#: ``X`` kind word -> (key schema, missing message, expansion into primitives)
+#: ``X`` kind word -> (block class, message when a required key is missing)
 _FRAGMENTS = {
-    "converter": (ConverterParams, None, expand_converter),
-    "probe": (ProbeParams, None, expand_probe),
-    "bench": (BenchSupplyParams, "bench supply needs v=", expand_bench_supply),
-    "dea": (DeaLoadParams, None, expand_dea_load),
+    "converter": (ConverterParams, None),
+    "probe": (ProbeParams, None),
+    "bench": (BenchSupplyParams, "bench supply needs v="),
+    "dea": (DeaLoadParams, None),
 }
 
 
@@ -273,9 +272,9 @@ class _Parser:
                     line_no, rest[0].column,
                     f"unknown fragment kind {rest[0].text!r} ({', '.join(_FRAGMENTS)})",
                 )
-            cls, missing, expand = _FRAGMENTS[rest[0].text]
+            cls, missing = _FRAGMENTS[rest[0].text]
             values = self.fields(line_no, head, cls, rest[1:], missing)
-            comps = expand(cls(**values)).instantiate(pos, neg, name[1:])
+            comps = cls(**values).instantiate(pos, neg, name[1:])
         else:
             cls, missing = _COMPONENTS[head.text[0]]
             comps = [cls(name, pos, neg, **self.fields(line_no, head, cls, rest, missing))]

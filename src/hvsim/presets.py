@@ -21,18 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .circuit import (Capacitor, Circuit, CircuitError, Component, ControlSignal,
                       IntegrationSettings, Resistor, Scenario, Switch)
-from .devices import (
-    BenchSupplyParams,
-    ConverterParams,
-    DeaLoadParams,
-    Fragment,
-    ProbeParams,
-    expand_bench_supply,
-    expand_converter,
-    expand_dea_load,
-    expand_probe,
-    series_rc_load,
-)
+from .devices import (Block, BenchSupplyParams, ConverterParams, DeaLoadParams, ProbeParams,
+                      SeriesRC)
 
 
 class PresetError(ValueError):
@@ -49,7 +39,7 @@ FIG8_FREQUENCIES = (1.0, 2.0, 15.0, 30.0, 60.0, 120.0)
 FIG7C_PHASES = (0.0, math.pi / 2, math.pi)
 
 #: the miniature DC-HVDC converter supply at its ConverterParams defaults
-CONVERTER = expand_converter(ConverterParams())
+CONVERTER = ConverterParams()
 
 #: Per-device off-resistances, top to bottom (high side first): the
 #: 900 MOhm / 100 MOhm pairs model the leakage mismatch that skews static
@@ -60,21 +50,17 @@ OFF_RESISTANCES = (900e6, 100e6, 900e6, 100e6)
 DRIVER_OFFSETS = (0.0, 50e-6, 0.0, 50e-6)
 
 
-def load_fragment(descriptor: str) -> Fragment:
-    """Load fragments by CLI descriptor: ``10n``/``20n``/``50n`` are ceramic
+def load_fragment(descriptor: str) -> Block:
+    """Load blocks by CLI descriptor: ``10n``/``20n``/``50n`` are ceramic
     capacitors in series with 100 kOhm, each derated linearly to its value at
     the 1.8 kV set voltage; ``dea`` is the actuator equivalent."""
     key = descriptor.strip()
     if key == "dea":
-        return expand_dea_load(DeaLoadParams())
+        return DeaLoadParams()
     if key in ("10n", "20n", "50n"):
         c0 = {"10n": 10e-9, "20n": 20e-9, "50n": 50e-9}[key]
-        return series_rc_load(100e3, c0 * (1.0 - CERAMIC_DERATING * 1800.0))
+        return SeriesRC(100e3, c0 * (1.0 - CERAMIC_DERATING * 1800.0))
     raise PresetError(f"unknown load descriptor {descriptor!r} (10n, 20n, 50n, dea)")
-
-
-def _bench(voltage: float) -> Fragment:
-    return expand_bench_supply(BenchSupplyParams(voltage=voltage))
 
 
 def _stack_devices(
@@ -108,7 +94,7 @@ def _stack_devices(
     return comps
 
 
-def bridge_scenario(supply: Fragment, load: Optional[Fragment], control: ControlSignal,
+def bridge_scenario(supply: Block, load: Optional[Block], control: ControlSignal,
                     step: float, stop: float, probes: Tuple[str, ...], *,
                     balancing: Optional[float] = 3.6e6, snubber: Optional[float] = None,
                     driver_offsets: Sequence[float] = DRIVER_OFFSETS,
@@ -130,7 +116,7 @@ def bridge_scenario(supply: Fragment, load: Optional[Fragment], control: Control
     if load is not None:
         comps.extend(load.instantiate("O", "0", "load"))
     for node in probe_nodes:
-        comps.extend(expand_probe(ProbeParams()).instantiate(node, "0", f"scope{node}"))
+        comps.extend(ProbeParams().instantiate(node, "0", f"scope{node}"))
     return Scenario(Circuit.build(comps, {"g": control}),
                     IntegrationSettings(step=step, stop=stop), probes=probes)
 
@@ -140,18 +126,19 @@ def _distribution(
 ) -> Scenario:
     """Static-sharing bench (fig2/fig3 and the nominal of their Monte-Carlo
     trials): the unloaded bench-fed stack at 1 Hz, probed at A, B, O and C."""
-    return bridge_scenario(_bench(voltage), None, ControlSignal(frequency=1.0), step, 2.0,
-                           ("A", "B", "O", "C"), balancing=balancing)
+    return bridge_scenario(BenchSupplyParams(voltage), None, ControlSignal(frequency=1.0), step,
+                           2.0, ("A", "B", "O", "C"), balancing=balancing)
 
 
 def _fig4(snubber: Optional[float]) -> Scenario:
-    return bridge_scenario(_bench(1800.0), None, ControlSignal(frequency=1000.0), 1e-6, 11e-3,
-                           ("A", "B", "O", "C"), snubber=snubber, probe_nodes=("B", "O", "C"))
+    return bridge_scenario(BenchSupplyParams(1800.0), None, ControlSignal(frequency=1000.0),
+                           1e-6, 11e-3, ("A", "B", "O", "C"), snubber=snubber,
+                           probe_nodes=("B", "O", "C"))
 
 
 def converter_scenario(frequency: float, load: str, periods: int, step: float,
                        probes: Tuple[str, ...], balancing: float = 1.8e6,
-                       supply: Fragment = CONVERTER) -> Scenario:
+                       supply: Block = CONVERTER) -> Scenario:
     """The untethered configuration behind figs 6-8 and their studies (the
     presets, the fig7 sweep cells and the fig8 displacement cells): the
     miniature converter feeding the ``balancing``-balanced stack, driven at
@@ -173,7 +160,7 @@ _BUILDERS: Dict[str, Callable[[], Scenario]] = {
     # nominal board timing: the driver-offset mismatch is the transient-study
     # knob (fig4); with offsets the conduction window shrinks by 50 us and the
     # load capacitor just misses the 99% charge level each half-cycle
-    "fig5": lambda: bridge_scenario(_bench(1800.0), series_rc_load(100e3, 10e-9),
+    "fig5": lambda: bridge_scenario(BenchSupplyParams(1800.0), SeriesRC(100e3, 10e-9),
                                     ControlSignal(frequency=100.0), 1e-6, 0.11,
                                     ("A", "O", "load_m"), driver_offsets=(0.0, 0.0, 0.0, 0.0)),
     "fig6b": lambda: converter_scenario(100.0, "dea", 11, 1e-6, ("A", "O"), balancing=3.6e6),
@@ -184,7 +171,7 @@ _BUILDERS: Dict[str, Callable[[], Scenario]] = {
     # output starts low (phase pi) so the first rising edge is a switching
     # transition, not the generator power-up ramp; driver offsets are zeroed
     # because the calibration isolates the board edge from driver mismatch
-    "slew": lambda: bridge_scenario(_bench(1800.0), None,
+    "slew": lambda: bridge_scenario(BenchSupplyParams(1800.0), None,
                                     ControlSignal(frequency=1000.0, phase=math.pi), 10e-9, 2.5e-3,
                                     ("A", "O"), driver_offsets=(0.0, 0.0, 0.0, 0.0),
                                     probe_nodes=("O",)),
@@ -249,7 +236,7 @@ def dual_channel_with_phase(phase: float) -> Scenario:
     for k, name in enumerate(controls, start=1):
         nodes = ("A", f"B{k}", f"O{k}", f"C{k}", "0")
         comps.extend(_stack_devices(nodes, name, f"ch{k}", 1.8e6, None, DRIVER_OFFSETS))
-        comps.extend(series_rc_load(100e3, 10e-9).instantiate(f"O{k}", "0", f"load{k}"))
+        comps.extend(SeriesRC(100e3, 10e-9).instantiate(f"O{k}", "0", f"load{k}"))
     return Scenario(
         Circuit.build(comps, controls),
         IntegrationSettings(step=1e-6, stop=0.02),

@@ -1,6 +1,7 @@
 """Shared fixtures: preset runs are expensive, so they are session-scoped."""
 
 import hashlib
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,39 @@ def study_values(study):
     """{key: value} of an ``analysis.Study`` whose every cell succeeded."""
     assert not study.failures(), study.failures()
     return dict(zip(study.keys, study.values))
+
+
+class Shares(NamedTuple):
+    shares: Optional[Tuple[float, ...]]
+    max_device_drop: float
+
+
+def voltage_shares(a, b, o, c):
+    """Stack-share metrics of the device drops ``A-B``, ``B-O``, ``O-C`` and
+    ``C-D`` (``D`` is ground), from the node voltages ``a``, ``b``, ``o`` and
+    ``c`` indexed alike: the reference that ``analysis._drops`` is checked
+    against bit for bit, and the fig2/fig3 share oracle.
+
+    Drops are differences of the measured node traces; shares are evaluated
+    at the last sample of the widest blocking plateau (where the stack
+    end-to-end voltage is within 0.1% of its maximum) and so describe the
+    steady blocking state.  Shares are reported as fractions of the stack
+    end-to-end voltage and are undefined (None) below 1 V.
+
+    The arrays may hold every grid point, or one value per run of a
+    run-length result (``TransientResult.rows``): a run's value holds over
+    its whole run, so the maximum, and the value at the last index where a
+    condition holds, are the same bit for bit on either form.
+    """
+    drops = (a - b, b - o, o - c, c)
+    total = a
+    peak = float(total.max())
+    shares = None
+    if peak > 1.0:
+        plateau = np.flatnonzero(total >= 0.999 * peak)
+        k = int(plateau[-1])
+        shares = tuple(float(drop[k] / total[k]) for drop in drops)
+    return Shares(shares, max(float(drop.max()) for drop in drops))
 
 
 def stamp_checksum(circuit):

@@ -19,7 +19,7 @@ from hvsim.analysis import (
 )
 from hvsim.circuit import Capacitor, ControlSignal
 from hvsim.cli import main as cli_main
-from hvsim.devices import series_rc_load
+from hvsim.devices import SeriesRC
 from hvsim.electromech import displacement_sweep
 from hvsim.engine import IntegrationSettings, run_transient
 from hvsim.netlist import NetlistError, parse, print_scenario
@@ -226,7 +226,7 @@ class TestCriterion06DroopOrdering:
         settle = settle_periods_for(100.0)
         scenario = bridge_scenario(
             CONVERTER,
-            series_rc_load(100e3, 10e-9),
+            SeriesRC(100e3, 10e-9),
             ControlSignal(frequency=100.0),
             5e-6,
             (settle + 1) / 100.0,
@@ -267,7 +267,7 @@ class TestCriterion07DualChannelPhasing:
             peaks[phase] = float(supply_port_current(run).samples.max())
         settings = dual_channel_with_phase(0.0).settings
         scenario = bridge_scenario(
-            CONVERTER, series_rc_load(100e3, 10e-9), ControlSignal(frequency=100.0),
+            CONVERTER, SeriesRC(100e3, 10e-9), ControlSignal(frequency=100.0),
             settings.step, settings.stop, ("A", "O"), balancing=1.8e6)
         single = run_transient(scenario.circuit, scenario.settings)
         single_peak = float(supply_port_current(single).samples.max())

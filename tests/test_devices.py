@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Resistor, ScheduleError, Switch
-from hvsim.devices import (
-    BenchSupplyParams,
-    ConverterParams,
-    DeaLoadParams,
-    expand_bench_supply,
-    expand_converter,
-    expand_dea_load,
-    series_rc_load,
-)
+from hvsim.devices import BenchSupplyParams, ConverterParams, DeaLoadParams, SeriesRC
 from hvsim.circuit import Circuit
 from hvsim.engine import IntegrationSettings, dc_operating_point, run_transient
 from hvsim.presets import load_fragment
@@ -27,8 +19,8 @@ def driver(turn_on_delay=0.4e-3, turn_off_delay=0.1e-3, delay_offset=0.0, invert
 
 
 def converter(**params):
-    """Converter supply fragment."""
-    return expand_converter(ConverterParams(**params))
+    """Converter supply block."""
+    return ConverterParams(**params)
 
 
 def dea_dc_resistance(params):
@@ -80,8 +72,8 @@ class TestDriverSchedule:
         assert inv[0] == (pytest.approx(0.1e-3), False)
 
 
-def supply_circuit(fragment):
-    comps = fragment.instantiate("P", "0", "sup")
+def supply_circuit(block):
+    comps = block.instantiate("P", "0", "sup")
     comps.append(Resistor("Rload", "P", "0", 1e12))
     return Circuit.build(comps)
 
@@ -132,7 +124,7 @@ class TestConverter:
 class TestBenchSupply:
     def test_slew_limited_ramp(self):
         params = BenchSupplyParams(voltage=800.0)
-        c = supply_circuit(expand_bench_supply(params))
+        c = supply_circuit(params)
         res = run_transient(c, IntegrationSettings(step=1e-7, stop=60e-6), {})
         w = res.voltage("P")
         t_knee = 800.0 / params.slew_limit  # 22.857 us
@@ -162,13 +154,13 @@ class TestDeaLoad:
     def test_mimic_load_structural_equality(self):
         # without its parallel branch the actuator model is the series-RC
         # mimic load, component for component
-        dea = expand_dea_load(DeaLoadParams(capacitance=10e-9, series_resistance=100e3))
-        assert dea.parts[:2] == series_rc_load(100e3, 10e-9).parts
+        dea = DeaLoadParams(capacitance=10e-9, series_resistance=100e3)
+        assert dea.parts()[:2] == SeriesRC(100e3, 10e-9).parts()
 
     def test_steady_state_divider(self):
         comps = [
             # stiff source: the long-run cap voltage is set by Rs/Rp alone
-            *expand_dea_load(DeaLoadParams()).instantiate("A", "0", "load"),
+            *DeaLoadParams().instantiate("A", "0", "load"),
         ]
         from hvsim.circuit import VoltageSource
 

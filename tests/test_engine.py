@@ -26,7 +26,7 @@ from hvsim.circuit import (
     Switch,
     VoltageSource,
 )
-from hvsim.analysis import MismatchModel, frequency_sweep, monte_carlo, voltage_shares
+from hvsim.analysis import MismatchModel, frequency_sweep, monte_carlo
 from hvsim.cli import apply_override
 from hvsim.engine import (
     IntegrationSettings,
@@ -37,7 +37,7 @@ from hvsim.engine import (
 from hvsim.presets import PRESET_NAMES, load_preset, mc_template
 from hvsim.waveform import Waveform, write_csv
 
-from conftest import driver_timelines, par, stamp_checksum
+from conftest import driver_timelines, par, stamp_checksum, voltage_shares
 
 
 def simple_circuit(*components, controls=None):

@@ -24,10 +24,6 @@ from hvsim.devices import (
     ConverterParams,
     DeaLoadParams,
     ProbeParams,
-    expand_bench_supply,
-    expand_converter,
-    expand_dea_load,
-    expand_probe,
 )
 from hvsim.engine import IntegrationSettings
 from hvsim.netlist import (
@@ -536,17 +532,17 @@ class TestSchema:
                 if p.type is bool:
                     assert type(getattr(comp, p.name)) is bool
 
-    @pytest.mark.parametrize("cls, expand, word", [
-        (BenchSupplyParams, expand_bench_supply, "bench"),
-        (DeaLoadParams, expand_dea_load, "dea"),
-        (ConverterParams, expand_converter, "converter"),
-        (ProbeParams, expand_probe, "probe"),
+    @pytest.mark.parametrize("cls, word", [
+        (BenchSupplyParams, "bench"),
+        (DeaLoadParams, "dea"),
+        (ConverterParams, "converter"),
+        (ProbeParams, "probe"),
     ], ids=["bench", "dea", "converter", "probe"])
-    def test_fragment_statements_read_every_key(self, cls, expand, word):
+    def test_fragment_statements_read_every_key(self, cls, word):
         values = off_default(cls)
         keys = " ".join(f"{p.key}={format_value(values[p.name])}" for p in params(cls))
         scenario = parse_ok(f"Xf A 0 {word} {keys}\nR1 A 0 1k")
-        expected = expand(cls(**values)).instantiate("A", "0", "f")
+        expected = cls(**values).instantiate("A", "0", "f")
         assert list(scenario.circuit.components[:-1]) == expected
 
     def test_bare_dea_statement_is_the_dea_load(self):

@@ -207,6 +207,35 @@ class TestCommittedListing:
         assert list(sha_corpus.listing_lines(tmp_path, set(SUBSET))) == committed
 
 
+class TestCodeLines:
+    def test_counts_no_comment_docstring_or_blank_line(self):
+        code_lines = _load("code_lines")
+        text = (
+            '"""Module docstring,\n'
+            'over two lines."""\n'
+            "\n"
+            'X = """a string that is code,\n'
+            'over two lines"""\n'
+            "\n"
+            "\n"
+            "def f():  # a comment\n"
+            '    """Docstring."""\n'
+            "    # a comment line\n"
+            "    return X\n"
+        )
+        # lines 4, 5, 8 and 11
+        assert code_lines.count(text) == (11, 4)
+
+    def test_totals_are_the_sums_of_the_module_rows(self, capsys):
+        code_lines = _load("code_lines")
+        code_lines.main(TOOLS.parent / "src" / "hvsim")
+        header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["module", "lines", "code"]
+        assert "devices.py" in [row[0] for row in rows]
+        assert total[0] == "total"
+        assert [int(v) for v in total[1:]] == [sum(int(row[i]) for row in rows) for i in (1, 2)]
+
+
 class TestTrialSplit:
     def test_five_trials_split_by_layer_and_restore_the_program(self):
         trial_split = _load("trial_split")

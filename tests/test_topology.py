@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hvsim.circuit import CircuitError, ControlSignal, Switch
-from hvsim.devices import BenchSupplyParams, expand_bench_supply
+from hvsim.devices import BenchSupplyParams
 from hvsim.cli import shoot_through_seconds
 from hvsim.engine import IntegrationSettings, run_transient
 from hvsim.presets import bridge_scenario, dual_channel_with_phase, load_preset
@@ -17,7 +17,7 @@ from conftest import driver_timelines, stamp_checksum
 
 def bridge(**kw):
     args = dict(
-        supply=expand_bench_supply(BenchSupplyParams(voltage=800.0)),
+        supply=BenchSupplyParams(voltage=800.0),
         load=None,
         control=ControlSignal(frequency=1.0),
         step=1e-4,
