@@ -59,9 +59,11 @@ def measure_amplitude(
 def measure_slew(w: Waveform) -> float:
     """10-90 % rise rate of the first edge crossing both thresholds (V/s).
 
-    Thresholds sit at 10 % and 90 % of the full swing; crossing times
-    interpolate linearly between samples, so a pure ramp reports its exact
-    slope regardless of step size.
+    Thresholds sit at 10 % and 90 % of the full swing.  The edge ends at the
+    first up-crossing (``s[i] < th <= s[i+1]``) of the high threshold from
+    the first one of the low threshold on, and starts at the last low one up
+    to there.  Crossing times interpolate linearly between samples, so a pure
+    ramp reports its exact slope regardless of step size.
     """
     s = w.samples
     lo, hi = float(s.min()), float(s.max())
@@ -69,27 +71,18 @@ def measure_slew(w: Waveform) -> float:
     if swing <= 0.0:
         raise MeasureError("waveform has no swing; no qualifying rising edge")
     th_lo, th_hi = lo + 0.1 * swing, lo + 0.9 * swing
-
-    def cross_up(start: int, threshold: float) -> Optional[int]:
-        below = s[start:-1] < threshold
-        above = s[start + 1 :] >= threshold
-        hits = np.flatnonzero(below & above)
-        return start + int(hits[0]) if hits.size else None
-
-    i_lo = cross_up(0, th_lo)
-    while i_lo is not None:
-        i_hi = cross_up(i_lo, th_hi)
-        if i_hi is None:
-            break
-        # qualifying edge: no dip back below the low threshold in between
-        if np.all(s[i_lo + 1 : i_hi + 1] >= th_lo) or i_hi == i_lo:
-            t_lo = w.time_at(i_lo) + (th_lo - s[i_lo]) / (s[i_lo + 1] - s[i_lo]) * w.step
-            t_hi = w.time_at(i_hi) + (th_hi - s[i_hi]) / (s[i_hi + 1] - s[i_hi]) * w.step
-            if t_hi <= t_lo:
-                raise MeasureError("degenerate edge: thresholds crossed within one sample")
-            return 0.8 * swing / (t_hi - t_lo)
-        i_lo = cross_up(i_lo + 1, th_lo)
-    raise MeasureError("no rising edge crosses both thresholds")
+    lows = np.flatnonzero((s[:-1] < th_lo) & (s[1:] >= th_lo))
+    highs = np.flatnonzero((s[:-1] < th_hi) & (s[1:] >= th_hi))
+    k = int(np.searchsorted(highs, lows[0])) if lows.size else highs.size
+    if k == highs.size:
+        raise MeasureError("no rising edge crosses both thresholds")
+    i_hi = int(highs[k])
+    i_lo = int(lows[np.searchsorted(lows, i_hi, side="right") - 1])
+    t_lo = w.time_at(i_lo) + (th_lo - s[i_lo]) / (s[i_lo + 1] - s[i_lo]) * w.step
+    t_hi = w.time_at(i_hi) + (th_hi - s[i_hi]) / (s[i_hi + 1] - s[i_hi]) * w.step
+    if t_hi <= t_lo:
+        raise MeasureError("degenerate edge: thresholds crossed within one sample")
+    return 0.8 * swing / (t_hi - t_lo)
 
 
 def _drops(a: np.ndarray, b: np.ndarray, o: np.ndarray, c: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import (MeasureError, Study, measure_amplitude, run_study, sweep_frequencies,
                        sweep_step_for)
 from .devices import BenchSupplyParams
-from .engine import dc_operating_point, run_transient
+from .engine import _ONE_THREAD, dc_operating_point, run_transient
 from .presets import CONVERTER, FIG8_FREQUENCIES, converter_scenario
 from .waveform import Waveform, WaveformError
 
@@ -31,11 +31,11 @@ REFERENCE_VOLTAGE = 1800.0
 #: closed-form discretization in displacement_response needs DAMPING_RATIO < 1
 NATURAL_FREQUENCY = 80.0
 DAMPING_RATIO = 0.7
-#: samples per block of the filter, and blocks per matrix product: 4 x 256 x
-#: 256 multiply-adds stay under OpenBLAS's threading threshold, so no worker
-#: thread starts and then spins through the rest of the run
+#: samples per block of the filter, and blocks per matrix product: as many as
+#: keep its multiply-adds (rows x 256 x 256) within the engine's one-thread
+#: bound, so no OpenBLAS worker thread starts and then spins through the run
 _BLOCK = 256
-_ROWS = 4
+_ROWS = _ONE_THREAD // (_BLOCK * _BLOCK)
 
 
 def _transition(t: np.ndarray) -> np.ndarray:

@@ -776,18 +776,17 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
     pending_damp = 0 if determinate else settings.damping_steps
     zero, idx0, held = np.zeros(len(low.sources)), 0, None
     ends: List[int] = []  # every segment end, checked finite after the walk
-    for boundary, after, restart in sequence:
-        if idx0 < boundary:  # the operators of the segments up to the boundary
-            pair = pairs.get(states)
-            if pair is None or pending_damp and pair[1] is None:
-                try:
-                    pair = pairs[states] = (
-                        _topology(low, topologies, states, False, g_trap),
-                        _topology(low, topologies, states, True, g_be) if pending_damp else None)
-                except SimulationError:  # unless a segment before it diverged first
-                    _check_finite(out[0], ends, h)
-                    raise
-            trap, be = pair
+    for boundary, after, restart in sequence:  # each boundary lies past the one before
+        pair = pairs.get(states)  # the operators of the segments up to the boundary
+        if pair is None or pending_damp and pair[1] is None:
+            try:
+                pair = pairs[states] = (
+                    _topology(low, topologies, states, False, g_trap),
+                    _topology(low, topologies, states, True, g_be) if pending_damp else None)
+            except SimulationError:  # unless a segment before it diverged first
+                _check_finite(out[0], ends, h)
+                raise
+        trap, be = pair
         while idx0 < boundary:  # one segment per ramp knee before the boundary
             if held is None and emf.tobytes() == settled:  # no EMF moves from here on
                 held = zero, emf + zero, 0  # d_emf, drive, ramp of every later segment

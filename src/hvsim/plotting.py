@@ -8,20 +8,31 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .waveform import WaveformError
+
 _W, _H = 720, 420
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _axis(lo: float, hi: float, pad: float = 0.0) -> Tuple[float, float]:
+    """The drawn range of values from ``lo`` to ``hi``, each end moved out by
+    ``pad`` of the span.  A span under 1024 ulps of the larger end (a flat
+    line, or one a few floats wide) is first widened upward to 1.0 or those
+    1024 ulps, whichever is more, so that the ticks are distinct floats."""
+    narrow = 1024 * math.ulp(max(abs(lo), abs(hi)))
+    if hi - lo < narrow:
+        hi = lo + max(1.0, narrow)
+    d = pad * (hi - lo)
+    if not math.isfinite(hi + d - (lo - d)):
+        raise WaveformError(f"cannot plot values from {lo!r} to {hi!r}: their span overflows")
+    return lo - d, hi + d
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10 ** math.floor(math.log10(raw))
-    for mult in (1, 2, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    step = next(mult * mag for mult in (1, 2, 5, 10) if raw <= mult * mag)
     first = math.ceil(lo / step) * step
     out = []
     t = first
@@ -54,15 +65,10 @@ def line_plot(
         if np.any(xs <= 0):
             raise ValueError("log-x plot requires positive x values")
         xs = np.log10(xs)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
+    x_lo, x_hi = _axis(float(xs.min()), float(xs.max()))
     ys = ys[np.isfinite(ys)]  # nan marks a missing point
     y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = _axis(y_lo, y_hi, pad=0.05)
 
     def px(x: float) -> float:
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)

@@ -99,6 +99,65 @@ class TestMeasureSlew:
         got = measure_slew(wave(v, 1e-6))
         assert got == pytest.approx(0.8 * 1800.0 / (80e-6), rel=0.05)
 
+    @staticmethod
+    def search_slew(w):
+        """The edge found by search: from each low-threshold up-crossing in
+        turn, the next high-threshold one, kept when no sample between them
+        dips below the low threshold."""
+        s = w.samples
+        lo, hi = float(s.min()), float(s.max())
+        swing = hi - lo
+        if swing <= 0.0:
+            raise MeasureError("waveform has no swing; no qualifying rising edge")
+        th_lo, th_hi = lo + 0.1 * swing, lo + 0.9 * swing
+
+        def cross_up(start, threshold):
+            hits = np.flatnonzero((s[start:-1] < threshold) & (s[start + 1 :] >= threshold))
+            return start + int(hits[0]) if hits.size else None
+
+        i_lo = cross_up(0, th_lo)
+        while i_lo is not None:
+            i_hi = cross_up(i_lo, th_hi)
+            if i_hi is None:
+                break
+            if np.all(s[i_lo + 1 : i_hi + 1] >= th_lo) or i_hi == i_lo:
+                t_lo = w.time_at(i_lo) + (th_lo - s[i_lo]) / (s[i_lo + 1] - s[i_lo]) * w.step
+                t_hi = w.time_at(i_hi) + (th_hi - s[i_hi]) / (s[i_hi + 1] - s[i_hi]) * w.step
+                if t_hi <= t_lo:
+                    raise MeasureError("degenerate edge: thresholds crossed within one sample")
+                return 0.8 * swing / (t_hi - t_lo)
+            i_lo = cross_up(i_lo + 1, th_lo)
+        raise MeasureError("no rising edge crosses both thresholds")
+
+    def test_matches_search_on_seeded_signals(self):
+        # short signals with many crossings, dips and exact threshold ties
+        # (a staircase over 0..10 puts its thresholds on samples 1 and 9)
+        rng = np.random.default_rng(2024)
+        kinds = (
+            lambda n: rng.standard_normal(n),
+            lambda n: np.cumsum(rng.standard_normal(n)),
+            lambda n: np.cumsum(rng.integers(-3, 4, n)),
+            lambda n: rng.integers(0, 11, n),
+            lambda n: np.round(rng.integers(1, 6) * np.sin(
+                rng.uniform(0.1, 3.0) * np.arange(n) + rng.uniform(0, 2 * np.pi))),
+        )
+        outcomes = set()
+        for trial in range(3000):
+            w = wave(kinds[trial % len(kinds)](int(rng.integers(2, 41))))
+            try:
+                want = self.search_slew(w)
+            except MeasureError as exc:
+                with pytest.raises(MeasureError) as got:
+                    measure_slew(w)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc))
+            else:
+                assert measure_slew(w) == want
+                outcomes.add("slew")
+        # every outcome the signals can give was reached
+        assert outcomes == {"slew", "no rising edge crosses both thresholds",
+                            "waveform has no swing; no qualifying rising edge"}
+
 
 class TestVoltageShares:
     def test_equal_drops(self):

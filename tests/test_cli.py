@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1024,3 +1025,42 @@ class TestPresetErrorText:
     def test_printed_without_quotes(self, tmp_path, capsys, argv, line):
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == line + "\n"
+
+
+class TestPlotRange:
+    """``run --plot`` draws any range of finite values whose span is a finite
+    float, and names one that is not in one ``error:`` line."""
+
+    @staticmethod
+    def coordinates(svg):
+        return [float(v) for attr in re.findall(r' (?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg)
+                for v in re.split("[ ,]", attr)]
+
+    @pytest.mark.parametrize("text", [
+        # flat at 1e20, where 1e20 + 1.0 == 1e20
+        "V1 a 0 1e20\nR1 a 0 1k\n.probe a\n",
+        # a span of one subnormal: its tick step rounds to 0
+        "V1 a 0 5e-324\nR1 a 0 1k\n.probe a\n.probe 0\n",
+        # a span of one ulp at 2^52: a tick step of 0.2 adds nothing to a tick
+        "V1 a 0 4503599627370496\nV2 b 0 4503599627370497\nR1 a 0 1k\nR2 b 0 1k\n"
+        ".probe a\n.probe b\n",
+    ], ids=["flat-1e20", "subnormal-span", "one-ulp-span"])
+    def test_drawn_with_finite_distinct_ticks(self, tmp_path, capsys, text):
+        path = tmp_path / "p.ckt"
+        path.write_text(text + ".tran 1m 10m\n.end\n")
+        assert run_cli("run", "--netlist", str(path), "--out", str(tmp_path), "--plot") == 0
+        assert capsys.readouterr().err == ""
+        svg = (tmp_path / "p.svg").read_text()
+        coordinates = self.coordinates(svg)
+        assert coordinates and all(map(math.isfinite, coordinates))
+        y_grid = re.findall(r'<line x1="70" y1="([^"]*)"', svg)
+        assert len(y_grid) >= 2 and len(set(y_grid)) == len(y_grid)
+
+    def test_span_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "p.ckt"
+        path.write_text("V1 a 0 1e308\nV2 b 0 -1e308\nR1 a 0 1k\nR2 b 0 1k\n"
+                        ".probe a\n.probe b\n.tran 1m 10m\n.end\n")
+        assert run_cli("run", "--netlist", str(path), "--out", str(tmp_path), "--plot") == 3
+        assert capsys.readouterr().err == (
+            "error: cannot plot values from -1e+308 to 1e+308: their span overflows\n")
+        assert (tmp_path / "p.csv").exists() and not (tmp_path / "p.svg").exists()

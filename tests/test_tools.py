@@ -165,7 +165,7 @@ class TestCorpusJobs:
     IDS = [job for job, _, _ in sha_corpus.jobs()]
 
     def test_ids_and_output_directories_are_unique(self):
-        assert len(self.IDS) == 241  # a job lost from the list shows here
+        assert len(self.IDS) == 242  # a job lost from the list shows here
         assert len(set(self.IDS)) == len(self.IDS)
         assert len({job.replace(":", "_") for job in self.IDS}) == len(self.IDS)
 
@@ -179,12 +179,13 @@ class TestCorpusJobs:
 #: and from its printed netlist, plus the capacitor-free jobs and the gated RC
 #: netlist (every run and Monte-Carlo path of the resistive engine walk), the
 #: hand-written X netlists (every X kind and key, and their internal nodes),
-#: and the default fig7 and fig8 sweeps (the sweep tables and their metrics)
+#: a flat plot at 1e20 V, and the default fig7 and fig8 sweeps (the sweep
+#: tables and their metrics)
 SUBSET = tuple(f"run:{kind}{name}" for kind in ("", "netlist:")
                for name in sha_corpus.PRESET_NAMES) + (
     "run:netlist:fig3-pair", "run:fig3:slow-slew", "run:fig3:many-events",
     "run:netlist:conflicting-sources", "run:netlist:gated",
-    "run:netlist:xfrag", "run:netlist:xconv", "run:netlist:xkeys",
+    "run:netlist:xfrag", "run:netlist:xconv", "run:netlist:xkeys", "run:netlist:plot-flat",
     "mc:fig3:0", "mc:fig3:1", "mc:fig3:2", "mc:fig3:3", "mc:fig2:w2",
     "sweep:fig7:w1", "sweep:fig8")
 

@@ -141,6 +141,15 @@ Rq Q 0 1M
 .end
 """
 
+#: a flat probe at 1e20 V, where 1e20 + 1.0 rounds back to 1e20
+FLAT_1E20 = """\
+V1 a 0 1e20
+R1 a 0 1k
+.tran 1m 10m
+.probe a
+.end
+"""
+
 #: a hand-written netlist whose only gated element is a source: a 200 us pulse
 #: every 10 ms into an RC
 GATED = """\
@@ -188,8 +197,10 @@ def jobs():
     yield "run:netlist:xconv", ["run"], ("xconv", XCONV)
     yield "run:netlist:xkeys", ["run"], ("xkeys", XKEYS)
     yield "run:netlist:gated", ["run"], ("gated", GATED)
-    # the one run job with a plot: a linear-axis SVG
+    # a run job with a plot: a linear-axis SVG
     yield "run:fig5:plot", ["run", "--preset", "fig5", "--plot"], None
+    # a flat plot at 1e20 V: its axis is widened past the 1.0 that 1e20 rounds away
+    yield "run:netlist:plot-flat", ["run", "--plot"], ("plot_flat", FLAT_1E20)
     # a capacitor-free run whose supply ramps over 40 steps: run-length rows per step
     yield "run:fig3:slow-slew", ["run", "--preset", "fig3",
                                  "--set", "comp.Vsup_emf.slew=2e5"], None
