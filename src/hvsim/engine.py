@@ -15,15 +15,17 @@ simulators): its state advances a block of steps at a time from powers of its
 one-step map, tabulated as far as the longest block needs, and its output rows
 are one product per stretch (per as many blocks as BLAS runs on one thread).
 
-:func:`run_transient` has four phases, each a function: schedule
-(:func:`_schedule`), segment plan (:func:`_plan_segment`), propagate
-(:func:`_propagate`, or :func:`_propagate_free` without capacitors) and
-package (:func:`_package`).  Each propagate phase is one forward walk over the
-sorted boundaries that takes the topology of each and runs the segments before
-it; a segment is planned only while a source is gated or off its target.  Once
-every EMF holds its voltage, a segment runs to its boundary at a drive built
-once, and a capacitor-free one is its topology's held row: one dict lookup.  A
-run with capacitors checks its segment ends finite in one pass after the walk.
+:func:`run_transient` has four phases: schedule (:func:`_schedule`), segment
+plan (:func:`_plan_segment`), propagate and package (:func:`_package`).  The
+propagate phase is one forward walk over the sorted boundaries for runs with
+and without capacitors alike.  At each boundary it looks up the topology of
+the stretch before it (:func:`_topology`), then runs the stretch: a planned
+segment per ramp knee while a source is gated or off its target and, once
+every EMF holds its voltage, one held stretch to the boundary.  Each stretch
+goes to one of two bodies.  With capacitors it is :func:`_propagate`, a held
+stretch at a drive built once, and the segment ends are checked finite in one
+pass after the walk.  Without them it is the stretch's solved rows, and a held
+stretch is its topology's held row: one lookup.
 
 A run with capacitors is stored dense; a capacitor-free one has no state and
 is stored run-length, one solved row per constant stretch and per ramp step.
@@ -280,7 +282,8 @@ class _Operators:
     ``A x = N hist + S emf``.  The table of powers of the one-step map grows
     to the longest block asked for, in powers of two up to ``_BLOCK``: a
     topology that holds for one trapezoidal step needs ``F^0`` and ``F^1``
-    only.  A capacitor-free topology keeps the rows that can recur instead.
+    only.  A capacitor-free topology keeps the rows that can recur instead,
+    and its row once every EMF holds its voltage.
     """
 
     lu: Tuple[np.ndarray, np.ndarray]
@@ -288,6 +291,7 @@ class _Operators:
     k: Optional[np.ndarray] = None  # A^-1 [N S]
     powers: Optional[np.ndarray] = None  # F^0 .. F^(2^i), 2^i <= _BLOCK
     rows: Dict[bytes, np.ndarray] = field(default_factory=dict)  # capacitor-free x by EMF bytes
+    held: Optional[np.ndarray] = None  # capacitor-free x once every EMF holds its voltage
 
     def solve(self, emf: np.ndarray, t: float) -> np.ndarray:
         """The capacitor-free solution ``A^-1 S emf``; one that is not finite
@@ -672,40 +676,6 @@ def _check_finite(x: np.ndarray, ends: List[int], h: float) -> None:
         raise SimulationError(f"solution diverged at t={ends[int(finite.argmin())] * h!r}")
 
 
-def _propagate_free(low, controls, sequence, states, emf, settled, h):
-    """Propagate phase of a run without capacitors: the rows of the walk over
-    ``sequence`` (one per constant stretch and per ramp step) and the grid
-    index where each starts.  ``still`` is worked out after each planned
-    segment, the only place an EMF moves; while it holds, a stretch up to a
-    boundary is its topology's held row."""
-    topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
-    held: Dict[Tuple[bool, ...], np.ndarray] = {}  # each topology's row at the held EMFs
-    rows, starts = [_topology(low, topologies, states).row(emf, 0.0)], [0]
-    still, idx0 = emf.tobytes() == settled, 0
-    for boundary, after, _ in sequence:
-        while not still and idx0 < boundary:  # one segment per ramp knee before the boundary
-            seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
-            steps, moving = seg_end - idx0, np.count_nonzero(slope)
-            op, t = _topology(low, topologies, states), seg_end * h
-            if moving and steps > 1:  # an ungated source ramps once: no inner row recurs
-                inner = op.solve if any(s and src.control is None for s, src in zip(
-                    slope.tolist(), low.sources)) else op.row
-                rows.extend(inner(emf + i * (slope * h), t) for i in range(1, steps))
-            rows.append(op.row(emf + steps * (slope * h) if moving else emf, t))
-            starts.extend(range(idx0 + 1, seg_end + 1 if moving else idx0 + 2))
-            if moving:  # else every source holds its target
-                emf = _advance(emf, target, slope, steps, h)
-            still, idx0 = emf.tobytes() == settled, seg_end
-        if idx0 < boundary:  # one held row up to the boundary
-            row = held.get(states)
-            if row is None:
-                row = held[states] = _topology(low, topologies, states).row(emf, boundary * h)
-            rows.append(row)
-            starts.append(idx0 + 1)
-        idx0, states = boundary, after
-    return rows, starts
-
-
 def _package(low, settings, out, events) -> TransientResult:
     """Package phase: the result of a run."""
     if low.caps:
@@ -735,8 +705,11 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
     :meth:`~hvsim.circuit.Circuit.control_edges` on ``settings``; an unread
     control is not).
     Gated sources and slew-limit ramp knees introduce additional segment
-    boundaries.  Every sample of every unknown is retained in the result:
-    dense when the circuit has capacitors, run-length when it has none (see
+    boundaries.  One loop walks the switching sequence for every circuit;
+    each stretch of it goes to the capacitive body (:func:`_propagate`) or,
+    in a circuit without capacitors, to the rows that the stretch appends.
+    Every sample of every unknown is retained in the result: dense when the
+    circuit has capacitors, run-length when it has none (see
     :class:`TransientResult`).  The module docstring names the four phases.
     """
     low = _lower(circuit)
@@ -757,56 +730,82 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
     # a segment runs unplanned to its boundary (bytes: a slewed -0.0 still plans)
     settled = (np.array([s.voltage for s in low.sources], dtype=float).tobytes()
                if all(s.control is None for s in low.sources) else None)
-    if not nc:  # no state: each row holds from its start index up to the next one
-        return _package(low, settings, _propagate_free(
-            low, controls, sequence, states, emf, settled, h), events)
-
     topologies: Dict[Tuple[Tuple[bool, ...], bool], _Operators] = {}
-    # switch states -> (trapezoidal operators, backward-Euler ones once damped)
+    # switch states -> (trapezoidal operators, backward-Euler ones once damped);
+    # a capacitor-free topology has no companions (g=None) and is never damped
     pairs: Dict[Tuple[bool, ...], Tuple[_Operators, Optional[_Operators]]] = {}
-    cap_c = np.array([cap.capacitance for cap in low.caps])
-    g_trap, g_be = 2.0 * cap_c / h, cap_c / h
-    vc = np.array([cap.initial_voltage for cap in low.caps])
-    x0, ic, determinate = _initial_solve(low, states, emf)
-    walk = _Walk.of(low, settings.n_steps)
-    out = walk.out
-    out[0][0], out[1][0] = x0, ic
-    # damped start only when loop currents were indeterminate at t=0; a
-    # clean start keeps the trapezoidal charge identity exact from the first step
-    pending_damp = 0 if determinate else settings.damping_steps
-    zero, idx0, held = np.zeros(len(low.sources)), 0, None
-    ends: List[int] = []  # every segment end, checked finite after the walk
+    damping = settings.damping_steps if nc else 0
+    if nc:
+        cap_c = np.array([cap.capacitance for cap in low.caps])
+        g_trap, g_be = 2.0 * cap_c / h, cap_c / h
+        vc = np.array([cap.initial_voltage for cap in low.caps])
+        x0, ic, determinate = _initial_solve(low, states, emf)
+        walk = _Walk.of(low, settings.n_steps)
+        out = walk.out
+        out[0][0], out[1][0] = x0, ic
+        # damped start only when loop currents were indeterminate at t=0; a
+        # clean start keeps the trapezoidal charge identity exact from the first step
+        pending_damp = 0 if determinate else damping
+        ends: List[int] = []  # every segment end, checked finite after the walk
+        zero = np.zeros(len(low.sources))
+        held = emf + zero  # the drive of a held stretch, rebuilt when the EMFs settle
+    else:  # no state: the rows, each held from its start index up to the next one
+        g_trap = g_be = None
+        out = rows, starts = [_topology(low, topologies, states).row(emf, 0.0)], [0]
+        pending_damp = 0
+    idx0, still = 0, emf.tobytes() == settled  # still: no EMF moves from here on
     for boundary, after, restart in sequence:  # each boundary lies past the one before
-        pair = pairs.get(states)  # the operators of the segments up to the boundary
+        pair = pairs.get(states)  # the operators of the stretch up to the boundary
         if pair is None or pending_damp and pair[1] is None:
             try:
                 pair = pairs[states] = (
                     _topology(low, topologies, states, False, g_trap),
                     _topology(low, topologies, states, True, g_be) if pending_damp else None)
             except SimulationError:  # unless a segment before it diverged first
-                _check_finite(out[0], ends, h)
+                if nc:
+                    _check_finite(out[0], ends, h)
                 raise
         trap, be = pair
-        while idx0 < boundary:  # one segment per ramp knee before the boundary
-            if held is None and emf.tobytes() == settled:  # no EMF moves from here on
-                held = zero, emf + zero, 0  # d_emf, drive, ramp of every later segment
-            if held is None:
+        # a planned segment per ramp knee while an EMF moves, then one held
+        # stretch to the boundary; each goes to the capacitive or the
+        # capacitor-free body
+        while idx0 < boundary:
+            if not still:
                 seg_end, target, slope = _plan_segment(low, controls, emf, idx0, boundary, h)
-                d_emf = slope * h
-                drive, ramp = emf + d_emf, np.count_nonzero(slope)
-            else:
-                seg_end, (d_emf, drive, ramp) = boundary, held
+                d_emf, ramp = slope * h, np.count_nonzero(slope)
+            elif nc:
+                seg_end, d_emf, ramp = boundary, zero, 0
+            else:  # the topology's held row: one lookup
+                if trap.held is None:
+                    trap.held = trap.row(emf, boundary * h)
+                rows.append(trap.held)
+                starts.append(idx0 + 1)
+                break
             steps = seg_end - idx0
-            damp = min(pending_damp, steps)
-            vc, ic = _propagate(walk, trap, be, vc, ic, emf, d_emf, drive, ramp,
-                                idx0, seg_end, damp)
-            ends.append(seg_end)
-            pending_damp = max(0, pending_damp - steps)
-            if ramp:  # else every source holds its target
-                emf = _advance(emf, target, slope, steps, h)
+            if nc:
+                damp = min(pending_damp, steps)
+                vc, ic = _propagate(walk, trap, be, vc, ic, emf, d_emf,
+                                    held if still else emf + d_emf, ramp, idx0, seg_end, damp)
+                ends.append(seg_end)
+                pending_damp = max(0, pending_damp - steps)
+            else:  # one row per ramp step, or one for the segment
+                t = seg_end * h
+                if ramp and steps > 1:  # an ungated source ramps once: no inner row recurs
+                    inner = trap.solve if any(s and src.control is None for s, src in zip(
+                        slope.tolist(), low.sources)) else trap.row
+                    rows.extend(inner(emf + i * d_emf, t) for i in range(1, steps))
+                rows.append(trap.row(emf + steps * d_emf if ramp else emf, t))
+                starts.extend(range(idx0 + 1, seg_end + 1 if ramp else idx0 + 2))
+            if not still:
+                if ramp:  # else every source holds its target
+                    emf = _advance(emf, target, slope, steps, h)
+                still = emf.tobytes() == settled
+                if still and nc:
+                    held = emf + zero
             idx0 = seg_end
-        states = after
+        idx0, states = boundary, after
         if restart:  # a switch changed or a source stepped
-            pending_damp = settings.damping_steps
-    _check_finite(out[0], ends, h)
+            pending_damp = damping
+    if nc:
+        _check_finite(out[0], ends, h)
     return _package(low, settings, out, events)

@@ -30,14 +30,18 @@ def _axis(lo: float, hi: float, pad: float = 0.0) -> Tuple[float, float]:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> List[float]:
+    """Ticks at a 1, 2 or 5 times power-of-ten step from ``lo`` to ``hi``,
+    each rounded to 1e-9 of the step's power of ten, which clears the sums'
+    rounding error at any scale."""
     raw = (hi - lo) / max(n - 1, 1)
-    mag = 10 ** math.floor(math.log10(raw))
+    exp = math.floor(math.log10(raw))
+    mag = 10 ** exp
     step = next(mult * mag for mult in (1, 2, 5, 10) if raw <= mult * mag)
     first = math.ceil(lo / step) * step
     out = []
     t = first
     while t <= hi + 1e-12 * abs(step):
-        out.append(round(t, 12))
+        out.append(round(t, 9 - exp))
         t += step
     return out
 

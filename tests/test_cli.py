@@ -15,6 +15,7 @@ from hvsim import analysis, cli, electromech, netlist
 from hvsim.circuit import ControlSignal, Switch
 from hvsim.cli import main
 from hvsim.netlist import print_scenario
+from hvsim.plotting import line_plot
 from hvsim.presets import load_preset
 
 from conftest import read_csv
@@ -1055,6 +1056,16 @@ class TestPlotRange:
         assert coordinates and all(map(math.isfinite, coordinates))
         y_grid = re.findall(r'<line x1="70" y1="([^"]*)"', svg)
         assert len(y_grid) >= 2 and len(set(y_grid)) == len(y_grid)
+
+    def test_ticks_of_a_sub_picovolt_range_are_distinct_and_inside_the_frame(self, tmp_path):
+        # rounded to 1e-12 absolute, every tick of this range was 0.0, drawn
+        # below the frame
+        path = tmp_path / "p.svg"
+        line_plot(path, {"a": (np.arange(3.0), np.array([1e-13, 2e-13, 3e-13]))}, "t", "V")
+        svg = path.read_text()
+        y_grid = [float(y) for y in re.findall(r'<line x1="70" y1="([^"]*)"', svg)]
+        assert len(y_grid) >= 2 and len(set(y_grid)) == len(y_grid)
+        assert all(20 <= y <= 370 for y in y_grid), y_grid  # the frame's top and bottom
 
     def test_span_beyond_the_float_range_exits_3(self, tmp_path, capsys):
         path = tmp_path / "p.ckt"
