@@ -748,7 +748,7 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
         pending_damp = 0 if determinate else damping
         ends: List[int] = []  # every segment end, checked finite after the walk
         zero = np.zeros(len(low.sources))
-        held = emf + zero  # the drive of a held stretch, rebuilt when the EMFs settle
+        held_drive = emf + zero  # the drive of a held stretch, rebuilt when the EMFs settle
     else:  # no state: the rows, each held from its start index up to the next one
         g_trap = g_be = None
         out = rows, starts = [_topology(low, topologies, states).row(emf, 0.0)], [0]
@@ -785,7 +785,7 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
             if nc:
                 damp = min(pending_damp, steps)
                 vc, ic = _propagate(walk, trap, be, vc, ic, emf, d_emf,
-                                    held if still else emf + d_emf, ramp, idx0, seg_end, damp)
+                                    held_drive if still else emf + d_emf, ramp, idx0, seg_end, damp)
                 ends.append(seg_end)
                 pending_damp = max(0, pending_damp - steps)
             else:  # one row per ramp step, or one for the segment
@@ -801,7 +801,7 @@ def run_transient(circuit: Circuit, settings: IntegrationSettings,
                     emf = _advance(emf, target, slope, steps, h)
                 still = emf.tobytes() == settled
                 if still and nc:
-                    held = emf + zero
+                    held_drive = emf + zero
             idx0 = seg_end
         idx0, states = boundary, after
         if restart:  # a switch changed or a source stepped
